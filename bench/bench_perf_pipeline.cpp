@@ -34,26 +34,6 @@ void BM_CaptureWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_CaptureWindow)->Arg(14)->Arg(16)->Arg(18)->Unit(benchmark::kMillisecond);
 
-void BM_CaptureWindowPerPacket(benchmark::State& state) {
-  // The pre-batching ingest path (per-packet std::function sink and
-  // single-packet capture), kept for before/after comparison.
-  const int log2_nv = static_cast<int>(state.range(0));
-  const auto scenario = netgen::Scenario::paper(log2_nv, 42);
-  ThreadPool pool(2);
-  const netgen::Population population(scenario.population);
-  const netgen::TrafficGenerator generator(population, scenario.traffic);
-  telescope::TelescopeConfig cfg;
-  cfg.darkspace = scenario.traffic.darkspace;
-  cfg.legit_prefixes = {scenario.traffic.legit_prefix};
-  telescope::Telescope scope(cfg, pool);
-  for (auto _ : state) {
-    generator.stream_window(0, scenario.nv(), 1, [&](const Packet& p) { scope.capture(p); });
-    benchmark::DoNotOptimize(scope.finish_window());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(scenario.nv()));
-}
-BENCHMARK(BM_CaptureWindowPerPacket)->Arg(16)->Unit(benchmark::kMillisecond);
-
 void BM_SnapshotReduceAndConvert(benchmark::State& state) {
   // Table II reduction + trusted deanonymization + D4M conversion.
   const auto scenario = netgen::Scenario::paper(16, 42);

@@ -22,7 +22,6 @@
 namespace {
 
 using namespace obscorr;
-using gbl::Index;
 using gbl::Value;
 
 simd::Tier tier_of(benchmark::State& state) {
@@ -59,47 +58,6 @@ void BM_RadixSortU64(benchmark::State& state) {
 }
 BENCHMARK(BM_RadixSortU64)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
 
-void BM_MergeAddColumns(benchmark::State& state) {
-  const simd::Tier tier = tier_of(state);
-  const TierScope scope(tier);
-  // Second argument picks the input shape: 0 = tightly interleaved runs
-  // (the merge's branchy worst case), 1 = long disjoint stretches (the
-  // galloping fast path, and the common shape for hypersparse row unions
-  // in the accumulator's carry merges).
-  const bool disjoint = state.range(1) != 0;
-  Rng rng(7);
-  constexpr std::size_t kRun = 1 << 16;
-  constexpr std::size_t kStretch = 512;
-  std::vector<Index> ac(kRun), bc(kRun);
-  std::vector<Value> av(kRun, 1.0), bv(kRun, 2.0);
-  std::uint64_t a = 0, b = 1;
-  for (std::size_t i = 0; i < kRun; ++i) {
-    if (disjoint && i % kStretch == 0) {
-      // Leap far past the other run's current stretch (a stretch spans
-      // roughly kStretch * 33 columns), creating a long one-sided run.
-      const std::uint64_t hop = 1 << 17;
-      if (rng.bernoulli(0.5)) a += hop; else b += hop;
-    }
-    a += 1 + rng.uniform_u64(64);
-    b += 1 + rng.uniform_u64(64);
-    ac[i] = static_cast<Index>(a);
-    bc[i] = static_cast<Index>(b);
-  }
-  std::vector<Index> out_col(2 * kRun);
-  std::vector<Value> out_val(2 * kRun);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gbl::kernels::merge_add_columns(
-        ac.data(), av.data(), kRun, bc.data(), bv.data(), kRun, out_col.data(), out_val.data()));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(2 * kRun));
-}
-BENCHMARK(BM_MergeAddColumns)
-    ->Args({0, 0})
-    ->Args({2, 0})
-    ->Args({0, 1})
-    ->Args({2, 1})
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_SumSpan(benchmark::State& state) {
   const simd::Tier tier = tier_of(state);
   const TierScope scope(tier);
@@ -112,26 +70,6 @@ void BM_SumSpan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(values.size()));
 }
 BENCHMARK(BM_SumSpan)->Arg(0)->Arg(2)->Unit(benchmark::kMicrosecond);
-
-void BM_RowSums(benchmark::State& state) {
-  const simd::Tier tier = tier_of(state);
-  const TierScope scope(tier);
-  Rng rng(17);
-  // Row lengths mimicking a heavy-tailed degree distribution.
-  std::vector<std::uint64_t> row_ptr{0};
-  while (row_ptr.back() < (1 << 20)) {
-    row_ptr.push_back(row_ptr.back() + 1 + rng.uniform_u64(64));
-  }
-  std::vector<Value> values(row_ptr.back());
-  for (auto& v : values) v = static_cast<Value>(rng.uniform_u64(1 << 16));
-  std::vector<Value> sums(row_ptr.size() - 1);
-  for (auto _ : state) {
-    gbl::kernels::row_sums(row_ptr, values, sums);
-    benchmark::DoNotOptimize(sums.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(values.size()));
-}
-BENCHMARK(BM_RowSums)->Arg(0)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 void BM_ShardIngest(benchmark::State& state) {
   const simd::Tier tier = tier_of(state);

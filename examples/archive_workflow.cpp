@@ -25,6 +25,7 @@
 
 #include "archive/study_archive.hpp"
 #include "common/table.hpp"
+#include "core/study.hpp"
 #include "gbl/matrix_io.hpp"
 #include "gbl/quantities.hpp"
 #include "netgen/scenario.hpp"
@@ -47,19 +48,17 @@ int main(int argc, char** argv) {
 
   // 1. Record the raw capture (the only artifact holding real addresses;
   //    in production it stays inside the sensor enclave).
-  const std::uint64_t recorded = telescope::record_trace(
-      trace_path, [&](const std::function<void(const Packet&)>& sink) {
-        generator.stream_window(0, scenario.nv(), 1, sink);
+  const std::uint64_t recorded =
+      telescope::record_trace(trace_path, [&](const PacketBatchSink& sink) {
+        generator.stream_window_batched(0, scenario.nv(), 1, sink);
       });
   std::printf("recorded %llu packets -> %s\n", static_cast<unsigned long long>(recorded),
               trace_path.c_str());
 
   // 2. Replay through the instrument: filter, anonymize, aggregate.
-  telescope::TelescopeConfig cfg;
-  cfg.darkspace = scenario.traffic.darkspace;
-  cfg.legit_prefixes = {scenario.traffic.legit_prefix};
-  telescope::Telescope scope(cfg, pool);
-  telescope::replay_trace(trace_path, [&](const Packet& p) { scope.capture(p); });
+  telescope::Telescope scope(core::scope_config_for(scenario), pool);
+  telescope::replay_trace(trace_path,
+                          [&](std::span<const Packet> batch) { scope.capture_block(batch); });
   const gbl::DcsrMatrix matrix = scope.finish_window();
   std::printf("captured %llu valid packets into a %zu-entry hypersparse matrix (%.1f KiB), "
               "discarded %llu\n",

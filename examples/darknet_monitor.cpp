@@ -11,6 +11,7 @@
 
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "core/study.hpp"
 #include "netgen/scenario.hpp"
 #include "netgen/traffic.hpp"
 #include "stats/histogram.hpp"
@@ -26,20 +27,17 @@ int main(int argc, char** argv) {
   const netgen::Population population(scenario.population);
   const netgen::TrafficGenerator generator(population, scenario.traffic);
 
-  telescope::TelescopeConfig cfg;
-  cfg.darkspace = scenario.traffic.darkspace;
-  cfg.legit_prefixes = {scenario.traffic.legit_prefix};
-  telescope::Telescope scope(cfg, pool);
+  telescope::Telescope scope(core::scope_config_for(scenario), pool);
 
   std::printf("monitoring darkspace %s, window N_V = 2^%d packets\n",
-              cfg.darkspace.to_string().c_str(), log2_nv);
+              scope.config().darkspace.to_string().c_str(), log2_nv);
 
   // Take three consecutive constant-packet windows in the same month and
   // watch the distribution stay put while individual sources churn.
   stats::ZipfFit last_fit;
   for (std::uint64_t window = 0; window < 3; ++window) {
-    generator.stream_window(/*month=*/0, scenario.nv(), /*salt=*/window + 1,
-                            [&](const Packet& p) { scope.capture(p); });
+    generator.stream_window_batched(/*month=*/0, scenario.nv(), /*salt=*/window + 1,
+                                    [&](std::span<const Packet> b) { scope.capture_block(b); });
     const gbl::DcsrMatrix matrix = scope.finish_window();
     const gbl::SparseVec sources = matrix.reduce_rows();
     const auto hist = stats::LogHistogram::from_sparse_vec(sources);

@@ -5,6 +5,9 @@
 /// header pair. Everything the paper computes (Table II) derives from
 /// these two fields; payloads never leave the sensors.
 
+#include <functional>
+#include <span>
+
 #include "common/ipv4.hpp"
 
 namespace obscorr {
@@ -16,5 +19,10 @@ struct Packet {
 
   friend constexpr bool operator==(const Packet&, const Packet&) = default;
 };
+
+/// Receives consecutive packet batches: the shape of every capture
+/// stream (generator -> telescope, generator -> trace file, trace file
+/// -> telescope). The span is only valid for the call.
+using PacketBatchSink = std::function<void(std::span<const Packet>)>;
 
 }  // namespace obscorr

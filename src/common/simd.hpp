@@ -2,15 +2,15 @@
 /// \file simd.hpp
 /// Runtime SIMD dispatch for the pipeline's hot kernels.
 ///
-/// The four hottest loops — batched packet ingest, the 6x11-bit LSD
-/// radix sort, the DCSR ewise_add column merge, and the Table II span
-/// reductions — each ship a scalar implementation and a vectorized
-/// variant in a sibling `*_simd.cpp` translation unit. Which variant
-/// runs is a process-wide *tier* resolved at startup from cpuid and
-/// clamped by two overrides:
+/// Three hot loops — batched packet ingest, the 6x11-bit LSD radix
+/// sort, and the Table II span reductions — each ship a scalar
+/// implementation and a vectorized variant in a sibling `*_simd.cpp`
+/// translation unit (the archive codec's decode kernels dispatch the
+/// same way). Which variant runs is a process-wide *tier* resolved at
+/// startup from cpuid and clamped by two overrides:
 ///
 ///   OBSCORR_SIMD=scalar|sse42|avx2   environment cap (invalid = auto)
-///   --simd scalar|sse42|avx2|auto    CLI override (beats the env var)
+///   set_tier(...)                    in-process override (tests, benches)
 ///
 /// Every vectorized variant is bit-identical to its scalar fallback:
 /// same packet streams, same sort order, same sums. Floating-point
@@ -34,7 +34,7 @@ namespace obscorr::simd {
 
 /// Instruction-set tiers, ordered: a kernel compiled for tier T may run
 /// whenever the active tier is >= T. kSse42 exists for hosts with SSE4.2
-/// but no AVX2 (the CRC32C path keys off it); the four hot kernels ship
+/// but no AVX2 (the CRC32C path keys off it); the dispatched kernels ship
 /// scalar and AVX2 variants, so kSse42 runs their scalar fallback.
 enum class Tier : int {
   kScalar = 0,
@@ -52,13 +52,14 @@ Tier detected_tier();
 /// clamps down, it does not crash.
 Tier active_tier();
 
-/// Override the active tier for the rest of the process (the CLI --simd
-/// flag). The request is clamped to `detected_tier()`. Passing
-/// std::nullopt restores auto (env cap, then detection).
+/// Override the active tier for the rest of the process (the
+/// differential tests and per-tier benchmarks). The request is clamped
+/// to `detected_tier()`. Passing std::nullopt restores auto (env cap,
+/// then detection).
 void set_tier(std::optional<Tier> tier);
 
-/// Parse "scalar" / "sse42" / "avx2"; nullopt for anything else
-/// (including "auto", which callers map to set_tier(nullopt)).
+/// Parse "scalar" / "sse42" / "avx2"; nullopt for anything else (an
+/// OBSCORR_SIMD value that does not parse leaves the tier on auto).
 std::optional<Tier> parse_tier(std::string_view name);
 
 /// Canonical lower-case tier name ("scalar", "sse42", "avx2").

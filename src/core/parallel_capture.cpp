@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/prng.hpp"
 #include "obs/span.hpp"
 
 namespace obscorr::core {
@@ -74,6 +76,17 @@ gbl::DcsrMatrix capture_window(telescope::Telescope& scope,
     total = gbl::DcsrMatrix::ewise_add(total, runs[i].second, pool);
   }
   return total;
+}
+
+double window_duration_sec(std::uint64_t streamed_packets, double mean_packet_rate,
+                           std::uint64_t timing_seed) {
+  OBSCORR_REQUIRE(mean_packet_rate > 0.0, "window_duration_sec: rate must be positive");
+  Rng timing(timing_seed, 0x7173);
+  double clock_sec = 0.0;
+  for (std::uint64_t i = 0; i < streamed_packets; ++i) {
+    clock_sec += timing.exponential(mean_packet_rate);
+  }
+  return clock_sec;
 }
 
 }  // namespace obscorr::core

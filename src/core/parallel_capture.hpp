@@ -30,4 +30,13 @@ gbl::DcsrMatrix capture_window(telescope::Telescope& scope,
                                const netgen::TrafficGenerator& generator, int month,
                                std::uint64_t valid_count, std::uint64_t salt, ThreadPool& pool);
 
+/// Duration of a constant-packet window under Poisson arrivals at
+/// `mean_packet_rate` packets/s — the paper's "variable time" (Table I:
+/// 997–1594 s for the same 2^30 packets). Every streamed packet, valid
+/// or discarded, advances the clock by one exponential inter-arrival
+/// gap; the gaps are drawn in order from `Rng(timing_seed, 0x7173)` and
+/// summed from zero, so the result is a pure function of the arguments.
+double window_duration_sec(std::uint64_t streamed_packets, double mean_packet_rate,
+                           std::uint64_t timing_seed);
+
 }  // namespace obscorr::core

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "core/parallel_capture.hpp"
+#include "core/study.hpp"
 #include "gbl/quantities.hpp"
 #include "netgen/traffic.hpp"
 #include "telescope/telescope.hpp"
@@ -44,10 +45,7 @@ ScalingAnalysis scaling_analysis(const netgen::Scenario& scenario,
                   "scaling_analysis: ladder far beyond the scenario scale");
 
   const netgen::TrafficGenerator generator(population, scenario.traffic);
-  telescope::TelescopeConfig cfg;
-  cfg.darkspace = scenario.traffic.darkspace;
-  cfg.legit_prefixes = {scenario.traffic.legit_prefix};
-  cfg.cryptopan_seed = scenario.population.seed ^ 0xCA1DAULL;
+  const telescope::TelescopeConfig cfg = scope_config_for(scenario);
 
   // Ladder rungs are independent windows: run them as pool tasks into
   // pre-sized slots, each through its own telescope instance.

@@ -13,8 +13,6 @@
 
 namespace obscorr::core {
 
-namespace {
-
 telescope::TelescopeConfig scope_config_for(const netgen::Scenario& scenario) {
   telescope::TelescopeConfig config;
   config.darkspace = scenario.traffic.darkspace;
@@ -22,6 +20,8 @@ telescope::TelescopeConfig scope_config_for(const netgen::Scenario& scenario) {
   config.cryptopan_seed = scenario.population.seed ^ 0xCA1DAULL;
   return config;
 }
+
+namespace {
 
 SnapshotData take_snapshot(const netgen::Scenario& scenario, const netgen::Population& population,
                            const netgen::CaidaSnapshotSpec& spec, telescope::Telescope& scope,

@@ -21,6 +21,7 @@
 #include "honeyfarm/honeyfarm.hpp"
 #include "netgen/population.hpp"
 #include "netgen/scenario.hpp"
+#include "telescope/telescope.hpp"
 
 namespace obscorr::core {
 
@@ -46,6 +47,13 @@ struct StudyData {
   /// log2(sqrt(N_V)): the paper's brightness threshold coordinate.
   double half_log_nv() const { return static_cast<double>(scenario.population.log2_nv) / 2.0; }
 };
+
+/// The scenario's telescope: its darkspace and legitimate prefix, keyed
+/// with the operator's CryptoPAN secret `population.seed ^ 0xCA1DA`.
+/// Every capture of a scenario (campaign snapshots, scaling ladder, live
+/// ingest, `obscorr capture`) uses this one configuration, so all of
+/// them anonymize identically.
+telescope::TelescopeConfig scope_config_for(const netgen::Scenario& scenario);
 
 /// Run the complete campaign. Deterministic in the scenario's seed.
 StudyData run_study(const netgen::Scenario& scenario, ThreadPool& pool);

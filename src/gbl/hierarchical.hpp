@@ -36,7 +36,8 @@ class HierarchicalAccumulator {
   /// `block_log2`: log2 of packets per leaf block (paper: 17).
   explicit HierarchicalAccumulator(int block_log2, ThreadPool& pool);
 
-  /// Stream one packet (source, destination).
+  /// Stream one packet (source, destination). The per-packet reference
+  /// the batched `add_packets` is tested against.
   void add_packet(Index src, Index dst);
 
   /// Stream a batch of packets packed as `(src << 32) | dst` keys (see

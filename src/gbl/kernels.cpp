@@ -8,7 +8,7 @@
 
 namespace obscorr::gbl::kernels {
 
-// ---- scalar reference implementations ----------------------------------
+// ---- scalar reference implementations (and the scalar-only kernels) ---
 
 void radix_sort_u64_scalar(std::uint64_t* keys, std::size_t n, mem::Arena& arena) {
   constexpr int kBits = 11;
@@ -44,9 +44,8 @@ void radix_sort_u64_scalar(std::uint64_t* keys, std::size_t n, mem::Arena& arena
   if (src != keys) std::copy(src, src + n, keys);
 }
 
-std::size_t merge_add_columns_scalar(const Index* ac, const Value* av, std::size_t na,
-                                     const Index* bc, const Value* bv, std::size_t nb,
-                                     Index* out_col, Value* out_val) {
+std::size_t merge_add_columns(const Index* ac, const Value* av, std::size_t na, const Index* bc,
+                              const Value* bv, std::size_t nb, Index* out_col, Value* out_val) {
   std::size_t i = 0, j = 0, out = 0;
   while (i < na && j < nb) {
     if (ac[i] == bc[j]) {
@@ -96,8 +95,8 @@ std::size_t count_in_range_span_scalar(std::span<const Value> values, Value lo, 
   return n;
 }
 
-void row_sums_scalar(std::span<const std::uint64_t> row_ptr, std::span<const Value> values,
-                     std::span<Value> sums) {
+void row_sums(std::span<const std::uint64_t> row_ptr, std::span<const Value> values,
+              std::span<Value> sums) {
   for (std::size_t r = 0; r < sums.size(); ++r) {
     Value s = 0.0;
     for (std::uint64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) s += values[k];
@@ -116,10 +115,6 @@ obs::Counter& radix_dispatches() {
   static obs::Counter& c = obs::counter("simd.dispatch_radix");
   return c;
 }
-obs::Counter& merge_dispatches() {
-  static obs::Counter& c = obs::counter("simd.dispatch_merge");
-  return c;
-}
 obs::Counter& reduce_dispatches() {
   static obs::Counter& c = obs::counter("simd.dispatch_reduce");
   return c;
@@ -134,15 +129,6 @@ void radix_sort_u64(std::uint64_t* keys, std::size_t n, mem::Arena& arena) {
     return;
   }
   radix_sort_u64_scalar(keys, n, arena);
-}
-
-std::size_t merge_add_columns(const Index* ac, const Value* av, std::size_t na, const Index* bc,
-                              const Value* bv, std::size_t nb, Index* out_col, Value* out_val) {
-  if (simd::use_avx2()) {
-    if (obs::counters_enabled()) merge_dispatches().add(1);
-    return merge_add_columns_avx2(ac, av, na, bc, bv, nb, out_col, out_val);
-  }
-  return merge_add_columns_scalar(ac, av, na, bc, bv, nb, out_col, out_val);
 }
 
 Value sum_span(std::span<const Value> values) {
@@ -167,16 +153,6 @@ std::size_t count_in_range_span(std::span<const Value> values, Value lo, Value h
     return count_in_range_span_avx2(values, lo, hi);
   }
   return count_in_range_span_scalar(values, lo, hi);
-}
-
-void row_sums(std::span<const std::uint64_t> row_ptr, std::span<const Value> values,
-              std::span<Value> sums) {
-  if (simd::use_avx2()) {
-    if (obs::counters_enabled()) reduce_dispatches().add(1);
-    row_sums_avx2(row_ptr, values, sums);
-    return;
-  }
-  row_sums_scalar(row_ptr, values, sums);
 }
 
 }  // namespace obscorr::gbl::kernels

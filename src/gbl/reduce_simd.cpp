@@ -1,12 +1,12 @@
 /// \file reduce_simd.cpp
 /// AVX2 variants of the span-served Table II reductions (sum / max /
-/// range-count / per-row sums). The sums use four lane-split accumulators
-/// combined in a fixed order; that reassociates the additions, which is
-/// bit-identical to the scalar left fold exactly when every partial sum
-/// is exactly representable — the pipeline's values are integer packet
-/// counts far below 2^53, so it always is (see kernels.hpp for the
-/// contract on general doubles). Max and count are order-independent on
-/// the no-NaN domain the scalar references assume.
+/// range-count). The sum uses four lane-split accumulators combined in a
+/// fixed order; that reassociates the additions, which is bit-identical
+/// to the scalar left fold exactly when every partial sum is exactly
+/// representable — the pipeline's values are integer packet counts far
+/// below 2^53, so it always is (see kernels.hpp for the contract on
+/// general doubles). Max and count are order-independent on the no-NaN
+/// domain the scalar references assume.
 
 #include "gbl/kernels.hpp"
 
@@ -20,8 +20,8 @@ namespace obscorr::gbl::kernels {
 
 namespace {
 
-/// Fixed-order horizontal combine shared by the sum kernels: pairwise
-/// within the accumulator tree, then lanes low to high.
+/// Fixed-order horizontal combine of the sum kernel: pairwise within the
+/// accumulator tree, then lanes low to high.
 __attribute__((target("avx2"))) inline double hsum(__m256d acc0, __m256d acc1, __m256d acc2,
                                                    __m256d acc3) {
   const __m256d acc = _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
@@ -91,38 +91,6 @@ __attribute__((target("avx2"))) std::size_t count_in_range_span_avx2(std::span<c
   return count;
 }
 
-__attribute__((target("avx2"))) void row_sums_avx2(std::span<const std::uint64_t> row_ptr,
-                                                   std::span<const Value> values,
-                                                   std::span<Value> sums) {
-  const double* val = values.data();
-  for (std::size_t r = 0; r < sums.size(); ++r) {
-    const std::size_t k0 = row_ptr[r];
-    const std::size_t k1 = row_ptr[r + 1];
-    const std::size_t len = k1 - k0;
-    if (len < 16) {
-      Value s = 0.0;
-      for (std::size_t k = k0; k < k1; ++k) s += val[k];
-      sums[r] = s;
-      continue;
-    }
-    const double* p = val + k0;
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    __m256d acc2 = _mm256_setzero_pd();
-    __m256d acc3 = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 16 <= len; i += 16) {
-      acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(p + i));
-      acc1 = _mm256_add_pd(acc1, _mm256_loadu_pd(p + i + 4));
-      acc2 = _mm256_add_pd(acc2, _mm256_loadu_pd(p + i + 8));
-      acc3 = _mm256_add_pd(acc3, _mm256_loadu_pd(p + i + 12));
-    }
-    Value s = hsum(acc0, acc1, acc2, acc3);
-    for (; i < len; ++i) s += p[i];
-    sums[r] = s;
-  }
-}
-
 }  // namespace obscorr::gbl::kernels
 
 #else  // !defined(__x86_64__)
@@ -133,10 +101,6 @@ Value sum_span_avx2(std::span<const Value> values) { return sum_span_scalar(valu
 Value max_span_avx2(std::span<const Value> values) { return max_span_scalar(values); }
 std::size_t count_in_range_span_avx2(std::span<const Value> values, Value lo, Value hi) {
   return count_in_range_span_scalar(values, lo, hi);
-}
-void row_sums_avx2(std::span<const std::uint64_t> row_ptr, std::span<const Value> values,
-                   std::span<Value> sums) {
-  row_sums_scalar(row_ptr, values, sums);
 }
 
 }  // namespace obscorr::gbl::kernels

@@ -53,7 +53,7 @@ WindowPlan TrafficGenerator::plan_window(int month) const {
     windows.add(1);
   }
   std::vector<std::uint32_t> active = population_.active_sources(month);
-  OBSCORR_REQUIRE(!active.empty(), "stream_window: no active sources this month");
+  OBSCORR_REQUIRE(!active.empty(), "plan_window: no active sources this month");
   std::vector<double> weights(active.size());
   std::vector<std::uint32_t> src_ips(active.size());
   // Strategies depend only on (population seed, source index), so every
@@ -69,14 +69,6 @@ WindowPlan TrafficGenerator::plan_window(int month) const {
   }
   return WindowPlan(month, std::move(active), std::move(src_ips), std::move(strategies),
                     AliasTable(weights));
-}
-
-std::uint64_t TrafficGenerator::stream_window(
-    int month, std::uint64_t valid_count, std::uint64_t salt,
-    const std::function<void(const Packet&)>& sink) const {
-  return stream_window_batched(month, valid_count, salt, [&](std::span<const Packet> batch) {
-    for (const Packet& p : batch) sink(p);
-  });
 }
 
 std::uint64_t TrafficGenerator::stream_window_batched(int month, std::uint64_t valid_count,

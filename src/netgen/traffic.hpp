@@ -118,22 +118,18 @@ class TrafficGenerator {
 
   /// Batched sink: receives consecutive fixed-size packet buffers (the
   /// final buffer may be short). The span is only valid for the call.
-  using BatchSink = std::function<void(std::span<const Packet>)>;
+  using BatchSink = PacketBatchSink;
 
   /// Emit packets for one constant-packet window in study month `month`
   /// until exactly `valid_count` valid (non-legit) packets have been
   /// produced, handing `sink` fixed-size buffers of packets including
   /// the legitimate noise. `salt` decorrelates windows taken in the same
   /// month. Returns the total number of packets emitted (valid + legit).
-  /// The packet sequence is identical to the per-packet overload, and to
+  /// The packet sequence is identical for every `batch_packets`, and to
   /// `stream_shard_batched` with shard 0 over the whole window.
   std::uint64_t stream_window_batched(int month, std::uint64_t valid_count, std::uint64_t salt,
                                       const BatchSink& sink,
                                       std::size_t batch_packets = kDefaultBatchPackets) const;
-
-  /// Per-packet compatibility wrapper over the batched path.
-  std::uint64_t stream_window(int month, std::uint64_t valid_count, std::uint64_t salt,
-                              const std::function<void(const Packet&)>& sink) const;
 
   /// Build the shared per-window sampling plan (active set + alias
   /// table) for `month`. Throws when no source is active.

@@ -46,7 +46,6 @@ constexpr const char* kCanonicalCounters[] = {
     "netgen.windows_planned",
     "simd.dispatch_codec",
     "simd.dispatch_ingest",
-    "simd.dispatch_merge",
     "simd.dispatch_radix",
     "simd.dispatch_reduce",
     "svc.accepted",

@@ -1,23 +1,26 @@
 #include "svc/ingest.hpp"
 
 #include <exception>
-#include <optional>
 #include <utility>
 
 #include "archive/live_archive.hpp"
 #include "common/error.hpp"
 #include "common/interrupt.hpp"
+#include "core/parallel_capture.hpp"
+#include "core/study.hpp"
 #include "netgen/traffic.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
-#include "telescope/capture_session.hpp"
 #include "telescope/telescope.hpp"
 
 namespace obscorr::svc {
 
 IngestLoop::IngestLoop(std::string dir, QueryEngine& engine, ThreadPool& pool,
                        IngestConfig config)
-    : dir_(std::move(dir)), engine_(engine), pool_(pool), config_(config) {}
+    : dir_(std::move(dir)), engine_(engine), pool_(pool), config_(std::move(config)) {
+  OBSCORR_REQUIRE(config_.window_packets > 0, "ingest: window_packets must be positive");
+  OBSCORR_REQUIRE(config_.mean_packet_rate > 0.0, "ingest: mean_packet_rate must be positive");
+}
 
 IngestLoop::~IngestLoop() { stop_and_join(); }
 
@@ -44,15 +47,7 @@ void IngestLoop::run() {
 
     const netgen::Population population(scenario.population);
     const netgen::TrafficGenerator generator(population, scenario.traffic);
-    // Same instrument configuration as the batch campaign (the
-    // cryptopan seed derivation must match tools/commands.cpp
-    // scope_config, or live matrices would anonymize differently than
-    // the archived snapshots).
-    telescope::TelescopeConfig scope_cfg;
-    scope_cfg.darkspace = scenario.traffic.darkspace;
-    scope_cfg.legit_prefixes = {scenario.traffic.legit_prefix};
-    scope_cfg.cryptopan_seed = scenario.population.seed ^ 0xCA1DAULL;
-    telescope::Telescope scope(scope_cfg, pool_);
+    telescope::Telescope scope(core::scope_config_for(scenario), pool_);
 
     while (!stop_.load(std::memory_order_relaxed) && !interrupt::stop_requested() &&
            published_.load(std::memory_order_relaxed) < config_.max_windows) {
@@ -71,30 +66,25 @@ void IngestLoop::run() {
                         static_cast<double>(config_.window_packets) * config_.surge_factor)
                   : config_.window_packets;
 
-      // One generator window == one capture window: the session closes
-      // its window on exactly the last valid packet streamed.
-      telescope::CaptureSessionConfig session_cfg;
-      session_cfg.window_packets = wp;
-      session_cfg.mean_packet_rate = config_.mean_packet_rate;
-      session_cfg.timing_seed = salt;
-      telescope::CaptureSession session(scope, session_cfg);
-      std::optional<telescope::CaptureWindow> window;
-      const std::uint64_t streamed = generator.stream_window(
-          month, wp, salt, [&](const Packet& p) {
-            session.offer(p, [&](telescope::CaptureWindow&& cw) { window = std::move(cw); });
-          });
-      OBSCORR_REQUIRE(window.has_value(), "ingest: capture window did not close");
+      // The campaign's capture path: the window's discards are the change
+      // in the telescope's counter, and every streamed packet advances
+      // the window's own Poisson clock.
+      const std::uint64_t discarded_before = scope.discarded_packets();
+      const gbl::DcsrMatrix matrix =
+          core::capture_window(scope, generator, month, wp, salt, pool_);
+      const std::uint64_t discarded = scope.discarded_packets() - discarded_before;
+      const std::uint64_t streamed = wp + discarded;
 
       archive::LiveWindowMeta meta;
       meta.window = w;
       meta.month_index = month;
       meta.salt = salt;
       meta.valid_packets = wp;
-      meta.discarded_packets = window->discarded;
-      meta.start_sec = window->start_sec;
-      meta.duration_sec = window->duration_sec;
-      const gbl::SparseVec sources = window->matrix.reduce_rows(pool_);
-      live.append_window(meta, window->matrix, sources);
+      meta.discarded_packets = discarded;
+      meta.start_sec = 0.0;  // each live window runs on its own clock
+      meta.duration_sec = core::window_duration_sec(streamed, config_.mean_packet_rate, salt);
+      const gbl::SparseVec sources = matrix.reduce_rows(pool_);
+      live.append_window(meta, matrix, sources);
       engine_.refresh();
       published_.fetch_add(1, std::memory_order_relaxed);
       if (obs::counters_enabled()) {
@@ -102,7 +92,7 @@ void IngestLoop::run() {
         packets.add(streamed);
       }
       if (config_.on_publish) {
-        config_.on_publish(PublishedWindow{meta, window->matrix, sources, streamed});
+        config_.on_publish(PublishedWindow{meta, matrix, sources, streamed});
       }
     }
   } catch (const std::exception& e) {

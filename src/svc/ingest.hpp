@@ -3,19 +3,25 @@
 /// The daemon's background capture loop: continuous telescope operation
 /// appending live windows to the archive the service is serving.
 ///
-/// Each iteration streams one constant-packet generator window through a
-/// `telescope::CaptureSession` (Poisson arrival timing, same pipeline as
-/// the batch campaign), reduces it, appends it to the `LiveArchive`
-/// (atomic manifest publication), and nudges the `QueryEngine` to
-/// refresh — so a `degrees` query for window w starts answering the
-/// moment w's publication rename lands, with bytes identical to what a
-/// later batch CLI run over the same archive prints.
+/// Each iteration captures one constant-packet window with
+/// `core::capture_window` — the batched block path the campaign's
+/// snapshots take, through one telescope configured by
+/// `core::scope_config_for` and kept for the loop's lifetime (its
+/// anonymization memo stays warm across windows). The window's discards
+/// are the change in the telescope's discard counter, and its duration
+/// is `core::window_duration_sec` over every streamed packet at
+/// `mean_packet_rate`, timed from zero with the window's salt as seed.
+/// The loop reduces the window, appends it to the `LiveArchive` (atomic
+/// manifest publication), and nudges the `QueryEngine` to refresh — so a
+/// `degrees` query for window w starts answering the moment w's
+/// publication rename lands, with bytes identical to what a later batch
+/// CLI run over the same archive prints.
 ///
 /// Determinism: window w always draws from scenario month `w %
 /// month_count` with salt `salt_base + w` and timing seed `salt_base +
-/// w`, so a crashed-and-restarted daemon regenerates byte-identical
-/// frames for any window it had partially appended (the resume path of
-/// LiveArchive::append_window relies on this).
+/// w`, so every window's entries are a pure function of its index and
+/// the config — identical at any pool size and across restarts, which
+/// the resume path of LiveArchive::append_window relies on.
 ///
 /// The loop checks `interrupt::stop_requested()` (and the engine-side
 /// stop flag) at window boundaries only: a SIGTERM mid-window finishes
@@ -80,7 +86,9 @@ struct IngestConfig {
 class IngestLoop {
  public:
   /// `dir` must hold a completed archive of `engine`'s scenario. The
-  /// engine, pool, and directory must outlive the loop.
+  /// engine, pool, and directory must outlive the loop. Throws when
+  /// `config.window_packets` is zero or `config.mean_packet_rate` is not
+  /// positive.
   IngestLoop(std::string dir, QueryEngine& engine, ThreadPool& pool, IngestConfig config);
   ~IngestLoop();
 

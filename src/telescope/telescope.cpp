@@ -25,7 +25,7 @@ void flush_capture_counters(std::uint64_t valid, std::uint64_t discarded, std::u
   cache_misses.add(misses);
 }
 
-/// How many packets ahead the capture loops prefetch anon-cache probe
+/// How many packets ahead the capture loop prefetches anon-cache probe
 /// slots. Deep enough to cover the table's DRAM latency with the work on
 /// the packets in between, shallow enough to stay inside every batch.
 constexpr std::size_t kCachePrefetchAhead = 8;
@@ -35,7 +35,7 @@ constexpr std::size_t kCachePrefetchAhead = 8;
 Telescope::Telescope(TelescopeConfig config, ThreadPool& pool)
     : config_(std::move(config)),
       cryptopan_(crypt::CryptoPan::from_seed(config_.cryptopan_seed)),
-      accumulator_(config_.block_log2, pool) {}
+      window_(config_.block_log2, pool) {}
 
 bool Telescope::is_valid(const Packet& packet) const {
   if (!config_.darkspace.contains(packet.dst)) return false;
@@ -47,35 +47,40 @@ bool Telescope::is_valid(const Packet& packet) const {
 
 bool Telescope::capture(const Packet& packet) {
   if (!is_valid(packet)) {
-    ++discarded_;
+    ++window_.discarded;
     return false;
   }
   const std::uint32_t src = anonymize_value(packet.src.value());
   const std::uint32_t dst = anonymize_value(packet.dst.value());
-  accumulator_.add_packet(src, dst);
+  window_.accumulator.add_packet(src, dst);
   return true;
 }
 
 std::uint64_t Telescope::capture_block(std::span<const Packet> packets) {
-  batch_keys_.clear();
-  batch_keys_.reserve(packets.size());
+  return capture_into(window_, packets);
+}
+
+std::uint64_t Telescope::capture_into(Context& ctx, std::span<const Packet> packets) const {
+  mem::PoolVec<std::uint64_t>& keys = ctx.batch_keys;
+  keys.clear();
+  keys.reserve(packets.size());
   std::uint64_t discarded = 0, hits = 0, misses = 0;
   const auto anonymize = [&](std::uint32_t addr) {
-    if (const std::uint32_t* hit = anon_cache_.find(addr)) {
+    if (const std::uint32_t* hit = ctx.anon_cache.find(addr)) {
       ++hits;
       return *hit;
     }
     ++misses;
     const std::uint32_t anon = cryptopan_.anonymize(Ipv4(addr)).value();
-    anon_cache_.insert(addr, anon);
-    dictionary_.emplace(anon, addr);
+    ctx.anon_cache.insert(addr, anon);
+    ctx.dictionary.emplace(anon, addr);
     return anon;
   };
   for (std::size_t i = 0; i < packets.size(); ++i) {
     if (i + kCachePrefetchAhead < packets.size()) {
       const Packet& ahead = packets[i + kCachePrefetchAhead];
-      anon_cache_.prefetch(ahead.src.value());
-      anon_cache_.prefetch(ahead.dst.value());
+      ctx.anon_cache.prefetch(ahead.src.value());
+      ctx.anon_cache.prefetch(ahead.dst.value());
     }
     const Packet& p = packets[i];
     if (!is_valid(p)) {
@@ -84,34 +89,34 @@ std::uint64_t Telescope::capture_block(std::span<const Packet> packets) {
     }
     const std::uint32_t src = anonymize(p.src.value());
     const std::uint32_t dst = anonymize(p.dst.value());
-    batch_keys_.push_back(gbl::pack_key(src, dst));
+    keys.push_back(gbl::pack_key(src, dst));
   }
-  discarded_ += discarded;
-  accumulator_.add_packets(batch_keys_);
-  flush_capture_counters(batch_keys_.size(), discarded, hits, misses);
-  return batch_keys_.size();
+  ctx.discarded += discarded;
+  ctx.accumulator.add_packets(keys);
+  flush_capture_counters(keys.size(), discarded, hits, misses);
+  return keys.size();
 }
 
 gbl::DcsrMatrix Telescope::finish_window() {
   static obs::Counter& merge_ns = obs::counter("telescope.merge_ns");
   const obs::Span span("telescope.finish_window");
   const obs::ScopedNsCounter merge_time(merge_ns);
-  return accumulator_.finish();
+  return window_.accumulator.finish();
 }
 
 std::uint32_t Telescope::anonymize_value(std::uint32_t addr) const {
-  if (const std::uint32_t* hit = anon_cache_.find(addr)) return *hit;
+  if (const std::uint32_t* hit = window_.anon_cache.find(addr)) return *hit;
   const std::uint32_t anon = cryptopan_.anonymize(Ipv4(addr)).value();
-  anon_cache_.insert(addr, anon);
-  dictionary_.emplace(anon, addr);
+  window_.anon_cache.insert(addr, anon);
+  window_.dictionary.emplace(anon, addr);
   return anon;
 }
 
 Ipv4 Telescope::anonymize(Ipv4 addr) const { return Ipv4(anonymize_value(addr.value())); }
 
 Ipv4 Telescope::deanonymize(Ipv4 anon) const {
-  const auto it = dictionary_.find(anon.value());
-  OBSCORR_REQUIRE(it != dictionary_.end(),
+  const auto it = window_.dictionary.find(anon.value());
+  OBSCORR_REQUIRE(it != window_.dictionary.end(),
                   "deanonymize: id never produced by this telescope: " + anon.to_string());
   return Ipv4(it->second);
 }
@@ -125,54 +130,22 @@ Ipv4Prefix Telescope::anonymized_darkspace() const {
 
 void Telescope::absorb(ShardCapture&& shard) {
   OBSCORR_REQUIRE(shard.scope_ == this, "absorb: shard belongs to a different telescope");
-  discarded_ += shard.discarded_;
-  dictionary_.merge(shard.dictionary_);
+  window_.discarded += shard.ctx_.discarded;
+  window_.dictionary.merge(shard.ctx_.dictionary);
 }
 
 ShardCapture::ShardCapture(const Telescope& scope, ThreadPool& pool)
-    : scope_(&scope), accumulator_(scope.config_.block_log2, pool) {}
+    : scope_(&scope), ctx_(scope.config_.block_log2, pool) {}
 
 std::uint64_t ShardCapture::capture_block(std::span<const Packet> packets) {
-  batch_keys_.clear();
-  batch_keys_.reserve(packets.size());
-  std::uint64_t discarded = 0, hits = 0, misses = 0;
-  const auto anonymize = [&](std::uint32_t addr) {
-    if (const std::uint32_t* hit = anon_cache_.find(addr)) {
-      ++hits;
-      return *hit;
-    }
-    ++misses;
-    const std::uint32_t anon = scope_->cryptopan_.anonymize(Ipv4(addr)).value();
-    anon_cache_.insert(addr, anon);
-    dictionary_.emplace(anon, addr);
-    return anon;
-  };
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    if (i + kCachePrefetchAhead < packets.size()) {
-      const Packet& ahead = packets[i + kCachePrefetchAhead];
-      anon_cache_.prefetch(ahead.src.value());
-      anon_cache_.prefetch(ahead.dst.value());
-    }
-    const Packet& p = packets[i];
-    if (!scope_->is_valid(p)) {
-      ++discarded;
-      continue;
-    }
-    const std::uint32_t src = anonymize(p.src.value());
-    const std::uint32_t dst = anonymize(p.dst.value());
-    batch_keys_.push_back(gbl::pack_key(src, dst));
-  }
-  discarded_ += discarded;
-  accumulator_.add_packets(batch_keys_);
-  flush_capture_counters(batch_keys_.size(), discarded, hits, misses);
-  return batch_keys_.size();
+  return scope_->capture_into(ctx_, packets);
 }
 
 gbl::DcsrMatrix ShardCapture::finish() {
   static obs::Counter& merge_ns = obs::counter("telescope.merge_ns");
   const obs::Span span("telescope.shard_finish");
   const obs::ScopedNsCounter merge_time(merge_ns);
-  return accumulator_.finish();
+  return ctx_.accumulator.finish();
 }
 
 }  // namespace obscorr::telescope

@@ -55,7 +55,9 @@ class Telescope {
 
   const TelescopeConfig& config() const { return config_; }
 
-  /// Offer one packet; returns true when it was valid and captured.
+  /// Offer one packet; returns true when it was valid and captured. The
+  /// per-packet reference `capture_block` is tested against — every
+  /// production capture goes through `capture_block`.
   bool capture(const Packet& packet);
 
   /// Offer a batch of packets: filter, anonymize (flat memoization
@@ -66,18 +68,18 @@ class Telescope {
   std::uint64_t capture_block(std::span<const Packet> packets);
 
   /// Valid packets captured in the current window.
-  std::uint64_t valid_packets() const { return accumulator_.packets(); }
+  std::uint64_t valid_packets() const { return window_.accumulator.packets(); }
 
   /// Packets discarded by the validity filter so far (across windows).
-  std::uint64_t discarded_packets() const { return discarded_; }
+  std::uint64_t discarded_packets() const { return window_.discarded; }
 
   /// Deanonymization-dictionary entries (anon -> original) accumulated
   /// so far — the trusted-exchange state the paper's sharing framework
   /// rests on. Persists across windows, grows monotonically.
-  std::size_t dictionary_entries() const { return dictionary_.size(); }
+  std::size_t dictionary_entries() const { return window_.dictionary.size(); }
 
   /// Distinct addresses memoized by the anonymization cache.
-  std::size_t anon_cache_entries() const { return anon_cache_.size(); }
+  std::size_t anon_cache_entries() const { return window_.anon_cache.size(); }
 
   /// Close the window: the anonymized ext->int traffic matrix. Resets
   /// the window state; the anonymization dictionary persists.
@@ -106,16 +108,28 @@ class Telescope {
  private:
   friend class ShardCapture;
 
+  /// The mutable state of one capture context: the telescope's own
+  /// window holds one, and so does every `ShardCapture`.
+  struct Context {
+    Context(int block_log2, ThreadPool& pool) : accumulator(block_log2, pool) {}
+
+    gbl::HierarchicalAccumulator accumulator;
+    std::uint64_t discarded = 0;
+    mutable AnonCache anon_cache;  // original -> anon (hot, flat open addressing)
+    mutable std::unordered_map<std::uint32_t, std::uint32_t> dictionary;  // anon -> original
+    mem::PoolVec<std::uint64_t> batch_keys;  // capture_block scratch (pool-recycled)
+  };
+
   bool is_valid(const Packet& packet) const;
   std::uint32_t anonymize_value(std::uint32_t addr) const;
 
+  /// The filter/anonymize/pack loop behind both public `capture_block`s,
+  /// run against `ctx`'s state with this telescope's filter and key.
+  std::uint64_t capture_into(Context& ctx, std::span<const Packet> packets) const;
+
   TelescopeConfig config_;
   crypt::CryptoPan cryptopan_;
-  gbl::HierarchicalAccumulator accumulator_;
-  std::uint64_t discarded_ = 0;
-  mutable AnonCache anon_cache_;  // original -> anon (hot, flat open addressing)
-  mutable std::unordered_map<std::uint32_t, std::uint32_t> dictionary_;  // anon -> original
-  mem::PoolVec<std::uint64_t> batch_keys_;  // capture_block scratch (pool-recycled)
+  Context window_;
 };
 
 /// Capture context for one generation shard (or a worker's run of
@@ -137,10 +151,10 @@ class ShardCapture {
   std::uint64_t capture_block(std::span<const Packet> packets);
 
   /// Valid packets captured by this shard context so far.
-  std::uint64_t valid_packets() const { return accumulator_.packets(); }
+  std::uint64_t valid_packets() const { return ctx_.accumulator.packets(); }
 
   /// Packets discarded by the validity filter in this shard context.
-  std::uint64_t discarded_packets() const { return discarded_; }
+  std::uint64_t discarded_packets() const { return ctx_.discarded; }
 
   /// Collapse this context's accumulator into its shard matrix.
   gbl::DcsrMatrix finish();
@@ -149,11 +163,7 @@ class ShardCapture {
   friend class Telescope;
 
   const Telescope* scope_;
-  gbl::HierarchicalAccumulator accumulator_;
-  std::uint64_t discarded_ = 0;
-  AnonCache anon_cache_;
-  std::unordered_map<std::uint32_t, std::uint32_t> dictionary_;
-  mem::PoolVec<std::uint64_t> batch_keys_;  // capture_block scratch (pool-recycled)
+  Telescope::Context ctx_;
 };
 
 }  // namespace obscorr::telescope

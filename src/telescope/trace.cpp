@@ -1,7 +1,9 @@
 #include "telescope/trace.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -10,11 +12,14 @@ namespace obscorr::telescope {
 namespace {
 constexpr char kMagic[8] = {'O', 'B', 'S', 'C', 'T', 'R', 'C', '1'};
 constexpr std::uint64_t kCountPlaceholder = ~0ULL;
+// Replay batch size: the generator's default emission buffer (64 KiB).
+constexpr std::uint64_t kReplayBatchPackets = 8192;
 }  // namespace
 
 struct TraceWriter::Impl {
   std::ofstream os;
   bool closed = false;
+  std::vector<std::uint32_t> pairs;  // write() staging: {src, dst} per packet
 };
 
 TraceWriter::TraceWriter(const std::string& path) : impl_(std::make_unique<Impl>()) {
@@ -26,11 +31,17 @@ TraceWriter::TraceWriter(const std::string& path) : impl_(std::make_unique<Impl>
 
 TraceWriter::~TraceWriter() { close(); }
 
-void TraceWriter::write(const Packet& packet) {
+void TraceWriter::write(std::span<const Packet> packets) {
   OBSCORR_REQUIRE(!impl_->closed, "TraceWriter: write after close");
-  const std::uint32_t pair[2] = {packet.src.value(), packet.dst.value()};
-  impl_->os.write(reinterpret_cast<const char*>(pair), sizeof pair);
-  ++count_;
+  std::vector<std::uint32_t>& pairs = impl_->pairs;
+  pairs.clear();
+  for (const Packet& p : packets) {
+    pairs.push_back(p.src.value());
+    pairs.push_back(p.dst.value());
+  }
+  impl_->os.write(reinterpret_cast<const char*>(pairs.data()),
+                  static_cast<std::streamsize>(pairs.size() * sizeof(std::uint32_t)));
+  count_ += packets.size();
 }
 
 void TraceWriter::close() {
@@ -43,8 +54,7 @@ void TraceWriter::close() {
   impl_->os.flush();
 }
 
-std::uint64_t replay_trace(const std::string& path,
-                           const std::function<void(const Packet&)>& sink) {
+std::uint64_t replay_trace(const std::string& path, const PacketBatchSink& sink) {
   std::ifstream is(path, std::ios::binary);
   OBSCORR_REQUIRE(is.is_open(), "replay_trace: cannot open " + path);
   char magic[8] = {};
@@ -55,12 +65,18 @@ std::uint64_t replay_trace(const std::string& path,
   is.read(reinterpret_cast<char*>(&count), sizeof count);
   OBSCORR_REQUIRE(is.good() && count != kCountPlaceholder,
                   "replay_trace: unfinalized or truncated header in " + path);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t pair[2];
-    is.read(reinterpret_cast<char*>(pair), sizeof pair);
-    OBSCORR_REQUIRE(is.good() || (is.eof() && is.gcount() == sizeof pair),
-                    "replay_trace: truncated record in " + path);
-    sink({Ipv4(pair[0]), Ipv4(pair[1])});
+  std::vector<std::uint32_t> pairs;
+  std::vector<Packet> batch;
+  for (std::uint64_t done = 0; done < count;) {
+    const auto n = static_cast<std::size_t>(std::min(count - done, kReplayBatchPackets));
+    pairs.resize(2 * n);
+    const auto bytes = static_cast<std::streamsize>(pairs.size() * sizeof(std::uint32_t));
+    is.read(reinterpret_cast<char*>(pairs.data()), bytes);
+    OBSCORR_REQUIRE(is.gcount() == bytes, "replay_trace: truncated record in " + path);
+    batch.resize(n);
+    for (std::size_t i = 0; i < n; ++i) batch[i] = {Ipv4(pairs[2 * i]), Ipv4(pairs[2 * i + 1])};
+    sink(batch);
+    done += n;
   }
   // No trailing garbage allowed.
   char extra;
@@ -70,11 +86,10 @@ std::uint64_t replay_trace(const std::string& path,
   return count;
 }
 
-std::uint64_t record_trace(
-    const std::string& path,
-    const std::function<void(const std::function<void(const Packet&)>&)>& producer) {
+std::uint64_t record_trace(const std::string& path,
+                           const std::function<void(const PacketBatchSink&)>& producer) {
   TraceWriter writer(path);
-  producer([&](const Packet& p) { writer.write(p); });
+  producer([&](std::span<const Packet> batch) { writer.write(batch); });
   writer.close();
   return writer.count();
 }

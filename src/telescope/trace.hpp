@@ -9,13 +9,14 @@
 ///   u64      packet count
 ///   { u32 src, u32 dst } x count   (host-order IPv4 values)
 ///
-/// `TraceWriter` streams packets out; `TraceReader` replays them through
-/// a callback, so a multi-gigabyte trace never needs to fit in memory.
+/// `TraceWriter` streams packet batches out; `replay_trace` hands them
+/// back to a callback in fixed-size batches, so a multi-gigabyte trace
+/// never needs to fit in memory.
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/packet.hpp"
@@ -33,8 +34,8 @@ class TraceWriter {
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  /// Append one packet.
-  void write(const Packet& packet);
+  /// Append a batch of packets.
+  void write(std::span<const Packet> packets);
 
   /// Packets written so far.
   std::uint64_t count() const { return count_; }
@@ -48,14 +49,14 @@ class TraceWriter {
   std::uint64_t count_ = 0;
 };
 
-/// Replay a trace file through `sink`; returns the packet count.
-/// Throws std::invalid_argument on malformed files (bad magic, count
-/// mismatch, truncation).
-std::uint64_t replay_trace(const std::string& path, const std::function<void(const Packet&)>& sink);
+/// Replay a trace file through `sink` in fixed-size batches; returns the
+/// packet count. Throws std::invalid_argument on malformed files (bad
+/// magic, unfinalized header, truncation, trailing bytes).
+std::uint64_t replay_trace(const std::string& path, const PacketBatchSink& sink);
 
-/// Convenience: record exactly the packets of one generated window.
-/// Returns the number of packets written.
+/// Convenience: record exactly the packets `producer` hands to the sink
+/// it is given (e.g. one generated window). Returns the number written.
 std::uint64_t record_trace(const std::string& path,
-                           const std::function<void(const std::function<void(const Packet&)>&)>& producer);
+                           const std::function<void(const PacketBatchSink&)>& producer);
 
 }  // namespace obscorr::telescope

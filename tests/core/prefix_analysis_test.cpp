@@ -129,7 +129,8 @@ TEST(PrefixAnalysisTest, BotnetBlocksShowUpAsDenseSlash24s) {
     telescope::TelescopeConfig scfg;
     scfg.darkspace = tcfg.darkspace;
     telescope::Telescope scope(scfg, pool);
-    gen.stream_window(0, 1 << 16, 1, [&](const Packet& p) { scope.capture(p); });
+    gen.stream_window_batched(0, 1 << 16, 1,
+                              [&](std::span<const Packet> b) { scope.capture_block(b); });
     const PrefixAnalysis a = analyze_prefixes(scope.finish_window().reduce_rows(), 24);
     std::uint64_t densest = 0;
     for (const auto& b : a.buckets) densest = std::max(densest, b.sources);

@@ -4,7 +4,7 @@
 /// integer-valued doubles — the documented bit-identity contract (see
 /// kernels.hpp) covers exactly that domain, which is what the pipeline
 /// feeds them (packet counts). Order-insensitive kernels (max, count,
-/// sort, merge) are exercised on arbitrary values.
+/// sort) are exercised on arbitrary values.
 
 #include "gbl/kernels.hpp"
 
@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -51,59 +50,6 @@ TEST(SimdKernelsTest, RadixSortMatchesScalarAndStdSort) {
   }
 }
 
-/// A sorted strictly-increasing column run with values.
-struct ColRun {
-  std::vector<Index> col;
-  std::vector<Value> val;
-};
-
-ColRun random_run(Rng& rng, std::size_t n, Index col_range, bool integer_values) {
-  std::set<Index> cols;
-  while (cols.size() < n) cols.insert(static_cast<Index>(rng.uniform_u64(col_range)));
-  ColRun r;
-  for (const Index c : cols) {
-    r.col.push_back(c);
-    r.val.push_back(integer_values ? static_cast<Value>(rng.uniform_u64(1 << 20))
-                                   : rng.uniform(-1e6, 1e6));
-  }
-  return r;
-}
-
-TEST(SimdKernelsTest, MergeAddColumnsMatchesScalar) {
-  if (!have_avx2()) GTEST_SKIP() << "host has no AVX2";
-  Rng rng(11);
-  // col_range shapes the overlap: tight ranges force equal columns and
-  // interleaves, wide ranges force long disjoint runs (the gallop path).
-  struct Shape {
-    std::size_t na, nb;
-    Index col_range;
-  };
-  const Shape shapes[] = {{0, 50, 1000},    {50, 0, 1000},    {1, 1, 2},
-                          {100, 100, 150},  {500, 500, 4000}, {1000, 30, 1 << 20},
-                          {30, 1000, 1 << 20}, {2000, 2000, 1 << 14}, {4096, 4096, 1 << 30}};
-  for (const Shape& s : shapes) {
-    for (int rep = 0; rep < 4; ++rep) {
-      const ColRun a = random_run(rng, s.na, s.col_range, rep % 2 == 0);
-      const ColRun b = random_run(rng, s.nb, s.col_range, rep % 2 == 0);
-      std::vector<Index> col_s(s.na + s.nb), col_v(s.na + s.nb);
-      std::vector<Value> val_s(s.na + s.nb), val_v(s.na + s.nb);
-      const std::size_t out_s =
-          merge_add_columns_scalar(a.col.data(), a.val.data(), a.col.size(), b.col.data(),
-                                   b.val.data(), b.col.size(), col_s.data(), val_s.data());
-      const std::size_t out_v =
-          merge_add_columns_avx2(a.col.data(), a.val.data(), a.col.size(), b.col.data(),
-                                 b.val.data(), b.col.size(), col_v.data(), val_v.data());
-      ASSERT_EQ(out_s, out_v);
-      col_s.resize(out_s);
-      col_v.resize(out_v);
-      val_s.resize(out_s);
-      val_v.resize(out_v);
-      EXPECT_EQ(col_s, col_v);
-      EXPECT_EQ(val_s, val_v);  // equal cells sum in the same order -> bitwise equal
-    }
-  }
-}
-
 TEST(SimdKernelsTest, SumSpanBitIdenticalOnIntegerValues) {
   if (!have_avx2()) GTEST_SKIP() << "host has no AVX2";
   Rng rng(13);
@@ -136,22 +82,6 @@ TEST(SimdKernelsTest, CountInRangeMatchesScalar) {
           << "n=" << n << " lo=" << lo << " hi=" << hi;
     }
   }
-}
-
-TEST(SimdKernelsTest, RowSumsBitIdenticalOnIntegerValues) {
-  if (!have_avx2()) GTEST_SKIP() << "host has no AVX2";
-  Rng rng(23);
-  // Mixed row lengths: below and above the kernel's scalar/vector cutoff.
-  std::vector<std::uint64_t> row_ptr{0};
-  for (const std::size_t len : {1u, 2u, 15u, 16u, 17u, 100u, 3u, 1000u, 8u, 31u}) {
-    row_ptr.push_back(row_ptr.back() + len);
-  }
-  std::vector<Value> values(row_ptr.back());
-  for (auto& x : values) x = static_cast<Value>(rng.uniform_u64(1 << 20));
-  std::vector<Value> sums_s(row_ptr.size() - 1, 0.0), sums_v(row_ptr.size() - 1, 0.0);
-  row_sums_scalar(row_ptr, values, sums_s);
-  row_sums_avx2(row_ptr, values, sums_v);
-  EXPECT_EQ(sums_s, sums_v);
 }
 
 TEST(SimdKernelsTest, DispatchedKernelsFollowForcedTier) {

@@ -39,8 +39,10 @@ TEST(PipelineTest, GroundTruthFlowsThroughToAnalysis) {
   telescope::Telescope scope(cfg, pool);
 
   std::map<std::uint32_t, double> reference;  // raw src -> packets
-  generator.stream_window(0, scenario.nv(), 1, [&](const Packet& p) {
-    if (scope.capture(p)) reference[p.src.value()] += 1.0;
+  generator.stream_window_batched(0, scenario.nv(), 1, [&](std::span<const Packet> batch) {
+    for (const Packet& p : batch) {
+      if (scope.capture(p)) reference[p.src.value()] += 1.0;
+    }
   });
   const gbl::DcsrMatrix matrix = scope.finish_window();
   const gbl::SparseVec anon_sources = matrix.reduce_rows();
@@ -67,7 +69,8 @@ TEST(PipelineTest, AnonymizedMatrixIsPureExtToIntQuadrant) {
   cfg.darkspace = scenario.traffic.darkspace;
   cfg.legit_prefixes = {scenario.traffic.legit_prefix};
   telescope::Telescope scope(cfg, pool);
-  generator.stream_window(0, scenario.nv(), 1, [&](const Packet& p) { scope.capture(p); });
+  generator.stream_window_batched(0, scenario.nv(), 1,
+                                  [&](std::span<const Packet> b) { scope.capture_block(b); });
   const gbl::DcsrMatrix matrix = scope.finish_window();
 
   const auto q = telescope::partition_quadrants(matrix, scope.anonymized_darkspace());

@@ -15,7 +15,6 @@
 #include "common/timeline.hpp"
 #include "crypt/anon_table.hpp"
 #include "d4m/assoc.hpp"
-#include "d4m/str_assoc.hpp"
 #include "gbl/matrix_io.hpp"
 #include "telescope/trace.hpp"
 
@@ -72,18 +71,6 @@ TEST_P(FuzzTest, AssocTsvReaderThrowsOrParses) {
   }
 }
 
-TEST_P(FuzzTest, StrAssocTsvReaderThrowsOrParses) {
-  Rng rng(GetParam());
-  for (int i = 0; i < 300; ++i) {
-    std::stringstream ss(random_printable(rng, 200));
-    try {
-      const d4m::StrAssoc a = d4m::StrAssoc::read_tsv(ss);
-      EXPECT_LE(a.nnz(), 200u);
-    } catch (const std::invalid_argument&) {
-    }
-  }
-}
-
 TEST_P(FuzzTest, MatrixReaderThrowsOnGarbage) {
   Rng rng(GetParam());
   for (int i = 0; i < 300; ++i) {
@@ -120,7 +107,8 @@ TEST_P(FuzzTest, TraceReplayThrowsOnGarbageFiles) {
   const std::string path = ::testing::TempDir() + "/fuzz_trace.trc";
   for (int i = 0; i < 50; ++i) {
     std::ofstream(path, std::ios::binary) << random_bytes(rng, 200);
-    EXPECT_THROW(telescope::replay_trace(path, [](const Packet&) {}), std::invalid_argument);
+    EXPECT_THROW(telescope::replay_trace(path, [](std::span<const Packet>) {}),
+                 std::invalid_argument);
   }
   std::remove(path.c_str());
 }

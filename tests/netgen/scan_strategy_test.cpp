@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 
@@ -56,10 +57,18 @@ TEST(ScanStrategyTest, WeightValidation) {
   EXPECT_THROW(TrafficGenerator(pop, cfg), std::invalid_argument);
 }
 
+/// Hand every packet of month 0's salt-1 window to `visit`, in order.
+void for_each_packet(const TrafficGenerator& gen, std::uint64_t valid,
+                     const std::function<void(const Packet&)>& visit) {
+  gen.stream_window_batched(0, valid, 1, [&](std::span<const Packet> batch) {
+    for (const Packet& p : batch) visit(p);
+  });
+}
+
 std::map<std::uint32_t, std::set<std::uint32_t>> destinations_by_source(
     const TrafficGenerator& gen, const TrafficConfig& cfg, std::uint64_t packets) {
   std::map<std::uint32_t, std::set<std::uint32_t>> dsts;
-  gen.stream_window(0, packets, 1, [&](const Packet& p) {
+  for_each_packet(gen, packets, [&](const Packet& p) {
     if (!cfg.legit_prefix.contains(p.src)) dsts[p.src.value()].insert(p.dst.value());
   });
   return dsts;
@@ -95,7 +104,7 @@ TEST(ScanStrategyTest, SequentialScannersSweepContiguously) {
   ASSERT_FALSE(active.empty());
   const std::uint32_t bright = pop.source(active.front()).ip.value();
   std::vector<std::uint32_t> seq;
-  gen.stream_window(0, 20000, 1, [&](const Packet& p) {
+  for_each_packet(gen, 20000, [&](const Packet& p) {
     if (p.src.value() == bright) seq.push_back(p.dst.value());
   });
   ASSERT_GT(seq.size(), 10u);
@@ -116,11 +125,10 @@ TEST(ScanStrategyTest, SourcePacketCountsUnaffectedByStrategyMixture) {
   TrafficConfig mixed;  // defaults
 
   std::map<std::uint32_t, int> counts_uniform, counts_mixed;
-  TrafficGenerator(pop, uniform_only)
-      .stream_window(0, 10000, 1, [&](const Packet& p) { ++counts_uniform[p.src.value()]; });
-  TrafficGenerator(pop, mixed).stream_window(0, 10000, 1, [&](const Packet& p) {
-    ++counts_mixed[p.src.value()];
-  });
+  for_each_packet(TrafficGenerator(pop, uniform_only), 10000,
+                  [&](const Packet& p) { ++counts_uniform[p.src.value()]; });
+  for_each_packet(TrafficGenerator(pop, mixed), 10000,
+                  [&](const Packet& p) { ++counts_mixed[p.src.value()]; });
   EXPECT_EQ(counts_uniform, counts_mixed);
 }
 
@@ -138,10 +146,10 @@ TEST(ScanStrategyTest, MixtureBroadensFaninDistribution) {
   subnet_only.subnet_weight = 1.0;
 
   std::map<std::uint32_t, int> fanin_uniform, fanin_subnet;
-  TrafficGenerator(pop, uniform_only)
-      .stream_window(0, 30000, 1, [&](const Packet& p) { ++fanin_uniform[p.dst.value()]; });
-  TrafficGenerator(pop, subnet_only)
-      .stream_window(0, 30000, 1, [&](const Packet& p) { ++fanin_subnet[p.dst.value()]; });
+  for_each_packet(TrafficGenerator(pop, uniform_only), 30000,
+                  [&](const Packet& p) { ++fanin_uniform[p.dst.value()]; });
+  for_each_packet(TrafficGenerator(pop, subnet_only), 30000,
+                  [&](const Packet& p) { ++fanin_subnet[p.dst.value()]; });
   int max_uniform = 0, max_subnet = 0;
   for (const auto& [dst, n] : fanin_uniform) max_uniform = std::max(max_uniform, n);
   for (const auto& [dst, n] : fanin_subnet) max_subnet = std::max(max_subnet, n);

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
-
 #include <map>
+#include <set>
+#include <vector>
 
 namespace obscorr::netgen {
 namespace {
@@ -18,17 +18,29 @@ Population make_population(std::uint64_t seed = 42) {
   return Population(c);
 }
 
+/// Every packet of one window, in stream order.
+std::vector<Packet> window_packets(const TrafficGenerator& gen, int month, std::uint64_t valid,
+                                   std::uint64_t salt) {
+  std::vector<Packet> out;
+  gen.stream_window_batched(month, valid, salt, [&](std::span<const Packet> b) {
+    out.insert(out.end(), b.begin(), b.end());
+  });
+  return out;
+}
+
 TEST(TrafficTest, EmitsExactValidCount) {
   const Population pop = make_population();
   TrafficConfig cfg;
   const TrafficGenerator gen(pop, cfg);
   std::uint64_t valid = 0, legit = 0;
   const std::uint64_t emitted =
-      gen.stream_window(0, 10000, 1, [&](const Packet& p) {
-        if (cfg.legit_prefix.contains(p.src)) {
-          ++legit;
-        } else {
-          ++valid;
+      gen.stream_window_batched(0, 10000, 1, [&](std::span<const Packet> batch) {
+        for (const Packet& p : batch) {
+          if (cfg.legit_prefix.contains(p.src)) {
+            ++legit;
+          } else {
+            ++valid;
+          }
         }
       });
   EXPECT_EQ(valid, 10000u);
@@ -39,25 +51,23 @@ TEST(TrafficTest, EmitsExactValidCount) {
 
 TEST(TrafficTest, BatchedStreamEmitsIdenticalPacketSequence) {
   // The batched sink is a pure buffering layer: concatenating its spans
-  // must reproduce the per-packet sequence exactly, for any batch size
+  // must reproduce the default-batch sequence exactly, for any batch size
   // (including ones that do not divide the emitted count).
   const Population pop = make_population();
   TrafficConfig cfg;
   const TrafficGenerator gen(pop, cfg);
-  std::vector<Packet> per_packet;
-  const std::uint64_t emitted =
-      gen.stream_window(2, 4000, 7, [&](const Packet& p) { per_packet.push_back(p); });
+  const std::vector<Packet> reference = window_packets(gen, 2, 4000, 7);
   for (const std::size_t batch : {1u, 13u, 1024u, 100000u}) {
     std::vector<Packet> batched;
     const std::uint64_t emitted_batched = gen.stream_window_batched(
         2, 4000, 7,
         [&](std::span<const Packet> b) { batched.insert(batched.end(), b.begin(), b.end()); },
         batch);
-    EXPECT_EQ(emitted_batched, emitted) << "batch " << batch;
-    ASSERT_EQ(batched.size(), per_packet.size()) << "batch " << batch;
+    EXPECT_EQ(emitted_batched, reference.size()) << "batch " << batch;
+    ASSERT_EQ(batched.size(), reference.size()) << "batch " << batch;
     for (std::size_t i = 0; i < batched.size(); ++i) {
-      ASSERT_EQ(batched[i].src, per_packet[i].src) << i;
-      ASSERT_EQ(batched[i].dst, per_packet[i].dst) << i;
+      ASSERT_EQ(batched[i].src, reference[i].src) << i;
+      ASSERT_EQ(batched[i].dst, reference[i].dst) << i;
     }
   }
 }
@@ -66,9 +76,9 @@ TEST(TrafficTest, AllDestinationsInDarkspace) {
   const Population pop = make_population();
   TrafficConfig cfg;
   const TrafficGenerator gen(pop, cfg);
-  gen.stream_window(0, 5000, 1, [&](const Packet& p) {
+  for (const Packet& p : window_packets(gen, 0, 5000, 1)) {
     EXPECT_TRUE(cfg.darkspace.contains(p.dst)) << p.dst.to_string();
-  });
+  }
 }
 
 TEST(TrafficTest, ValidSourcesBelongToActivePopulation) {
@@ -78,21 +88,18 @@ TEST(TrafficTest, ValidSourcesBelongToActivePopulation) {
   const auto active = pop.active_sources(2);
   std::set<std::uint32_t> active_ips;
   for (std::uint32_t i : active) active_ips.insert(pop.source(i).ip.value());
-  gen.stream_window(2, 5000, 1, [&](const Packet& p) {
-    if (cfg.legit_prefix.contains(p.src)) return;
+  for (const Packet& p : window_packets(gen, 2, 5000, 1)) {
+    if (cfg.legit_prefix.contains(p.src)) continue;
     EXPECT_TRUE(active_ips.contains(p.src.value())) << p.src.to_string();
-  });
+  }
 }
 
 TEST(TrafficTest, DeterministicPerSalt) {
   const Population pop = make_population();
   const TrafficGenerator gen(pop, TrafficConfig{});
-  std::vector<Packet> a, b, c;
-  gen.stream_window(0, 1000, 7, [&](const Packet& p) { a.push_back(p); });
-  gen.stream_window(0, 1000, 7, [&](const Packet& p) { b.push_back(p); });
-  gen.stream_window(0, 1000, 8, [&](const Packet& p) { c.push_back(p); });
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);
+  const std::vector<Packet> a = window_packets(gen, 0, 1000, 7);
+  EXPECT_EQ(a, window_packets(gen, 0, 1000, 7));
+  EXPECT_NE(a, window_packets(gen, 0, 1000, 8));
 }
 
 TEST(TrafficTest, BrightSourcesDominatePacketShare) {
@@ -101,9 +108,9 @@ TEST(TrafficTest, BrightSourcesDominatePacketShare) {
   const TrafficGenerator gen(pop, TrafficConfig{});
   std::map<std::uint32_t, std::uint64_t> counts;
   TrafficConfig cfg;
-  gen.stream_window(0, 50000, 1, [&](const Packet& p) {
+  for (const Packet& p : window_packets(gen, 0, 50000, 1)) {
     if (!cfg.legit_prefix.contains(p.src)) ++counts[p.src.value()];
-  });
+  }
   std::vector<std::uint64_t> sorted;
   for (const auto& [ip, n] : counts) sorted.push_back(n);
   std::sort(sorted.rbegin(), sorted.rend());
@@ -153,8 +160,7 @@ TEST(TrafficTest, ShardZeroReproducesUnshardedStream) {
   // byte for byte (this is what keeps pre-sharding archives valid).
   const Population pop = make_population();
   const TrafficGenerator gen(pop, TrafficConfig{});
-  std::vector<Packet> legacy;
-  gen.stream_window(1, 9000, 5, [&](const Packet& p) { legacy.push_back(p); });
+  const std::vector<Packet> legacy = window_packets(gen, 1, 9000, 5);
 
   const WindowPlan plan = gen.plan_window(1);
   ShardScratch scratch;
@@ -250,7 +256,8 @@ TEST(TrafficTest, ZeroLegitFractionEmitsOnlyValid) {
   TrafficConfig cfg;
   cfg.legit_fraction = 0.0;
   const TrafficGenerator gen(pop, cfg);
-  const std::uint64_t emitted = gen.stream_window(0, 3000, 1, [](const Packet&) {});
+  const std::uint64_t emitted =
+      gen.stream_window_batched(0, 3000, 1, [](std::span<const Packet>) {});
   EXPECT_EQ(emitted, 3000u);
 }
 

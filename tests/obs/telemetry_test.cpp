@@ -269,7 +269,6 @@ TEST_F(TelemetryExportTest, MetricsJsonSchemaAndCanonicalCatalogue) {
       "netgen.windows_planned",
       "simd.dispatch_codec",
       "simd.dispatch_ingest",
-      "simd.dispatch_merge",
       "simd.dispatch_radix",
       "simd.dispatch_reduce",
       "svc.accepted",

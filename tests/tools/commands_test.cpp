@@ -11,6 +11,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "archive/page_cache.hpp"
@@ -556,6 +557,41 @@ TEST(CliToolTest, UsageDocumentsCorrelateAndServeAnomalyFlags) {
   EXPECT_NE(help.str().find("--surge-start"), std::string::npos);
   EXPECT_NE(help.str().find("--metrics-format"), std::string::npos);
   EXPECT_NE(help.str().find("watch"), std::string::npos);
+}
+
+/// Run `serve` with one extra flag; returns (exit code, combined output).
+/// The archive does not exist, so a flag that slipped through validation
+/// fails later with a different message instead of starting a daemon.
+std::pair<int, std::string> serve_with(const std::string& flag, const std::string& value) {
+  std::ostringstream out;
+  const int rc = run({"serve", "--from", temp("no_such_archive"), "--unix",
+                      temp("serve_reject.sock"), "--ingest-windows", "1", flag, value},
+                     out);
+  return {rc, out.str()};
+}
+
+TEST(CliToolTest, ServeRejectsWindowPacketsBelowOne) {
+  for (const char* value : {"0", "-1"}) {
+    const auto [rc, text] = serve_with("--window-packets", value);
+    EXPECT_EQ(rc, 2) << value;
+    EXPECT_NE(text.find("--window-packets must be >= 1"), std::string::npos) << text;
+  }
+}
+
+TEST(CliToolTest, ServeRejectsNonPositivePacketRate) {
+  for (const char* value : {"0", "-2.5"}) {
+    const auto [rc, text] = serve_with("--packet-rate", value);
+    EXPECT_EQ(rc, 2) << value;
+    EXPECT_NE(text.find("--packet-rate must be > 0"), std::string::npos) << text;
+  }
+}
+
+TEST(CliToolTest, ServeRejectsMaxConnsBelowOne) {
+  for (const char* value : {"0", "-1"}) {
+    const auto [rc, text] = serve_with("--max-conns", value);
+    EXPECT_EQ(rc, 2) << value;
+    EXPECT_NE(text.find("--max-conns must be >= 1"), std::string::npos) << text;
+  }
 }
 
 TEST(CliToolTest, ArchiveRequiresOutAndUsageMentionsIt) {

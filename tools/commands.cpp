@@ -68,23 +68,6 @@ std::size_t thread_option(const CliArgs& args) {
   return static_cast<std::size_t>(resolve_thread_count(args.get_int("threads", 0)));
 }
 
-/// Kernel dispatch tier for this invocation: --simd scalar|sse42|avx2|auto
-/// beats OBSCORR_SIMD beats cpuid detection (requests above the detected
-/// tier clamp down). Outputs are byte-identical at any tier — the flag
-/// only changes speed. Must run before telemetry arms so the `simd.tier`
-/// gauge records the tier the kernels actually dispatch on.
-void simd_option(const CliArgs& args) {
-  const auto requested = args.get("simd");
-  if (!requested.has_value()) return;
-  if (*requested == "auto") {
-    simd::set_tier(std::nullopt);
-    return;
-  }
-  const auto tier = simd::parse_tier(*requested);
-  OBSCORR_REQUIRE(tier.has_value(), "--simd must be scalar, sse42, avx2, or auto");
-  simd::set_tier(*tier);
-}
-
 /// Decoded-page cache budget for archive reads: --cache-bytes N beats
 /// OBSCORR_CACHE_BYTES beats the 256 MiB default; 0 disables caching.
 /// Outputs are byte-identical at any budget — the flag only changes
@@ -100,14 +83,6 @@ void cache_option(const CliArgs& args) {
 void reject_unused(const CliArgs& args) {
   const auto stray = args.unused();
   OBSCORR_REQUIRE(stray.empty(), "unknown option --" + (stray.empty() ? "" : stray.front()));
-}
-
-telescope::TelescopeConfig scope_config(const netgen::Scenario& scenario) {
-  telescope::TelescopeConfig cfg;
-  cfg.darkspace = scenario.traffic.darkspace;
-  cfg.legit_prefixes = {scenario.traffic.legit_prefix};
-  cfg.cryptopan_seed = scenario.population.seed ^ 0xCA1DAULL;
-  return cfg;
 }
 
 /// Materialize the observation series of an archived campaign — no
@@ -129,7 +104,6 @@ struct TelemetryOptions {
 };
 
 TelemetryOptions telemetry_options(const CliArgs& args) {
-  simd_option(args);
   cache_option(args);
   TelemetryOptions t;
   t.timing = args.has("timing");
@@ -243,10 +217,9 @@ SIGTERM stop `study`/`archive`/`serve` cleanly at the next window boundary.
 degrees, scaling, correlate, stats, metrics, watch — responses over a fixed
 window range are byte-identical to the matching batch subcommand; `watch`
 streams window/anomaly events as ingest publishes.
-every command accepts --simd scalar|sse42|avx2|auto (default: OBSCORR_SIMD,
-then cpuid detection) to pin the kernel dispatch tier; outputs are
-byte-identical at any tier — the flag only changes wall-clock time
-(docs/performance.md "SIMD dispatch").
+kernels dispatch on the host's best SIMD tier; OBSCORR_SIMD=scalar|sse42|avx2
+caps it — outputs are byte-identical at any tier (docs/performance.md
+"SIMD dispatch").
 compressed archive entries decode through an LRU page cache; every command
 accepts --cache-bytes N (default: OBSCORR_CACHE_BYTES, then 256 MiB; 0
 disables) — results are byte-identical at any budget (docs/archive.md).
@@ -276,9 +249,9 @@ int cmd_generate(const std::vector<std::string>& args, std::ostream& out, std::o
   const auto scenario = netgen::Scenario::paper(c.log2_nv, c.seed);
   const netgen::Population population(scenario.population);
   const netgen::TrafficGenerator generator(population, scenario.traffic);
-  const std::uint64_t packets = telescope::record_trace(
-      *path, [&](const std::function<void(const Packet&)>& sink) {
-        generator.stream_window(month, scenario.nv(), 1, sink);
+  const std::uint64_t packets =
+      telescope::record_trace(*path, [&](const PacketBatchSink& sink) {
+        generator.stream_window_batched(month, scenario.nv(), 1, sink);
       });
   err << "wrote " << fmt_count(packets) << " packets (" << fmt_count(scenario.nv())
       << " valid) to " << *path << '\n';
@@ -300,9 +273,9 @@ int cmd_capture(const std::vector<std::string>& args, std::ostream& out, std::os
 
   const auto scenario = netgen::Scenario::paper(c.log2_nv, c.seed);
   ThreadPool pool(threads);
-  telescope::Telescope scope(scope_config(scenario), pool);
-  const std::uint64_t replayed =
-      telescope::replay_trace(*trace, [&](const Packet& p) { scope.capture(p); });
+  telescope::Telescope scope(core::scope_config_for(scenario), pool);
+  const std::uint64_t replayed = telescope::replay_trace(
+      *trace, [&](std::span<const Packet> batch) { scope.capture_block(batch); });
   const gbl::DcsrMatrix matrix = scope.finish_window();
   gbl::save_matrix(*matrix_path, matrix);
   err << "replayed " << fmt_count(replayed) << " packets, captured "
@@ -796,7 +769,9 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out, std::ostr
   OBSCORR_REQUIRE(scfg.unix_path.empty() || scfg.port < 0,
                   "serve: --unix and --port are mutually exclusive");
   if (scfg.port < 0) scfg.port = 0;
-  scfg.max_connections = static_cast<std::size_t>(cli.get_int("max-conns", 256));
+  const std::int64_t max_conns = cli.get_int("max-conns", 256);
+  OBSCORR_REQUIRE(max_conns >= 1, "serve: --max-conns must be >= 1");
+  scfg.max_connections = static_cast<std::size_t>(max_conns);
   scfg.request_timeout_sec = cli.get_double("request-timeout", 10.0);
   scfg.idle_timeout_sec = cli.get_double("idle-timeout", 300.0);
   scfg.drain_timeout_sec = cli.get_double("drain-timeout", 10.0);
@@ -807,8 +782,11 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out, std::ostr
   const std::int64_t ingest_windows = cli.get_int("ingest-windows", -1);
   icfg.max_windows = ingest_windows < 0 ? static_cast<std::size_t>(-1)
                                         : static_cast<std::size_t>(ingest_windows);
-  icfg.window_packets = static_cast<std::uint64_t>(cli.get_int("window-packets", 1 << 16));
+  const std::int64_t window_packets = cli.get_int("window-packets", 1 << 16);
+  OBSCORR_REQUIRE(window_packets >= 1, "serve: --window-packets must be >= 1");
+  icfg.window_packets = static_cast<std::uint64_t>(window_packets);
   icfg.mean_packet_rate = cli.get_double("packet-rate", 1e6);
+  OBSCORR_REQUIRE(icfg.mean_packet_rate > 0.0, "serve: --packet-rate must be > 0");
   const std::int64_t surge_start = cli.get_int("surge-start", -1);
   if (surge_start >= 0) {
     icfg.surge_start = static_cast<std::size_t>(surge_start);
