@@ -79,8 +79,6 @@ std::size_t SeriesStore::find(std::string_view name) const {
   return npos;
 }
 
-namespace {
-
 WindowSample sample_from(const gbl::DcsrMatrix& matrix, std::span<const double> degrees,
                          std::uint64_t discarded, double duration_sec) {
   WindowSample s;
@@ -90,8 +88,6 @@ WindowSample sample_from(const gbl::DcsrMatrix& matrix, std::span<const double> 
   s.source_gini = degrees.empty() ? 0.0 : stats::gini_coefficient(degrees);
   return s;
 }
-
-}  // namespace
 
 WindowSample sample_snapshot(const archive::StudyReader& reader, std::size_t k) {
   const core::SnapshotData snap = reader.snapshot(k, /*with_matrix=*/false);

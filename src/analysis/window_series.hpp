@@ -78,6 +78,11 @@ enum class Domain {
   kWindows,    ///< live windows appended by `obscorr serve`
 };
 
+/// Reduce one window (its matrix, A·1 degree values, discards and
+/// duration) to a WindowSample; live ingest samples each window here.
+WindowSample sample_from(const gbl::DcsrMatrix& matrix, std::span<const double> degrees,
+                         std::uint64_t discarded, double duration_sec);
+
 /// Reduce archived snapshot k / live window w to a WindowSample. Both
 /// materialize the stored matrix view and run the serial Table II
 /// aggregation, so results are bit-identical across thread counts.

@@ -72,8 +72,10 @@ std::uint64_t Rng::poisson(double lambda) {
     double k = std::floor((2.0 * a / us + b) * u + lambda + 0.43);
     if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(k);
     if (k < 0.0 || (us < 0.013 && v > us)) continue;
+    // Not std::lgamma: glibc's writes the global `signgam`, a data race.
+    int sign = 0;
     if (std::log(v * inv_alpha / (a / (us * us) + b)) <=
-        k * std::log(lambda) - lambda - std::lgamma(k + 1.0)) {
+        k * std::log(lambda) - lambda - ::lgamma_r(k + 1.0, &sign)) {
       return static_cast<std::uint64_t>(k);
     }
   }

@@ -68,11 +68,7 @@ StudyData run_impl(const netgen::Scenario& scenario, ThreadPool& pool, bool with
   const std::size_t n_snapshots = scenario.snapshots.size();
   const std::size_t n_months = with_honeyfarm ? scenario.months.size() : 0;
   study.snapshots.resize(n_snapshots);
-  std::optional<honeyfarm::Honeyfarm> farm;
-  if (with_honeyfarm) {
-    study.months.resize(n_months);
-    farm.emplace(population, scenario.visibility, scenario.population.seed ^ 0x64E4015EULL);
-  }
+  if (with_honeyfarm) study.months.resize(n_months);
 
   // Warm the activity chains up front: month m depends on month m-1, so
   // the lazy fill is inherently serial — doing it here keeps the pool
@@ -106,7 +102,7 @@ StudyData run_impl(const netgen::Scenario& scenario, ThreadPool& pool, bool with
       } else {
         const std::size_t m = i - n_snapshots;
         const obs::Span month_span("study.month", [&] { return std::to_string(m); });
-        study.months[m] = farm->observe_month(scenario.months[m], static_cast<int>(m));
+        study.months[m] = run_month(scenario, population, m);
       }
     }
   });

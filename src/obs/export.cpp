@@ -1,5 +1,7 @@
 #include "obs/export.hpp"
 
+#include <filesystem>
+#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -126,6 +128,22 @@ void write_metrics_prometheus(std::ostream& os) {
     os << "# TYPE " << n << " counter\n" << n << "_total " << dropped_span_events() << '\n';
   }
   os << "# EOF\n";
+}
+
+bool write_metrics_file(const std::string& path, std::string_view format) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream os(tmp, std::ios::trunc);
+    if (!os.is_open()) return false;
+    if (format == "prom") {
+      write_metrics_prometheus(os);
+    } else {
+      write_metrics_json(os);
+    }
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  return !ec;
 }
 
 void write_timing_summary(std::ostream& os) {

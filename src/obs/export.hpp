@@ -11,6 +11,8 @@
 /// and are therefore run-dependent; the *keys* are not.
 
 #include <iosfwd>
+#include <string>
+#include <string_view>
 
 namespace obscorr::obs {
 
@@ -34,6 +36,11 @@ void write_metrics_json(std::ostream& os);
 /// span aggregates become `_count` / `_seconds_sum` pairs. Ends with
 /// `# EOF` per the OpenMetrics framing rules.
 void write_metrics_prometheus(std::ostream& os);
+
+/// Replace `path` atomically (tmp + rename) with the metrics in `format`
+/// ("prom" text, else JSON); false when it cannot be written. The CLI's
+/// exit export and the daemon's periodic snapshots both write here.
+bool write_metrics_file(const std::string& path, std::string_view format);
 
 /// Human-readable summary (for `--timing` on stderr): span aggregates
 /// and the non-zero counters.

@@ -1,6 +1,7 @@
 #include "svc/queries.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <exception>
 #include <sstream>
@@ -9,7 +10,6 @@
 #include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/ipv4.hpp"
-#include "core/scaling_analysis.hpp"
 #include "obs/export.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -31,7 +31,141 @@ JsonValue text_result(std::string text) {
   return result;
 }
 
+/// Every query type the daemon answers, with the parameters it reads.
+const std::map<std::string_view, std::vector<std::string_view>> kQueries = {
+    {"lookup", {"ip"}},
+    {"report", {}},
+    {"degrees", {"snapshot", "window"}},
+    {"scaling", {}},
+    {"correlate", {"domain", "method", "baseline", "highlight", "top"}},
+    {"stats", {}},
+    {"metrics", {"format"}},
+    {"watch", {}},
+};
+
+/// A parameter name means the same in every query: these three are
+/// non-negative integers, every other one is a string.
+bool is_index(std::string_view name) {
+  return name == "snapshot" || name == "window" || name == "top";
+}
+
+bool parse_index(std::string_view text, std::uint64_t& value) {
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  return ec == std::errc{} && end == text.data() + text.size();
+}
+
+const std::vector<std::string_view>& declared(std::string_view query) {
+  const auto it = kQueries.find(query);
+  OBSCORR_REQUIRE(it != kQueries.end(), "unknown query type \"" + std::string(query) + "\"");
+  return it->second;
+}
+
+/// Parse the "first:last" window range `params.<what>`, when present.
+std::optional<analysis::WindowRange> parse_range(const JsonValue& params, const std::string& what) {
+  const JsonValue* value = params.find(what);
+  if (value == nullptr) return std::nullopt;
+  const std::string& text = value->as_string();
+  const std::size_t colon = text.find(':');
+  OBSCORR_REQUIRE(colon != std::string::npos && colon > 0 && colon + 1 < text.size(),
+                  "correlate: " + what + " wants FIRST:LAST");
+  analysis::WindowRange r;
+  try {
+    r.first = std::stoull(text.substr(0, colon));
+    r.last = std::stoull(text.substr(colon + 1));
+  } catch (const std::exception&) {
+    throw std::invalid_argument("correlate: " + what + " wants FIRST:LAST integers");
+  }
+  OBSCORR_REQUIRE(r.first <= r.last, "correlate: " + what + " range must be ordered");
+  return r;
+}
+
 }  // namespace
+
+std::string unknown_parameter(std::string_view scope, std::string_view name) {
+  return std::string(scope) + ": unknown parameter \"" + std::string(name) + "\"";
+}
+
+void check_params(std::string_view query, const JsonValue& params) {
+  const std::vector<std::string_view>& names = declared(query);
+  for (const auto& [name, value] : params.members()) {
+    if (std::find(names.begin(), names.end(), name) == names.end()) {
+      throw std::invalid_argument(unknown_parameter(query, name));
+    }
+    std::uint64_t index = 0;
+    const bool index_param = is_index(name);
+    OBSCORR_REQUIRE(index_param ? value.is_number() && parse_index(value.raw_number(), index)
+                                : value.is_string(),
+                    std::string(query) + ": " + name +
+                        (index_param ? " must be a non-negative integer" : " must be a string"));
+  }
+}
+
+JsonValue params_from_flags(std::string_view query, const CliArgs& flags) {
+  JsonValue params = JsonValue::object();
+  for (const std::string_view name : declared(query)) {
+    const std::optional<std::string> text = flags.get(std::string(name));
+    if (!text.has_value()) continue;
+    // Index text that does not parse stays a string, which check_params
+    // then rejects exactly as it rejects that value on the wire.
+    std::uint64_t index = 0;
+    params.set(std::string(name), is_index(name) && parse_index(*text, index)
+                                      ? JsonValue::number(index)
+                                      : JsonValue::string(*text));
+  }
+  check_params(query, params);
+  return params;
+}
+
+DegreesQuery parse_degrees(const JsonValue& params) {
+  const JsonValue* snapshot = params.find("snapshot");
+  const JsonValue* window = params.find("window");
+  OBSCORR_REQUIRE(snapshot == nullptr || window == nullptr,
+                  "degrees: snapshot and window are mutually exclusive");
+  if (window != nullptr) return {true, static_cast<std::size_t>(window->as_uint())};
+  return {false, snapshot != nullptr ? static_cast<std::size_t>(snapshot->as_uint()) : 0};
+}
+
+std::string parse_lookup(const JsonValue& params) {
+  const JsonValue* ip = params.find("ip");
+  OBSCORR_REQUIRE(ip != nullptr, "lookup: ip A.B.C.D is required");
+  OBSCORR_REQUIRE(Ipv4::parse(ip->as_string()).has_value(),
+                  "lookup: malformed address " + ip->as_string());
+  return ip->as_string();
+}
+
+CorrelateQuery parse_correlate(const JsonValue& params) {
+  CorrelateQuery query;
+  if (const JsonValue* domain = params.find("domain")) {
+    const std::string& name = domain->as_string();
+    OBSCORR_REQUIRE(name == "windows" || name == "snapshots",
+                    "correlate: domain must be windows or snapshots");
+    query.domain = name == "windows" ? analysis::Domain::kWindows : analysis::Domain::kSnapshots;
+  }
+  if (const auto* m = params.find("method")) query.method = analysis::parse_method(m->as_string());
+  query.baseline = parse_range(params, "baseline");
+  query.highlight = parse_range(params, "highlight");
+  if (const auto* top = params.find("top")) query.top = static_cast<std::size_t>(top->as_uint());
+  return query;
+}
+
+CorrelateFrame resolve_correlate(const CorrelateQuery& query, const archive::StudyReader& reader) {
+  CorrelateFrame frame;
+  // Live windows when any exist (the population a resident daemon is
+  // watching), else the archived snapshots.
+  frame.domain = query.domain.value_or(reader.window_count() > 0 ? analysis::Domain::kWindows
+                                                                 : analysis::Domain::kSnapshots);
+  const bool windows = frame.domain == analysis::Domain::kWindows;
+  frame.domain_name = windows ? "windows" : "snapshots";
+  frame.count = windows ? reader.window_count() : reader.snapshot_count();
+  OBSCORR_REQUIRE(frame.count >= 2, "correlate: archive has fewer than 2 " + frame.domain_name);
+  // netdata framing when unspecified: highlight = the trailing fifth,
+  // baseline = the preceding 4x stretch.
+  frame.highlight =
+      query.highlight.has_value() ? *query.highlight : analysis::default_highlight(frame.count);
+  frame.baseline =
+      query.baseline.has_value() ? *query.baseline : analysis::default_baseline(frame.highlight);
+  return frame;
+}
 
 QueryEngine::QueryEngine(const std::string& dir, ThreadPool& pool)
     : reader_(dir), pool_(pool) {}
@@ -93,6 +227,7 @@ std::size_t QueryEngine::window_count() {
 }
 
 JsonValue QueryEngine::dispatch(const Request& req) {
+  check_params(req.query, req.params);
   if (req.query == "lookup") return q_lookup(req.params);
   if (req.query == "report") return q_report();
   if (req.query == "degrees") return q_degrees(req.params);
@@ -105,7 +240,12 @@ JsonValue QueryEngine::dispatch(const Request& req) {
 }
 
 std::string QueryEngine::cached(const std::string& key,
-                                const std::function<std::string()>& render) {
+                                const std::function<void(std::ostream&)>& print) {
+  const auto render = [&] {
+    std::ostringstream out;
+    print(out);
+    return std::move(out).str();
+  };
   std::shared_future<std::string> future;
   {
     const std::lock_guard lk(cache_mu_);
@@ -120,8 +260,16 @@ std::string QueryEngine::cached(const std::string& key,
       cache_.emplace(key, future);
     }
   }
-  if (future.valid()) return future.get();
-  return render();  // cache full: serve uncached rather than evict
+  if (!future.valid()) return render();  // cache full: serve uncached rather than evict
+  try {
+    return future.get();
+  } catch (const std::exception&) {
+    // A failed render leaves no entry: the key may succeed once more
+    // windows exist. (A racer may erase a newer entry; it re-renders.)
+    const std::lock_guard lk(cache_mu_);
+    cache_.erase(key);
+    throw;
+  }
 }
 
 const honeyfarm::Database& QueryEngine::database() {
@@ -132,135 +280,48 @@ const honeyfarm::Database& QueryEngine::database() {
 }
 
 JsonValue QueryEngine::q_lookup(const JsonValue& params) {
-  const JsonValue* ip = params.find("ip");
-  OBSCORR_REQUIRE(ip != nullptr && ip->is_string(), "lookup needs params.ip (string)");
-  const std::string& ip_text = ip->as_string();
-  OBSCORR_REQUIRE(Ipv4::parse(ip_text).has_value(), "lookup: malformed address " + ip_text);
-  return text_result(cached("lookup/" + ip_text, [&] {
-    std::ostringstream out;
-    render_lookup(database(), ip_text, out);
-    return std::move(out).str();
-  }));
+  const std::string ip = parse_lookup(params);
+  return text_result(
+      cached("lookup/" + ip, [&](std::ostream& out) { render_lookup(database(), ip, out); }));
 }
 
 JsonValue QueryEngine::q_report() {
-  return text_result(cached("report", [&] {
-    std::ostringstream out;
-    render_study(reader_.analysis_study(), out);
-    return std::move(out).str();
-  }));
+  return text_result(
+      cached("report", [&](std::ostream& out) { render_study(reader_.analysis_study(), out); }));
 }
 
 JsonValue QueryEngine::q_degrees(const JsonValue& params) {
-  const JsonValue* snapshot = params.find("snapshot");
-  const JsonValue* window = params.find("window");
-  OBSCORR_REQUIRE(snapshot == nullptr || window == nullptr,
-                  "degrees takes params.snapshot or params.window, not both");
-  std::string key;
-  gbl::SparseVec sources;
-  if (window != nullptr) {
-    const std::uint64_t w = window->as_uint();
-    key = "degrees/w/" + std::to_string(w);
-    sources = reader_.window_source_packets(static_cast<std::size_t>(w));
-  } else {
-    const std::uint64_t k = snapshot != nullptr ? snapshot->as_uint() : 0;
-    key = "degrees/s/" + std::to_string(k);
-    sources = reader_.source_packets(static_cast<std::size_t>(k));
-  }
-  return text_result(cached(key, [&] {
-    std::ostringstream out;
-    render_degrees(sources, out);
-    return std::move(out).str();
-  }));
+  const DegreesQuery query = parse_degrees(params);
+  const gbl::SparseVec sources = query.sources(reader_);
+  const std::string key = std::string("degrees/") + (query.window ? "w/" : "s/") +
+                          std::to_string(query.index);
+  return text_result(cached(key, [&](std::ostream& out) { render_degrees(sources, out); }));
 }
-
-namespace {
-
-/// Parse a "first:last" window-range parameter.
-analysis::WindowRange parse_range(const JsonValue& v, const char* what) {
-  OBSCORR_REQUIRE(v.is_string(), std::string(what) + " must be a \"first:last\" string");
-  const std::string& text = v.as_string();
-  const std::size_t colon = text.find(':');
-  OBSCORR_REQUIRE(colon != std::string::npos && colon > 0 && colon + 1 < text.size(),
-                  std::string(what) + ": want \"first:last\"");
-  analysis::WindowRange r;
-  try {
-    r.first = std::stoull(text.substr(0, colon));
-    r.last = std::stoull(text.substr(colon + 1));
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string(what) + ": want \"first:last\" integers");
-  }
-  OBSCORR_REQUIRE(r.first <= r.last, std::string(what) + ": range must be ordered");
-  return r;
-}
-
-}  // namespace
 
 JsonValue QueryEngine::q_correlate(const JsonValue& params) {
-  // Domain defaults to live windows when any exist — the population the
-  // resident service is watching — falling back to archived snapshots.
-  const JsonValue* domain_param = params.find("domain");
-  std::string domain_text;
-  if (domain_param != nullptr) {
-    OBSCORR_REQUIRE(domain_param->is_string(), "correlate: domain must be a string");
-    domain_text = domain_param->as_string();
-    OBSCORR_REQUIRE(domain_text == "windows" || domain_text == "snapshots",
-                    "correlate: domain must be windows|snapshots");
-  } else {
-    domain_text = reader_.window_count() > 0 ? "windows" : "snapshots";
-  }
-  const analysis::Domain domain =
-      domain_text == "windows" ? analysis::Domain::kWindows : analysis::Domain::kSnapshots;
-  const std::size_t n =
-      domain == analysis::Domain::kWindows ? reader_.window_count() : reader_.snapshot_count();
-  OBSCORR_REQUIRE(n >= 2, "correlate: need at least 2 " + domain_text);
-
-  const JsonValue* method_param = params.find("method");
-  analysis::Method method = analysis::Method::kKs2;
-  if (method_param != nullptr) {
-    OBSCORR_REQUIRE(method_param->is_string(), "correlate: method must be a string");
-    method = analysis::parse_method(method_param->as_string());
-  }
-
-  const JsonValue* highlight_param = params.find("highlight");
-  const JsonValue* baseline_param = params.find("baseline");
-  const analysis::WindowRange highlight = highlight_param != nullptr
-                                              ? parse_range(*highlight_param, "highlight")
-                                              : analysis::default_highlight(n);
-  const analysis::WindowRange baseline = baseline_param != nullptr
-                                             ? parse_range(*baseline_param, "baseline")
-                                             : analysis::default_baseline(highlight);
-
-  const JsonValue* top_param = params.find("top");
-  const std::uint64_t top = top_param != nullptr ? top_param->as_uint() : 10;
-
+  const CorrelateQuery query = parse_correlate(params);
+  const CorrelateFrame f = resolve_correlate(query, reader_);
   // Ranges are immutable data once published, so a fully range-qualified
   // key stays valid forever — default ranges are resolved before keying.
-  const std::string key = "correlate/" + domain_text + "/" + std::to_string(baseline.first) +
-                          ":" + std::to_string(baseline.last) + "/" +
-                          std::to_string(highlight.first) + ":" +
-                          std::to_string(highlight.last) + "/" + analysis::method_name(method) +
-                          "/" + std::to_string(top);
-  return parse_json(cached(key, [&] {
-    const analysis::SeriesStore store = analysis::store_from_reader(reader_, domain);
-    const std::vector<analysis::MetricScore> ranked =
-        analysis::rank_series(store, baseline, highlight, method);
-    JsonValue result = correlate_json(ranked, method, baseline, highlight);
+  const std::string key = "correlate/" + f.domain_name + "/" + std::to_string(f.baseline.first) +
+                          ":" + std::to_string(f.baseline.last) + "/" +
+                          std::to_string(f.highlight.first) + ":" +
+                          std::to_string(f.highlight.last) + "/" +
+                          analysis::method_name(query.method) + "/" + std::to_string(query.top);
+  return parse_json(cached(key, [&](std::ostream& os) {
+    const std::vector<analysis::MetricScore> ranked = analysis::rank_series(
+        analysis::store_from_reader(reader_, f.domain), f.baseline, f.highlight, query.method);
+    JsonValue result = correlate_json(ranked, query.method, f.baseline, f.highlight);
     std::ostringstream out;
-    render_correlate(ranked, method, baseline, highlight, static_cast<std::size_t>(top), out);
+    render_correlate(ranked, query.method, f.baseline, f.highlight, query.top, out);
     result.set("text", JsonValue::string(std::move(out).str()));
-    return dump_json(result);
+    os << dump_json(result);
   }));
 }
 
 JsonValue QueryEngine::q_scaling() {
-  return text_result(cached("scaling", [&] {
-    const netgen::Scenario& scenario = reader_.scenario();
-    const int ladder_top = static_cast<int>(scenario.population.log2_nv);
-    const auto analysis = core::scaling_analysis(scenario, 0, 10, ladder_top, pool_);
-    std::ostringstream out;
-    render_scaling(analysis, out);
-    return std::move(out).str();
+  return text_result(cached("scaling", [&](std::ostream& out) {
+    render_scaling(scaling_ladder(reader_.scenario(), pool_), out);
   }));
 }
 
@@ -289,26 +350,22 @@ JsonValue QueryEngine::q_stats() {
 JsonValue QueryEngine::q_metrics(const JsonValue& params) {
   obs::gauge("mem.peak_rss").record_max(static_cast<std::uint64_t>(mem::peak_rss_bytes()));
   const JsonValue* format = params.find("format");
-  if (format != nullptr) {
-    OBSCORR_REQUIRE(format->is_string() &&
-                        (format->as_string() == "json" || format->as_string() == "prom"),
-                    "metrics: format must be json|prom");
-    if (format->as_string() == "prom") {
-      // Prometheus exposition is a text artifact; ship it as one field so
-      // the response stays a single NDJSON line.
-      std::ostringstream os;
-      obs::write_metrics_prometheus(os);
-      JsonValue result = JsonValue::object();
-      result.set("format", JsonValue::string("prom"));
-      result.set("text", JsonValue::string(std::move(os).str()));
-      return result;
-    }
+  const std::string name = format != nullptr ? format->as_string() : "json";
+  OBSCORR_REQUIRE(name == "json" || name == "prom", "metrics: format must be json|prom");
+  std::ostringstream os;
+  if (name == "prom") {
+    // Prometheus exposition is a text artifact; ship it as one field so
+    // the response stays a single NDJSON line.
+    obs::write_metrics_prometheus(os);
+    JsonValue result = JsonValue::object();
+    result.set("format", JsonValue::string("prom"));
+    result.set("text", JsonValue::string(std::move(os).str()));
+    return result;
   }
   // Snapshot the live registry as the canonical obscorr.metrics.v1
   // document, then re-serialize it compact: the writer's output is
   // multiline, and protocol responses must be one NDJSON line. Numbers
   // survive the round-trip verbatim (raw-text number storage).
-  std::ostringstream os;
   obs::write_metrics_json(os);
   return parse_json(std::move(os).str());
 }

@@ -1,7 +1,12 @@
 #pragma once
 /// \file queries.hpp
-/// The service's query engine: dispatches parsed protocol requests over
-/// a live `StudyReader`. Thread-safe — many connections execute queries
+/// The service's queries: their parameters, and the engine that answers
+/// them over a live `StudyReader`. Each query type declares its params;
+/// the batch CLI reads flags of the same names into the same JSON object
+/// (`--snapshot 3` is `{"snapshot":3}`), so both fronts parse, and reject,
+/// through one code path — before any archive is opened.
+///
+/// The engine is thread-safe — many connections execute queries
 /// concurrently while the ingest loop publishes new windows:
 ///
 ///  * a shared/exclusive lock separates queries (shared) from
@@ -10,7 +15,7 @@
 ///  * rendered query outputs are cached by key behind deferred shared
 ///    futures, so an expensive render (scaling, report) runs exactly
 ///    once no matter how many clients race for it, and repeat queries
-///    are a string copy;
+///    are a string copy; a render that throws leaves no entry;
 ///  * the completed campaign prefix is immutable, so cached entries for
 ///    it are valid forever; per-window entries are keyed by index and
 ///    windows are immutable once published.
@@ -26,18 +31,72 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <ostream>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/correlate.hpp"
+#include "analysis/window_series.hpp"
 #include "archive/study_archive.hpp"
+#include "common/cli.hpp"
 #include "common/thread_pool.hpp"
+#include "core/scaling_analysis.hpp"
 #include "honeyfarm/database.hpp"
 #include "stats/histogram.hpp"
 #include "svc/protocol.hpp"
 
 namespace obscorr::svc {
+
+/// The error text for a parameter (or CLI flag) `scope` does not declare.
+std::string unknown_parameter(std::string_view scope, std::string_view name);
+
+/// Throw unless `query` is known and every member of `params` is declared
+/// by it, typed as declared (snapshot/window/top: integers >= 0; else strings).
+void check_params(std::string_view query, const JsonValue& params);
+
+/// `query`'s checked params object, read from the flags of the same names.
+JsonValue params_from_flags(std::string_view query, const CliArgs& flags);
+
+/// `degrees`: a campaign snapshot (default: snapshot 0) or a live window.
+struct DegreesQuery {
+  bool window = false;
+  std::size_t index = 0;
+  gbl::SparseVec sources(const archive::StudyReader& reader) const {
+    return window ? reader.window_source_packets(index) : reader.source_packets(index);
+  }
+};
+DegreesQuery parse_degrees(const JsonValue& params);
+
+/// `lookup`: the validated address.
+std::string parse_lookup(const JsonValue& params);
+
+/// `correlate` as requested; resolve_correlate fills the defaults.
+struct CorrelateQuery {
+  std::optional<analysis::Domain> domain;  ///< default: windows when any exist
+  analysis::Method method = analysis::Method::kKs2;
+  std::optional<analysis::WindowRange> baseline, highlight;  ///< default: netdata framing
+  std::size_t top = 10;                                      ///< 0 = every metric
+};
+CorrelateQuery parse_correlate(const JsonValue& params);
+
+/// A correlate query resolved over an open archive.
+struct CorrelateFrame {
+  analysis::Domain domain;
+  std::string domain_name;  ///< "windows" or "snapshots"
+  std::size_t count = 0;    ///< windows in the domain, at least 2
+  analysis::WindowRange baseline, highlight;
+};
+CorrelateFrame resolve_correlate(const CorrelateQuery& query, const archive::StudyReader& reader);
+
+/// The `scaling` ladder: windows of 2^10 up to the scenario's own N_V.
+inline core::ScalingAnalysis scaling_ladder(const netgen::Scenario& scenario, ThreadPool& pool) {
+  return core::scaling_analysis(scenario, 0, 10, static_cast<int>(scenario.population.log2_nv),
+                                pool);
+}
 
 /// One query type's service-latency digest (microseconds, log-binned
 /// percentiles — exact to within one binary-log bin).
@@ -82,9 +141,10 @@ class QueryEngine {
   JsonValue q_stats();
   JsonValue q_metrics(const JsonValue& params);
 
-  /// Rendered-output cache: compute `render()` once per key, share the
-  /// result. Bounded: past kMaxCacheEntries new keys compute uncached.
-  std::string cached(const std::string& key, const std::function<std::string()>& render);
+  /// Rendered-output cache: run `print` once per key, share what it
+  /// printed. Bounded: past kMaxCacheEntries new keys compute uncached.
+  /// A render that throws is erased, so the key renders afresh next time.
+  std::string cached(const std::string& key, const std::function<void(std::ostream&)>& print);
 
   /// Lazily built honeyfarm database over the completed campaign's
   /// months (immutable under live ingest); built once, first use.

@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -128,6 +126,7 @@ struct Server::Impl {
       OBSCORR_REQUIRE(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
                       "serve: cannot bind " + cfg.unix_path);
     } else {
+      OBSCORR_REQUIRE(cfg.port >= 0 && cfg.port <= 65535, "serve: port must be in 0..65535");
       listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
       OBSCORR_REQUIRE(listen_fd >= 0, "serve: cannot create tcp socket");
       const int one = 1;
@@ -365,7 +364,9 @@ struct Server::Impl {
         if (again == conns.end()) return;  // dead socket: flush erased it
         continue;
       }
-      if (req.query == "watch") {
+      // `watch` declares no params; one that names any goes to the engine,
+      // which rejects it like any other undeclared parameter.
+      if (req.query == "watch" && req.params.members().empty()) {
         subscribe_watch(id, conn, req);
         const auto again = conns.find(id);
         if (again == conns.end()) return;
@@ -522,14 +523,8 @@ struct Server::Impl {
   void write_metrics_snapshot() {
     if (cfg.metrics_out.empty()) return;
     obs::gauge("mem.peak_rss").record_max(static_cast<std::uint64_t>(mem::peak_rss_bytes()));
-    const std::string tmp = cfg.metrics_out + ".tmp";
-    {
-      std::ofstream os(tmp, std::ios::trunc);
-      if (!os.is_open()) return;  // snapshotting must never kill the daemon
-      obs::write_metrics_json(os);
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, cfg.metrics_out, ec);
+    // A failed write is ignored: snapshotting must never kill the daemon.
+    (void)obs::write_metrics_file(cfg.metrics_out, cfg.metrics_format);
   }
 
   void begin_drain() {

@@ -63,10 +63,11 @@ struct ServerConfig {
   double idle_timeout_sec = 300.0;    ///< quiet-connection reaper
   double drain_timeout_sec = 10.0;    ///< shutdown grace before force-close
 
-  /// When non-empty, the loop writes an obscorr.metrics.v1 snapshot
-  /// (with the mem.peak_rss gauge refreshed) to this path every
+  /// When non-empty, the loop writes a metrics snapshot ("json" or "prom"
+  /// per metrics_format, mem.peak_rss refreshed) to this path every
   /// metrics_interval_sec and once more on shutdown.
   std::string metrics_out;
+  std::string metrics_format = "json";
   double metrics_interval_sec = 1.0;
 };
 

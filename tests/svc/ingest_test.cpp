@@ -1,7 +1,8 @@
 /// Live ingest over copies of the committed golden archive: every live
 /// window's stored entries are a pure function of its index and the
 /// ingest config — the same after a daemon restart and at any pool size
-/// — and each window stores its own discard count. The suite name keeps
+/// — and each window stores its own discard count. Queries racing the
+/// ingest never keep a failure that newer windows would fix. The suite name keeps
 /// it inside the ASan and TSan CI filters (`LiveArchive`).
 
 #include "svc/ingest.hpp"
@@ -134,6 +135,47 @@ TEST(LiveArchiveIngestTest, RejectsUnusableSizes) {
   IngestConfig no_rate;
   no_rate.mean_packet_rate = 0.0;
   EXPECT_THROW(IngestLoop(dir, engine, pool, no_rate), std::invalid_argument);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(LiveArchiveIngestTest, FailedRenderIsNotCached) {
+  // A correlate range past the published windows fails inside the
+  // cached render. The failure must leave no cache entry: once ingest
+  // publishes the windows the range names, the same request succeeds.
+  const std::string dir = golden_copy("ingest_failed_render");
+  interrupt::reset();
+  ThreadPool pool(2);
+  QueryEngine engine(dir, pool);
+  const auto publish = [&](std::size_t windows) {
+    IngestConfig cfg;
+    cfg.max_windows = windows;
+    cfg.window_packets = 4096;
+    IngestLoop ingest(dir, engine, pool, cfg);
+    ingest.start();
+    for (int spin = 0; spin < 6000 && ingest.published() < windows && ingest.error().empty();
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ingest.stop_and_join();
+    ASSERT_EQ(ingest.error(), "");
+  };
+  const auto correlate = [&] {
+    return parse_json(engine.execute(parse_request(
+        R"({"query":"correlate","params":{"domain":"windows","baseline":"0:1","highlight":"2:3"}})")));
+  };
+
+  publish(2);
+  ASSERT_EQ(engine.window_count(), 2u);
+  const JsonValue early = correlate();
+  ASSERT_FALSE(early.find("ok")->as_bool());
+  EXPECT_NE(early.find("error")->find("message")->as_string().find("exceeds window count"),
+            std::string::npos);
+
+  publish(2);
+  ASSERT_EQ(engine.window_count(), 4u);
+  const JsonValue later = correlate();
+  ASSERT_TRUE(later.find("ok")->as_bool()) << dump_json(later);
+  EXPECT_EQ(later.find("result")->find("highlight")->find("last")->as_uint(), 3u);
   std::filesystem::remove_all(dir);
 }
 

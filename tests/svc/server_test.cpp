@@ -21,7 +21,9 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -35,10 +37,8 @@
 #include "archive/page_cache.hpp"
 #include "archive/study_archive.hpp"
 #include "common/interrupt.hpp"
-#include "gbl/quantities.hpp"
 #include "obs/telemetry.hpp"
 #include "common/thread_pool.hpp"
-#include "stats/summary.hpp"
 #include "svc/ingest.hpp"
 #include "svc/json.hpp"
 #include "svc/render.hpp"
@@ -523,13 +523,11 @@ TEST(SvcServerTest, DrainFlushesInFlightResponseThenRefusesNewWork) {
 std::function<void(const PublishedWindow&)> monitor_publisher(Server& server,
                                                               analysis::Monitor& monitor) {
   return [&server, &monitor](const PublishedWindow& pw) {
-    analysis::WindowSample s;
-    s.q = gbl::aggregate_quantities(pw.matrix);
-    s.discarded_packets = pw.meta.discarded_packets;
-    s.duration_sec = pw.meta.duration_sec;
-    s.source_gini =
-        pw.sources.values().empty() ? 0.0 : stats::gini_coefficient(pw.sources.values());
-    const auto events = monitor.observe_window(pw.meta.window, s, pw.sources.values());
+    const auto events = monitor.observe_window(
+        pw.meta.window,
+        analysis::sample_from(pw.matrix, pw.sources.values(), pw.meta.discarded_packets,
+                              pw.meta.duration_sec),
+        pw.sources.values());
     server.publish_event(analysis::window_event_json(pw.meta));
     for (const auto& ev : events) server.publish_event(analysis::event_json(ev));
   };
@@ -781,6 +779,53 @@ TEST(SvcServerTest, RequestStopViaInterruptFlag) {
   rs.stop();
   EXPECT_EQ(rs.exit_code(), 0);
   interrupt::reset();
+}
+
+TEST(SvcServerTest, UndeclaredParametersAreBadRequests) {
+  // Every query declares its parameters; a misspelled one is an error
+  // rather than a silently applied default.
+  RunningServer rs({});
+  Client c(rs.port());
+  ASSERT_TRUE(c.connected());
+  for (const char* bad : {R"({"query":"degrees","params":{"snapshott":3}})",
+                          R"({"query":"stats","params":{"verbose":true}})",
+                          R"({"query":"watch","params":{"from":0}})"}) {
+    const auto resp = c.query(bad);
+    ASSERT_TRUE(resp.has_value()) << bad;
+    EXPECT_FALSE(resp->find("ok")->as_bool()) << bad;
+    EXPECT_EQ(resp->find("error")->find("code")->as_string(), "bad_request") << bad;
+    EXPECT_NE(resp->find("error")->find("message")->as_string().find("unknown parameter"),
+              std::string::npos)
+        << bad;
+  }
+}
+
+TEST(SvcServerTest, MetricsOutSnapshotsUseRequestedFormat) {
+  // The periodic snapshots a running daemon writes are in the requested
+  // format, not only the export at exit.
+  const std::string path = ::testing::TempDir() + "/svc_metrics_snapshot.prom";
+  std::filesystem::remove(path);
+  ServerConfig cfg;
+  cfg.metrics_out = path;
+  cfg.metrics_format = "prom";
+  cfg.metrics_interval_sec = 0.05;
+  RunningServer rs(cfg);
+  Client c(rs.port());
+  ASSERT_TRUE(c.connected());
+  ASSERT_TRUE(c.query(R"({"query":"stats"})").has_value());
+  std::string text;
+  for (int spin = 0; spin < 500 && text.find("obscorr_svc_requests_total") == std::string::npos;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  EXPECT_NE(text.find("# TYPE obscorr_svc_requests counter"), std::string::npos) << text;
+  ASSERT_GE(text.size(), 6u);
+  EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
+  EXPECT_EQ(text.find("obscorr.metrics.v1"), std::string::npos);
+  rs.stop();
+  std::filesystem::remove(path);
 }
 
 }  // namespace

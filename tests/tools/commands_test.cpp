@@ -1,22 +1,35 @@
 /// End-to-end tests of the `obscorr` CLI subcommands through the public
 /// command functions, exercising generate -> capture -> quantities ->
-/// degrees as a chained workflow plus lookup/scaling/usage behaviour.
+/// degrees as a chained workflow plus lookup/scaling/usage behaviour, and
+/// one table of queries run through both fronts — the CLI with --from and
+/// the daemon's query engine — that must answer and fail identically.
 
 #include "commands.hpp"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "archive/page_cache.hpp"
+#include "common/interrupt.hpp"
+#include "common/thread_pool.hpp"
 #include "netgen/population.hpp"
 #include "netgen/scenario.hpp"
+#include "svc/ingest.hpp"
+#include "svc/json.hpp"
+#include "svc/protocol.hpp"
+#include "svc/queries.hpp"
 
 namespace obscorr::tools {
 namespace {
@@ -602,6 +615,188 @@ TEST(CliToolTest, ArchiveRequiresOutAndUsageMentionsIt) {
   ASSERT_EQ(run({"help"}, help), 0);
   EXPECT_NE(help.str().find("archive"), std::string::npos);
   EXPECT_NE(help.str().find("--from"), std::string::npos);
+}
+
+TEST(CliToolTest, UsageDocumentsDegreesWindow) {
+  std::ostringstream help;
+  ASSERT_EQ(run({"help"}, help), 0);
+  EXPECT_NE(help.str().find("[--snapshot K=0] [--window W]"), std::string::npos);
+}
+
+TEST(CliToolTest, ServeRejectsPortOutsideRange) {
+  // htons would truncate 70000 to 4464; -1 used to mean "no --port".
+  for (const char* value : {"70000", "65536", "-1"}) {
+    std::ostringstream out;
+    EXPECT_EQ(run({"serve", "--from", temp("no_such_archive"), "--port", value}, out), 2) << value;
+    EXPECT_NE(out.str().find("--port must be in 0..65535"), std::string::npos) << out.str();
+  }
+}
+
+TEST(CliToolTest, ServeRejectsDeadlinesThatAreNotPositive) {
+  // A zero idle timeout reaps every connection before its first request.
+  for (const char* flag : {"--request-timeout", "--idle-timeout", "--metrics-interval"}) {
+    for (const char* value : {"0", "-1", "inf", "nan"}) {
+      const auto [rc, text] = serve_with(flag, value);
+      EXPECT_EQ(rc, 2) << flag << ' ' << value;
+      EXPECT_NE(text.find(std::string(flag) + " must be finite and > 0"), std::string::npos)
+          << text;
+    }
+  }
+  // What perfbench and the smoke tools pass stays valid: validation lets
+  // it through and the missing archive is what fails.
+  for (const auto& [flag, value] :
+       {std::pair{"--metrics-interval", "3600"}, std::pair{"--idle-timeout", "0.5"},
+        std::pair{"--request-timeout", "30"}, std::pair{"--drain-timeout", "0"}}) {
+    const auto [rc, text] = serve_with(flag, value);
+    EXPECT_EQ(rc, 2);
+    EXPECT_NE(text.find("not an archive directory"), std::string::npos) << flag << '\n' << text;
+  }
+}
+
+TEST(CliToolTest, ServeRejectsNegativeDrainTimeout) {
+  for (const char* value : {"-1", "-0.5", "inf", "nan"}) {
+    const auto [rc, text] = serve_with("--drain-timeout", value);
+    EXPECT_EQ(rc, 2) << value;
+    EXPECT_NE(text.find("--drain-timeout must be finite and >= 0"), std::string::npos) << text;
+  }
+}
+
+TEST(CliToolTest, ServeSurgeShapeNeedsSurgeStart) {
+  for (const char* flag : {"--surge-len", "--surge-factor"}) {
+    const auto [rc, text] = serve_with(flag, "3");
+    EXPECT_EQ(rc, 2) << flag;
+    EXPECT_NE(text.find("need --surge-start"), std::string::npos) << text;
+  }
+}
+
+TEST(CliToolTest, SnapshotWithMatrixIsRejected) {
+  // --snapshot selects from an archive; with --matrix it used to be
+  // silently ignored.
+  for (const char* command : {"degrees", "prefixes"}) {
+    std::ostringstream out;
+    EXPECT_EQ(run({command, "--matrix", temp("m.gbl"), "--snapshot", "3"}, out), 2) << command;
+    EXPECT_NE(out.str().find("--snapshot"), std::string::npos) << out.str();
+    EXPECT_NE(out.str().find("need"), std::string::npos) << out.str();
+  }
+}
+
+/// A private copy of the golden archive (log2 N_V = 12, seed 42, five
+/// snapshots) with one live window appended: enough for degrees by
+/// window, too few windows for a windows-domain correlate.
+std::string one_window_archive(const std::string& name) {
+  const std::string dir = temp(name + "." + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::copy(OBSCORR_TEST_DATA_DIR "/golden_study", dir);
+  interrupt::reset();
+  ThreadPool pool(2);
+  svc::QueryEngine engine(dir, pool);
+  svc::IngestConfig cfg;
+  cfg.max_windows = 1;
+  cfg.window_packets = 4096;
+  svc::IngestLoop ingest(dir, engine, pool, cfg);
+  ingest.start();
+  for (int spin = 0; spin < 6000 && ingest.published() < 1 && ingest.error().empty(); ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ingest.stop_and_join();
+  if (ingest.published() != 1) throw std::runtime_error("ingest failed: " + ingest.error());
+  return dir;
+}
+
+/// One query as each front spells it: CLI flags (`--from DIR` is added)
+/// and the daemon's request line.
+struct FrontCase {
+  std::vector<std::string> cli;
+  std::string request;
+};
+
+/// Run `c` through both fronts over the archive `dir`: the CLI's exit
+/// code, stdout and stderr, and the daemon's response.
+struct FrontResult {
+  int rc;
+  std::string out;
+  std::string err;
+  svc::JsonValue response;
+};
+
+FrontResult run_both(const FrontCase& c, const std::string& dir, svc::QueryEngine& engine) {
+  std::vector<std::string> args = c.cli;
+  args.insert(args.end(), {"--from", dir});
+  std::ostringstream out, err;
+  const int rc = run(args, out, err);
+  return {rc, out.str(), err.str(), svc::parse_json(engine.execute(svc::parse_request(c.request)))};
+}
+
+TEST(CliToolTest, CliAndDaemonAnswerValidQueriesIdentically) {
+  const std::string dir = one_window_archive("cli_fronts_valid");
+  ThreadPool pool(2);
+  std::optional<svc::QueryEngine> engine(std::in_place, dir, pool);
+  // A source the honeyfarm saw in the first month.
+  const std::string seen = archive::StudyReader(dir).months().front().sources.row_keys().front();
+
+  const std::vector<FrontCase> cases = {
+      {{"degrees"}, R"({"query":"degrees"})"},
+      {{"degrees", "--snapshot", "3"}, R"({"query":"degrees","params":{"snapshot":3}})"},
+      {{"degrees", "--window", "0"}, R"({"query":"degrees","params":{"window":0}})"},
+      {{"lookup", "--ip", seen}, R"({"query":"lookup","params":{"ip":")" + seen + R"("}})"},
+      {{"lookup", "--ip", "203.0.113.7"}, R"({"query":"lookup","params":{"ip":"203.0.113.7"}})"},
+      {{"scaling"}, R"({"query":"scaling"})"},
+      {{"correlate", "--domain", "snapshots"},
+       R"({"query":"correlate","params":{"domain":"snapshots"}})"},
+      {{"correlate", "--domain", "snapshots", "--method", "volume", "--baseline", "0:2",
+        "--highlight", "3:4", "--top", "0"},
+       R"({"query":"correlate","params":{"domain":"snapshots","method":"volume",)"
+       R"("baseline":"0:2","highlight":"3:4","top":0}})"},
+  };
+  for (const FrontCase& c : cases) {
+    const FrontResult r = run_both(c, dir, *engine);
+    ASSERT_EQ(r.rc, 0) << c.request << '\n' << r.err;
+    ASSERT_TRUE(r.response.find("ok")->as_bool()) << c.request;
+    // correlate's CLI output opens with a line naming the archive.
+    const std::string header =
+        c.cli.front() == "correlate" ? "archive: " + dir + " (5 snapshots)\n" : "";
+    EXPECT_EQ(r.out, header + r.response.find("result")->find("text")->as_string()) << c.request;
+  }
+  EXPECT_NE(run_both(cases[3], dir, *engine).out.find("seen in"), std::string::npos);
+  EXPECT_NE(run_both(cases[4], dir, *engine).out.find("never observed"), std::string::npos);
+  engine.reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CliToolTest, CliAndDaemonRejectInvalidQueriesIdentically) {
+  const std::string dir = one_window_archive("cli_fronts_invalid");
+  ThreadPool pool(2);
+  std::optional<svc::QueryEngine> engine(std::in_place, dir, pool);
+  const std::vector<FrontCase> cases = {
+      {{"degrees", "--snapshot", "0", "--window", "0"},
+       R"({"query":"degrees","params":{"snapshot":0,"window":0}})"},
+      {{"degrees", "--snapshot", "99"}, R"({"query":"degrees","params":{"snapshot":99}})"},
+      {{"degrees", "--window", "first"}, R"({"query":"degrees","params":{"window":"first"}})"},
+      {{"degrees", "--snapshott", "3"}, R"({"query":"degrees","params":{"snapshott":3}})"},
+      {{"lookup", "--ip", "1.2.3"}, R"({"query":"lookup","params":{"ip":"1.2.3"}})"},
+      {{"lookup"}, R"({"query":"lookup"})"},
+      {{"correlate", "--domain", "snapshots", "--baseline", "3:1"},
+       R"({"query":"correlate","params":{"domain":"snapshots","baseline":"3:1"}})"},
+      {{"correlate", "--highlight", "4"}, R"({"query":"correlate","params":{"highlight":"4"}})"},
+      {{"correlate", "--domain", "galaxies"},
+       R"({"query":"correlate","params":{"domain":"galaxies"}})"},
+      {{"correlate", "--method", "pearson"},
+       R"({"query":"correlate","params":{"method":"pearson"}})"},
+      {{"correlate", "--top", "-3"}, R"({"query":"correlate","params":{"top":-3}})"},
+      {{"correlate", "--domain", "windows"},
+       R"({"query":"correlate","params":{"domain":"windows"}})"},
+  };
+  for (const FrontCase& c : cases) {
+    const FrontResult r = run_both(c, dir, *engine);
+    EXPECT_EQ(r.rc, 2) << c.request;
+    EXPECT_TRUE(r.out.empty()) << c.request;
+    ASSERT_FALSE(r.response.find("ok")->as_bool()) << c.request;
+    const svc::JsonValue* error = r.response.find("error");
+    EXPECT_EQ(error->find("code")->as_string(), "bad_request") << c.request;
+    EXPECT_EQ(r.err, "error: " + error->find("message")->as_string() + "\n") << c.request;
+  }
+  engine.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

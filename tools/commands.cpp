@@ -1,5 +1,6 @@
 #include "commands.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <optional>
@@ -22,7 +23,6 @@
 #include "core/correlation.hpp"
 #include "core/degree_analysis.hpp"
 #include "core/prefix_analysis.hpp"
-#include "core/scaling_analysis.hpp"
 #include "core/study.hpp"
 #include "gbl/matrix_io.hpp"
 #include "gbl/quantities.hpp"
@@ -32,7 +32,6 @@
 #include "obs/export.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
-#include "stats/summary.hpp"
 #include "svc/ingest.hpp"
 #include "svc/json.hpp"
 #include "svc/queries.hpp"
@@ -45,57 +44,10 @@ namespace obscorr::tools {
 
 namespace {
 
-/// Option names that take no value; every subcommand parses with these.
-const std::vector<std::string> kSwitches = {"timing"};
-
-/// Shared option plumbing: every subcommand accepts --log2-nv / --seed.
-struct Common {
-  int log2_nv;
-  std::uint64_t seed;
-};
-
-Common common_options(const CliArgs& args, int default_log2_nv) {
-  Common c;
-  c.log2_nv = static_cast<int>(args.get_int("log2-nv", default_log2_nv));
-  c.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  return c;
-}
-
-/// Worker-thread count for this invocation: --threads N beats
-/// OBSCORR_THREADS beats the hardware default. Every subcommand accepts
-/// the flag (results are thread-count-invariant, so it only changes speed).
-std::size_t thread_option(const CliArgs& args) {
-  return static_cast<std::size_t>(resolve_thread_count(args.get_int("threads", 0)));
-}
-
-/// Decoded-page cache budget for archive reads: --cache-bytes N beats
-/// OBSCORR_CACHE_BYTES beats the 256 MiB default; 0 disables caching.
-/// Outputs are byte-identical at any budget — the flag only changes
-/// speed. Must run before any StudyReader is built, so it rides with
-/// the shared option plumbing.
-void cache_option(const CliArgs& args) {
-  if (!args.get("cache-bytes").has_value()) return;
-  const std::int64_t bytes = args.get_int("cache-bytes", -1);
-  OBSCORR_REQUIRE(bytes >= 0, "--cache-bytes must be a non-negative byte count");
-  archive::set_cache_bytes(static_cast<std::uint64_t>(bytes));
-}
-
-void reject_unused(const CliArgs& args) {
-  const auto stray = args.unused();
-  OBSCORR_REQUIRE(stray.empty(), "unknown option --" + (stray.empty() ? "" : stray.front()));
-}
-
-/// Materialize the observation series of an archived campaign — no
-/// matrices, no ground-truth population; see
-/// archive::StudyReader::analysis_study.
-core::StudyData load_archived_study(const std::string& dir) {
-  return archive::StudyReader(dir).analysis_study();
-}
-
 /// The shared telemetry flags. Any of them arms full tracing for the
 /// rest of the command; all output goes to `err` or the named files,
 /// never to `out`.
-struct TelemetryOptions {
+struct Telemetry {
   bool timing = false;
   std::optional<std::string> metrics_out;
   std::string metrics_format = "json";  ///< "json" (obscorr.metrics.v1) or "prom"
@@ -103,26 +55,9 @@ struct TelemetryOptions {
   bool active() const { return timing || metrics_out.has_value() || trace_out.has_value(); }
 };
 
-TelemetryOptions telemetry_options(const CliArgs& args) {
-  cache_option(args);
-  TelemetryOptions t;
-  t.timing = args.has("timing");
-  t.metrics_out = args.get("metrics-out");
-  t.metrics_format = args.get_or("metrics-format", "json");
-  OBSCORR_REQUIRE(t.metrics_format == "json" || t.metrics_format == "prom",
-                  "--metrics-format must be json or prom");
-  t.trace_out = args.get("trace-out");
-  if (t.active()) {
-    obs::reset();
-    obs::set_level(obs::Level::kFull);
-    obs::gauge("simd.tier").record_max(static_cast<std::uint64_t>(simd::active_tier()));
-  }
-  return t;
-}
-
-/// Disarm telemetry and write the requested exports. Called once at the
-/// end of each subcommand, after the result data is already on `out`.
-void emit_telemetry(const TelemetryOptions& t, std::ostream& err) {
+/// Disarm telemetry and write the requested exports. Runs once per
+/// command, after the result data is already on `out`.
+void export_telemetry(const Telemetry& t, std::ostream& err) {
   if (!t.active()) return;
   // The exported document always carries the process peak RSS; the
   // daemon additionally refreshes it on every periodic snapshot.
@@ -136,13 +71,8 @@ void emit_telemetry(const TelemetryOptions& t, std::ostream& err) {
         << " (open in chrome://tracing or ui.perfetto.dev)\n";
   }
   if (t.metrics_out.has_value()) {
-    std::ofstream os(*t.metrics_out, std::ios::trunc);
-    OBSCORR_REQUIRE(os.is_open(), "telemetry: cannot write metrics to " + *t.metrics_out);
-    if (t.metrics_format == "prom") {
-      obs::write_metrics_prometheus(os);
-    } else {
-      obs::write_metrics_json(os);
-    }
+    OBSCORR_REQUIRE(obs::write_metrics_file(*t.metrics_out, t.metrics_format),
+                    "telemetry: cannot write metrics to " + *t.metrics_out);
     err << "wrote metrics to " << *t.metrics_out << " (" << t.metrics_format << ")\n";
   }
   if (t.timing) {
@@ -155,98 +85,33 @@ void emit_telemetry(const TelemetryOptions& t, std::ostream& err) {
   }
 }
 
-}  // namespace
+/// What the driver hands a command body: its checked flags and the
+/// plumbing every command shares.
+struct Invocation {
+  const CliArgs& cli;
+  std::size_t threads;  ///< --threads N, else OBSCORR_THREADS, else the hardware
+  int log2_nv;          ///< --log2-nv, else the command's default
+  std::uint64_t seed;   ///< --seed, else 42
+  const Telemetry& telemetry;
 
-std::string usage() {
-  return R"(obscorr — Internet observatory/outpost correlation toolkit
+  netgen::Scenario scenario() const { return netgen::Scenario::paper(log2_nv, seed); }
+};
 
-usage: obscorr <command> [options]
+/// One subcommand. `help` is its usage() text after the name column;
+/// the flags it names are exactly the flags the command accepts.
+struct Command {
+  std::string_view name;  ///< one word, or two for `archive compact`
+  int log2_nv;            ///< --log2-nv default (commands that build a scenario)
+  int (*body)(const Invocation& in, std::ostream& out, std::ostream& err);
+  std::string_view help;
+};
 
-commands:
-  generate    write one constant-packet capture window to a trace file
-                --out FILE [--log2-nv K=18] [--seed S] [--month-index M=0]
-  capture     replay a trace through the telescope into an archived matrix
-                --trace FILE --out FILE [--log2-nv K=18] [--seed S]
-  quantities  print every Table II network quantity of an archived matrix
-                --matrix FILE
-  degrees     source-packet distribution + Zipf-Mandelbrot and power-law fits
-                --matrix FILE | --from DIR [--snapshot K=0]
-  study       run the full 15-month campaign and print the headline results
-                [--log2-nv K=16] [--seed S] | --from DIR
-  lookup      query the honeyfarm database for a source profile
-                --ip A.B.C.D [--log2-nv K=16] [--seed S] [--from DIR]
-  scaling     window-size scaling ladder (sources ~ sqrt(N_V))
-                [--log2-nv K=18] [--seed S] [--from DIR]
-  report      regenerate every table/figure as CSV + REPORT.md in a directory
-                --out DIR [--log2-nv K=16] [--seed S] [--from DIR]
-  prefixes    prefix-level concentration of an archived matrix's sources
-                --matrix FILE | --from DIR [--snapshot K=0]  [--length L=16]
-  correlate   rank every window metric by baseline-vs-highlight change
-              (netdata-style metric correlations; docs/observability.md)
-                --from DIR [--domain windows|snapshots] [--method ks2|volume]
-                [--baseline A:B] [--highlight A:B] [--top N=10, 0 = all]
-                [--json FILE] [--events]
-  archive     run the full campaign and persist it as a study archive
-                --out DIR [--log2-nv K=16] [--seed S]
-  archive compact
-              rewrite an archive with old windows block-compressed
-              (recent windows stay raw for zero-copy reads); reads stay
-              byte-identical, typically >=3x smaller (docs/archive.md)
-                --dir DIR [--keep-recent N=8] [--all] [--stats]
-  serve       resident daemon over an archive: NDJSON query API + live ingest
-                --from DIR (--unix PATH | --port N, 0 = ephemeral) [--host H]
-                [--max-conns C=256] [--ingest-windows W=-1, 0 disables]
-                [--window-packets P=65536] [--packet-rate R=1e6]
-                [--request-timeout S=10] [--idle-timeout S=300]
-                [--drain-timeout S=10] [--metrics-interval S=1]
-                [--surge-start W] [--surge-len N=1] [--surge-factor F=4]
-              (the surge flags inject a deterministic traffic anomaly for
-              smoke-testing the detectors; anomaly events stream to `watch`
-              subscribers and to DIR/anomalies.ndjson)
-  help        this text
-
-environment: results are deterministic per --seed; sizes scale with --log2-nv.
-every command accepts --threads N (default: OBSCORR_THREADS, then hardware
-concurrency); outputs are byte-identical at any thread count — the flag
-only changes wall-clock time.
---from DIR reads a completed `obscorr archive` directory instead of
-recomputing; the archived scenario then supplies --log2-nv / --seed.
-a killed `archive` run resumes from its finished snapshots/months; SIGINT/
-SIGTERM stop `study`/`archive`/`serve` cleanly at the next window boundary.
-`serve` speaks newline-delimited JSON (docs/service.md): lookup, report,
-degrees, scaling, correlate, stats, metrics, watch — responses over a fixed
-window range are byte-identical to the matching batch subcommand; `watch`
-streams window/anomaly events as ingest publishes.
-kernels dispatch on the host's best SIMD tier; OBSCORR_SIMD=scalar|sse42|avx2
-caps it — outputs are byte-identical at any tier (docs/performance.md
-"SIMD dispatch").
-compressed archive entries decode through an LRU page cache; every command
-accepts --cache-bytes N (default: OBSCORR_CACHE_BYTES, then 256 MiB; 0
-disables) — results are byte-identical at any budget (docs/archive.md).
-scratch memory is recycled through hugepage-backed pools; set
-OBSCORR_NO_HUGEPAGES=1 or OBSCORR_NO_POOL=1 to opt out — results are
-byte-identical either way (docs/performance.md "Memory model").
-every command also accepts the telemetry flags (docs/observability.md):
-  --timing            per-phase timing summary + per-window rates on stderr
-  --metrics-out FILE  counter/gauge/span metrics (obscorr.metrics.v1 JSON)
-  --metrics-format F  json (default) or prom (Prometheus/OpenMetrics text)
-  --trace-out FILE    Chrome trace-event JSON (chrome://tracing, Perfetto)
-telemetry never touches stdout and never changes any result byte.
-)";
-}
-
-int cmd_generate(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  (void)out;  // generate writes its result to --out FILE, not stdout
-  const CliArgs cli = CliArgs::parse(args, kSwitches);
-  const Common c = common_options(cli, 18);
-  const TelemetryOptions topt = telemetry_options(cli);
-  const auto path = cli.get("out");
+int cmd_generate(const Invocation& in, std::ostream& /*out*/, std::ostream& err) {
+  const auto path = in.cli.get("out");
   OBSCORR_REQUIRE(path.has_value(), "generate: --out FILE is required");
-  const int month = static_cast<int>(cli.get_int("month-index", 0));
-  (void)thread_option(cli);  // trace emission is a serial stream; flag accepted for uniformity
-  reject_unused(cli);
+  const int month = static_cast<int>(in.cli.get_int("month-index", 0));
 
-  const auto scenario = netgen::Scenario::paper(c.log2_nv, c.seed);
+  const auto scenario = in.scenario();
   const netgen::Population population(scenario.population);
   const netgen::TrafficGenerator generator(population, scenario.traffic);
   const std::uint64_t packets =
@@ -255,25 +120,17 @@ int cmd_generate(const std::vector<std::string>& args, std::ostream& out, std::o
       });
   err << "wrote " << fmt_count(packets) << " packets (" << fmt_count(scenario.nv())
       << " valid) to " << *path << '\n';
-  emit_telemetry(topt, err);
   return 0;
 }
 
-int cmd_capture(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  (void)out;  // capture writes its result to --out FILE, not stdout
-  const CliArgs cli = CliArgs::parse(args, kSwitches);
-  const Common c = common_options(cli, 18);
-  const TelemetryOptions topt = telemetry_options(cli);
-  const auto trace = cli.get("trace");
-  const auto matrix_path = cli.get("out");
+int cmd_capture(const Invocation& in, std::ostream& /*out*/, std::ostream& err) {
+  const auto trace = in.cli.get("trace");
+  const auto matrix_path = in.cli.get("out");
   OBSCORR_REQUIRE(trace.has_value() && matrix_path.has_value(),
                   "capture: --trace FILE and --out FILE are required");
-  const std::size_t threads = thread_option(cli);
-  reject_unused(cli);
 
-  const auto scenario = netgen::Scenario::paper(c.log2_nv, c.seed);
-  ThreadPool pool(threads);
-  telescope::Telescope scope(core::scope_config_for(scenario), pool);
+  ThreadPool pool(in.threads);
+  telescope::Telescope scope(core::scope_config_for(in.scenario()), pool);
   const std::uint64_t replayed = telescope::replay_trace(
       *trace, [&](std::span<const Packet> batch) { scope.capture_block(batch); });
   const gbl::DcsrMatrix matrix = scope.finish_window();
@@ -285,17 +142,12 @@ int cmd_capture(const std::vector<std::string>& args, std::ostream& out, std::os
       << "telescope state: " << fmt_count(scope.dictionary_entries())
       << " deanonymization-dictionary entries, " << fmt_count(scope.anon_cache_entries())
       << " anon-cache entries\n";
-  emit_telemetry(topt, err);
   return 0;
 }
 
-int cmd_quantities(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  const CliArgs cli = CliArgs::parse(args, kSwitches);
-  const TelemetryOptions topt = telemetry_options(cli);
-  const auto path = cli.get("matrix");
+int cmd_quantities(const Invocation& in, std::ostream& out, std::ostream& /*err*/) {
+  const auto path = in.cli.get("matrix");
   OBSCORR_REQUIRE(path.has_value(), "quantities: --matrix FILE is required");
-  (void)thread_option(cli);
-  reject_unused(cli);
 
   const gbl::DcsrMatrix matrix = gbl::load_matrix(*path);
   const gbl::AggregateQuantities q = gbl::aggregate_quantities(matrix);
@@ -311,65 +163,46 @@ int cmd_quantities(const std::vector<std::string>& args, std::ostream& out, std:
   table.add_row({"max destination packets", fmt_double(q.max_destination_packets, 0)});
   table.add_row({"max destination fan-in", fmt_double(q.max_destination_fanin, 0)});
   table.print(out);
-  emit_telemetry(topt, err);
   return 0;
 }
 
-int cmd_degrees(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  const CliArgs cli = CliArgs::parse(args, kSwitches);
-  const TelemetryOptions topt = telemetry_options(cli);
-  const auto path = cli.get("matrix");
-  const auto from = cli.get("from");
-  const auto snapshot = cli.get("snapshot");
-  const auto window = cli.get("window");
+int cmd_degrees(const Invocation& in, std::ostream& out, std::ostream& /*err*/) {
+  const auto path = in.cli.get("matrix");
+  const auto from = in.cli.get("from");
   OBSCORR_REQUIRE(path.has_value() != from.has_value(),
                   "degrees: exactly one of --matrix FILE or --from DIR is required");
-  OBSCORR_REQUIRE(!window.has_value() || from.has_value(), "degrees: --window needs --from DIR");
-  OBSCORR_REQUIRE(!(snapshot.has_value() && window.has_value()),
-                  "degrees: --snapshot and --window are mutually exclusive");
-  const std::size_t threads = thread_option(cli);
-  reject_unused(cli);
+  const svc::DegreesQuery query = svc::parse_degrees(svc::params_from_flags("degrees", in.cli));
+  OBSCORR_REQUIRE(from.has_value() || !(in.cli.has("snapshot") || in.cli.has("window")),
+                  "degrees: --snapshot and --window need --from DIR");
 
   gbl::SparseVec sources;
   if (from.has_value()) {
     // The archive already holds the Table II reduction: no matrix
     // deserialization, no reduce_rows recompute. `--window` reads a
     // live-ingested window appended by `obscorr serve`.
-    const archive::StudyReader reader(*from);
-    if (window.has_value()) {
-      sources = reader.window_source_packets(static_cast<std::size_t>(cli.get_int("window", 0)));
-    } else {
-      sources = reader.source_packets(static_cast<std::size_t>(cli.get_int("snapshot", 0)));
-    }
+    sources = query.sources(archive::StudyReader(*from));
   } else {
-    ThreadPool pool(threads);
+    ThreadPool pool(in.threads);
     sources = gbl::load_matrix(*path).reduce_rows(pool);
   }
   svc::render_degrees(sources, out);
-  emit_telemetry(topt, err);
   return 0;
 }
 
-int cmd_study(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  const CliArgs cli = CliArgs::parse(args, kSwitches);
-  const Common c = common_options(cli, 16);
-  const TelemetryOptions topt = telemetry_options(cli);
-  const auto from = cli.get("from");
-  const std::size_t threads = thread_option(cli);
-  reject_unused(cli);
+/// The campaign `study` and `report` print: --from DIR's, else a fresh run.
+core::StudyData campaign(const Invocation& in) {
+  const auto from = in.cli.get("from");
+  if (from.has_value()) return archive::StudyReader(*from).analysis_study();
+  ThreadPool pool(in.threads);
+  return core::run_study(in.scenario(), pool);
+}
 
-  core::StudyData study;
-  if (from.has_value()) {
-    study = load_archived_study(*from);
-  } else {
-    // A long fresh campaign stops cleanly on SIGINT/SIGTERM: run_study
-    // exits at the next window boundary with a pointer at the resumable
-    // path (`obscorr archive`) instead of dying mid-frame.
-    interrupt::install_handlers();
-    ThreadPool pool(threads);
-    study = core::run_study(netgen::Scenario::paper(c.log2_nv, c.seed), pool);
-  }
-
+int cmd_study(const Invocation& in, std::ostream& out, std::ostream& err) {
+  // A long fresh campaign stops cleanly on SIGINT/SIGTERM: run_study
+  // exits at the next window boundary with a pointer at the resumable
+  // path (`obscorr archive`) instead of dying mid-frame.
+  if (!in.cli.has("from")) interrupt::install_handlers();
+  const core::StudyData study = campaign(in);
   svc::render_study(study, out);
 
   // Surface the telescope bookkeeping the capture accumulated. Derived
@@ -385,7 +218,7 @@ int cmd_study(const std::vector<std::string>& args, std::ostream& out, std::ostr
 
   // Table I-style per-window rates from the study.snapshot spans (only a
   // fresh run records them; --from replays no capture).
-  if (topt.timing) {
+  if (in.telemetry.timing) {
     const std::uint64_t nv = study.scenario.nv();
     TextTable rates("per-window capture rates (Table I shape)");
     rates.set_header({"window", "valid packets", "seconds", "packets/s"});
@@ -401,67 +234,38 @@ int cmd_study(const std::vector<std::string>& args, std::ostream& out, std::ostr
     }
     if (any) rates.print(err);
   }
-  emit_telemetry(topt, err);
   return 0;
 }
 
-int cmd_lookup(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  const CliArgs cli = CliArgs::parse(args, kSwitches);
-  const Common c = common_options(cli, 16);
-  const TelemetryOptions topt = telemetry_options(cli);
-  const auto ip_text = cli.get("ip");
-  const auto from = cli.get("from");
-  OBSCORR_REQUIRE(ip_text.has_value(), "lookup: --ip A.B.C.D is required");
-  (void)thread_option(cli);
-  reject_unused(cli);
-  OBSCORR_REQUIRE(Ipv4::parse(*ip_text).has_value(), "lookup: malformed address " + *ip_text);
+int cmd_lookup(const Invocation& in, std::ostream& out, std::ostream& /*err*/) {
+  const std::string ip = svc::parse_lookup(svc::params_from_flags("lookup", in.cli));
+  const auto from = in.cli.get("from");
 
   std::vector<honeyfarm::MonthlyObservation> months;
   if (from.has_value()) {
     months = archive::StudyReader(*from).months();
   } else {
-    const auto scenario = netgen::Scenario::paper(c.log2_nv, c.seed);
+    const auto scenario = in.scenario();
     const netgen::Population population(scenario.population);
-    const honeyfarm::Honeyfarm farm(population, scenario.visibility,
-                                    scenario.population.seed ^ 0x64E4015EULL);
     for (std::size_t m = 0; m < scenario.months.size(); ++m) {
-      months.push_back(farm.observe_month(scenario.months[m], static_cast<int>(m)));
+      months.push_back(core::run_month(scenario, population, m));
     }
   }
-  const honeyfarm::Database db(std::move(months));
-  svc::render_lookup(db, *ip_text, out);
-  emit_telemetry(topt, err);
+  svc::render_lookup(honeyfarm::Database(std::move(months)), ip, out);
   return 0;
 }
 
-int cmd_scaling(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  const CliArgs cli = CliArgs::parse(args, kSwitches);
-  const Common c = common_options(cli, 18);
-  const TelemetryOptions topt = telemetry_options(cli);
-  const auto from = cli.get("from");
-  const std::size_t threads = thread_option(cli);
-  reject_unused(cli);
-
-  ThreadPool pool(threads);
-  const auto scenario = from.has_value() ? archive::StudyReader(*from).scenario()
-                                         : netgen::Scenario::paper(c.log2_nv, c.seed);
-  const int ladder_top = static_cast<int>(scenario.population.log2_nv);
-  const auto analysis = core::scaling_analysis(scenario, 0, 10, ladder_top, pool);
-  svc::render_scaling(analysis, out);
-  emit_telemetry(topt, err);
+int cmd_scaling(const Invocation& in, std::ostream& out, std::ostream& /*err*/) {
+  const auto from = in.cli.get("from");
+  ThreadPool pool(in.threads);
+  const auto scenario = from.has_value() ? archive::StudyReader(*from).scenario() : in.scenario();
+  svc::render_scaling(svc::scaling_ladder(scenario, pool), out);
   return 0;
 }
 
-int cmd_report(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  (void)out;  // report writes its results to --out DIR, not stdout
-  const CliArgs cli = CliArgs::parse(args, kSwitches);
-  const Common c = common_options(cli, 16);
-  const TelemetryOptions topt = telemetry_options(cli);
-  const auto dir = cli.get("out");
-  const auto from = cli.get("from");
+int cmd_report(const Invocation& in, std::ostream& /*out*/, std::ostream& err) {
+  const auto dir = in.cli.get("out");
   OBSCORR_REQUIRE(dir.has_value(), "report: --out DIR is required");
-  const std::size_t threads = thread_option(cli);
-  reject_unused(cli);
 
   const auto csv = [&](const TextTable& table, const std::string& name) {
     const std::string path = *dir + "/" + name + ".csv";
@@ -471,13 +275,7 @@ int cmd_report(const std::vector<std::string>& args, std::ostream& out, std::ost
     err << "wrote " << path << '\n';
   };
 
-  core::StudyData study;
-  if (from.has_value()) {
-    study = load_archived_study(*from);
-  } else {
-    ThreadPool pool(threads);
-    study = core::run_study(netgen::Scenario::paper(c.log2_nv, c.seed), pool);
-  }
+  const core::StudyData study = campaign(in);
 
   // Table I.
   TextTable t1;
@@ -553,21 +351,18 @@ int cmd_report(const std::vector<std::string>& args, std::ostream& out, std::ost
          << "fig7_fig8_fit_parameters\n\n"
          << "See EXPERIMENTS.md in the repository root for paper-vs-measured analysis.\n";
   err << "wrote " << report_path << '\n';
-  emit_telemetry(topt, err);
   return 0;
 }
 
-int cmd_prefixes(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  const CliArgs cli = CliArgs::parse(args, kSwitches);
-  const TelemetryOptions topt = telemetry_options(cli);
-  const auto path = cli.get("matrix");
-  const auto from = cli.get("from");
-  const auto snapshot = static_cast<std::size_t>(cli.get_int("snapshot", 0));
+int cmd_prefixes(const Invocation& in, std::ostream& out, std::ostream& /*err*/) {
+  const auto path = in.cli.get("matrix");
+  const auto from = in.cli.get("from");
   OBSCORR_REQUIRE(path.has_value() != from.has_value(),
                   "prefixes: exactly one of --matrix FILE or --from DIR is required");
-  const int length = static_cast<int>(cli.get_int("length", 16));
-  (void)thread_option(cli);
-  reject_unused(cli);
+  OBSCORR_REQUIRE(from.has_value() || !in.cli.has("snapshot"),
+                  "prefixes: --snapshot needs --from DIR");
+  const auto snapshot = static_cast<std::size_t>(in.cli.get_int("snapshot", 0));
+  const int length = static_cast<int>(in.cli.get_int("length", 16));
 
   core::PrefixAnalysis analysis;
   if (from.has_value()) {
@@ -591,82 +386,29 @@ int cmd_prefixes(const std::vector<std::string>& args, std::ostream& out, std::o
   out << "prefixes: " << fmt_count(analysis.buckets.size())
       << ", top-10 packet share: " << fmt_percent(analysis.top10_packet_share, 1)
       << ", source Gini: " << fmt_double(analysis.source_gini, 3) << '\n';
-  emit_telemetry(topt, err);
   return 0;
 }
 
-namespace {
-
-/// Parse a --baseline/--highlight "A:B" range flag.
-analysis::WindowRange parse_range_flag(const std::string& text, const char* flag) {
-  const std::size_t colon = text.find(':');
-  OBSCORR_REQUIRE(colon != std::string::npos && colon > 0 && colon + 1 < text.size(),
-                  std::string("correlate: --") + flag + " wants FIRST:LAST");
-  analysis::WindowRange r;
-  try {
-    r.first = std::stoull(text.substr(0, colon));
-    r.last = std::stoull(text.substr(colon + 1));
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("correlate: --") + flag + " wants FIRST:LAST integers");
-  }
-  OBSCORR_REQUIRE(r.first <= r.last, std::string("correlate: --") + flag + " range must be ordered");
-  return r;
-}
-
-}  // namespace
-
-int cmd_correlate(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  static const std::vector<std::string> kCorrelateSwitches = {"timing", "events"};
-  const CliArgs cli = CliArgs::parse(args, kCorrelateSwitches);
-  const TelemetryOptions topt = telemetry_options(cli);
-  const auto from = cli.get("from");
+int cmd_correlate(const Invocation& in, std::ostream& out, std::ostream& err) {
+  const auto from = in.cli.get("from");
   OBSCORR_REQUIRE(from.has_value(), "correlate: --from DIR is required (a completed archive)");
-  const auto domain_flag = cli.get("domain");
-  const auto baseline_flag = cli.get("baseline");
-  const auto highlight_flag = cli.get("highlight");
-  const analysis::Method method = analysis::parse_method(cli.get_or("method", "ks2"));
-  const std::int64_t top = cli.get_int("top", 10);
-  OBSCORR_REQUIRE(top >= 0, "correlate: --top must be >= 0");
-  const auto json_path = cli.get("json");
-  const bool events = cli.has("events");
-  (void)thread_option(cli);  // sampling is serial by design (determinism); accepted for uniformity
-  reject_unused(cli);
+  const svc::CorrelateQuery query =
+      svc::parse_correlate(svc::params_from_flags("correlate", in.cli));
+  const auto json_path = in.cli.get("json");
 
   const archive::StudyReader reader(*from);
-  analysis::Domain domain;
-  std::string domain_text;
-  if (domain_flag.has_value()) {
-    OBSCORR_REQUIRE(*domain_flag == "windows" || *domain_flag == "snapshots",
-                    "correlate: --domain must be windows or snapshots");
-    domain_text = *domain_flag;
-  } else {
-    domain_text = reader.window_count() > 0 ? "windows" : "snapshots";
-  }
-  domain = domain_text == "windows" ? analysis::Domain::kWindows : analysis::Domain::kSnapshots;
-  const std::size_t n =
-      domain == analysis::Domain::kWindows ? reader.window_count() : reader.snapshot_count();
-  OBSCORR_REQUIRE(n >= 2, "correlate: archive has fewer than 2 " + domain_text);
-
-  // netdata framing when unspecified: highlight = the trailing fifth,
-  // baseline = the preceding 4x stretch.
-  const analysis::WindowRange highlight = highlight_flag.has_value()
-                                              ? parse_range_flag(*highlight_flag, "highlight")
-                                              : analysis::default_highlight(n);
-  const analysis::WindowRange baseline = baseline_flag.has_value()
-                                             ? parse_range_flag(*baseline_flag, "baseline")
-                                             : analysis::default_baseline(highlight);
-
-  const analysis::SeriesStore store = analysis::store_from_reader(reader, domain);
+  const svc::CorrelateFrame frame = svc::resolve_correlate(query, reader);
   const std::vector<analysis::MetricScore> ranked =
-      analysis::rank_series(store, baseline, highlight, method);
-  out << "archive: " << *from << " (" << n << " " << domain_text << ")\n";
-  svc::render_correlate(ranked, method, baseline, highlight, static_cast<std::size_t>(top), out);
+      analysis::rank_series(analysis::store_from_reader(reader, frame.domain), frame.baseline,
+                            frame.highlight, query.method);
+  out << "archive: " << *from << " (" << frame.count << " " << frame.domain_name << ")\n";
+  svc::render_correlate(ranked, query.method, frame.baseline, frame.highlight, query.top, out);
 
-  if (events) {
+  if (in.cli.has("events")) {
     // Replay the same windows through the streaming detectors and print
     // the anomaly stream a live `watch` subscriber would have seen.
     analysis::Monitor monitor;
-    const std::vector<analysis::AnomalyEvent> fired = monitor.prime(reader, domain);
+    const std::vector<analysis::AnomalyEvent> fired = monitor.prime(reader, frame.domain);
     out << "\nanomaly events (" << fired.size() << "):\n";
     for (const analysis::AnomalyEvent& ev : fired) out << analysis::event_json(ev) << '\n';
   }
@@ -674,31 +416,51 @@ int cmd_correlate(const std::vector<std::string>& args, std::ostream& out, std::
   if (json_path.has_value()) {
     std::ofstream os(*json_path, std::ios::trunc);
     OBSCORR_REQUIRE(os.is_open(), "correlate: cannot write " + *json_path);
-    os << svc::dump_json(svc::correlate_json(ranked, method, baseline, highlight)) << '\n';
+    os << svc::dump_json(
+              svc::correlate_json(ranked, query.method, frame.baseline, frame.highlight))
+       << '\n';
     err << "wrote ranked correlations to " << *json_path << '\n';
   }
-  emit_telemetry(topt, err);
   return 0;
 }
 
-int cmd_archive_compact(const std::vector<std::string>& args, std::ostream& out,
-                        std::ostream& err) {
-  static const std::vector<std::string> kCompactSwitches = {"timing", "all", "stats"};
-  const CliArgs cli = CliArgs::parse(args, kCompactSwitches);
-  const TelemetryOptions topt = telemetry_options(cli);
-  const auto dir = cli.get("dir");
+int cmd_archive(const Invocation& in, std::ostream& /*out*/, std::ostream& err) {
+  const auto dir = in.cli.get("out");
+  OBSCORR_REQUIRE(dir.has_value(), "archive: --out DIR is required");
+
+  // SIGINT/SIGTERM during a long campaign stops between archive entries:
+  // every finished snapshot/month is already flushed to the entry log, so
+  // re-running the same command resumes where the signal landed.
+  interrupt::install_handlers();
+  ThreadPool pool(in.threads);
+  const auto stats = archive::archive_study(in.scenario(), *dir, pool);
+  if (stats.interrupted) {
+    err << "interrupted: every completed snapshot/month is flushed to " << *dir << '\n'
+        << "re-run the same command to resume\n";
+    return 130;
+  }
+  if (stats.already_complete) {
+    err << "archive already complete at " << *dir << '\n';
+    return 0;
+  }
+  err << "archived " << stats.snapshots_total << " snapshots ("
+      << stats.snapshots_reused << " resumed) and " << stats.months_total << " months ("
+      << stats.months_reused << " resumed) to " << *dir << '\n'
+      << "query it with --from " << *dir << '\n';
+  return 0;
+}
+
+int cmd_archive_compact(const Invocation& in, std::ostream& out, std::ostream& err) {
+  const auto dir = in.cli.get("dir");
   OBSCORR_REQUIRE(dir.has_value(), "archive compact: --dir DIR is required");
-  archive::CompactOptions opts;
-  const std::int64_t keep = cli.get_int("keep-recent", 8);
+  const std::int64_t keep = in.cli.get_int("keep-recent", 8);
   OBSCORR_REQUIRE(keep >= 0, "archive compact: --keep-recent must be >= 0");
+  archive::CompactOptions opts;
   opts.keep_recent = static_cast<std::size_t>(keep);
-  opts.compress_all = cli.has("all");
-  const bool print_stats = cli.has("stats");
-  (void)thread_option(cli);  // the rewrite is a serial pass; flag accepted for uniformity
-  reject_unused(cli);
+  opts.compress_all = in.cli.has("all");
 
   const archive::CompactStats stats = archive::compact_archive(*dir, opts);
-  if (print_stats) {
+  if (in.cli.has("stats")) {
     out << "entries: " << fmt_count(stats.entries_total) << " ("
         << fmt_count(stats.entries_compressed) << " compressed)\n"
         << "raw bytes: " << fmt_count(stats.raw_bytes) << "\n"
@@ -710,73 +472,40 @@ int cmd_archive_compact(const std::vector<std::string>& args, std::ostream& out,
   err << "compacted " << *dir << " to generation " << stats.generation << " ("
       << fmt_count(stats.entries_compressed) << " of " << fmt_count(stats.entries_total)
       << " entries compressed, " << fmt_double(stats.ratio(), 2) << "x)\n";
-  emit_telemetry(topt, err);
   return 0;
 }
 
-int cmd_archive(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  if (!args.empty() && args.front() == "compact") {
-    return cmd_archive_compact({args.begin() + 1, args.end()}, out, err);
-  }
-  (void)out;  // archive writes its result to --out DIR, not stdout
-  const CliArgs cli = CliArgs::parse(args, kSwitches);
-  const Common c = common_options(cli, 16);
-  const TelemetryOptions topt = telemetry_options(cli);
-  const auto dir = cli.get("out");
-  OBSCORR_REQUIRE(dir.has_value(), "archive: --out DIR is required");
-  const std::size_t threads = thread_option(cli);
-  reject_unused(cli);
-
-  // SIGINT/SIGTERM during a long campaign stops between archive entries:
-  // every finished snapshot/month is already flushed to the entry log, so
-  // re-running the same command resumes where the signal landed.
-  interrupt::install_handlers();
-  ThreadPool pool(threads);
-  const auto stats =
-      archive::archive_study(netgen::Scenario::paper(c.log2_nv, c.seed), *dir, pool);
-  if (stats.interrupted) {
-    err << "interrupted: every completed snapshot/month is flushed to " << *dir << '\n'
-        << "re-run the same command to resume\n";
-    emit_telemetry(topt, err);
-    return 130;
-  }
-  if (stats.already_complete) {
-    err << "archive already complete at " << *dir << '\n';
-    emit_telemetry(topt, err);
-    return 0;
-  }
-  err << "archived " << stats.snapshots_total << " snapshots ("
-      << stats.snapshots_reused << " resumed) and " << stats.months_total << " months ("
-      << stats.months_reused << " resumed) to " << *dir << '\n'
-      << "query it with --from " << *dir << '\n';
-  emit_telemetry(topt, err);
-  return 0;
-}
-
-int cmd_serve(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  (void)out;  // protocol responses go to client sockets, diagnostics to err
-  const CliArgs cli = CliArgs::parse(args, kSwitches);
-  const TelemetryOptions topt = telemetry_options(cli);
+int cmd_serve(const Invocation& in, std::ostream& /*out*/, std::ostream& err) {
+  const CliArgs& cli = in.cli;
   const auto from = cli.get("from");
   OBSCORR_REQUIRE(from.has_value(), "serve: --from DIR is required (a completed archive)");
 
   svc::ServerConfig scfg;
   scfg.unix_path = cli.get_or("unix", "");
   scfg.host = cli.get_or("host", "127.0.0.1");
-  scfg.port = static_cast<int>(cli.get_int("port", -1));
-  OBSCORR_REQUIRE(!scfg.unix_path.empty() || scfg.port >= 0,
-                  "serve: --unix PATH or --port N (0 = ephemeral) is required");
-  OBSCORR_REQUIRE(scfg.unix_path.empty() || scfg.port < 0,
-                  "serve: --unix and --port are mutually exclusive");
-  if (scfg.port < 0) scfg.port = 0;
+  const std::int64_t port = cli.get_int("port", 0);
+  OBSCORR_REQUIRE(port >= 0 && port <= 65535, "serve: --port must be in 0..65535");
+  OBSCORR_REQUIRE(scfg.unix_path.empty() == cli.has("port"),
+                  "serve: exactly one of --unix PATH or --port N (0 = ephemeral) is required");
+  scfg.port = static_cast<int>(port);
   const std::int64_t max_conns = cli.get_int("max-conns", 256);
   OBSCORR_REQUIRE(max_conns >= 1, "serve: --max-conns must be >= 1");
   scfg.max_connections = static_cast<std::size_t>(max_conns);
-  scfg.request_timeout_sec = cli.get_double("request-timeout", 10.0);
-  scfg.idle_timeout_sec = cli.get_double("idle-timeout", 300.0);
+  // A zero or negative deadline would reap every connection before its
+  // first request; a non-finite one would never fire.
+  const auto seconds = [&](const std::string& flag, double fallback) {
+    const double s = cli.get_double(flag, fallback);
+    OBSCORR_REQUIRE(std::isfinite(s) && s > 0.0, "serve: --" + flag + " must be finite and > 0");
+    return s;
+  };
+  scfg.request_timeout_sec = seconds("request-timeout", 10.0);
+  scfg.idle_timeout_sec = seconds("idle-timeout", 300.0);
   scfg.drain_timeout_sec = cli.get_double("drain-timeout", 10.0);
-  if (topt.metrics_out.has_value()) scfg.metrics_out = *topt.metrics_out;
-  scfg.metrics_interval_sec = cli.get_double("metrics-interval", 1.0);
+  OBSCORR_REQUIRE(std::isfinite(scfg.drain_timeout_sec) && scfg.drain_timeout_sec >= 0.0,
+                  "serve: --drain-timeout must be finite and >= 0");
+  if (in.telemetry.metrics_out.has_value()) scfg.metrics_out = *in.telemetry.metrics_out;
+  scfg.metrics_format = in.telemetry.metrics_format;
+  scfg.metrics_interval_sec = seconds("metrics-interval", 1.0);
 
   svc::IngestConfig icfg;
   const std::int64_t ingest_windows = cli.get_int("ingest-windows", -1);
@@ -795,14 +524,15 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out, std::ostr
     icfg.surge_len = static_cast<std::size_t>(surge_len);
     icfg.surge_factor = cli.get_double("surge-factor", 4.0);
     OBSCORR_REQUIRE(icfg.surge_factor > 0.0, "serve: --surge-factor must be > 0");
+  } else {
+    OBSCORR_REQUIRE(!cli.has("surge-len") && !cli.has("surge-factor"),
+                    "serve: --surge-len and --surge-factor need --surge-start W");
   }
-  const std::size_t threads = thread_option(cli);
-  reject_unused(cli);
 
   // The daemon always runs with the counter registry armed: the svc.*
   // counters and the `metrics` query are part of the service surface,
   // not an opt-in diagnostic. Telemetry flags still arm full spans.
-  const bool armed_here = !topt.active();
+  const bool armed_here = !in.telemetry.active();
   if (armed_here) obs::set_level(obs::Level::kCounters);
 
   interrupt::reset();
@@ -810,7 +540,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out, std::ostr
 
   int rc = 0;
   {
-    ThreadPool pool(threads);
+    ThreadPool pool(in.threads);
     svc::QueryEngine engine(*from, pool);
     svc::Server server(scfg, engine, pool);
     server.bind();
@@ -832,13 +562,11 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out, std::ostr
           << primed.size() << " historical anomalies)\n";
     }
     icfg.on_publish = [&server, &monitor](const svc::PublishedWindow& pw) {
-      analysis::WindowSample s;
-      s.q = gbl::aggregate_quantities(pw.matrix);
-      s.discarded_packets = pw.meta.discarded_packets;
-      s.duration_sec = pw.meta.duration_sec;
-      s.source_gini =
-          pw.sources.values().empty() ? 0.0 : stats::gini_coefficient(pw.sources.values());
-      const auto events = monitor.observe_window(pw.meta.window, s, pw.sources.values());
+      const auto events = monitor.observe_window(
+          pw.meta.window,
+          analysis::sample_from(pw.matrix, pw.sources.values(), pw.meta.discarded_packets,
+                                pw.meta.duration_sec),
+          pw.sources.values());
       // Window heartbeat first, then its anomalies: a watcher always
       // learns about an anomaly within the window that produced it.
       server.publish_event(analysis::window_event_json(pw.meta));
@@ -861,7 +589,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out, std::ostr
             << engine.window_count() << " total in archive)\n";
       }
     }
-    if (topt.timing) {
+    if (in.telemetry.timing) {
       const auto latencies = engine.latency_snapshot();
       if (!latencies.empty()) {
         TextTable lat("service latency by query type (us)");
@@ -875,9 +603,160 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out, std::ostr
     }
     err << "drained cleanly\n";
   }
-  emit_telemetry(topt, err);
   if (armed_here) obs::set_level(obs::Level::kOff);
   return rc;
+}
+
+/// Every subcommand, in usage() order.
+const Command kCommands[] = {
+    {"generate", 18, cmd_generate,
+     "write one constant-packet capture window to a trace file\n"
+     "                --out FILE [--log2-nv K=18] [--seed S] [--month-index M=0]\n"},
+    {"capture", 18, cmd_capture,
+     "replay a trace through the telescope into an archived matrix\n"
+     "                --trace FILE --out FILE [--log2-nv K=18] [--seed S]\n"},
+    {"quantities", 0, cmd_quantities,
+     "print every Table II network quantity of an archived matrix\n"
+     "                --matrix FILE\n"},
+    {"degrees", 0, cmd_degrees,
+     "source-packet distribution + Zipf-Mandelbrot and power-law fits\n"
+     "                --matrix FILE | --from DIR [--snapshot K=0] [--window W]\n"},
+    {"study", 16, cmd_study,
+     "run the full 15-month campaign and print the headline results\n"
+     "                [--log2-nv K=16] [--seed S] | --from DIR\n"},
+    {"lookup", 16, cmd_lookup,
+     "query the honeyfarm database for a source profile\n"
+     "                --ip A.B.C.D [--log2-nv K=16] [--seed S] [--from DIR]\n"},
+    {"scaling", 18, cmd_scaling,
+     "window-size scaling ladder (sources ~ sqrt(N_V))\n"
+     "                [--log2-nv K=18] [--seed S] [--from DIR]\n"},
+    {"report", 16, cmd_report,
+     "regenerate every table/figure as CSV + REPORT.md in a directory\n"
+     "                --out DIR [--log2-nv K=16] [--seed S] [--from DIR]\n"},
+    {"prefixes", 0, cmd_prefixes,
+     "prefix-level concentration of an archived matrix's sources\n"
+     "                --matrix FILE | --from DIR [--snapshot K=0]  [--length L=16]\n"},
+    {"correlate", 0, cmd_correlate,
+     "rank every window metric by baseline-vs-highlight change\n"
+     "              (netdata-style metric correlations; docs/observability.md)\n"
+     "                --from DIR [--domain windows|snapshots] [--method ks2|volume]\n"
+     "                [--baseline A:B] [--highlight A:B] [--top N=10, 0 = all]\n"
+     "                [--json FILE] [--events]\n"},
+    {"archive", 16, cmd_archive,
+     "run the full campaign and persist it as a study archive\n"
+     "                --out DIR [--log2-nv K=16] [--seed S]\n"},
+    {"archive compact", 0, cmd_archive_compact,
+     "rewrite an archive with old windows block-compressed\n"
+     "              (recent windows stay raw for zero-copy reads); reads stay\n"
+     "              byte-identical, typically >=3x smaller (docs/archive.md)\n"
+     "                --dir DIR [--keep-recent N=8] [--all] [--stats]\n"},
+    {"serve", 0, cmd_serve,
+     "resident daemon over an archive: NDJSON query API + live ingest\n"
+     "                --from DIR (--unix PATH | --port N, 0 = ephemeral) [--host H]\n"
+     "                [--max-conns C=256] [--ingest-windows W=-1, 0 disables]\n"
+     "                [--window-packets P=65536] [--packet-rate R=1e6]\n"
+     "                [--request-timeout S=10] [--idle-timeout S=300]\n"
+     "                [--drain-timeout S=10] [--metrics-interval S=1]\n"
+     "                [--surge-start W] [--surge-len N=1] [--surge-factor F=4]\n"
+     "              (the surge flags inject a deterministic traffic anomaly for\n"
+     "              smoke-testing the detectors; anomaly events stream to `watch`\n"
+     "              subscribers and to DIR/anomalies.ndjson)\n"},
+};
+
+/// Parse and check `args` for `cmd`, apply the shared plumbing, run the
+/// body, and export telemetry once whichever way the body returns.
+int drive(const Command& cmd, const std::vector<std::string>& args, std::ostream& out,
+          std::ostream& err) {
+  // A command accepts the flags every command shares plus exactly the
+  // `--name` tokens of its help text, so help cannot miss a flag the
+  // parser takes. A token closed by `]` (`[--all]`) is a switch.
+  std::vector<std::string> names = {"threads",     "cache-bytes",    "timing",
+                                    "metrics-out", "metrics-format", "trace-out"};
+  std::vector<std::string> switches = {"timing"};
+  const std::string_view help = cmd.help;
+  for (std::size_t at = help.find("--"); at != std::string_view::npos; at = help.find("--", at)) {
+    at += 2;
+    const std::size_t end =
+        std::min(help.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789-", at), help.size());
+    names.emplace_back(help.substr(at, end - at));
+    if (end < help.size() && help[end] == ']') switches.push_back(names.back());
+    at = end;
+  }
+  const CliArgs cli = CliArgs::parse(args, switches);
+  for (const std::string& name : names) (void)cli.has(name);
+  const std::vector<std::string> stray = cli.unused();
+  if (!stray.empty()) throw std::invalid_argument(svc::unknown_parameter(cmd.name, stray.front()));
+
+  // Decoded-page cache budget: --cache-bytes N beats OBSCORR_CACHE_BYTES
+  // beats 256 MiB; 0 disables. Set before any StudyReader is built.
+  if (cli.has("cache-bytes")) {
+    const std::int64_t bytes = cli.get_int("cache-bytes", -1);
+    OBSCORR_REQUIRE(bytes >= 0, "--cache-bytes must be a non-negative byte count");
+    archive::set_cache_bytes(static_cast<std::uint64_t>(bytes));
+  }
+  const Telemetry telemetry{cli.has("timing"), cli.get("metrics-out"),
+                            cli.get_or("metrics-format", "json"), cli.get("trace-out")};
+  OBSCORR_REQUIRE(telemetry.metrics_format == "json" || telemetry.metrics_format == "prom",
+                  "--metrics-format must be json or prom");
+  const Invocation in{cli,
+                      static_cast<std::size_t>(resolve_thread_count(cli.get_int("threads", 0))),
+                      static_cast<int>(cli.get_int("log2-nv", cmd.log2_nv)),
+                      static_cast<std::uint64_t>(cli.get_int("seed", 42)), telemetry};
+  if (telemetry.active()) {
+    obs::reset();
+    obs::set_level(obs::Level::kFull);
+    obs::gauge("simd.tier").record_max(static_cast<std::uint64_t>(simd::active_tier()));
+  }
+  const int rc = cmd.body(in, out, err);
+  export_telemetry(telemetry, err);
+  return rc;
+}
+
+}  // namespace
+
+std::string usage() {
+  std::string text =
+      "obscorr — Internet observatory/outpost correlation toolkit\n\n"
+      "usage: obscorr <command> [options]\n\n"
+      "commands:\n";
+  for (const Command& cmd : kCommands) {
+    text += "  ";
+    text += cmd.name;
+    // A name too wide for its column gets a line of its own.
+    text += cmd.name.size() <= 10 ? std::string(12 - cmd.name.size(), ' ') : "\n              ";
+    text += cmd.help;
+  }
+  text += R"(  help        this text
+
+environment: results are deterministic per --seed; sizes scale with --log2-nv.
+every command accepts --threads N (default: OBSCORR_THREADS, then hardware
+concurrency); outputs are byte-identical at any thread count — the flag
+only changes wall-clock time.
+--from DIR reads a completed `obscorr archive` directory instead of
+recomputing; the archived scenario then supplies --log2-nv / --seed.
+a killed `archive` run resumes from its finished snapshots/months; SIGINT/
+SIGTERM stop `study`/`archive`/`serve` cleanly at the next window boundary.
+`serve` speaks newline-delimited JSON (docs/service.md): lookup, report,
+degrees, scaling, correlate, stats, metrics, watch — responses over a fixed
+window range are byte-identical to the matching batch subcommand; `watch`
+streams window/anomaly events as ingest publishes.
+kernels dispatch on the host's best SIMD tier; OBSCORR_SIMD=scalar|sse42|avx2
+caps it — outputs are byte-identical at any tier (docs/performance.md
+"SIMD dispatch").
+compressed archive entries decode through an LRU page cache; every command
+accepts --cache-bytes N (default: OBSCORR_CACHE_BYTES, then 256 MiB; 0
+disables) — results are byte-identical at any budget (docs/archive.md).
+scratch memory is recycled through hugepage-backed pools; set
+OBSCORR_NO_HUGEPAGES=1 or OBSCORR_NO_POOL=1 to opt out — results are
+byte-identical either way (docs/performance.md "Memory model").
+every command also accepts the telemetry flags (docs/observability.md):
+  --timing            per-phase timing summary + per-window rates on stderr
+  --metrics-out FILE  counter/gauge/span metrics (obscorr.metrics.v1 JSON)
+  --metrics-format F  json (default) or prom (Prometheus/OpenMetrics text)
+  --trace-out FILE    Chrome trace-event JSON (chrome://tracing, Perfetto)
+telemetry never touches stdout and never changes any result byte.
+)";
+  return text;
 }
 
 int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
@@ -889,28 +768,22 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
     out << usage();
     return 0;
   }
-  const std::string command = args.front();
-  const std::vector<std::string> rest(args.begin() + 1, args.end());
+  // `archive compact` is the one two-word command name.
+  const bool compact = args.size() > 1 && args[0] == "archive" && args[1] == "compact";
+  const std::string name = compact ? "archive compact" : args[0];
+  const auto cmd = std::find_if(std::begin(kCommands), std::end(kCommands),
+                                [&](const Command& c) { return c.name == name; });
+  if (cmd == std::end(kCommands)) {
+    err << "error: unknown command '" << args.front() << "'\n\n" << usage();
+    return 2;
+  }
   try {
-    if (command == "generate") return cmd_generate(rest, out, err);
-    if (command == "capture") return cmd_capture(rest, out, err);
-    if (command == "quantities") return cmd_quantities(rest, out, err);
-    if (command == "degrees") return cmd_degrees(rest, out, err);
-    if (command == "study") return cmd_study(rest, out, err);
-    if (command == "lookup") return cmd_lookup(rest, out, err);
-    if (command == "scaling") return cmd_scaling(rest, out, err);
-    if (command == "report") return cmd_report(rest, out, err);
-    if (command == "prefixes") return cmd_prefixes(rest, out, err);
-    if (command == "correlate") return cmd_correlate(rest, out, err);
-    if (command == "archive") return cmd_archive(rest, out, err);
-    if (command == "serve") return cmd_serve(rest, out, err);
+    return drive(*cmd, {args.begin() + (compact ? 2 : 1), args.end()}, out, err);
   } catch (const std::invalid_argument& e) {
     obs::set_level(obs::Level::kOff);  // a failed command must not leave tracing armed
     err << "error: " << e.what() << '\n';
     return 2;
   }
-  err << "error: unknown command '" << command << "'\n\n" << usage();
-  return 2;
 }
 
 }  // namespace obscorr::tools

@@ -1,7 +1,9 @@
 #pragma once
 /// \file commands.hpp
-/// The `obscorr` command-line tool: every subcommand as a testable
-/// function of (args, output streams). The tool drives the public library
+/// The `obscorr` command-line tool as a testable function of (args,
+/// output streams): one table of subcommands run by one driver, with
+/// query parameters parsed by the same code as the `serve` daemon's
+/// (svc/queries.hpp). The tool drives the public library
 /// API end to end — generate traffic, capture windows, archive matrices,
 /// analyze distributions, run the full cross-observatory study, and query
 /// the honeyfarm database — so a downstream user can reproduce the
@@ -30,20 +32,6 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
 inline int run(const std::vector<std::string>& args, std::ostream& out) {
   return run(args, out, out);
 }
-
-/// Individual subcommands (exposed for unit tests).
-int cmd_generate(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
-int cmd_capture(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
-int cmd_quantities(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
-int cmd_degrees(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
-int cmd_study(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
-int cmd_lookup(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
-int cmd_scaling(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
-int cmd_report(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
-int cmd_prefixes(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
-int cmd_correlate(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
-int cmd_archive(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
-int cmd_serve(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
 
 /// The usage text printed by `obscorr help` and on errors.
 std::string usage();
