@@ -81,6 +81,20 @@ AssocArray AssocArray::from_column(std::span<const std::string> row_keys,
   return from_triples(std::move(triples));
 }
 
+AssocArray AssocArray::from_csr(std::vector<std::string> row_keys,
+                                std::vector<std::string> col_keys,
+                                std::vector<std::uint64_t> row_ptr,
+                                std::vector<std::uint32_t> col_idx, std::vector<double> val) {
+  AssocArray a;
+  a.row_keys_ = std::move(row_keys);
+  a.col_keys_ = std::move(col_keys);
+  a.row_ptr_ = std::move(row_ptr);
+  a.col_idx_ = std::move(col_idx);
+  a.val_ = std::move(val);
+  a.validate("from_csr");
+  return a;
+}
+
 double AssocArray::at(std::string_view row, std::string_view col) const {
   const auto rit = std::lower_bound(row_keys_.begin(), row_keys_.end(), row);
   if (rit == row_keys_.end() || *rit != row) return 0.0;
@@ -99,61 +113,147 @@ bool AssocArray::has_row(std::string_view row) const {
   return std::binary_search(row_keys_.begin(), row_keys_.end(), row);
 }
 
+std::vector<std::pair<std::string_view, double>> AssocArray::row(std::string_view key) const {
+  std::vector<std::pair<std::string_view, double>> entries;
+  const auto it = std::lower_bound(row_keys_.begin(), row_keys_.end(), key);
+  if (it == row_keys_.end() || *it != key) return entries;
+  const auto r = static_cast<std::size_t>(it - row_keys_.begin());
+  entries.reserve(static_cast<std::size_t>(row_ptr_[r + 1] - row_ptr_[r]));
+  for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+    entries.emplace_back(col_keys_[col_idx_[k]], val_[k]);
+  }
+  return entries;
+}
+
 namespace {
 
-enum class MergeOp { kAdd, kMult, kMax };
-
-AssocArray merge(const AssocArray& a, const AssocArray& b, MergeOp op) {
-  const bool intersect = op == MergeOp::kMult;
-  auto ta = a.to_triples();
-  auto tb = b.to_triples();
-  std::vector<Triple> out;
+/// Sorted union of two sorted unique key sets; `a_pos` / `b_pos` receive
+/// each input key's index in the union (monotone remaps).
+std::vector<std::string> union_with_positions(const std::vector<std::string>& a,
+                                              const std::vector<std::string>& b,
+                                              std::vector<std::uint32_t>& a_pos,
+                                              std::vector<std::uint32_t>& b_pos) {
+  std::vector<std::string> keys;
+  keys.reserve(a.size() + b.size());
+  a_pos.resize(a.size());
+  b_pos.resize(b.size());
   std::size_t i = 0, j = 0;
-  const auto combine = [op](double x, double y) {
-    switch (op) {
-      case MergeOp::kAdd:
-        return x + y;
-      case MergeOp::kMult:
-        return x * y;
-      case MergeOp::kMax:
-        return std::max(x, y);
-    }
-    OBSCORR_INVARIANT(false);
-  };
-  while (i < ta.size() && j < tb.size()) {
-    const Triple& x = ta[i];
-    const Triple& y = tb[j];
-    if (x.row == y.row && x.col == y.col) {
-      out.push_back({x.row, x.col, combine(x.val, y.val)});
-      ++i;
-      ++j;
-    } else if (triple_key_less(x, y)) {
-      if (!intersect) out.push_back(x);
-      ++i;
-    } else {
-      if (!intersect) out.push_back(y);
-      ++j;
-    }
+  while (i < a.size() || j < b.size()) {
+    const int order = i == a.size() ? 1 : j == b.size() ? -1 : a[i].compare(b[j]);
+    const auto at = static_cast<std::uint32_t>(keys.size());
+    if (order <= 0) a_pos[i] = at;
+    if (order >= 0) b_pos[j] = at;
+    keys.push_back(order <= 0 ? a[i] : b[j]);
+    if (order <= 0) ++i;
+    if (order >= 0) ++j;
   }
-  if (!intersect) {
-    out.insert(out.end(), ta.begin() + static_cast<std::ptrdiff_t>(i), ta.end());
-    out.insert(out.end(), tb.begin() + static_cast<std::ptrdiff_t>(j), tb.end());
+  return keys;
+}
+
+/// Drop the column keys no entry references and renumber `col_idx`; the
+/// renumbering is monotone, so every row stays sorted.
+void drop_unused_cols(std::vector<std::string>& cols, std::vector<std::uint32_t>& col_idx) {
+  constexpr std::uint32_t kUnused = ~std::uint32_t{0};
+  std::vector<std::uint32_t> remap(cols.size(), kUnused);
+  for (const std::uint32_t c : col_idx) remap[c] = 0;
+  std::uint32_t kept = 0;
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    if (remap[c] == kUnused) continue;
+    remap[c] = kept;
+    if (kept != c) cols[kept] = std::move(cols[c]);
+    ++kept;
   }
-  return AssocArray::from_triples(std::move(out));
+  if (kept == cols.size()) return;
+  cols.resize(kept);
+  for (std::uint32_t& c : col_idx) c = remap[c];
 }
 
 }  // namespace
 
+template <typename Combine>
+AssocArray AssocArray::merge(const AssocArray& a, const AssocArray& b, bool intersect,
+                             Combine combine) {
+  AssocArray out;
+  std::vector<std::uint32_t> a_col, b_col;
+  out.col_keys_ = union_with_positions(a.col_keys_, b.col_keys_, a_col, b_col);
+  const std::size_t cap = intersect ? std::min(a.nnz(), b.nnz()) : a.nnz() + b.nnz();
+  out.col_idx_.reserve(cap);
+  out.val_.reserve(cap);
+  const auto push = [&out](std::uint32_t col, double val) {
+    out.col_idx_.push_back(col);
+    out.val_.push_back(val);
+  };
+  const auto end_row = [&out](const std::string& key) {
+    out.row_keys_.push_back(key);
+    out.row_ptr_.push_back(out.col_idx_.size());
+  };
+  const auto copy_row = [&](const AssocArray& x, const std::vector<std::uint32_t>& pos,
+                            std::size_t r) {
+    for (std::uint64_t k = x.row_ptr_[r]; k < x.row_ptr_[r + 1]; ++k) {
+      push(pos[x.col_idx_[k]], x.val_[k]);
+    }
+    end_row(x.row_keys_[r]);
+  };
+
+  std::size_t i = 0, j = 0;
+  while (i < a.row_keys_.size() && j < b.row_keys_.size()) {
+    const int order = a.row_keys_[i].compare(b.row_keys_[j]);
+    if (order < 0) {
+      if (!intersect) copy_row(a, a_col, i);
+      ++i;
+      continue;
+    }
+    if (order > 0) {
+      if (!intersect) copy_row(b, b_col, j);
+      ++j;
+      continue;
+    }
+    // Shared row: both column lists ascend in the union's numbering.
+    std::uint64_t p = a.row_ptr_[i];
+    std::uint64_t q = b.row_ptr_[j];
+    const std::uint64_t p_end = a.row_ptr_[i + 1];
+    const std::uint64_t q_end = b.row_ptr_[j + 1];
+    const std::size_t before = out.col_idx_.size();
+    while (p < p_end && q < q_end) {
+      const std::uint32_t ca = a_col[a.col_idx_[p]];
+      const std::uint32_t cb = b_col[b.col_idx_[q]];
+      if (ca == cb) {
+        push(ca, combine(a.val_[p++], b.val_[q++]));
+      } else if (ca < cb) {
+        if (!intersect) push(ca, a.val_[p]);
+        ++p;
+      } else {
+        if (!intersect) push(cb, b.val_[q]);
+        ++q;
+      }
+    }
+    if (!intersect) {
+      for (; p < p_end; ++p) push(a_col[a.col_idx_[p]], a.val_[p]);
+      for (; q < q_end; ++q) push(b_col[b.col_idx_[q]], b.val_[q]);
+    }
+    if (out.col_idx_.size() != before) end_row(a.row_keys_[i]);
+    ++i;
+    ++j;
+  }
+  if (!intersect) {
+    for (; i < a.row_keys_.size(); ++i) copy_row(a, a_col, i);
+    for (; j < b.row_keys_.size(); ++j) copy_row(b, b_col, j);
+  } else {
+    drop_unused_cols(out.col_keys_, out.col_idx_);
+  }
+  return out;
+}
+
 AssocArray AssocArray::ewise_add(const AssocArray& a, const AssocArray& b) {
-  return merge(a, b, MergeOp::kAdd);
+  return merge(a, b, /*intersect=*/false, [](double x, double y) { return x + y; });
 }
 
 AssocArray AssocArray::ewise_mult(const AssocArray& a, const AssocArray& b) {
-  return merge(a, b, MergeOp::kMult);
+  return merge(a, b, /*intersect=*/true, [](double x, double y) { return x * y; });
 }
 
 AssocArray AssocArray::ewise_max(const AssocArray& a, const AssocArray& b) {
-  return merge(a, b, MergeOp::kMax);
+  return merge(a, b, /*intersect=*/false, [](double x, double y) { return std::max(x, y); });
 }
 
 AssocArray AssocArray::logical() const {
@@ -168,6 +268,26 @@ AssocArray AssocArray::transpose() const {
   return from_triples(std::move(triples));
 }
 
+AssocArray AssocArray::filter(const std::function<bool(std::string_view)>& keep_row,
+                              const std::vector<bool>& keep_col) const {
+  AssocArray out;
+  out.col_keys_ = col_keys_;
+  for (std::size_t r = 0; r < row_keys_.size(); ++r) {
+    if (!keep_row(row_keys_[r])) continue;
+    const std::size_t before = out.col_idx_.size();
+    for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      if (!keep_col[col_idx_[k]]) continue;
+      out.col_idx_.push_back(col_idx_[k]);
+      out.val_.push_back(val_[k]);
+    }
+    if (out.col_idx_.size() == before) continue;
+    out.row_keys_.push_back(row_keys_[r]);
+    out.row_ptr_.push_back(out.col_idx_.size());
+  }
+  drop_unused_cols(out.col_keys_, out.col_idx_);
+  return out;
+}
+
 AssocArray AssocArray::select_rows(std::span<const std::string> keys) const {
   std::vector<std::string> wanted(keys.begin(), keys.end());
   std::sort(wanted.begin(), wanted.end());
@@ -177,14 +297,7 @@ AssocArray AssocArray::select_rows(std::span<const std::string> keys) const {
 }
 
 AssocArray AssocArray::select_rows_if(const std::function<bool(std::string_view)>& pred) const {
-  std::vector<Triple> kept;
-  for (std::size_t r = 0; r < row_keys_.size(); ++r) {
-    if (!pred(row_keys_[r])) continue;
-    for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      kept.push_back({row_keys_[r], col_keys_[col_idx_[k]], val_[k]});
-    }
-  }
-  return from_triples(std::move(kept));
+  return filter(pred, std::vector<bool>(col_keys_.size(), true));
 }
 
 AssocArray AssocArray::select_rows_prefix(std::string_view prefix) const {
@@ -194,40 +307,33 @@ AssocArray AssocArray::select_rows_prefix(std::string_view prefix) const {
 AssocArray AssocArray::select_cols(std::span<const std::string> keys) const {
   std::vector<std::string> wanted(keys.begin(), keys.end());
   std::sort(wanted.begin(), wanted.end());
-  std::vector<Triple> kept;
-  for (std::size_t r = 0; r < row_keys_.size(); ++r) {
-    for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::string& col = col_keys_[col_idx_[k]];
-      if (std::binary_search(wanted.begin(), wanted.end(), col)) {
-        kept.push_back({row_keys_[r], col, val_[k]});
-      }
-    }
+  std::vector<bool> keep(col_keys_.size());
+  for (std::size_t c = 0; c < col_keys_.size(); ++c) {
+    keep[c] = std::binary_search(wanted.begin(), wanted.end(), col_keys_[c]);
   }
-  return from_triples(std::move(kept));
+  return filter([](std::string_view) { return true; }, keep);
 }
 
 AssocArray AssocArray::select_cols_prefix(std::string_view prefix) const {
-  std::vector<Triple> kept;
-  for (std::size_t r = 0; r < row_keys_.size(); ++r) {
-    for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::string& col = col_keys_[col_idx_[k]];
-      if (col.size() >= prefix.size() && std::string_view(col).substr(0, prefix.size()) == prefix) {
-        kept.push_back({row_keys_[r], col, val_[k]});
-      }
-    }
-  }
-  return from_triples(std::move(kept));
+  std::vector<bool> keep(col_keys_.size());
+  for (std::size_t c = 0; c < col_keys_.size(); ++c) keep[c] = col_keys_[c].starts_with(prefix);
+  return filter([](std::string_view) { return true; }, keep);
 }
 
 AssocArray AssocArray::row_sum() const {
-  std::vector<Triple> sums;
-  sums.reserve(row_keys_.size());
+  AssocArray out;
+  if (row_keys_.empty()) return out;
+  out.row_keys_ = row_keys_;
+  out.col_keys_ = {"sum"};
+  out.col_idx_.assign(row_keys_.size(), 0);
+  out.val_.reserve(row_keys_.size());
   for (std::size_t r = 0; r < row_keys_.size(); ++r) {
     double total = 0.0;
     for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) total += val_[k];
-    sums.push_back({row_keys_[r], "sum", total});
+    out.val_.push_back(total);
+    out.row_ptr_.push_back(r + 1);
   }
-  return from_triples(std::move(sums));
+  return out;
 }
 
 AssocArray AssocArray::col_sum() const { return transpose().row_sum(); }
@@ -327,11 +433,7 @@ std::vector<std::string> read_keys(SpanCursor& c, const char* what) {
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto len = c.pod<std::uint32_t>();
     OBSCORR_REQUIRE(len <= (1u << 20), "read_binary: implausible key length");
-    const std::string_view key(c.take(len), len);
-    // Canonical form: strictly increasing keys (sorted, no duplicates).
-    OBSCORR_REQUIRE(keys.empty() || std::string_view(keys.back()) < key,
-                    std::string("read_binary: ") + what + " keys must be strictly increasing");
-    keys.emplace_back(key);
+    keys.emplace_back(c.take(len), len);
   }
   return keys;
 }
@@ -382,30 +484,43 @@ AssocArray AssocArray::read_binary(std::span<const std::byte> bytes) {
   a.col_idx_ = read_pod_array<std::uint32_t>(c, static_cast<std::size_t>(nnz));
   a.val_ = read_pod_array<double>(c, static_cast<std::size_t>(nnz));
   OBSCORR_REQUIRE(c.remaining() == 0, "read_binary: trailing bytes after array");
+  a.validate("read_binary");
+  return a;
+}
 
-  // Canonical-form contract: offsets cover [0, nnz] with no empty rows,
-  // column indices sorted unique within each row, and every column key
-  // referenced at least once.
-  OBSCORR_REQUIRE(a.row_ptr_.front() == 0 && a.row_ptr_.back() == nnz,
-                  "read_binary: inconsistent row offsets");
-  std::vector<bool> col_used(a.col_keys_.size(), false);
-  for (std::size_t r = 0; r < a.row_keys_.size(); ++r) {
-    OBSCORR_REQUIRE(a.row_ptr_[r] < a.row_ptr_[r + 1],
-                    "read_binary: row offsets must be strictly increasing");
-    OBSCORR_REQUIRE(a.row_ptr_[r + 1] <= nnz,
-                    "read_binary: row offset exceeds the entry count");
-    for (std::uint64_t k = a.row_ptr_[r]; k < a.row_ptr_[r + 1]; ++k) {
-      OBSCORR_REQUIRE(a.col_idx_[k] < a.col_keys_.size(),
-                      "read_binary: column index out of range");
-      OBSCORR_REQUIRE(k == a.row_ptr_[r] || a.col_idx_[k - 1] < a.col_idx_[k],
-                      "read_binary: column indices must be strictly increasing within a row");
-      col_used[a.col_idx_[k]] = true;
+void AssocArray::validate(std::string_view who) const {
+  const auto fail = [who](std::string_view what) {
+    return std::string(who) + ": " + std::string(what);
+  };
+  OBSCORR_REQUIRE(row_ptr_.size() == row_keys_.size() + 1,
+                  fail("row offsets must number the row keys plus one"));
+  OBSCORR_REQUIRE(val_.size() == col_idx_.size(),
+                  fail("column indices and values must have equal length"));
+  for (std::size_t i = 1; i < row_keys_.size(); ++i) {
+    OBSCORR_REQUIRE(row_keys_[i - 1] < row_keys_[i], fail("row keys must be strictly increasing"));
+  }
+  for (std::size_t i = 1; i < col_keys_.size(); ++i) {
+    OBSCORR_REQUIRE(col_keys_[i - 1] < col_keys_[i], fail("col keys must be strictly increasing"));
+  }
+  // Offsets cover [0, nnz] with no empty rows, column indices sorted
+  // unique within each row, and every column key referenced at least once.
+  const std::uint64_t nnz = col_idx_.size();
+  OBSCORR_REQUIRE(row_ptr_.front() == 0 && row_ptr_.back() == nnz,
+                  fail("inconsistent row offsets"));
+  std::vector<bool> col_used(col_keys_.size(), false);
+  for (std::size_t r = 0; r < row_keys_.size(); ++r) {
+    OBSCORR_REQUIRE(row_ptr_[r] < row_ptr_[r + 1], fail("row offsets must be strictly increasing"));
+    OBSCORR_REQUIRE(row_ptr_[r + 1] <= nnz, fail("row offset exceeds the entry count"));
+    for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      OBSCORR_REQUIRE(col_idx_[k] < col_keys_.size(), fail("column index out of range"));
+      OBSCORR_REQUIRE(k == row_ptr_[r] || col_idx_[k - 1] < col_idx_[k],
+                      fail("column indices must be strictly increasing within a row"));
+      col_used[col_idx_[k]] = true;
     }
   }
   for (std::size_t c = 0; c < col_used.size(); ++c) {
-    OBSCORR_REQUIRE(col_used[c], "read_binary: unused column key");
+    OBSCORR_REQUIRE(col_used[c], fail("unused column key"));
   }
-  return a;
 }
 
 std::vector<std::string> intersect_keys(std::span<const std::string> a,

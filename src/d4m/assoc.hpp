@@ -14,11 +14,13 @@
 /// numeric. Intersection of observatories then reduces to element-wise
 /// multiplication — pure associative-array algebra.
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace obscorr::d4m {
@@ -33,7 +35,9 @@ struct Triple {
 };
 
 /// Immutable associative array. Row and column key sets are sorted and
-/// deduplicated; entries are stored CSR-style over the key indices.
+/// deduplicated; entries are stored CSR-style over the key indices. The
+/// algebra (element-wise ops, column selection, row sums) walks those CSR
+/// arrays directly and writes its result in canonical form.
 class AssocArray {
  public:
   /// The empty array.
@@ -48,6 +52,17 @@ class AssocArray {
   static AssocArray from_column(std::span<const std::string> row_keys,
                                 std::span<const double> values, std::string col_key);
 
+  /// Adopt CSR arrays that are already in canonical form: strictly
+  /// increasing row and column keys, `row_ptr` of size rows + 1 running
+  /// from 0 to nnz with no empty row, column indices strictly increasing
+  /// within each row, and every column key referenced. Throws
+  /// std::invalid_argument on any other input — the checks `read_binary`
+  /// runs on a deserialized array.
+  static AssocArray from_csr(std::vector<std::string> row_keys,
+                             std::vector<std::string> col_keys,
+                             std::vector<std::uint64_t> row_ptr,
+                             std::vector<std::uint32_t> col_idx, std::vector<double> val);
+
   std::size_t nnz() const { return col_idx_.size(); }
   bool empty() const { return nnz() == 0; }
 
@@ -60,6 +75,10 @@ class AssocArray {
 
   /// True when the row key has at least one stored entry.
   bool has_row(std::string_view row) const;
+
+  /// The (column key, value) entries of one row in column-key order;
+  /// empty when the row is absent. The keys view this array's storage.
+  std::vector<std::pair<std::string_view, double>> row(std::string_view key) const;
 
   /// Element-wise sum over the union of cells (D4M `A + B`).
   static AssocArray ewise_add(const AssocArray& a, const AssocArray& b);
@@ -129,6 +148,22 @@ class AssocArray {
   friend bool operator==(const AssocArray&, const AssocArray&) = default;
 
  private:
+  /// Throws std::invalid_argument, with messages prefixed by `who`,
+  /// unless the members are in canonical form (see from_csr).
+  void validate(std::string_view who) const;
+
+  /// The element-wise walk behind ewise_add/mult/max over the union of
+  /// cells (the intersection when `intersect`); a cell stored in both
+  /// operands becomes combine(a, b).
+  template <typename Combine>
+  static AssocArray merge(const AssocArray& a, const AssocArray& b, bool intersect,
+                          Combine combine);
+
+  /// The entries of the rows `keep_row` accepts in the columns `keep_col`
+  /// flags; rows left empty and column keys left unreferenced are dropped.
+  AssocArray filter(const std::function<bool(std::string_view)>& keep_row,
+                    const std::vector<bool>& keep_col) const;
+
   std::vector<std::string> row_keys_;
   std::vector<std::string> col_keys_;
   std::vector<std::uint64_t> row_ptr_;  // size row_keys_.size() + 1

@@ -1,5 +1,7 @@
 #include "honeyfarm/database.hpp"
 
+#include <string_view>
+
 #include "common/error.hpp"
 
 namespace obscorr::honeyfarm {
@@ -31,27 +33,21 @@ std::optional<SourceProfile> Database::lookup(const std::string& ip) const {
   profile.months_seen = static_cast<int>(months_seen_.at(ip, "sum"));
   profile.peak_contacts = peak_contacts_.at(ip, "contacts");
   for (const MonthlyObservation& obs : months_) {
-    if (!obs.sources.has_row(ip)) continue;
+    const auto row = obs.sources.row(ip);
+    if (row.empty()) continue;
     if (!profile.first_seen) profile.first_seen = obs.month;
     profile.last_seen = obs.month;
-    if (profile.classification.empty()) {
-      // Hold the sub-arrays: col_keys() is a span into them (a bare
-      // range-for over the temporary would dangle in C++20).
-      const d4m::AssocArray cls = obs.sources.select_cols_prefix("classification|");
-      for (const std::string& col : cls.col_keys()) {
-        if (obs.sources.at(ip, col) > 0.0) {
-          profile.classification = col.substr(std::string("classification|").size());
-          break;
-        }
+    if (!profile.classification.empty()) continue;
+    // A facet's label is its first column, in key order, holding a
+    // positive value; intent is re-read while classification is unset.
+    const auto label = [&row](std::string_view prefix) -> std::optional<std::string_view> {
+      for (const auto& [col, val] : row) {
+        if (col.starts_with(prefix) && val > 0.0) return col.substr(prefix.size());
       }
-      const d4m::AssocArray intent = obs.sources.select_cols_prefix("intent|");
-      for (const std::string& col : intent.col_keys()) {
-        if (obs.sources.at(ip, col) > 0.0) {
-          profile.intent = col.substr(std::string("intent|").size());
-          break;
-        }
-      }
-    }
+      return std::nullopt;
+    };
+    if (const auto cls = label("classification|")) profile.classification = *cls;
+    if (const auto intent = label("intent|")) profile.intent = *intent;
   }
   return profile;
 }
@@ -59,8 +55,8 @@ std::optional<SourceProfile> Database::lookup(const std::string& ip) const {
 std::vector<std::string> Database::persistent_sources(int min_months) const {
   OBSCORR_REQUIRE(min_months >= 1, "persistent_sources: min_months must be >= 1");
   std::vector<std::string> out;
-  for (const d4m::Triple& t : months_seen_.to_triples()) {
-    if (t.val >= static_cast<double>(min_months)) out.push_back(t.row);
+  for (const std::string& key : months_seen_.row_keys()) {
+    if (months_seen_.at(key, "sum") >= static_cast<double>(min_months)) out.push_back(key);
   }
   return out;
 }

@@ -1,8 +1,11 @@
 #include "honeyfarm/honeyfarm.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
@@ -11,11 +14,120 @@ namespace obscorr::honeyfarm {
 
 namespace {
 
+/// The exploded-schema column vocabulary in std::string order; a month's
+/// column keys are the subset of it that the month references.
+constexpr std::array<std::string_view, 11> kColumns = {
+    "classification|benign", "classification|malicious", "classification|unknown",
+    "contacts",              "intent|backscatter",       "intent|botnet-c2",
+    "intent|scan",           "intent|worm",              "protocol|icmp",
+    "protocol|tcp",          "protocol|udp"};
+static_assert(std::ranges::is_sorted(kColumns));
+
+constexpr std::uint8_t column(std::string_view key) {
+  const auto it = std::ranges::find(kColumns, key);
+  if (it == kColumns.end()) throw std::invalid_argument("not a honeyfarm column");
+  return static_cast<std::uint8_t>(it - kColumns.begin());
+}
+
 /// Enrichment vocabularies: what the outpost's conversation layer labels
-/// sources with. Chosen per source deterministically.
-constexpr std::array<const char*, 3> kClassifications = {"malicious", "benign", "unknown"};
-constexpr std::array<const char*, 4> kIntents = {"scan", "backscatter", "worm", "botnet-c2"};
-constexpr std::array<const char*, 3> kProtocols = {"tcp", "udp", "icmp"};
+/// sources with. Chosen per source deterministically; each array's order
+/// is the order its RNG draw indexes.
+constexpr std::array<std::uint8_t, 3> kClassifications = {
+    column("classification|malicious"), column("classification|benign"),
+    column("classification|unknown")};
+constexpr std::array<std::uint8_t, 4> kIntents = {column("intent|scan"),
+                                                  column("intent|backscatter"),
+                                                  column("intent|worm"),
+                                                  column("intent|botnet-c2")};
+constexpr std::array<std::uint8_t, 3> kProtocols = {
+    column("protocol|tcp"), column("protocol|udp"), column("protocol|icmp")};
+constexpr std::uint8_t kUnknown = column("classification|unknown");
+constexpr std::uint8_t kContacts = column("contacts");
+constexpr std::uint8_t kNoFacet = 0xFF;
+
+/// One catalogued source: its dotted quad, NUL-padded to 16 bytes and
+/// read as two big-endian words (so integer order is std::string order:
+/// "1.10.0.0" < "1.2.0.0"), and the cells it adds to its row.
+struct Sighting {
+  std::array<std::uint64_t, 2> key;
+  std::uint8_t classification;
+  std::uint8_t intent;    ///< kNoFacet for ephemerals
+  std::uint8_t protocol;  ///< kNoFacet for ephemerals
+  double contacts;
+};
+
+std::array<std::uint64_t, 2> text_key(Ipv4 ip) {
+  char text[16] = {};  // "255.255.255.255" is 15 bytes, so at least one NUL
+  std::size_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    const unsigned octet = ip.octet(i);
+    if (i) text[len++] = '.';
+    if (octet >= 100) text[len++] = static_cast<char>('0' + octet / 100);
+    if (octet >= 10) text[len++] = static_cast<char>('0' + octet / 10 % 10);
+    text[len++] = static_cast<char>('0' + octet % 10);
+  }
+  std::array<std::uint64_t, 2> key{};
+  for (std::size_t b = 0; b < sizeof text; ++b) {
+    key[b / 8] = key[b / 8] << 8 | static_cast<unsigned char>(text[b]);
+  }
+  return key;
+}
+
+std::string key_text(const std::array<std::uint64_t, 2>& key) {
+  char text[16];
+  for (std::size_t b = 0; b < sizeof text; ++b) {
+    text[b] = static_cast<char>(key[b / 8] >> (56 - 8 * (b % 8)));
+  }
+  return std::string(text, std::find(text, text + sizeof text, '\0'));
+}
+
+/// The month's associative array: one row per distinct address over the
+/// columns the month references. Repeated sightings of one address add
+/// up, as from_triples' plus accumulation does.
+d4m::AssocArray catalogue(std::vector<Sighting> sightings) {
+  std::sort(sightings.begin(), sightings.end(),
+            [](const Sighting& a, const Sighting& b) { return a.key < b.key; });
+  std::vector<std::string> row_keys;
+  std::vector<std::uint64_t> row_ptr{0};
+  std::vector<std::uint32_t> col_idx;
+  std::vector<double> val;
+  std::array<bool, kColumns.size()> used{};
+  for (std::size_t s = 0; s < sightings.size();) {
+    const std::array<std::uint64_t, 2>& key = sightings[s].key;
+    std::array<double, kColumns.size()> cells{};
+    std::array<bool, kColumns.size()> stored{};
+    const auto add = [&](std::uint8_t c, double v) {
+      if (c == kNoFacet) return;
+      cells[c] = stored[c] ? cells[c] + v : v;
+      stored[c] = true;
+    };
+    for (; s < sightings.size() && sightings[s].key == key; ++s) {
+      add(sightings[s].classification, 1.0);
+      add(sightings[s].intent, 1.0);
+      add(sightings[s].protocol, 1.0);
+      add(kContacts, sightings[s].contacts);
+    }
+    row_keys.push_back(key_text(key));
+    for (std::uint32_t c = 0; c < kColumns.size(); ++c) {
+      if (!stored[c]) continue;
+      col_idx.push_back(c);
+      val.push_back(cells[c]);
+      used[c] = true;
+    }
+    row_ptr.push_back(col_idx.size());
+  }
+  // Keep the referenced columns; the renumbering is monotone.
+  std::vector<std::string> col_keys;
+  std::array<std::uint32_t, kColumns.size()> remap{};
+  for (std::size_t c = 0; c < kColumns.size(); ++c) {
+    if (!used[c]) continue;
+    remap[c] = static_cast<std::uint32_t>(col_keys.size());
+    col_keys.emplace_back(kColumns[c]);
+  }
+  for (std::uint32_t& c : col_idx) c = remap[c];
+  return d4m::AssocArray::from_csr(std::move(row_keys), std::move(col_keys), std::move(row_ptr),
+                                   std::move(col_idx), std::move(val));
+}
 
 }  // namespace
 
@@ -31,7 +143,7 @@ MonthlyObservation Honeyfarm::observe_month(const netgen::GreyNoiseMonthSpec& sp
 
   MonthlyObservation obs;
   obs.month = spec.month;
-  std::vector<d4m::Triple> triples;
+  std::vector<Sighting> sightings;
 
   // Ground-truth population sources: active this month AND detected.
   // One activity-row snapshot instead of a per-source `active` call: the
@@ -47,21 +159,18 @@ MonthlyObservation Honeyfarm::observe_month(const netgen::GreyNoiseMonthSpec& sp
     Rng rng(seed_, std::uint64_t{0x500000000} + static_cast<std::uint64_t>(month_index) * n + i);
     if (!rng.bernoulli(p)) continue;
 
-    const std::string ip = population_.source(i).ip.to_string();
     // Deterministic per-source enrichment (stable across months, as a
     // scanner's behaviour profile would be).
     Rng enrich(seed_, std::uint64_t{0x600000000} + i);
-    const auto& cls = kClassifications[enrich.uniform_u64(kClassifications.size())];
-    const auto& intent = kIntents[enrich.uniform_u64(kIntents.size())];
-    const auto& proto = kProtocols[enrich.uniform_u64(kProtocols.size())];
+    const std::uint8_t cls = kClassifications[enrich.uniform_u64(kClassifications.size())];
+    const std::uint8_t intent = kIntents[enrich.uniform_u64(kIntents.size())];
+    const std::uint8_t proto = kProtocols[enrich.uniform_u64(kProtocols.size())];
     // Monthly interaction count: the outpost converses over the whole
     // month, so counts scale with the source's rate.
     const std::uint64_t contacts = 1 + rng.poisson(std::min(degree, 1e6) * 0.25);
 
-    triples.push_back({ip, std::string("classification|") + cls, 1.0});
-    triples.push_back({ip, std::string("intent|") + intent, 1.0});
-    triples.push_back({ip, std::string("protocol|") + proto, 1.0});
-    triples.push_back({ip, "contacts", static_cast<double>(contacts)});
+    sightings.push_back({text_key(population_.source(i).ip), cls, intent, proto,
+                         static_cast<double>(contacts)});
     ++obs.population_sources;
   }
 
@@ -77,14 +186,12 @@ MonthlyObservation Honeyfarm::observe_month(const netgen::GreyNoiseMonthSpec& sp
     if (top == 0 || top == 10 || top == 77 || top == 127 || top >= 224) continue;
     const Ipv4 ip(candidate);
     if (population_.owns_ip(ip)) continue;
-    const std::string key = ip.to_string();
-    triples.push_back({key, "classification|unknown", 1.0});
-    triples.push_back({key, "contacts", 1.0});
+    sightings.push_back({text_key(ip), kUnknown, kNoFacet, kNoFacet, 1.0});
     ++made;
   }
   obs.ephemeral_sources = made;
 
-  obs.sources = d4m::AssocArray::from_triples(std::move(triples));
+  obs.sources = catalogue(std::move(sightings));
   return obs;
 }
 

@@ -85,7 +85,8 @@ struct Server::Impl {
   /// Completion queue filled by pool tasks, drained by the loop thread.
   /// Tasks hold a raw Impl pointer: serve() counts dispatches in
   /// `inflight` and does not return until every completion has been
-  /// consumed, so the Impl strictly outlives every task it spawned.
+  /// consumed, and a task queues its completion and wakes the loop under
+  /// `done_mu`, so the Impl outlives every task's last use of it.
   std::mutex done_mu;
   std::vector<std::pair<std::uint64_t, std::string>> done;
   std::size_t inflight = 0;
@@ -304,10 +305,11 @@ struct Server::Impl {
       } catch (...) {
         resp = make_error(JsonValue::null(), "bad_request", "unparseable request");
       }
-      {
-        const std::lock_guard lk(done_mu);
-        done.emplace_back(id, std::move(resp));
-      }
+      // Wake under the lock: once the loop can take this completion it
+      // may see inflight == 0, return from serve() and close the eventfd,
+      // so the write must land before the lock is released.
+      const std::lock_guard lk(done_mu);
+      done.emplace_back(id, std::move(resp));
       wake();
     });
   }

@@ -2,8 +2,76 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace obscorr::honeyfarm {
 namespace {
+
+/// A lookup the way the previous Database computed it: months seen and
+/// peak contacts from a per-month scan, and each facet label as the first
+/// column of the month's whole `select_cols_prefix` sub-array (key order)
+/// holding a positive value for the source, searched while the
+/// classification is still unset. The sub-arrays are built once per month
+/// instead of once per lookup; they are the same arrays.
+class ScanLookup {
+ public:
+  explicit ScanLookup(const std::vector<MonthlyObservation>& months) : months_(months) {
+    for (const MonthlyObservation& obs : months_) {
+      cls_.push_back(obs.sources.select_cols_prefix("classification|"));
+      intent_.push_back(obs.sources.select_cols_prefix("intent|"));
+    }
+  }
+
+  std::optional<SourceProfile> operator()(const std::string& ip) const {
+    SourceProfile profile;
+    profile.ip = ip;
+    profile.peak_contacts = -1.0;
+    for (std::size_t m = 0; m < months_.size(); ++m) {
+      const d4m::AssocArray& month = months_[m].sources;
+      if (!month.has_row(ip)) continue;
+      ++profile.months_seen;
+      profile.peak_contacts = std::max(profile.peak_contacts, month.at(ip, "contacts"));
+      if (!profile.first_seen) profile.first_seen = months_[m].month;
+      profile.last_seen = months_[m].month;
+      if (profile.classification.empty()) {
+        for (const std::string& col : cls_[m].col_keys()) {
+          if (month.at(ip, col) > 0.0) {
+            profile.classification = col.substr(std::string("classification|").size());
+            break;
+          }
+        }
+        for (const std::string& col : intent_[m].col_keys()) {
+          if (month.at(ip, col) > 0.0) {
+            profile.intent = col.substr(std::string("intent|").size());
+            break;
+          }
+        }
+      }
+    }
+    if (profile.months_seen == 0) return std::nullopt;
+    return profile;
+  }
+
+ private:
+  const std::vector<MonthlyObservation>& months_;
+  std::vector<d4m::AssocArray> cls_;
+  std::vector<d4m::AssocArray> intent_;
+};
+
+void expect_same_profile(const std::optional<SourceProfile>& got,
+                         const std::optional<SourceProfile>& want, const std::string& ip) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << ip;
+  if (!got) return;
+  EXPECT_EQ(got->ip, want->ip) << ip;
+  EXPECT_EQ(got->months_seen, want->months_seen) << ip;
+  EXPECT_EQ(got->first_seen, want->first_seen) << ip;
+  EXPECT_EQ(got->last_seen, want->last_seen) << ip;
+  EXPECT_EQ(got->classification, want->classification) << ip;
+  EXPECT_EQ(got->intent, want->intent) << ip;
+  EXPECT_EQ(got->peak_contacts, want->peak_contacts) << ip;
+}
 
 class DatabaseTest : public ::testing::Test {
  protected:
@@ -16,24 +84,28 @@ class DatabaseTest : public ::testing::Test {
     netgen::VisibilityModel vis;
     vis.log2_nv = 14;
     const Honeyfarm farm(*population_, vis, 7);
-    std::vector<MonthlyObservation> months;
+    months_ = new std::vector<MonthlyObservation>();
     for (int m = 0; m < 6; ++m) {
-      months.push_back(farm.observe_month(
+      months_->push_back(farm.observe_month(
           {YearMonth(2020, 2).plus_months(m), 1.0, /*ephemeral=*/0.05}, m));
     }
-    db_ = new Database(std::move(months));
+    db_ = new Database(*months_);
   }
   static void TearDownTestSuite() {
     delete db_;
+    delete months_;
     delete population_;
     db_ = nullptr;
+    months_ = nullptr;
     population_ = nullptr;
   }
   static netgen::Population* population_;
+  static std::vector<MonthlyObservation>* months_;
   static Database* db_;
 };
 
 netgen::Population* DatabaseTest::population_ = nullptr;
+std::vector<MonthlyObservation>* DatabaseTest::months_ = nullptr;
 Database* DatabaseTest::db_ = nullptr;
 
 TEST_F(DatabaseTest, BasicCounts) {
@@ -116,6 +188,103 @@ TEST_F(DatabaseTest, EphemeralSourcesAppearOnce) {
     if (++ephemeral_checked > 50) break;
   }
   EXPECT_GT(ephemeral_checked, 10);
+}
+
+TEST_F(DatabaseTest, LookupMatchesSelectColsPrefixScan) {
+  const ScanLookup scan(*months_);
+  for (const std::string& ip : db_->months_seen().row_keys()) {
+    expect_same_profile(db_->lookup(ip), scan(ip), ip);
+  }
+  expect_same_profile(db_->lookup("203.0.113.99"), scan("203.0.113.99"), "absent");
+}
+
+/// A month from hand-written exploded-schema triples.
+MonthlyObservation synthetic_month(int offset, std::vector<d4m::Triple> triples) {
+  MonthlyObservation obs;
+  obs.month = YearMonth(2020, 2).plus_months(offset);
+  obs.sources = d4m::AssocArray::from_triples(std::move(triples));
+  return obs;
+}
+
+TEST_F(DatabaseTest, LookupFollowsProfileRulesOnSyntheticMonths) {
+  std::vector<MonthlyObservation> months;
+  months.push_back(synthetic_month(0, {
+      // Labels at or below zero are not labels: unknown is the first
+      // positive classification.
+      {"10.0.0.1", "classification|benign", 0.0},
+      {"10.0.0.1", "classification|malicious", -1.0},
+      {"10.0.0.1", "classification|unknown", 1.0},
+      {"10.0.0.1", "intent|scan", 1.0},
+      {"10.0.0.1", "contacts", 5.0},
+      // No classification yet; its intent is re-read next months.
+      {"10.0.0.2", "intent|worm", 1.0},
+      {"10.0.0.2", "contacts", 2.0},
+      // Never a positive classification.
+      {"10.0.0.4", "classification|benign", -2.0},
+      {"10.0.0.4", "contacts", 1.0},
+  }));
+  months.push_back(synthetic_month(1, {
+      {"10.0.0.2", "intent|backscatter", 0.0},
+      {"10.0.0.2", "contacts", 3.0},
+      // No intent at all.
+      {"10.0.0.3", "classification|benign", 1.0},
+      {"10.0.0.3", "protocol|tcp", 1.0},
+      {"10.0.0.3", "contacts", 4.0},
+  }));
+  months.push_back(synthetic_month(2, {
+      // The classification appears only in this later month, with a new
+      // intent read in the same month.
+      {"10.0.0.2", "classification|malicious", 1.0},
+      {"10.0.0.2", "intent|scan", 1.0},
+      {"10.0.0.2", "contacts", 1.0},
+      // Once classified, later months do not touch the facets.
+      {"10.0.0.1", "classification|benign", 1.0},
+      {"10.0.0.1", "intent|worm", 1.0},
+      {"10.0.0.1", "contacts", 9.0},
+      {"10.0.0.4", "classification|unknown", 0.0},
+      {"10.0.0.4", "contacts", 1.0},
+      // A row key that extends another one textually.
+      {"10.0.0.10", "classification|benign", 1.0},
+      {"10.0.0.10", "contacts", 1.0},
+  }));
+  const ScanLookup scan(months);
+  const Database db(months);
+  for (const std::string& ip : db.months_seen().row_keys()) {
+    expect_same_profile(db.lookup(ip), scan(ip), ip);
+  }
+
+  const auto first = db.lookup("10.0.0.1");
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->classification, "unknown");
+  EXPECT_EQ(first->intent, "scan");
+  EXPECT_EQ(first->months_seen, 2);
+  EXPECT_EQ(first->peak_contacts, 9.0);
+
+  const auto late = db.lookup("10.0.0.2");
+  ASSERT_TRUE(late.has_value());
+  EXPECT_EQ(late->classification, "malicious");
+  EXPECT_EQ(late->intent, "scan");
+  EXPECT_EQ(late->months_seen, 3);
+  EXPECT_EQ(late->first_seen, YearMonth(2020, 2));
+  EXPECT_EQ(late->last_seen, YearMonth(2020, 4));
+  EXPECT_EQ(late->peak_contacts, 3.0);
+
+  const auto no_intent = db.lookup("10.0.0.3");
+  ASSERT_TRUE(no_intent.has_value());
+  EXPECT_EQ(no_intent->classification, "benign");
+  EXPECT_EQ(no_intent->intent, "");
+
+  const auto unlabelled = db.lookup("10.0.0.4");
+  ASSERT_TRUE(unlabelled.has_value());
+  EXPECT_EQ(unlabelled->classification, "");
+  EXPECT_EQ(unlabelled->intent, "");
+  EXPECT_EQ(unlabelled->months_seen, 2);
+
+  const auto extended = db.lookup("10.0.0.10");
+  ASSERT_TRUE(extended.has_value());
+  EXPECT_EQ(extended->months_seen, 1);
+  EXPECT_EQ(extended->classification, "benign");
+  EXPECT_FALSE(db.lookup("10.0.0.").has_value());
 }
 
 TEST(DatabaseValidationTest, RejectsEmptyAndGappyMonths) {

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/prng.hpp"
+#include "netgen/scenario.hpp"
 
 namespace obscorr::honeyfarm {
 namespace {
@@ -155,6 +164,78 @@ TEST(HoneyfarmTest, TotalsAddUp) {
   const auto obs = farm.observe_month(month_spec(1.0, 0.3), 0);
   EXPECT_EQ(obs.total_sources(), obs.population_sources + obs.ephemeral_sources);
   EXPECT_EQ(obs.month, YearMonth(2020, 6));
+}
+
+std::string bytes(const d4m::AssocArray& a) {
+  std::ostringstream os(std::ios::binary);
+  a.write_binary(os);
+  return os.str();
+}
+
+/// The month as the triple formulation builds it: four triples per
+/// detected source and two per ephemeral draw, from the same RNG streams,
+/// accumulated by `from_triples`. `repeated` counts ephemeral draws of an
+/// address already drawn that month.
+d4m::AssocArray triple_month(const netgen::Population& pop, const netgen::VisibilityModel& vis,
+                             std::uint64_t seed, const netgen::GreyNoiseMonthSpec& spec,
+                             int month_index, std::size_t& repeated) {
+  constexpr std::array<const char*, 3> kClassifications = {"malicious", "benign", "unknown"};
+  constexpr std::array<const char*, 4> kIntents = {"scan", "backscatter", "worm", "botnet-c2"};
+  constexpr std::array<const char*, 3> kProtocols = {"tcp", "udp", "icmp"};
+  std::vector<d4m::Triple> triples;
+  const std::size_t n = pop.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!pop.active(i, month_index)) continue;
+    const double degree = pop.expected_active_degree(i);
+    const double p = std::min(1.0, vis.probability(degree) * spec.coverage);
+    Rng rng(seed, std::uint64_t{0x500000000} + static_cast<std::uint64_t>(month_index) * n + i);
+    if (!rng.bernoulli(p)) continue;
+    const std::string ip = pop.source(i).ip.to_string();
+    Rng enrich(seed, std::uint64_t{0x600000000} + i);
+    const char* cls = kClassifications[enrich.uniform_u64(kClassifications.size())];
+    const char* intent = kIntents[enrich.uniform_u64(kIntents.size())];
+    const char* proto = kProtocols[enrich.uniform_u64(kProtocols.size())];
+    const std::uint64_t contacts = 1 + rng.poisson(std::min(degree, 1e6) * 0.25);
+    triples.push_back({ip, std::string("classification|") + cls, 1.0});
+    triples.push_back({ip, std::string("intent|") + intent, 1.0});
+    triples.push_back({ip, std::string("protocol|") + proto, 1.0});
+    triples.push_back({ip, "contacts", static_cast<double>(contacts)});
+  }
+  const auto target = static_cast<std::uint64_t>(spec.ephemeral_factor * static_cast<double>(n));
+  Rng eph_rng(seed, std::uint64_t{0x700000000} + static_cast<std::uint64_t>(month_index));
+  std::set<std::uint32_t> drawn;
+  for (std::uint64_t made = 0; made < target;) {
+    const std::uint32_t candidate = eph_rng.next_u32();
+    const std::uint32_t top = candidate >> 24;
+    if (top == 0 || top == 10 || top == 77 || top == 127 || top >= 224) continue;
+    if (pop.owns_ip(Ipv4(candidate))) continue;
+    if (!drawn.insert(candidate).second) ++repeated;
+    const std::string key = Ipv4(candidate).to_string();
+    triples.push_back({key, "classification|unknown", 1.0});
+    triples.push_back({key, "contacts", 1.0});
+    ++made;
+  }
+  return d4m::AssocArray::from_triples(std::move(triples));
+}
+
+TEST(HoneyfarmTest, MonthsMatchTripleFormulation) {
+  // The paper scenario at 2^14: 8192 candidates and 15 months whose
+  // ephemeral loads reach 6.9x the population, enough draws that some
+  // month catalogues one ephemeral address twice (its cells then sum).
+  const netgen::Scenario scenario = netgen::Scenario::paper(14, 42);
+  const netgen::Population pop(scenario.population);
+  const std::uint64_t seed = 42;
+  const Honeyfarm farm(pop, scenario.visibility, seed);
+  std::size_t repeated = 0;
+  for (std::size_t m = 0; m < scenario.months.size(); ++m) {
+    const int month = static_cast<int>(m);
+    const MonthlyObservation obs = farm.observe_month(scenario.months[m], month);
+    EXPECT_EQ(bytes(obs.sources),
+              bytes(triple_month(pop, scenario.visibility, seed, scenario.months[m], month,
+                                 repeated)))
+        << "month " << m;
+  }
+  EXPECT_GT(repeated, 0u);
 }
 
 }  // namespace
