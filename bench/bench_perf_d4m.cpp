@@ -1,11 +1,9 @@
 /// Performance benches for the D4M associative-array substrate: build
 /// rate from string triples, element-wise intersection (the correlation
-/// primitive), key intersection, sub-array selection, and TSV round-trip
-/// — the operations the monthly GreyNoise arrays go through.
+/// primitive), key intersection and column selection — the operations
+/// the monthly GreyNoise arrays go through.
 
 #include <benchmark/benchmark.h>
-
-#include <sstream>
 
 #include "common/ipv4.hpp"
 #include "common/prng.hpp"
@@ -77,16 +75,5 @@ void BM_SelectColsPrefix(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(a.nnz()));
 }
 BENCHMARK(BM_SelectColsPrefix)->Arg(1 << 14);
-
-void BM_TsvRoundTrip(benchmark::State& state) {
-  const auto a = AssocArray::from_triples(ip_triples(static_cast<std::size_t>(state.range(0)), 7));
-  for (auto _ : state) {
-    std::stringstream ss;
-    a.write_tsv(ss);
-    benchmark::DoNotOptimize(AssocArray::read_tsv(ss));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(a.nnz()));
-}
-BENCHMARK(BM_TsvRoundTrip)->Arg(1 << 12)->Arg(1 << 15);
 
 }  // namespace

@@ -1,10 +1,9 @@
 /// Performance benches for the GraphBLAS-lite hypersparse substrate —
 /// the throughput story behind the paper's pipeline (refs [33][34]:
 /// billions of streaming inserts/second at datacenter scale; here the
-/// single-node per-core rates). Measures tuple sort+combine (serial and
-/// pooled), DCSR construction, hierarchical accumulation at the paper's
-/// 2^17 block size (scaled), element-wise merges, and Table II
-/// reductions.
+/// single-node per-core rates). Measures tuple sort+combine, DCSR
+/// construction, hierarchical accumulation at the paper's 2^17 block
+/// size (scaled), element-wise merges, and Table II reductions.
 
 #include <benchmark/benchmark.h>
 
@@ -39,17 +38,6 @@ void BM_SortCombineSerial(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SortCombineSerial)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
-
-void BM_SortCombinePooled(benchmark::State& state) {
-  ThreadPool pool(static_cast<std::size_t>(state.range(1)));
-  const auto base = random_packets(static_cast<std::size_t>(state.range(0)), 1 << 15, 1);
-  for (auto _ : state) {
-    auto copy = base;
-    benchmark::DoNotOptimize(sort_and_combine(std::move(copy), pool));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SortCombinePooled)->Args({1 << 17, 1})->Args({1 << 17, 2})->Args({1 << 17, 4})->Args({1 << 20, 4});
 
 void BM_DcsrFromTuples(benchmark::State& state) {
   const auto base = random_packets(static_cast<std::size_t>(state.range(0)), 1 << 15, 2);
@@ -116,18 +104,6 @@ void BM_EwiseAddParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_EwiseAddParallel)->Args({1 << 17, 1})->Args({1 << 17, 2})->Args({1 << 17, 4});
 
-void BM_Mxm(benchmark::State& state) {
-  // Destination co-occurrence Aᵀ·A on a pattern matrix — the SpGEMM load
-  // of the correlation analyses.
-  const auto a = DcsrMatrix::from_tuples(random_packets(static_cast<std::size_t>(state.range(0)), 1 << 10, 9)).pattern();
-  const auto at = a.transpose();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(DcsrMatrix::mxm(at, a));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(a.nnz()));
-}
-BENCHMARK(BM_Mxm)->Arg(1 << 12)->Arg(1 << 14);
-
 void BM_TableTwoReductions(benchmark::State& state) {
   const auto m = DcsrMatrix::from_tuples(random_packets(static_cast<std::size_t>(state.range(0)), 1 << 15, 6));
   for (auto _ : state) {
@@ -136,15 +112,6 @@ void BM_TableTwoReductions(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m.nnz()));
 }
 BENCHMARK(BM_TableTwoReductions)->Arg(1 << 14)->Arg(1 << 17);
-
-void BM_Transpose(benchmark::State& state) {
-  const auto m = DcsrMatrix::from_tuples(random_packets(1 << 16, 1 << 15, 7));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.transpose());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m.nnz()));
-}
-BENCHMARK(BM_Transpose);
 
 void BM_MatrixMemoryBytesPerNnz(benchmark::State& state) {
   // Hypersparse footprint: bytes per stored entry stays ~constant even

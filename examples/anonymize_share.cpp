@@ -1,17 +1,19 @@
 /// Trusted data sharing: demonstrates the paper's §I anonymization
 /// workflow — CryptoPAN prefix preservation, permutation-invariance of
-/// the Table II statistics, TSV interchange of associative arrays, and
+/// the Table II statistics, sharing an anonymized associative array, and
 /// "approach 1" deanonymization of a small result set by the data owner.
 ///
 ///   $ ./anonymize_share
 
+#include <cstdint>
 #include <iostream>
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/prng.hpp"
 #include "common/table.hpp"
 #include "crypt/cryptopan.hpp"
-#include "d4m/assoc.hpp"
+#include "d4m/gbl_bridge.hpp"
 #include "gbl/dcsr.hpp"
 #include "gbl/quantities.hpp"
 
@@ -49,18 +51,23 @@ int main() {
             << q_anon.max_source_packets << '\n'
             << "=> statistics computed on shared anonymized matrices are exact\n\n";
 
-  // 3. Interchange: ship an anonymized result set as D4M TSV, then have
-  //    the owner deanonymize the few rows a partner asks about
-  //    (trusted-sharing approach 1: small subset, low risk).
-  std::vector<d4m::Triple> result;
+  // 3. Interchange: share an anonymized result set as a D4M associative
+  //    array, then have the owner deanonymize the few rows a partner asks
+  //    about (trusted-sharing approach 1: small subset, low risk).
+  std::vector<std::uint32_t> sources;
+  std::vector<double> packets;
   for (int i = 0; i < 5; ++i) {
-    const Ipv4 src(rng.next_u32());
-    result.push_back({pan.anonymize(src).to_string(), "packets", static_cast<double>(100 + i)});
+    sources.push_back(pan.anonymize(Ipv4(rng.next_u32())).value());
+    packets.push_back(static_cast<double>(100 + i));
   }
-  const d4m::AssocArray shared = d4m::AssocArray::from_triples(std::move(result));
-  std::stringstream wire;
-  shared.write_tsv(wire);
-  std::cout << "anonymized result set on the wire:\n" << wire.str() << '\n';
+  const d4m::AssocArray shared = d4m::from_addresses(sources, packets, "packets");
+  std::cout << "anonymized result set shared with the partner:\n";
+  for (const std::string& row : shared.row_keys()) {
+    for (const auto& [col, value] : shared.row(row)) {
+      std::cout << row << '\t' << col << '\t' << value << '\n';
+    }
+  }
+  std::cout << '\n';
   std::cout << "a partner flags the brightest row; the owner looks it up in the\n"
                "anonymization dictionary and returns the true address out of band.\n";
   return 0;

@@ -8,12 +8,12 @@
 /// and cross_observatory for the full instruments.
 
 #include <iostream>
+#include <vector>
 
 #include "common/ipv4.hpp"
 #include "common/prng.hpp"
 #include "common/table.hpp"
 #include "d4m/gbl_bridge.hpp"
-#include "gbl/coo.hpp"
 #include "gbl/dcsr.hpp"
 #include "gbl/quantities.hpp"
 #include "telescope/quadrants.hpp"
@@ -21,21 +21,23 @@
 int main() {
   using namespace obscorr;
 
-  // 1. Collect packets into a COO builder. The matrix lives in the full
+  // 1. Collect packets as COO tuples. The matrix lives in the full
   //    2^32 x 2^32 IPv4 x IPv4 space; a packet from s to d adds (s,d,1).
   Rng rng(42);
-  gbl::CooBuilder builder;
+  std::vector<gbl::Tuple> packets;
   const Ipv4Prefix monitored(Ipv4(77, 0, 0, 0), 8);  // "our" network
   for (int i = 0; i < 100000; ++i) {
     const Ipv4 src(rng.next_u32());
     const Ipv4 dst(monitored.at(rng.uniform_u64(1 << 12)));
-    builder.add(src.value(), dst.value(), 1.0);
+    packets.push_back({src.value(), dst.value(), 1.0});
   }
   // The paper's example: 3 packets from 1.1.1.1 to 2.2.2.2.
-  for (int i = 0; i < 3; ++i) builder.add(Ipv4(1, 1, 1, 1).value(), Ipv4(2, 2, 2, 2).value(), 1.0);
+  for (int i = 0; i < 3; ++i) {
+    packets.push_back({Ipv4(1, 1, 1, 1).value(), Ipv4(2, 2, 2, 2).value(), 1.0});
+  }
 
   // 2. Build the hypersparse DCSR matrix (sort + duplicate accumulation).
-  const gbl::DcsrMatrix traffic = gbl::DcsrMatrix::from_sorted_tuples(std::move(builder).finish());
+  const gbl::DcsrMatrix traffic = gbl::DcsrMatrix::from_tuples(std::move(packets));
   std::cout << "A(1.1.1.1, 2.2.2.2) = " << traffic.at(16843009u, 33686018u) << "\n\n";
 
   // 3. Every Table II network quantity in one call.

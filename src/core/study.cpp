@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/interrupt.hpp"
 #include "core/parallel_capture.hpp"
+#include "d4m/gbl_bridge.hpp"
 #include "netgen/traffic.hpp"
 #include "obs/span.hpp"
 #include "telescope/telescope.hpp"
@@ -45,15 +46,12 @@ SnapshotData take_snapshot(const netgen::Scenario& scenario, const netgen::Popul
   // Trusted exchange (paper §I, sharing approach 1): the anonymized
   // source ids go back to the telescope operator for deanonymization,
   // producing the D4M associative array used for correlation.
-  std::vector<d4m::Triple> triples;
-  triples.reserve(snap.source_packets.nnz());
   const auto ids = snap.source_packets.indices();
-  const auto counts = snap.source_packets.values();
-  for (std::size_t i = 0; i < snap.source_packets.nnz(); ++i) {
-    const Ipv4 original = scope.deanonymize(Ipv4(ids[i]));
-    triples.push_back({original.to_string(), "packets", counts[i]});
+  std::vector<std::uint32_t> originals(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    originals[i] = scope.deanonymize(Ipv4(ids[i])).value();
   }
-  snap.sources = d4m::AssocArray::from_triples(std::move(triples));
+  snap.sources = d4m::from_addresses(originals, snap.source_packets.values(), "packets");
   return snap;
 }
 

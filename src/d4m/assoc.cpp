@@ -1,7 +1,6 @@
 #include "d4m/assoc.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -67,18 +66,6 @@ AssocArray AssocArray::from_triples(std::vector<Triple> triples) {
   a.row_ptr_.push_back(static_cast<std::uint64_t>(triples.size()));
   OBSCORR_INVARIANT(a.row_ptr_.size() == a.row_keys_.size() + 1);
   return a;
-}
-
-AssocArray AssocArray::from_column(std::span<const std::string> row_keys,
-                                   std::span<const double> values, std::string col_key) {
-  OBSCORR_REQUIRE(row_keys.size() == values.size(),
-                  "from_column: key/value arrays must have equal length");
-  std::vector<Triple> triples;
-  triples.reserve(row_keys.size());
-  for (std::size_t i = 0; i < row_keys.size(); ++i) {
-    triples.push_back({row_keys[i], col_key, values[i]});
-  }
-  return from_triples(std::move(triples));
 }
 
 AssocArray AssocArray::from_csr(std::vector<std::string> row_keys,
@@ -262,18 +249,10 @@ AssocArray AssocArray::logical() const {
   return a;
 }
 
-AssocArray AssocArray::transpose() const {
-  auto triples = to_triples();
-  for (Triple& t : triples) std::swap(t.row, t.col);
-  return from_triples(std::move(triples));
-}
-
-AssocArray AssocArray::filter(const std::function<bool(std::string_view)>& keep_row,
-                              const std::vector<bool>& keep_col) const {
+AssocArray AssocArray::filter(const std::vector<bool>& keep_col) const {
   AssocArray out;
   out.col_keys_ = col_keys_;
   for (std::size_t r = 0; r < row_keys_.size(); ++r) {
-    if (!keep_row(row_keys_[r])) continue;
     const std::size_t before = out.col_idx_.size();
     for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
       if (!keep_col[col_idx_[k]]) continue;
@@ -288,22 +267,6 @@ AssocArray AssocArray::filter(const std::function<bool(std::string_view)>& keep_
   return out;
 }
 
-AssocArray AssocArray::select_rows(std::span<const std::string> keys) const {
-  std::vector<std::string> wanted(keys.begin(), keys.end());
-  std::sort(wanted.begin(), wanted.end());
-  return select_rows_if([&](std::string_view key) {
-    return std::binary_search(wanted.begin(), wanted.end(), key);
-  });
-}
-
-AssocArray AssocArray::select_rows_if(const std::function<bool(std::string_view)>& pred) const {
-  return filter(pred, std::vector<bool>(col_keys_.size(), true));
-}
-
-AssocArray AssocArray::select_rows_prefix(std::string_view prefix) const {
-  return select_rows_if([&](std::string_view key) { return key.starts_with(prefix); });
-}
-
 AssocArray AssocArray::select_cols(std::span<const std::string> keys) const {
   std::vector<std::string> wanted(keys.begin(), keys.end());
   std::sort(wanted.begin(), wanted.end());
@@ -311,13 +274,13 @@ AssocArray AssocArray::select_cols(std::span<const std::string> keys) const {
   for (std::size_t c = 0; c < col_keys_.size(); ++c) {
     keep[c] = std::binary_search(wanted.begin(), wanted.end(), col_keys_[c]);
   }
-  return filter([](std::string_view) { return true; }, keep);
+  return filter(keep);
 }
 
 AssocArray AssocArray::select_cols_prefix(std::string_view prefix) const {
   std::vector<bool> keep(col_keys_.size());
   for (std::size_t c = 0; c < col_keys_.size(); ++c) keep[c] = col_keys_[c].starts_with(prefix);
-  return filter([](std::string_view) { return true; }, keep);
+  return filter(keep);
 }
 
 AssocArray AssocArray::row_sum() const {
@@ -336,8 +299,6 @@ AssocArray AssocArray::row_sum() const {
   return out;
 }
 
-AssocArray AssocArray::col_sum() const { return transpose().row_sum(); }
-
 double AssocArray::reduce_sum() const {
   double total = 0.0;
   for (double v : val_) total += v;
@@ -353,32 +314,6 @@ std::vector<Triple> AssocArray::to_triples() const {
     }
   }
   return triples;
-}
-
-void AssocArray::write_tsv(std::ostream& os) const {
-  char buf[64];
-  for (const Triple& t : to_triples()) {
-    std::snprintf(buf, sizeof buf, "%.17g", t.val);
-    os << t.row << '\t' << t.col << '\t' << buf << '\n';
-  }
-}
-
-AssocArray AssocArray::read_tsv(std::istream& is) {
-  std::vector<Triple> triples;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const auto tab1 = line.find('\t');
-    const auto tab2 = tab1 == std::string::npos ? std::string::npos : line.find('\t', tab1 + 1);
-    OBSCORR_REQUIRE(tab2 != std::string::npos, "read_tsv: malformed line: " + line);
-    double val = 0.0;
-    const char* begin = line.data() + tab2 + 1;
-    const char* end = line.data() + line.size();
-    auto [p, ec] = std::from_chars(begin, end, val);
-    OBSCORR_REQUIRE(ec == std::errc{} && p == end, "read_tsv: malformed value: " + line);
-    triples.push_back({line.substr(0, tab1), line.substr(tab1 + 1, tab2 - tab1 - 1), val});
-  }
-  return from_triples(std::move(triples));
 }
 
 namespace {
@@ -463,8 +398,8 @@ void AssocArray::write_binary(std::ostream& os) const {
 }
 
 AssocArray AssocArray::read_binary(std::istream& is) {
-  // The istream form exists for symmetry with write_binary / read_tsv;
-  // the span overload is the validated parser.
+  // The istream form exists for symmetry with write_binary; the span
+  // overload is the validated parser.
   const std::string buffer(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>{});
   return read_binary(std::as_bytes(std::span<const char>(buffer.data(), buffer.size())));
 }
@@ -527,13 +462,6 @@ std::vector<std::string> intersect_keys(std::span<const std::string> a,
                                         std::span<const std::string> b) {
   std::vector<std::string> out;
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
-}
-
-std::vector<std::string> union_keys(std::span<const std::string> a,
-                                    std::span<const std::string> b) {
-  std::vector<std::string> out;
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
   return out;
 }
 

@@ -15,7 +15,6 @@
 /// multiplication — pure associative-array algebra.
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -46,11 +45,6 @@ class AssocArray {
   /// Build from triples; duplicate (row, col) values are summed
   /// (GraphBLAS "plus" accumulation, the D4M default).
   static AssocArray from_triples(std::vector<Triple> triples);
-
-  /// Build a one-column array mapping each key to a value — the shape of
-  /// a reduced GraphBLAS result (e.g. source -> packet count).
-  static AssocArray from_column(std::span<const std::string> row_keys,
-                                std::span<const double> values, std::string col_key);
 
   /// Adopt CSR arrays that are already in canonical form: strictly
   /// increasing row and column keys, `row_ptr` of size rows + 1 running
@@ -94,19 +88,6 @@ class AssocArray {
   /// Zero-norm |A|₀: every stored value becomes 1.
   AssocArray logical() const;
 
-  /// Transpose Aᵀ.
-  AssocArray transpose() const;
-
-  /// Sub-array of the rows whose key is in `keys` (D4M `A(keys, :)`).
-  AssocArray select_rows(std::span<const std::string> keys) const;
-
-  /// Sub-array of rows whose key satisfies `pred`.
-  AssocArray select_rows_if(const std::function<bool(std::string_view)>& pred) const;
-
-  /// Sub-array of rows whose key starts with `prefix` (the D4M
-  /// `A('1.2.*', :)` idiom, e.g. all sources inside a /16).
-  AssocArray select_rows_prefix(std::string_view prefix) const;
-
   /// Sub-array of the columns whose key is in `keys` (D4M `A(:, keys)`).
   AssocArray select_cols(std::span<const std::string> keys) const;
 
@@ -117,30 +98,22 @@ class AssocArray {
   /// Row sums `A·1` as a one-column array (column key "sum").
   AssocArray row_sum() const;
 
-  /// Column sums `1ᵀ·A` as a one-column array over the transposed keys.
-  AssocArray col_sum() const;
-
   /// Sum of all stored values.
   double reduce_sum() const;
 
   /// Export all entries as sorted triples.
   std::vector<Triple> to_triples() const;
 
-  /// Tab-separated triples "row\tcol\tval", sorted; the D4M interchange
-  /// format used to move data between observatories.
-  void write_tsv(std::ostream& os) const;
-  static AssocArray read_tsv(std::istream& is);
-
   /// Binary serialization ("OBSD4MA1", little-endian): the study-archive
   /// representation. Exact — values round-trip bit-for-bit and keys are
-  /// raw bytes (empty strings and non-ASCII bytes survive), unlike the
-  /// TSV interchange format. `read_binary` validates the canonical-form
-  /// invariants (sorted unique keys, monotone offsets, no unused keys)
-  /// and throws std::invalid_argument on malformed input. The span
-  /// overload is the archive's hot read path: it parses straight out of
-  /// the mapped buffer (no istream indirection per key) and requires the
-  /// buffer to hold exactly one serialized array; the istream overload
-  /// consumes the rest of the stream and delegates to it.
+  /// raw bytes (empty strings and non-ASCII bytes survive). `read_binary`
+  /// validates the canonical-form invariants (sorted unique keys,
+  /// monotone offsets, no unused keys) and throws std::invalid_argument
+  /// on malformed input. The span overload is the archive's hot read
+  /// path: it parses straight out of the mapped buffer (no istream
+  /// indirection per key) and requires the buffer to hold exactly one
+  /// serialized array; the istream overload consumes the rest of the
+  /// stream and delegates to it.
   void write_binary(std::ostream& os) const;
   static AssocArray read_binary(std::istream& is);
   static AssocArray read_binary(std::span<const std::byte> bytes);
@@ -159,10 +132,9 @@ class AssocArray {
   static AssocArray merge(const AssocArray& a, const AssocArray& b, bool intersect,
                           Combine combine);
 
-  /// The entries of the rows `keep_row` accepts in the columns `keep_col`
-  /// flags; rows left empty and column keys left unreferenced are dropped.
-  AssocArray filter(const std::function<bool(std::string_view)>& keep_row,
-                    const std::vector<bool>& keep_col) const;
+  /// The entries in the columns `keep_col` flags; rows left empty and
+  /// column keys left unreferenced are dropped.
+  AssocArray filter(const std::vector<bool>& keep_col) const;
 
   std::vector<std::string> row_keys_;
   std::vector<std::string> col_keys_;
@@ -175,9 +147,5 @@ class AssocArray {
 /// observatories" operation.
 std::vector<std::string> intersect_keys(std::span<const std::string> a,
                                         std::span<const std::string> b);
-
-/// Sorted union of two key sets.
-std::vector<std::string> union_keys(std::span<const std::string> a,
-                                    std::span<const std::string> b);
 
 }  // namespace obscorr::d4m

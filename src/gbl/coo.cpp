@@ -1,19 +1,16 @@
 #include "gbl/coo.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/arena.hpp"
-#include "common/error.hpp"
 #include "gbl/kernels.hpp"
 
 namespace obscorr::gbl {
 
-namespace {
-
-/// Sum values of equal cells in a sorted run; returns the compacted size.
-std::vector<Tuple> combine_sorted(std::vector<Tuple> tuples) {
+std::vector<Tuple> sort_and_combine(std::vector<Tuple> tuples) {
+  std::sort(tuples.begin(), tuples.end(), tuple_less);
   if (tuples.empty()) return tuples;
+  // Sum values of equal cells in the sorted run.
   std::size_t out = 0;
   for (std::size_t i = 1; i < tuples.size(); ++i) {
     if (same_cell(tuples[out], tuples[i])) {
@@ -26,128 +23,18 @@ std::vector<Tuple> combine_sorted(std::vector<Tuple> tuples) {
   return tuples;
 }
 
-/// Deterministic pooled sort shared by the tuple and packed-key paths:
-/// static chunks are sorted in parallel, then pairwise-merged in a tree
-/// whose shape depends only on the chunk count — results are identical
-/// at any thread count.
-template <typename T, typename Less>
-void pooled_sort(std::vector<T>& items, ThreadPool& pool, Less less) {
-  const std::size_t n = items.size();
-  const std::size_t threads = pool.thread_count();
-
-  // Phase 1: sort static chunks in parallel.
-  const std::size_t chunks = std::min<std::size_t>(threads, 64);
-  std::vector<std::size_t> bounds(chunks + 1);
-  for (std::size_t c = 0; c <= chunks; ++c) bounds[c] = n * c / chunks;
-  parallel_for(pool, 0, chunks, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      std::sort(items.begin() + static_cast<std::ptrdiff_t>(bounds[c]),
-                items.begin() + static_cast<std::ptrdiff_t>(bounds[c + 1]), less);
-    }
-  });
-
-  // Phase 2: pairwise merge tree; the tree shape depends only on the chunk
-  // count, so the result is identical at any thread count.
-  std::vector<std::size_t> level(bounds);
-  while (level.size() > 2) {
-    const std::size_t pairs = (level.size() - 1) / 2;
-    parallel_for(pool, 0, pairs, [&](std::size_t pb, std::size_t pe) {
-      for (std::size_t p = pb; p < pe; ++p) {
-        auto first = items.begin() + static_cast<std::ptrdiff_t>(level[2 * p]);
-        auto mid = items.begin() + static_cast<std::ptrdiff_t>(level[2 * p + 1]);
-        auto last = items.begin() + static_cast<std::ptrdiff_t>(level[2 * p + 2]);
-        std::inplace_merge(first, mid, last, less);
-      }
-    });
-    std::vector<std::size_t> next;
-    next.reserve(level.size() / 2 + 2);
-    for (std::size_t i = 0; i < level.size(); i += 2) next.push_back(level[i]);
-    if ((level.size() - 1) % 2 == 1) next.push_back(level.back());
-    if (next.back() != n) next.push_back(n);
-    level = std::move(next);
-  }
-  OBSCORR_INVARIANT(std::is_sorted(items.begin(), items.end(), less));
-}
-
-/// Serial LSD radix sort of u64 keys (kernels::radix_sort_u64, runtime
-/// SIMD dispatch): six 11-bit digit passes with a scatter buffer. All six
-/// histograms are built in one initial sweep (digit counts are
-/// order-independent), so the data is touched 7 times total instead of
-/// 12 — on random packed packet keys this runs ~5-8x faster than a
-/// comparison sort. Passes whose digit is constant across the whole
-/// range are skipped outright. Scratch lives in a frame of the calling
-/// thread's arena, so repeated sorts (one per sealed block) reuse the
-/// same warm pages.
-void radix_sort_u64(std::uint64_t* keys, std::size_t n) {
-  kernels::radix_sort_u64(keys, n, mem::scratch_arena());
-}
-
-}  // namespace
-
-std::vector<Tuple> sort_and_combine(std::vector<Tuple> tuples, ThreadPool& pool) {
-  if (tuples.size() < 1 << 14 || pool.thread_count() <= 1) {
-    return sort_and_combine(std::move(tuples));
-  }
-  pooled_sort(tuples, pool, tuple_less);
-  return combine_sorted(std::move(tuples));
-}
-
-std::vector<Tuple> sort_and_combine(std::vector<Tuple> tuples) {
-  std::sort(tuples.begin(), tuples.end(), tuple_less);
-  return combine_sorted(std::move(tuples));
-}
-
-void sort_packed_keys(std::span<std::uint64_t> keys, ThreadPool& pool) {
-  const std::size_t n = keys.size();
-  if (n < 1 << 10) {
+void sort_packed_keys(std::span<std::uint64_t> keys) {
+  if (keys.size() < 1 << 10) {
     std::sort(keys.begin(), keys.end());
     return;
   }
-  const std::size_t chunks = std::min<std::size_t>(pool.thread_count(), 64);
-  // The serial radix sort is already ~5x a comparison sort, so chunked
-  // sorting only pays once the array dwarfs the merge-tree overhead.
-  if (chunks <= 1 || n < 1 << 19) {
-    radix_sort_u64(keys.data(), n);
-    return;
-  }
-  // Radix-sort static chunks in parallel, then run the deterministic
-  // pairwise merge tree (identical output at any thread count — u64
-  // keys have one total order whatever the method). Each worker sorts
-  // out of its own thread-local arena.
-  std::vector<std::size_t> bounds(chunks + 1);
-  for (std::size_t c = 0; c <= chunks; ++c) bounds[c] = n * c / chunks;
-  parallel_for(pool, 0, chunks, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      radix_sort_u64(keys.data() + bounds[c], bounds[c + 1] - bounds[c]);
-    }
-  });
-  std::vector<std::size_t> level(bounds);
-  while (level.size() > 2) {
-    const std::size_t pairs = (level.size() - 1) / 2;
-    parallel_for(pool, 0, pairs, [&](std::size_t pb, std::size_t pe) {
-      for (std::size_t p = pb; p < pe; ++p) {
-        auto first = keys.begin() + static_cast<std::ptrdiff_t>(level[2 * p]);
-        auto mid = keys.begin() + static_cast<std::ptrdiff_t>(level[2 * p + 1]);
-        auto last = keys.begin() + static_cast<std::ptrdiff_t>(level[2 * p + 2]);
-        std::inplace_merge(first, mid, last);
-      }
-    });
-    std::vector<std::size_t> next;
-    next.reserve(level.size() / 2 + 2);
-    for (std::size_t i = 0; i < level.size(); i += 2) next.push_back(level[i]);
-    if ((level.size() - 1) % 2 == 1) next.push_back(level.back());
-    if (next.back() != n) next.push_back(n);
-    level = std::move(next);
-  }
-  OBSCORR_INVARIANT(std::is_sorted(keys.begin(), keys.end()));
-}
-
-std::vector<Tuple> CooBuilder::finish(ThreadPool& pool) && {
-  return sort_and_combine(std::move(tuples_), pool);
-}
-
-std::vector<Tuple> CooBuilder::finish() && {
-  return sort_and_combine(std::move(tuples_));
+  // Serial LSD radix sort (kernels::radix_sort_u64, runtime SIMD
+  // dispatch): six 11-bit digit passes with a scatter buffer, all six
+  // histograms built in one initial sweep, and passes whose digit is
+  // constant across the range skipped — ~5-8x a comparison sort on
+  // random packet keys. Scratch lives in a frame of the calling thread's
+  // arena, so the sort of every sealed block reuses the same warm pages.
+  kernels::radix_sort_u64(keys.data(), keys.size(), mem::scratch_arena());
 }
 
 }  // namespace obscorr::gbl

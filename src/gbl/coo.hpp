@@ -1,63 +1,34 @@
 #pragma once
 /// \file coo.hpp
-/// COO tuple assembly: the streaming-insert front end of the hypersparse
-/// pipeline. Packets append (src, dst, 1) tuples; `sort_and_combine`
-/// produces the canonical sorted, duplicate-accumulated tuple list that
-/// DCSR construction consumes. Sorting is the dominant cost at telescope
-/// scale, so it is parallelized over a thread pool with a deterministic
-/// merge tree (results are independent of thread count).
+/// COO assembly: the sort front end of the hypersparse pipeline. The
+/// ingest path sorts packed `(src << 32) | dst` packet keys
+/// (`sort_packed_keys`) and folds them with
+/// `DcsrMatrix::from_sorted_packed_keys`; `sort_and_combine` is the tuple
+/// formulation that `DcsrMatrix::from_tuples` and the tests use.
 
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "gbl/types.hpp"
 
 namespace obscorr::gbl {
 
 /// Sort tuples row-major and sum values of duplicate (row, col) cells,
-/// in place; returns the combined tuples. Uses `pool` for the sort.
-std::vector<Tuple> sort_and_combine(std::vector<Tuple> tuples, ThreadPool& pool);
-
-/// Single-threaded overload (still deterministic, used by small paths).
+/// in place; returns the combined tuples.
 std::vector<Tuple> sort_and_combine(std::vector<Tuple> tuples);
 
-/// Sort packed `(row << 32) | col` keys ascending, in place, using the
-/// pool's deterministic chunk-sort + merge tree. The batched ingest path
-/// sorts these 8-byte keys instead of 16-byte tuples: half the bytes
-/// moved per merge and a branch-free comparison. Radix scratch comes
-/// from the calling thread's recycled arena (`mem::scratch_arena()`),
-/// never from malloc. Accepts any contiguous key buffer (std::vector,
+/// Sort packed `(row << 32) | col` keys ascending, in place. The batched
+/// ingest path sorts these 8-byte keys instead of 16-byte tuples: half
+/// the bytes moved and a branch-free comparison. Radix scratch comes from
+/// the calling thread's recycled arena (`mem::scratch_arena()`), never
+/// from malloc. Accepts any contiguous key buffer (std::vector,
 /// mem::PoolVec, raw span).
-void sort_packed_keys(std::span<std::uint64_t> keys, ThreadPool& pool);
+void sort_packed_keys(std::span<std::uint64_t> keys);
 
 /// Pack a (row, col) cell into the ingest key order. Sorting packed keys
 /// equals sorting tuples with `tuple_less`.
 constexpr std::uint64_t pack_key(Index row, Index col) {
   return (static_cast<std::uint64_t>(row) << 32) | col;
 }
-
-/// Growable tuple buffer with O(1) amortized append.
-class CooBuilder {
- public:
-  CooBuilder() = default;
-
-  /// Reserve capacity for n tuples.
-  void reserve(std::size_t n) { tuples_.reserve(n); }
-
-  /// Append one entry; duplicates are allowed and later accumulated.
-  void add(Index row, Index col, Value val) { tuples_.push_back({row, col, val}); }
-
-  std::size_t size() const { return tuples_.size(); }
-  bool empty() const { return tuples_.empty(); }
-  std::span<const Tuple> tuples() const { return tuples_; }
-
-  /// Consume the buffer: sorted, duplicate-combined tuples.
-  std::vector<Tuple> finish(ThreadPool& pool) &&;
-  std::vector<Tuple> finish() &&;
-
- private:
-  std::vector<Tuple> tuples_;
-};
 
 }  // namespace obscorr::gbl

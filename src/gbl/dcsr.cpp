@@ -79,11 +79,6 @@ DcsrMatrix DcsrMatrix::from_tuples(std::vector<Tuple> tuples) {
   return from_sorted_tuples(sorted);
 }
 
-DcsrMatrix DcsrMatrix::from_tuples(std::vector<Tuple> tuples, ThreadPool& pool) {
-  const auto sorted = sort_and_combine(std::move(tuples), pool);
-  return from_sorted_tuples(sorted);
-}
-
 DcsrMatrix DcsrMatrix::from_sorted_packed_keys(std::span<const std::uint64_t> keys) {
   DcsrMatrix m;
   if (keys.empty()) return m;
@@ -202,41 +197,6 @@ DcsrMatrix DcsrMatrix::pattern() const {
   DcsrMatrix m = *this;
   std::fill(m.val_.begin(), m.val_.end(), 1.0);
   return m;
-}
-
-DcsrMatrix DcsrMatrix::transpose() const {
-  // Pack each entry as ((col << 32) | row, val): sorting the keys yields
-  // exactly the row-major order of Aᵀ, which then streams straight into
-  // the output arrays. Cells stay unique under transposition.
-  const std::size_t n = nnz();
-  std::vector<std::pair<std::uint64_t, Value>> entries;
-  entries.reserve(n);
-  for (std::size_t r = 0; r < row_ids_.size(); ++r) {
-    const std::uint64_t lo = row_ids_[r];
-    for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      entries.emplace_back((static_cast<std::uint64_t>(col_[k]) << 32) | lo, val_[k]);
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  DcsrMatrix out;
-  if (entries.empty()) return out;
-  out.row_ptr_.clear();
-  out.col_.reserve(n);
-  out.val_.reserve(n);
-  for (const auto& [key, v] : entries) {
-    const Index row = static_cast<Index>(key >> 32);
-    if (out.row_ids_.empty() || out.row_ids_.back() != row) {
-      out.row_ids_.push_back(row);
-      out.row_ptr_.push_back(static_cast<std::uint64_t>(out.col_.size()));
-    }
-    out.col_.push_back(static_cast<Index>(key & 0xFFFFFFFFu));
-    out.val_.push_back(v);
-  }
-  out.row_ptr_.push_back(static_cast<std::uint64_t>(out.col_.size()));
-  OBSCORR_INVARIANT(out.row_ptr_.size() == out.row_ids_.size() + 1);
-  return out;
 }
 
 namespace {
@@ -398,107 +358,6 @@ DcsrMatrix DcsrMatrix::ewise_add(const DcsrMatrix& a, const DcsrMatrix& b, Threa
   });
   OBSCORR_INVARIANT(out.row_ptr_.size() == out.row_ids_.size() + 1);
   return out;
-}
-
-DcsrMatrix DcsrMatrix::ewise_mult(const DcsrMatrix& a, const DcsrMatrix& b) {
-  // Intersection: only rows present in both operands can contribute, and
-  // within such a row only shared columns survive.
-  DcsrMatrix out;
-  const std::size_t na = a.row_ids_.size(), nb = b.row_ids_.size();
-  if (na == 0 || nb == 0) return out;
-  out.row_ptr_.clear();
-  out.col_.reserve(std::min(a.nnz(), b.nnz()));
-  out.val_.reserve(std::min(a.nnz(), b.nnz()));
-  std::size_t ra = 0, rb = 0;
-  while (ra < na && rb < nb) {
-    if (a.row_ids_[ra] < b.row_ids_[rb]) {
-      ++ra;
-      continue;
-    }
-    if (b.row_ids_[rb] < a.row_ids_[ra]) {
-      ++rb;
-      continue;
-    }
-    const std::size_t row_start = out.col_.size();
-    const std::uint64_t a1 = a.row_ptr_[ra + 1], b1 = b.row_ptr_[rb + 1];
-    std::uint64_t i = a.row_ptr_[ra], j = b.row_ptr_[rb];
-    while (i < a1 && j < b1) {
-      if (a.col_[i] == b.col_[j]) {
-        out.col_.push_back(a.col_[i]);
-        out.val_.push_back(a.val_[i] * b.val_[j]);
-        ++i;
-        ++j;
-      } else if (a.col_[i] < b.col_[j]) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    if (out.col_.size() > row_start) {
-      out.row_ids_.push_back(a.row_ids_[ra]);
-      out.row_ptr_.push_back(static_cast<std::uint64_t>(row_start));
-    }
-    ++ra;
-    ++rb;
-  }
-  out.row_ptr_.push_back(static_cast<std::uint64_t>(out.col_.size()));
-  OBSCORR_INVARIANT(out.row_ptr_.size() == out.row_ids_.size() + 1);
-  return out;
-}
-
-DcsrMatrix DcsrMatrix::mxm(const DcsrMatrix& a, const DcsrMatrix& b) {
-  // Gustavson's row-wise SpGEMM with a sort-based accumulator: gather all
-  // (col, product) contributions of one output row, stable-sort by
-  // column, and fold runs straight into the output arrays. Contributions
-  // to a cell are summed in gather order (A's columns ascending), which
-  // is deterministic — unlike the hash-map accumulator it replaces.
-  DcsrMatrix out;
-  out.row_ptr_.clear();
-  std::vector<std::pair<Index, Value>> scratch;
-  const auto b_rows = b.row_ids();
-  for (std::size_t ra = 0; ra < a.row_ids_.size(); ++ra) {
-    scratch.clear();
-    for (std::uint64_t ka = a.row_ptr_[ra]; ka < a.row_ptr_[ra + 1]; ++ka) {
-      const Index k = a.col_[ka];
-      const auto it = std::lower_bound(b_rows.begin(), b_rows.end(), k);
-      if (it == b_rows.end() || *it != k) continue;
-      const std::size_t rb = static_cast<std::size_t>(it - b_rows.begin());
-      const Value av = a.val_[ka];
-      for (std::uint64_t kb = b.row_ptr_[rb]; kb < b.row_ptr_[rb + 1]; ++kb) {
-        scratch.emplace_back(b.col_[kb], av * b.val_[kb]);
-      }
-    }
-    if (scratch.empty()) continue;
-    std::stable_sort(scratch.begin(), scratch.end(),
-                     [](const auto& x, const auto& y) { return x.first < y.first; });
-    out.row_ids_.push_back(a.row_ids_[ra]);
-    out.row_ptr_.push_back(static_cast<std::uint64_t>(out.col_.size()));
-    for (const auto& [col, v] : scratch) {
-      if (out.col_.size() > out.row_ptr_.back() && out.col_.back() == col) {
-        out.val_.back() += v;
-      } else {
-        out.col_.push_back(col);
-        out.val_.push_back(v);
-      }
-    }
-  }
-  out.row_ptr_.push_back(static_cast<std::uint64_t>(out.col_.size()));
-  OBSCORR_INVARIANT(out.row_ptr_.size() == out.row_ids_.size() + 1);
-  return out;
-}
-
-DcsrMatrix DcsrMatrix::extract_rows(Index row_begin, Index row_end) const {
-  OBSCORR_REQUIRE(row_begin <= row_end, "extract_rows: empty or inverted range");
-  std::vector<Tuple> kept;
-  const auto lo = std::lower_bound(row_ids_.begin(), row_ids_.end(), row_begin);
-  const auto hi = std::lower_bound(row_ids_.begin(), row_ids_.end(), row_end);
-  for (auto it = lo; it != hi; ++it) {
-    const std::size_t r = static_cast<std::size_t>(it - row_ids_.begin());
-    for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      kept.push_back({row_ids_[r], col_[k], val_[k]});
-    }
-  }
-  return from_sorted_tuples(kept);
 }
 
 DcsrMatrix DcsrMatrix::select(const std::function<bool(Index, Index)>& keep) const {

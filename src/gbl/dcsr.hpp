@@ -37,7 +37,6 @@ class DcsrMatrix {
 
   /// Build from arbitrary tuples: sorts and combines duplicates first.
   static DcsrMatrix from_tuples(std::vector<Tuple> tuples);
-  static DcsrMatrix from_tuples(std::vector<Tuple> tuples, ThreadPool& pool);
 
   /// Build from packed `(row << 32) | col` keys that are already sorted;
   /// duplicate keys are allowed and fold into their multiplicity, so a
@@ -83,9 +82,6 @@ class DcsrMatrix {
   /// Zero-norm `|A|₀`: every stored value replaced by 1.
   DcsrMatrix pattern() const;
 
-  /// Transpose `Aᵀ` (swaps the traffic-matrix quadrants).
-  DcsrMatrix transpose() const;
-
   /// Element-wise sum `A ⊕ B` over the union of stored cells. Streams
   /// the CSR arrays of both operands into a preallocated output; no
   /// intermediate tuples.
@@ -96,19 +92,6 @@ class DcsrMatrix {
   /// independent, so the result is bit-identical to the serial kernel at
   /// every thread count.
   static DcsrMatrix ewise_add(const DcsrMatrix& a, const DcsrMatrix& b, ThreadPool& pool);
-
-  /// Element-wise product `A ⊗ B` over the *intersection* of stored
-  /// cells — the GraphBLAS masking/correlation primitive.
-  static DcsrMatrix ewise_mult(const DcsrMatrix& a, const DcsrMatrix& b);
-
-  /// Sparse matrix-matrix product `A ·(+,×) B` (row-major Gustavson with
-  /// a sort-based per-row accumulator).
-  /// With patterns this counts 2-step paths, e.g. `Aᵀ·A` is the
-  /// destination co-occurrence matrix of a traffic matrix.
-  static DcsrMatrix mxm(const DcsrMatrix& a, const DcsrMatrix& b);
-
-  /// Sub-matrix of the rows whose id is in [row_begin, row_end).
-  DcsrMatrix extract_rows(Index row_begin, Index row_end) const;
 
   /// Keep only entries whose (row, col) satisfies `keep`; used for
   /// quadrant extraction (Fig. 1).

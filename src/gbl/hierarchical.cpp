@@ -33,7 +33,7 @@ void HierarchicalAccumulator::seal_block() {
   // Sort in place and fold straight into the block matrix: the pending
   // buffer keeps its (pool-backed) capacity and is recycled by every
   // block of every window — sealing allocates nothing beyond the matrix.
-  sort_packed_keys(pending_, pool_);
+  sort_packed_keys(pending_);
   DcsrMatrix block = DcsrMatrix::from_sorted_packed_keys(pending_);
   pending_.clear();
   carry(std::move(block), 0);

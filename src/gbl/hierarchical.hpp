@@ -14,7 +14,7 @@
 ///
 /// The hot path is allocation-free per packet: pending packets are packed
 /// `(src << 32) | dst` u64 keys (8 bytes instead of a 16-byte tuple),
-/// sealed blocks are pool-sorted and folded straight into DCSR arrays,
+/// sealed blocks are radix-sorted and folded straight into DCSR arrays,
 /// and carry merges use the zero-copy `ewise_add` kernels.
 
 #include <cstdint>

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
+#include "d4m/gbl_bridge.hpp"
 
 namespace obscorr::honeyfarm {
 
@@ -45,45 +46,20 @@ constexpr std::uint8_t kUnknown = column("classification|unknown");
 constexpr std::uint8_t kContacts = column("contacts");
 constexpr std::uint8_t kNoFacet = 0xFF;
 
-/// One catalogued source: its dotted quad, NUL-padded to 16 bytes and
-/// read as two big-endian words (so integer order is std::string order:
-/// "1.10.0.0" < "1.2.0.0"), and the cells it adds to its row.
+/// One catalogued source: its row key (`d4m::text_key`, whose integer
+/// order is the row keys' std::string order) and the cells it adds to
+/// its row.
 struct Sighting {
-  std::array<std::uint64_t, 2> key;
+  d4m::IpKey key;
   std::uint8_t classification;
   std::uint8_t intent;    ///< kNoFacet for ephemerals
   std::uint8_t protocol;  ///< kNoFacet for ephemerals
   double contacts;
 };
 
-std::array<std::uint64_t, 2> text_key(Ipv4 ip) {
-  char text[16] = {};  // "255.255.255.255" is 15 bytes, so at least one NUL
-  std::size_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    const unsigned octet = ip.octet(i);
-    if (i) text[len++] = '.';
-    if (octet >= 100) text[len++] = static_cast<char>('0' + octet / 100);
-    if (octet >= 10) text[len++] = static_cast<char>('0' + octet / 10 % 10);
-    text[len++] = static_cast<char>('0' + octet % 10);
-  }
-  std::array<std::uint64_t, 2> key{};
-  for (std::size_t b = 0; b < sizeof text; ++b) {
-    key[b / 8] = key[b / 8] << 8 | static_cast<unsigned char>(text[b]);
-  }
-  return key;
-}
-
-std::string key_text(const std::array<std::uint64_t, 2>& key) {
-  char text[16];
-  for (std::size_t b = 0; b < sizeof text; ++b) {
-    text[b] = static_cast<char>(key[b / 8] >> (56 - 8 * (b % 8)));
-  }
-  return std::string(text, std::find(text, text + sizeof text, '\0'));
-}
-
 /// The month's associative array: one row per distinct address over the
 /// columns the month references. Repeated sightings of one address add
-/// up, as from_triples' plus accumulation does.
+/// up (D4M's plus accumulation).
 d4m::AssocArray catalogue(std::vector<Sighting> sightings) {
   std::sort(sightings.begin(), sightings.end(),
             [](const Sighting& a, const Sighting& b) { return a.key < b.key; });
@@ -93,7 +69,7 @@ d4m::AssocArray catalogue(std::vector<Sighting> sightings) {
   std::vector<double> val;
   std::array<bool, kColumns.size()> used{};
   for (std::size_t s = 0; s < sightings.size();) {
-    const std::array<std::uint64_t, 2>& key = sightings[s].key;
+    const d4m::IpKey& key = sightings[s].key;
     std::array<double, kColumns.size()> cells{};
     std::array<bool, kColumns.size()> stored{};
     const auto add = [&](std::uint8_t c, double v) {
@@ -107,7 +83,7 @@ d4m::AssocArray catalogue(std::vector<Sighting> sightings) {
       add(sightings[s].protocol, 1.0);
       add(kContacts, sightings[s].contacts);
     }
-    row_keys.push_back(key_text(key));
+    row_keys.push_back(d4m::key_text(key));
     for (std::uint32_t c = 0; c < kColumns.size(); ++c) {
       if (!stored[c]) continue;
       col_idx.push_back(c);
@@ -169,7 +145,7 @@ MonthlyObservation Honeyfarm::observe_month(const netgen::GreyNoiseMonthSpec& sp
     // month, so counts scale with the source's rate.
     const std::uint64_t contacts = 1 + rng.poisson(std::min(degree, 1e6) * 0.25);
 
-    sightings.push_back({text_key(population_.source(i).ip), cls, intent, proto,
+    sightings.push_back({d4m::text_key(population_.source(i).ip), cls, intent, proto,
                          static_cast<double>(contacts)});
     ++obs.population_sources;
   }
@@ -186,7 +162,7 @@ MonthlyObservation Honeyfarm::observe_month(const netgen::GreyNoiseMonthSpec& sp
     if (top == 0 || top == 10 || top == 77 || top == 127 || top >= 224) continue;
     const Ipv4 ip(candidate);
     if (population_.owns_ip(ip)) continue;
-    sightings.push_back({text_key(ip), kUnknown, kNoFacet, kNoFacet, 1.0});
+    sightings.push_back({d4m::text_key(ip), kUnknown, kNoFacet, kNoFacet, 1.0});
     ++made;
   }
   obs.ephemeral_sources = made;

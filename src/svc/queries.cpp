@@ -68,13 +68,12 @@ std::optional<analysis::WindowRange> parse_range(const JsonValue& params, const 
   const std::size_t colon = text.find(':');
   OBSCORR_REQUIRE(colon != std::string::npos && colon > 0 && colon + 1 < text.size(),
                   "correlate: " + what + " wants FIRST:LAST");
-  analysis::WindowRange r;
-  try {
-    r.first = std::stoull(text.substr(0, colon));
-    r.last = std::stoull(text.substr(colon + 1));
-  } catch (const std::exception&) {
+  const std::string_view view(text);
+  std::uint64_t first = 0, last = 0;
+  if (!parse_index(view.substr(0, colon), first) || !parse_index(view.substr(colon + 1), last)) {
     throw std::invalid_argument("correlate: " + what + " wants FIRST:LAST integers");
   }
+  const analysis::WindowRange r{first, last};
   OBSCORR_REQUIRE(r.first <= r.last, "correlate: " + what + " range must be ordered");
   return r;
 }

@@ -1,6 +1,6 @@
-/// Binary serialization of associative arrays: exact round-trips (the
-/// TSV interchange format is lossy for odd keys and long doubles; the
-/// archive format must not be) and rejection of malformed streams.
+/// Binary serialization of associative arrays: exact round-trips (odd
+/// keys and every double survive; the archive format must not be lossy)
+/// and rejection of malformed streams.
 
 #include "d4m/assoc.hpp"
 
@@ -47,7 +47,7 @@ TEST(AssocBinaryTest, SimpleArrayRoundTrips) {
 }
 
 TEST(AssocBinaryTest, EmptyStringKeysSurvive) {
-  // TSV cannot represent these; the binary format must.
+  // Text formats cannot represent these; the binary format must.
   expect_round_trip(AssocArray::from_triples(
       {{"", "", 1.0}, {"", "col", 2.0}, {"row", "", 3.0}}));
 }

@@ -1,4 +1,4 @@
-/// The CSR kernels (element-wise ops, row/column selection, row sums,
+/// The CSR kernels (element-wise ops, column selection, row sums,
 /// zero-norm) against the triple formulation: every operand is expanded
 /// to sorted (row, col, value) triples, combined, and rebuilt through
 /// `from_triples`. Results are compared as `write_binary` bytes, which
@@ -99,10 +99,6 @@ AssocArray reference_select_cols_prefix(const AssocArray& a, const std::string& 
   return reference_filter(a, [&](const Triple& t) { return t.col.starts_with(prefix); });
 }
 
-AssocArray reference_select_rows_prefix(const AssocArray& a, const std::string& prefix) {
-  return reference_filter(a, [&](const Triple& t) { return t.row.starts_with(prefix); });
-}
-
 AssocArray reference_row_sum(const AssocArray& a) {
   std::vector<Triple> sums;
   const auto triples = a.to_triples();
@@ -158,9 +154,6 @@ void expect_kernels_match(const AssocArray& a, const AssocArray& b, const std::s
       EXPECT_EQ(bytes(x->select_cols_prefix(prefix)),
                 bytes(reference_select_cols_prefix(*x, prefix)))
           << side << ": select_cols_prefix(\"" << prefix << "\")";
-      EXPECT_EQ(bytes(x->select_rows_prefix(prefix)),
-                bytes(reference_select_rows_prefix(*x, prefix)))
-          << side << ": select_rows_prefix(\"" << prefix << "\")";
     }
   }
 }

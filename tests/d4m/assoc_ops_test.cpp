@@ -1,5 +1,4 @@
-/// Tests for the extended associative-array operations: ewise_max (max
-/// semiring) and row-prefix selection.
+/// Tests for the max-semiring associative-array operation ewise_max.
 
 #include <gtest/gtest.h>
 
@@ -44,30 +43,6 @@ TEST(EwiseMaxTest, MonthlyPeakAcrossSpan) {
   AssocArray peak;
   for (const auto& m : months) peak = AssocArray::ewise_max(peak, m);
   EXPECT_EQ(peak.at("1.1.1.1", "contacts"), 30.0);
-}
-
-TEST(SelectRowsPrefixTest, SubnetSelection) {
-  const AssocArray a = AssocArray::from_triples({
-      {"10.1.0.1", "packets", 1.0},
-      {"10.1.200.9", "packets", 2.0},
-      {"10.2.0.1", "packets", 3.0},
-      {"77.0.0.1", "packets", 4.0},
-  });
-  const AssocArray subnet = a.select_rows_prefix("10.1.");
-  EXPECT_EQ(subnet.row_keys().size(), 2u);
-  EXPECT_TRUE(subnet.has_row("10.1.0.1"));
-  EXPECT_TRUE(subnet.has_row("10.1.200.9"));
-  EXPECT_FALSE(subnet.has_row("10.2.0.1"));
-}
-
-TEST(SelectRowsPrefixTest, EmptyPrefixSelectsAll) {
-  const AssocArray a = AssocArray::from_triples({{"x", "c", 1.0}, {"y", "c", 2.0}});
-  EXPECT_EQ(a.select_rows_prefix(""), a);
-}
-
-TEST(SelectRowsPrefixTest, NoMatchGivesEmpty) {
-  const AssocArray a = AssocArray::from_triples({{"x", "c", 1.0}});
-  EXPECT_TRUE(a.select_rows_prefix("zzz").empty());
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace obscorr::d4m {
 namespace {
 
@@ -56,16 +54,6 @@ TEST(AssocTest, DuplicateTriplesAccumulate) {
   EXPECT_EQ(a.at("r", "c"), 7.0);
 }
 
-TEST(AssocTest, FromColumnMatchesTriples) {
-  const std::vector<std::string> keys{"a", "b"};
-  const std::vector<double> vals{1.0, 2.0};
-  const AssocArray a = AssocArray::from_column(keys, vals, "packets");
-  EXPECT_EQ(a.at("a", "packets"), 1.0);
-  EXPECT_EQ(a.at("b", "packets"), 2.0);
-  EXPECT_THROW(AssocArray::from_column(keys, std::vector<double>{1.0}, "x"),
-               std::invalid_argument);
-}
-
 TEST(AssocTest, EwiseAddUnion) {
   const AssocArray a = AssocArray::from_triples({{"r1", "c", 1.0}, {"r2", "c", 2.0}});
   const AssocArray b = AssocArray::from_triples({{"r2", "c", 3.0}, {"r3", "c", 4.0}});
@@ -99,30 +87,6 @@ TEST(AssocTest, LogicalZeroNorm) {
   EXPECT_EQ(l.reduce_sum(), 5.0);
 }
 
-TEST(AssocTest, TransposeInvolution) {
-  const AssocArray a = greynoise_like();
-  const AssocArray t = a.transpose();
-  EXPECT_EQ(t.at("contacts", "1.2.3.4"), 17.0);
-  EXPECT_EQ(t.transpose(), a);
-}
-
-TEST(AssocTest, SelectRowsByKeySet) {
-  const AssocArray a = greynoise_like();
-  const std::vector<std::string> keys{"1.2.3.4", "no.such.row"};
-  const AssocArray sub = a.select_rows(keys);
-  EXPECT_EQ(sub.row_keys().size(), 1u);
-  EXPECT_EQ(sub.nnz(), 3u);
-  EXPECT_FALSE(sub.has_row("5.6.7.8"));
-}
-
-TEST(AssocTest, SelectRowsIfPredicate) {
-  const AssocArray a = greynoise_like();
-  const AssocArray sub =
-      a.select_rows_if([](std::string_view k) { return k.starts_with("5."); });
-  EXPECT_EQ(sub.row_keys().size(), 1u);
-  EXPECT_TRUE(sub.has_row("5.6.7.8"));
-}
-
 TEST(AssocTest, SelectColsByKeySet) {
   const AssocArray a = greynoise_like();
   const std::vector<std::string> cols{"contacts"};
@@ -140,36 +104,18 @@ TEST(AssocTest, SelectColsPrefixExplodedSchema) {
   EXPECT_EQ(cls.at("5.6.7.8", "classification|benign"), 1.0);
 }
 
-TEST(AssocTest, RowAndColSums) {
+TEST(AssocTest, RowSums) {
   const AssocArray a = greynoise_like();
   const AssocArray rs = a.row_sum();
   EXPECT_EQ(rs.at("1.2.3.4", "sum"), 19.0);
   EXPECT_EQ(rs.at("5.6.7.8", "sum"), 3.0);
-  const AssocArray cs = a.col_sum();
-  EXPECT_EQ(cs.at("contacts", "sum"), 19.0);
   EXPECT_EQ(a.reduce_sum(), 22.0);
 }
 
-TEST(AssocTest, TsvRoundTrip) {
-  const AssocArray a = greynoise_like();
-  std::stringstream ss;
-  a.write_tsv(ss);
-  const AssocArray back = AssocArray::read_tsv(ss);
-  EXPECT_EQ(back, a);
-}
-
-TEST(AssocTest, ReadTsvRejectsMalformedLines) {
-  std::stringstream one_field("just-one-field\n");
-  EXPECT_THROW(AssocArray::read_tsv(one_field), std::invalid_argument);
-  std::stringstream bad_value("r\tc\tnot-a-number\n");
-  EXPECT_THROW(AssocArray::read_tsv(bad_value), std::invalid_argument);
-}
-
-TEST(AssocTest, KeyIntersectionAndUnion) {
+TEST(AssocTest, KeyIntersection) {
   const std::vector<std::string> a{"a", "b", "c"};
   const std::vector<std::string> b{"b", "c", "d"};
   EXPECT_EQ(intersect_keys(a, b), (std::vector<std::string>{"b", "c"}));
-  EXPECT_EQ(union_keys(a, b), (std::vector<std::string>{"a", "b", "c", "d"}));
   EXPECT_TRUE(intersect_keys(a, {}).empty());
 }
 

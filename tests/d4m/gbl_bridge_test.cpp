@@ -2,11 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/ipv4.hpp"
 #include "common/prng.hpp"
 
 namespace obscorr::d4m {
 namespace {
+
+std::string bytes(const AssocArray& a) {
+  std::ostringstream os(std::ios::binary);
+  a.write_binary(os);
+  return os.str();
+}
+
+/// The triple formulation of a one-column array over addresses.
+AssocArray reference(std::span<const std::uint32_t> addresses, std::span<const double> values,
+                     const std::string& col_key) {
+  std::vector<Triple> triples;
+  for (std::size_t i = 0; i < addresses.size(); ++i) {
+    triples.push_back({Ipv4(addresses[i]).to_string(), col_key, values[i]});
+  }
+  return AssocArray::from_triples(std::move(triples));
+}
 
 TEST(GblBridgeTest, SparseVecToAssocUsesDottedQuadKeys) {
   // 16843009 == 1.1.1.1 (the paper's example).
@@ -17,7 +41,7 @@ TEST(GblBridgeTest, SparseVecToAssocUsesDottedQuadKeys) {
   EXPECT_EQ(a.nnz(), 2u);
 }
 
-TEST(GblBridgeTest, RoundTripPreservesVector) {
+TEST(GblBridgeTest, MatchesFromTriplesOnRandomVector) {
   Rng rng(5);
   std::vector<gbl::Index> idx;
   std::vector<gbl::Value> val;
@@ -28,39 +52,94 @@ TEST(GblBridgeTest, RoundTripPreservesVector) {
     val.push_back(static_cast<double>(1 + rng.uniform_u64(1000)));
   }
   const gbl::SparseVec v(idx, val);
-  const gbl::SparseVec back = to_sparse_vec(from_sparse_vec(v, "packets"), "packets");
-  EXPECT_EQ(back, v);
-}
-
-TEST(GblBridgeTest, ToSparseVecFiltersOtherColumns) {
-  const AssocArray a = AssocArray::from_triples({
-      {"1.1.1.1", "packets", 3.0},
-      {"1.1.1.1", "fanout", 2.0},
-  });
-  const gbl::SparseVec v = to_sparse_vec(a, "packets");
-  EXPECT_EQ(v.nnz(), 1u);
-  EXPECT_EQ(v.at(16843009u), 3.0);
-}
-
-TEST(GblBridgeTest, NonIpRowKeyRejected) {
-  const AssocArray a = AssocArray::from_triples({{"not-an-ip", "packets", 1.0}});
-  EXPECT_THROW(to_sparse_vec(a, "packets"), std::invalid_argument);
+  EXPECT_EQ(bytes(from_sparse_vec(v, "packets")), bytes(reference(idx, val, "packets")));
 }
 
 TEST(GblBridgeTest, EmptyVectorGivesEmptyAssoc) {
   const AssocArray a = from_sparse_vec(gbl::SparseVec{}, "packets");
   EXPECT_TRUE(a.empty());
-  EXPECT_EQ(to_sparse_vec(a, "packets").nnz(), 0u);
+  EXPECT_EQ(bytes(a), bytes(AssocArray{}));
 }
 
-TEST(GblBridgeTest, StringOrderDiffersFromNumericOrderButRoundTrips) {
+TEST(GblBridgeTest, StringOrderDiffersFromNumericOrder) {
   // "10.0.0.2" sorts before "9.0.0.1" lexically although 10.* > 9.*
-  // numerically; the bridge must re-sort on the way back.
-  const gbl::SparseVec v(std::vector<gbl::Index>{Ipv4(9, 0, 0, 1).value(), Ipv4(10, 0, 0, 2).value()},
-                         std::vector<gbl::Value>{1.0, 2.0});
-  const AssocArray a = from_sparse_vec(v, "c");
-  EXPECT_EQ(a.row_keys()[0], "10.0.0.2");  // lexicographic in D4M space
-  EXPECT_EQ(to_sparse_vec(a, "c"), v);     // numeric in GraphBLAS space
+  // numerically; the rows follow the string order.
+  const std::vector<gbl::Index> idx{Ipv4(9, 0, 0, 1).value(), Ipv4(10, 0, 0, 2).value()};
+  const std::vector<gbl::Value> val{1.0, 2.0};
+  const AssocArray a = from_sparse_vec(gbl::SparseVec(idx, val), "c");
+  EXPECT_EQ(a.row_keys()[0], "10.0.0.2");
+  EXPECT_EQ(a.row_keys()[1], "9.0.0.1");
+  EXPECT_EQ(bytes(a), bytes(reference(idx, val, "c")));
+}
+
+/// `text_key(x) < text_key(y)` exactly when `x`'s dotted quad sorts
+/// before `y`'s, and the key decodes to that dotted quad.
+void expect_key_matches_text(Ipv4 x, Ipv4 y) {
+  EXPECT_EQ(key_text(text_key(x)), x.to_string());
+  EXPECT_EQ(key_text(text_key(y)), y.to_string());
+  EXPECT_EQ(text_key(x) < text_key(y), x.to_string() < y.to_string())
+      << x.to_string() << " vs " << y.to_string();
+  EXPECT_EQ(text_key(x) == text_key(y), x == y) << x.to_string() << " vs " << y.to_string();
+}
+
+TEST(TextKeyTest, OrderAndTextMatchTheDottedQuadOnEdgeCases) {
+  const std::pair<Ipv4, Ipv4> pairs[] = {
+      {Ipv4(0, 0, 0, 0), Ipv4(255, 255, 255, 255)},
+      {Ipv4(1, 2, 3, 4), Ipv4(1, 2, 3, 40)},
+      {Ipv4(1, 10, 0, 0), Ipv4(1, 2, 0, 0)},
+      {Ipv4(9, 0, 0, 1), Ipv4(10, 0, 0, 2)},
+      {Ipv4(1, 2, 3, 4), Ipv4(1, 2, 3, 4)},
+  };
+  for (const auto& [x, y] : pairs) {
+    expect_key_matches_text(x, y);
+    expect_key_matches_text(y, x);
+  }
+  EXPECT_EQ(key_text(text_key(Ipv4(255, 255, 255, 255))), "255.255.255.255");
+  EXPECT_EQ(key_text(text_key(Ipv4(0, 0, 0, 0))), "0.0.0.0");
+}
+
+TEST(TextKeyTest, OrderAndTextMatchTheDottedQuadOnRandomAddresses) {
+  Rng rng(20261018);
+  std::vector<Ipv4> ips;
+  for (int i = 0; i < 100000; ++i) ips.emplace_back(rng.next_u32());
+  for (std::size_t i = 1; i < ips.size(); ++i) expect_key_matches_text(ips[i - 1], ips[i]);
+
+  std::vector<std::string> by_text;
+  for (const Ipv4 ip : ips) by_text.push_back(ip.to_string());
+  std::sort(by_text.begin(), by_text.end());
+  std::vector<IpKey> keys;
+  for (const Ipv4 ip : ips) keys.push_back(text_key(ip));
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::string> by_key;
+  for (const IpKey& key : keys) by_key.push_back(key_text(key));
+  EXPECT_EQ(by_key, by_text);
+}
+
+TEST(FromAddressesTest, MatchesFromTriplesOnShuffledInput) {
+  Rng rng(77);
+  std::vector<std::uint32_t> addresses;
+  for (int i = 0; i < 20000; ++i) addresses.push_back(rng.next_u32());
+  // A dense block too, so neighbouring addresses share long prefixes.
+  for (std::uint32_t a = 0x01020300; a < 0x01020400; ++a) addresses.push_back(a);
+  std::sort(addresses.begin(), addresses.end());
+  addresses.erase(std::unique(addresses.begin(), addresses.end()), addresses.end());
+  std::shuffle(addresses.begin(), addresses.end(), std::mt19937_64(3));
+  std::vector<double> values;
+  for (std::size_t i = 0; i < addresses.size(); ++i) {
+    values.push_back(static_cast<double>(rng.uniform_u64(1000)) - 0.5);
+  }
+  EXPECT_EQ(bytes(from_addresses(addresses, values, "packets")),
+            bytes(reference(addresses, values, "packets")));
+  EXPECT_EQ(bytes(from_addresses({}, {}, "packets")), bytes(AssocArray{}));
+}
+
+TEST(FromAddressesTest, RejectsRepeatedAddressAndLengthMismatch) {
+  const std::vector<std::uint32_t> repeated{Ipv4(1, 2, 3, 4).value(), Ipv4(5, 6, 7, 8).value(),
+                                            Ipv4(1, 2, 3, 4).value()};
+  const std::vector<double> values{1.0, 2.0, 3.0};
+  EXPECT_THROW(from_addresses(repeated, values, "packets"), std::invalid_argument);
+  EXPECT_THROW(from_addresses(std::span(repeated).first(2), values, "packets"),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -50,57 +50,33 @@ TEST(SortAndCombineTest, PreservesTotalMass) {
   EXPECT_EQ(std::adjacent_find(out.begin(), out.end(), same_cell), out.end());
 }
 
-class ParallelSortTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ParallelSortTest, MatchesSerialResultAtAnyThreadCount) {
-  // Determinism property: the parallel merge tree must produce results
-  // bit-identical to the serial path at every thread count.
-  Rng rng(7);
-  std::vector<Tuple> in;
-  in.reserve(100000);
-  for (int i = 0; i < 100000; ++i) {
-    in.push_back({static_cast<Index>(rng.uniform_u64(5000)),
-                  static_cast<Index>(rng.uniform_u64(5000)), 1.0});
-  }
-  const auto serial = sort_and_combine(std::vector<Tuple>(in));
-  ThreadPool pool(GetParam());
-  const auto parallel = sort_and_combine(std::vector<Tuple>(in), pool);
-  EXPECT_EQ(serial, parallel);
-}
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelSortTest, ::testing::Values(1, 2, 3, 5, 8));
-
-TEST(ParallelSortTest, SmallInputFallsBackToSerial) {
-  ThreadPool pool(4);
-  std::vector<Tuple> in{{3, 3, 1.0}, {1, 1, 1.0}, {1, 1, 1.0}};
-  const auto out = sort_and_combine(std::move(in), pool);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], (Tuple{1, 1, 2.0}));
-}
-
-TEST(CooBuilderTest, AccumulatesViaFinish) {
-  CooBuilder builder;
-  builder.reserve(4);
-  builder.add(1, 1, 1.0);
-  builder.add(1, 1, 1.0);
-  builder.add(0, 9, 2.5);
-  EXPECT_EQ(builder.size(), 3u);
-  EXPECT_FALSE(builder.empty());
-  const auto out = std::move(builder).finish();
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], (Tuple{0, 9, 2.5}));
-  EXPECT_EQ(out[1], (Tuple{1, 1, 2.0}));
-}
-
-TEST(CooBuilderTest, FullIndexSpaceExtremes) {
+TEST(SortAndCombineTest, FullIndexSpaceExtremes) {
   // Hypersparse: indices span the whole uint32 space.
-  CooBuilder builder;
-  builder.add(0, 0, 1.0);
-  builder.add(0xFFFFFFFFu, 0xFFFFFFFFu, 1.0);
-  builder.add(0xFFFFFFFFu, 0, 1.0);
-  const auto out = std::move(builder).finish();
+  const auto out = sort_and_combine(
+      {{0, 0, 1.0}, {0xFFFFFFFFu, 0xFFFFFFFFu, 1.0}, {0xFFFFFFFFu, 0, 1.0}});
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[2], (Tuple{0xFFFFFFFFu, 0xFFFFFFFFu, 1.0}));
+}
+
+TEST(SortPackedKeysTest, MatchesStdSortOnEitherSideOfTheRadixThreshold) {
+  // Below 2^10 keys the sort is std::sort, above it the radix sort; packed
+  // packet keys repeat cells, full-range keys exercise every digit.
+  Rng rng(11);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{1023},
+                              std::size_t{1024}, std::size_t{5000}, std::size_t{(1 << 19) + 3}}) {
+    std::vector<std::uint64_t> packed(n), full(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      packed[i] = pack_key(static_cast<Index>(rng.uniform_u64(300)),
+                           static_cast<Index>(rng.uniform_u64(1 << 16)));
+      full[i] = rng.next();
+    }
+    for (std::vector<std::uint64_t>* keys : {&packed, &full}) {
+      std::vector<std::uint64_t> expected = *keys;
+      std::sort(expected.begin(), expected.end());
+      sort_packed_keys(*keys);
+      EXPECT_EQ(*keys, expected) << n << " keys";
+    }
+  }
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 /// Differential tests for the zero-copy DCSR kernels: the array-streaming
-/// `ewise_add` (serial and pooled), `ewise_mult`, `transpose`, the
-/// sort-based `mxm`, and `from_sorted_packed_keys` must match the
-/// tuple-path reference implementations bit-for-bit. Values are integer
+/// `ewise_add` (serial and pooled) and `from_sorted_packed_keys` must
+/// match the tuple-path reference implementations bit-for-bit. Values are integer
 /// packet counts (exactly representable doubles), so every accumulation
 /// order yields the same bits and "equal" means identical arrays.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/prng.hpp"
 #include "gbl/coo.hpp"
@@ -41,58 +39,6 @@ DcsrMatrix ref_ewise_add(const DcsrMatrix& a, const DcsrMatrix& b) {
   return DcsrMatrix::from_sorted_tuples(merged);
 }
 
-DcsrMatrix ref_ewise_mult(const DcsrMatrix& a, const DcsrMatrix& b) {
-  std::vector<Tuple> merged;
-  const auto ta = a.to_tuples();
-  const auto tb = b.to_tuples();
-  std::size_t i = 0, j = 0;
-  while (i < ta.size() && j < tb.size()) {
-    if (same_cell(ta[i], tb[j])) {
-      merged.push_back({ta[i].row, ta[i].col, ta[i].val * tb[j].val});
-      ++i;
-      ++j;
-    } else if (tuple_less(ta[i], tb[j])) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return DcsrMatrix::from_sorted_tuples(merged);
-}
-
-DcsrMatrix ref_transpose(const DcsrMatrix& m) {
-  std::vector<Tuple> tuples;
-  tuples.reserve(m.nnz());
-  m.for_each([&](Index r, Index c, Value v) { tuples.push_back({c, r, v}); });
-  std::sort(tuples.begin(), tuples.end(), tuple_less);
-  return DcsrMatrix::from_sorted_tuples(tuples);
-}
-
-DcsrMatrix ref_mxm(const DcsrMatrix& a, const DcsrMatrix& b) {
-  // Hash-accumulator Gustavson; with integer values the hash iteration
-  // order cannot change the sums.
-  std::vector<Tuple> out;
-  std::unordered_map<Index, Value> acc;
-  const auto a_rows = a.row_ids();
-  const auto b_rows = b.row_ids();
-  for (std::size_t ra = 0; ra < a_rows.size(); ++ra) {
-    acc.clear();
-    for (std::uint64_t ka = a.row_ptr()[ra]; ka < a.row_ptr()[ra + 1]; ++ka) {
-      const Index k = a.col()[ka];
-      const auto it = std::lower_bound(b_rows.begin(), b_rows.end(), k);
-      if (it == b_rows.end() || *it != k) continue;
-      const std::size_t rb = static_cast<std::size_t>(it - b_rows.begin());
-      for (std::uint64_t kb = b.row_ptr()[rb]; kb < b.row_ptr()[rb + 1]; ++kb) {
-        acc[b.col()[kb]] += a.val()[ka] * b.val()[kb];
-      }
-    }
-    const std::size_t start = out.size();
-    for (const auto& [col, val] : acc) out.push_back({a_rows[ra], col, val});
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end(), tuple_less);
-  }
-  return DcsrMatrix::from_sorted_tuples(out);
-}
-
 DcsrMatrix random_matrix(std::uint64_t seed, std::size_t n, std::uint32_t side) {
   Rng rng(seed);
   std::vector<Tuple> tuples;
@@ -110,9 +56,6 @@ DcsrMatrix random_matrix(std::uint64_t seed, std::size_t n, std::uint32_t side) 
 TEST(ZeroCopyKernelsTest, EmptyPlusEmpty) {
   const DcsrMatrix empty;
   EXPECT_EQ(DcsrMatrix::ewise_add(empty, empty), empty);
-  EXPECT_EQ(DcsrMatrix::ewise_mult(empty, empty), empty);
-  EXPECT_EQ(empty.transpose(), empty);
-  EXPECT_EQ(DcsrMatrix::mxm(empty, empty), empty);
 }
 
 TEST(ZeroCopyKernelsTest, EmptyIsAdditiveIdentity) {
@@ -129,7 +72,6 @@ TEST(ZeroCopyKernelsTest, DisjointRowSets) {
   EXPECT_EQ(sum, ref_ewise_add(a, b));
   EXPECT_EQ(sum.nnz(), a.nnz() + b.nnz());
   EXPECT_EQ(sum.nonempty_rows(), 4u);
-  EXPECT_EQ(DcsrMatrix::ewise_mult(a, b).nnz(), 0u);
 }
 
 TEST(ZeroCopyKernelsTest, SingleSharedCell) {
@@ -139,16 +81,6 @@ TEST(ZeroCopyKernelsTest, SingleSharedCell) {
   EXPECT_EQ(sum.nnz(), 1u);
   EXPECT_EQ(sum.at(7, 7), 7.0);
   EXPECT_EQ(sum, ref_ewise_add(a, b));
-  EXPECT_EQ(DcsrMatrix::ewise_mult(a, b).at(7, 7), 10.0);
-}
-
-TEST(ZeroCopyKernelsTest, SharedRowsWithoutSharedColumnsDropTheRow) {
-  const DcsrMatrix a = DcsrMatrix::from_tuples({{1, 1, 2.0}, {2, 2, 1.0}});
-  const DcsrMatrix b = DcsrMatrix::from_tuples({{1, 3, 4.0}, {2, 2, 6.0}});
-  const DcsrMatrix prod = DcsrMatrix::ewise_mult(a, b);
-  EXPECT_EQ(prod, ref_ewise_mult(a, b));
-  EXPECT_EQ(prod.nnz(), 1u);
-  EXPECT_EQ(prod.nonempty_rows(), 1u);  // row 1 intersects to nothing
 }
 
 TEST(ZeroCopyKernelsTest, PackedKeysMatchTupleBuild) {
@@ -189,15 +121,6 @@ TEST_P(ZeroCopyDifferentialTest, MatchesTuplePathBitForBit) {
     ThreadPool pool(threads);
     EXPECT_EQ(DcsrMatrix::ewise_add(a, b, pool), add_ref) << threads << " threads";
   }
-
-  EXPECT_EQ(DcsrMatrix::ewise_mult(a, b), ref_ewise_mult(a, b));
-  EXPECT_EQ(a.transpose(), ref_transpose(a));
-  EXPECT_EQ(a.transpose().transpose(), a);
-
-  // Smaller, denser operands keep the SpGEMM fill tractable.
-  const DcsrMatrix c = random_matrix(seed ^ 0xC0C, 4000, 1 << 6);
-  const DcsrMatrix d = random_matrix(seed ^ 0xD0D, 4000, 1 << 6);
-  EXPECT_EQ(DcsrMatrix::mxm(c, d), ref_mxm(c, d));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ZeroCopyDifferentialTest, ::testing::Values(17, 99, 12345));

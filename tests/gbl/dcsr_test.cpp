@@ -94,21 +94,6 @@ TEST(DcsrTest, PatternSetsValuesToOne) {
   EXPECT_EQ(p.at(70, 3), 1.0);
 }
 
-TEST(DcsrTest, TransposeSwapsRolesExactly) {
-  const DcsrMatrix m = make_small();
-  const DcsrMatrix t = m.transpose();
-  EXPECT_EQ(t.nnz(), m.nnz());
-  EXPECT_EQ(t.at(3, 70), 5.0);
-  EXPECT_EQ(t.at(1, 10), 2.0);
-  EXPECT_EQ(t.transpose(), m);  // involution
-}
-
-TEST(DcsrTest, TransposeSwapsReductions) {
-  const DcsrMatrix m = make_small();
-  EXPECT_EQ(m.transpose().reduce_rows(), m.reduce_cols());
-  EXPECT_EQ(m.transpose().reduce_cols(), m.reduce_rows());
-}
-
 TEST(DcsrTest, EwiseAddUnionSemantics) {
   const DcsrMatrix a = DcsrMatrix::from_tuples({{1, 1, 1.0}, {2, 2, 2.0}});
   const DcsrMatrix b = DcsrMatrix::from_tuples({{1, 1, 3.0}, {3, 3, 4.0}});

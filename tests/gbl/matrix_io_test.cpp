@@ -1,7 +1,8 @@
-/// Hostile-input hardening of the v1 matrix stream format: truncated
-/// streams, corrupted headers, and counts engineered to trigger huge
-/// allocations must all fail with std::invalid_argument before any
-/// oversized buffer is allocated.
+/// The v1 matrix stream format: round trips (in memory and through the
+/// file helpers), and hostile-input hardening — truncated streams,
+/// corrupted headers, and counts engineered to trigger huge allocations
+/// must all fail with std::invalid_argument before any oversized buffer
+/// is allocated.
 
 #include "gbl/matrix_io.hpp"
 
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/prng.hpp"
 #include "gbl/dcsr.hpp"
 
 namespace obscorr::gbl {
@@ -116,6 +118,56 @@ TEST(MatrixIoTest, UnsortedColumnsRejectedByRebuild) {
   std::memcpy(bytes.data() + col_at, &c1, 4);
   std::memcpy(bytes.data() + col_at + 4, &c0, 4);
   EXPECT_THROW(parse(bytes), std::invalid_argument);
+}
+
+TEST(MatrixIoTest, RoundTripSmall) {
+  const DcsrMatrix m = DcsrMatrix::from_tuples({{1, 1, 2.5}, {9, 4000000000u, 7.0}});
+  std::stringstream ss;
+  write_matrix(ss, m);
+  EXPECT_EQ(read_matrix(ss), m);
+}
+
+TEST(MatrixIoTest, RoundTripEmpty) {
+  std::stringstream ss;
+  write_matrix(ss, DcsrMatrix{});
+  EXPECT_EQ(read_matrix(ss), DcsrMatrix{});
+}
+
+TEST(MatrixIoTest, RoundTripRandomized) {
+  Rng rng(13);
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 20000; ++i) {
+    tuples.push_back({rng.next_u32(), rng.next_u32(),
+                      static_cast<Value>(1 + rng.uniform_u64(100))});
+  }
+  const DcsrMatrix m = DcsrMatrix::from_tuples(std::move(tuples));
+  std::stringstream ss;
+  write_matrix(ss, m);
+  EXPECT_EQ(read_matrix(ss), m);
+}
+
+TEST(MatrixIoTest, RejectsBadMagic) {
+  std::stringstream ss("NOTAMATRIXFILE..................");
+  EXPECT_THROW(read_matrix(ss), std::invalid_argument);
+}
+
+TEST(MatrixIoTest, RejectsTruncation) {
+  const DcsrMatrix m = DcsrMatrix::from_tuples({{1, 1, 2.5}, {2, 2, 3.5}});
+  std::stringstream ss;
+  write_matrix(ss, m);
+  const std::string full = ss.str();
+  for (std::size_t cut : {full.size() - 1, full.size() / 2, std::size_t{10}}) {
+    std::stringstream truncated(full.substr(0, cut));
+    EXPECT_THROW(read_matrix(truncated), std::invalid_argument) << "cut at " << cut;
+  }
+}
+
+TEST(MatrixIoTest, FileHelpers) {
+  const DcsrMatrix m = DcsrMatrix::from_tuples({{3, 4, 5.0}});
+  const std::string path = ::testing::TempDir() + "/obscorr_matrix_io_test.gbl";
+  save_matrix(path, m);
+  EXPECT_EQ(load_matrix(path), m);
+  EXPECT_THROW(load_matrix(path + ".does-not-exist"), std::invalid_argument);
 }
 
 }  // namespace

@@ -14,8 +14,9 @@
 
 #include "core/correlation.hpp"
 #include "core/degree_analysis.hpp"
+#include "core/parallel_capture.hpp"
 #include "core/study.hpp"
-#include "d4m/gbl_bridge.hpp"
+#include "d4m/assoc.hpp"
 #include "gbl/quantities.hpp"
 #include "netgen/traffic.hpp"
 #include "telescope/quadrants.hpp"
@@ -23,6 +24,12 @@
 
 namespace obscorr {
 namespace {
+
+std::string binary(const d4m::AssocArray& a) {
+  std::ostringstream os(std::ios::binary);
+  a.write_binary(os);
+  return os.str();
+}
 
 TEST(PipelineTest, GroundTruthFlowsThroughToAnalysis) {
   // The telescope's per-source packet counts, after deanonymization, must
@@ -92,16 +99,32 @@ TEST(PipelineTest, TableTwoQuantitiesOnRealSnapshot) {
   EXPECT_GT(q.unique_destinations, 0u);
 }
 
-TEST(PipelineTest, D4mBridgeMatchesAssocFromStudy) {
-  // The study's assoc array equals bridging the deanonymized vector.
-  ThreadPool pool(2);
-  const auto study = core::run_telescope_only(netgen::Scenario::paper(14, 42), pool);
-  const core::SnapshotData& snap = study.snapshots[0];
-  // Reconstruct via the D4M bridge over deanonymized ids and compare.
-  const gbl::SparseVec restored = d4m::to_sparse_vec(snap.sources, "packets");
-  EXPECT_EQ(restored.nnz(), snap.source_packets.nnz());
-  EXPECT_NEAR(restored.reduce_sum(), snap.source_packets.reduce_sum(), 1e-9);
-  EXPECT_EQ(restored.reduce_max(), snap.source_packets.reduce_max());
+TEST(PipelineTest, SnapshotSourcesMatchTripleFormulation) {
+  // Each snapshot's deanonymized source array equals the triple
+  // formulation: recapture the window through a fresh telescope, take
+  // every source's dotted quad from its dictionary, and build the array
+  // with from_triples. Compared as write_binary bytes, at 1 and 4 threads.
+  const auto scenario = netgen::Scenario::paper(14, 42);
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    const auto study = core::run_telescope_only(scenario, pool);
+    const netgen::TrafficGenerator generator(*study.population, scenario.traffic);
+    for (const core::SnapshotData& snap : study.snapshots) {
+      telescope::Telescope scope(core::scope_config_for(scenario), pool);
+      const gbl::DcsrMatrix matrix = core::capture_window(scope, generator, snap.month_index,
+                                                          scenario.nv(), snap.spec.salt, pool);
+      ASSERT_EQ(matrix, snap.matrix) << snap.spec.start_label;
+      std::vector<d4m::Triple> triples;
+      const auto ids = snap.source_packets.indices();
+      const auto counts = snap.source_packets.values();
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        triples.push_back({scope.deanonymize(Ipv4(ids[i])).to_string(), "packets", counts[i]});
+      }
+      const d4m::AssocArray reference = d4m::AssocArray::from_triples(std::move(triples));
+      EXPECT_EQ(binary(snap.sources), binary(reference))
+          << snap.spec.start_label << " at " << threads << " threads";
+    }
+  }
 }
 
 TEST(PipelineTest, SameMonthOverlapViaD4mAlgebraMatchesKeyIntersection) {
@@ -155,15 +178,16 @@ TEST(PipelineTest, EndToEndFigure5ShapeAtTinyScale) {
   EXPECT_LT(curve->modified_cauchy.model.alpha, 2.5);
 }
 
-TEST(PipelineTest, TsvExportImportPreservesCorrelation) {
-  // The trusted-sharing interchange: write the honeyfarm month to TSV,
-  // read it back, and get identical correlation results.
+TEST(PipelineTest, BinaryExportImportPreservesCorrelation) {
+  // The trusted-sharing interchange: write the honeyfarm month in the
+  // archive's binary form, read it back, and get identical correlation
+  // results.
   ThreadPool pool(2);
   const auto study = core::run_study(netgen::Scenario::paper(14, 42), pool);
   const auto& month = study.months[4];
   std::stringstream ss;
-  month.sources.write_tsv(ss);
-  const d4m::AssocArray restored = d4m::AssocArray::read_tsv(ss);
+  month.sources.write_binary(ss);
+  const d4m::AssocArray restored = d4m::AssocArray::read_binary(ss);
   EXPECT_EQ(restored, month.sources);
 
   honeyfarm::MonthlyObservation month_copy;

@@ -14,7 +14,6 @@
 #include "common/prng.hpp"
 #include "common/timeline.hpp"
 #include "crypt/anon_table.hpp"
-#include "d4m/assoc.hpp"
 #include "gbl/matrix_io.hpp"
 #include "telescope/trace.hpp"
 
@@ -54,19 +53,6 @@ TEST_P(FuzzTest, YearMonthParseNeverCrashes) {
     const auto result = YearMonth::parse(random_printable(rng, 10));
     if (result.has_value()) {
       EXPECT_EQ(YearMonth::parse(result->to_string()), result);
-    }
-  }
-}
-
-TEST_P(FuzzTest, AssocTsvReaderThrowsOrParses) {
-  Rng rng(GetParam());
-  for (int i = 0; i < 300; ++i) {
-    std::stringstream ss(random_printable(rng, 200));
-    try {
-      const d4m::AssocArray a = d4m::AssocArray::read_tsv(ss);
-      EXPECT_LE(a.nnz(), 200u);
-    } catch (const std::invalid_argument&) {
-      // acceptable outcome
     }
   }
 }

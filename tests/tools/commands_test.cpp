@@ -708,6 +708,7 @@ std::string one_window_archive(const std::string& name) {
 struct FrontCase {
   std::vector<std::string> cli;
   std::string request;
+  std::string message = {};  ///< the error both fronts must give, when set
 };
 
 /// Run `c` through both fronts over the archive `dir`: the CLI's exit
@@ -767,7 +768,7 @@ TEST(CliToolTest, CliAndDaemonRejectInvalidQueriesIdentically) {
   const std::string dir = one_window_archive("cli_fronts_invalid");
   ThreadPool pool(2);
   std::optional<svc::QueryEngine> engine(std::in_place, dir, pool);
-  const std::vector<FrontCase> cases = {
+  std::vector<FrontCase> cases = {
       {{"degrees", "--snapshot", "0", "--window", "0"},
        R"({"query":"degrees","params":{"snapshot":0,"window":0}})"},
       {{"degrees", "--snapshot", "99"}, R"({"query":"degrees","params":{"snapshot":99}})"},
@@ -786,6 +787,14 @@ TEST(CliToolTest, CliAndDaemonRejectInvalidQueriesIdentically) {
       {{"correlate", "--domain", "windows"},
        R"({"query":"correlate","params":{"domain":"windows"}})"},
   };
+  // Each half of a range is a whole unsigned integer: no trailing text,
+  // sign, leading space or radix prefix, and no wrap of a negative.
+  for (const std::string range : {"0:2junk", "+0:2", " 0:2", "0x1:2", "0:-1"}) {
+    cases.push_back({{"correlate", "--domain", "snapshots", "--baseline", range},
+                     R"({"query":"correlate","params":{"domain":"snapshots","baseline":")" +
+                         range + R"("}})",
+                     "correlate: baseline wants FIRST:LAST integers"});
+  }
   for (const FrontCase& c : cases) {
     const FrontResult r = run_both(c, dir, *engine);
     EXPECT_EQ(r.rc, 2) << c.request;
@@ -794,6 +803,9 @@ TEST(CliToolTest, CliAndDaemonRejectInvalidQueriesIdentically) {
     const svc::JsonValue* error = r.response.find("error");
     EXPECT_EQ(error->find("code")->as_string(), "bad_request") << c.request;
     EXPECT_EQ(r.err, "error: " + error->find("message")->as_string() + "\n") << c.request;
+    if (!c.message.empty()) {
+      EXPECT_EQ(error->find("message")->as_string(), c.message) << c.request;
+    }
   }
   engine.reset();
   std::filesystem::remove_all(dir);
