@@ -15,6 +15,14 @@ Tier detect() {
   return Tier::kScalar;
 }
 
+bool detect_aes() {
+#if defined(__x86_64__)
+  return __builtin_cpu_supports("aes");
+#else
+  return false;
+#endif
+}
+
 Tier clamp_to_detected(Tier tier) {
   return static_cast<int>(tier) <= static_cast<int>(detected_tier()) ? tier : detected_tier();
 }
@@ -81,5 +89,10 @@ std::string_view tier_name(Tier tier) {
 }
 
 bool use_avx2() { return active_tier() == Tier::kAvx2; }
+
+bool use_aes() {
+  static const bool has_aes = detect_aes();
+  return has_aes && active_tier() != Tier::kScalar;
+}
 
 }  // namespace obscorr::simd

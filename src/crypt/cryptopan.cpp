@@ -33,23 +33,29 @@ CryptoPan CryptoPan::from_seed(std::uint64_t seed) {
 
 Ipv4 CryptoPan::anonymize(Ipv4 addr) const {
   const std::uint32_t orig = addr.value();
-  std::uint32_t otp = 0;  // one-time pad assembled bit by bit, MSB first
 
   // For each prefix length i, the PRF input is the first i bits of the
   // original address with the remaining 32-i bits taken from the pad;
   // the output bit is the MSB of the AES ciphertext. Addresses sharing a
   // k-bit prefix share the first k PRF inputs, hence the first k output
-  // bits — that is the prefix-preserving property.
+  // bits — that is the prefix-preserving property. The 32 inputs do not
+  // depend on each other, so they are encrypted as one batch.
+  std::array<Aes128::Block, 32> blocks;
   for (int i = 0; i < 32; ++i) {
     const std::uint32_t mask = i == 0 ? 0U : ~0U << (32 - i);
     const std::uint32_t mixed = (orig & mask) | (pad_word_ & ~mask);
-    Aes128::Block input = pad_;
+    Aes128::Block& input = blocks[static_cast<std::size_t>(i)];
+    input = pad_;
     input[0] = static_cast<std::uint8_t>(mixed >> 24);
     input[1] = static_cast<std::uint8_t>(mixed >> 16);
     input[2] = static_cast<std::uint8_t>(mixed >> 8);
     input[3] = static_cast<std::uint8_t>(mixed);
-    const Aes128::Block cipher = aes_.encrypt(input);
-    otp |= static_cast<std::uint32_t>(cipher[0] >> 7) << (31 - i);
+  }
+  aes_.encrypt_blocks(blocks);
+
+  std::uint32_t otp = 0;  // one-time pad assembled bit by bit, MSB first
+  for (int i = 0; i < 32; ++i) {
+    otp |= static_cast<std::uint32_t>(blocks[static_cast<std::size_t>(i)][0] >> 7) << (31 - i);
   }
   return Ipv4(orig ^ otp);
 }

@@ -61,6 +61,7 @@ constexpr const char* kCanonicalCounters[] = {
     "svc.windows_published",
     "telescope.anon_cache_hits",
     "telescope.anon_cache_misses",
+    "telescope.anonymize_ns",
     "telescope.discarded_packets",
     "telescope.merge_ns",
     "telescope.valid_packets",

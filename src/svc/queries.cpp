@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "common/arena.hpp"
-#include "common/error.hpp"
 #include "common/ipv4.hpp"
 #include "obs/export.hpp"
 #include "obs/span.hpp"
@@ -56,7 +55,9 @@ bool parse_index(std::string_view text, std::uint64_t& value) {
 
 const std::vector<std::string_view>& declared(std::string_view query) {
   const auto it = kQueries.find(query);
-  OBSCORR_REQUIRE(it != kQueries.end(), "unknown query type \"" + std::string(query) + "\"");
+  if (it == kQueries.end()) {
+    throw std::invalid_argument("unknown query type \"" + std::string(query) + "\"");
+  }
   return it->second;
 }
 
@@ -66,16 +67,16 @@ std::optional<analysis::WindowRange> parse_range(const JsonValue& params, const 
   if (value == nullptr) return std::nullopt;
   const std::string& text = value->as_string();
   const std::size_t colon = text.find(':');
-  OBSCORR_REQUIRE(colon != std::string::npos && colon > 0 && colon + 1 < text.size(),
-                  "correlate: " + what + " wants FIRST:LAST");
+  if (colon == std::string::npos || colon == 0 || colon + 1 == text.size()) {
+    throw std::invalid_argument("correlate: " + what + " wants FIRST:LAST");
+  }
   const std::string_view view(text);
   std::uint64_t first = 0, last = 0;
   if (!parse_index(view.substr(0, colon), first) || !parse_index(view.substr(colon + 1), last)) {
     throw std::invalid_argument("correlate: " + what + " wants FIRST:LAST integers");
   }
-  const analysis::WindowRange r{first, last};
-  OBSCORR_REQUIRE(r.first <= r.last, "correlate: " + what + " range must be ordered");
-  return r;
+  if (first > last) throw std::invalid_argument("correlate: " + what + " range must be ordered");
+  return analysis::WindowRange{first, last};
 }
 
 }  // namespace
@@ -92,10 +93,13 @@ void check_params(std::string_view query, const JsonValue& params) {
     }
     std::uint64_t index = 0;
     const bool index_param = is_index(name);
-    OBSCORR_REQUIRE(index_param ? value.is_number() && parse_index(value.raw_number(), index)
-                                : value.is_string(),
-                    std::string(query) + ": " + name +
-                        (index_param ? " must be a non-negative integer" : " must be a string"));
+    const bool typed = index_param ? value.is_number() && parse_index(value.raw_number(), index)
+                                   : value.is_string();
+    if (!typed) {
+      throw std::invalid_argument(std::string(query) + ": " + name +
+                                  (index_param ? " must be a non-negative integer"
+                                               : " must be a string"));
+    }
   }
 }
 
@@ -118,17 +122,29 @@ JsonValue params_from_flags(std::string_view query, const CliArgs& flags) {
 DegreesQuery parse_degrees(const JsonValue& params) {
   const JsonValue* snapshot = params.find("snapshot");
   const JsonValue* window = params.find("window");
-  OBSCORR_REQUIRE(snapshot == nullptr || window == nullptr,
-                  "degrees: snapshot and window are mutually exclusive");
+  if (snapshot != nullptr && window != nullptr) {
+    throw std::invalid_argument("degrees: snapshot and window are mutually exclusive");
+  }
   if (window != nullptr) return {true, static_cast<std::size_t>(window->as_uint())};
   return {false, snapshot != nullptr ? static_cast<std::size_t>(snapshot->as_uint()) : 0};
 }
 
+gbl::SparseVec DegreesQuery::sources(const archive::StudyReader& reader) const {
+  const std::size_t count = window ? reader.window_count() : reader.snapshot_count();
+  if (index >= count) {
+    const std::string what = window ? "window" : "snapshot";
+    throw std::invalid_argument("degrees: " + what + " " + std::to_string(index) +
+                                " is out of range (" + what + "s: " + std::to_string(count) + ")");
+  }
+  return window ? reader.window_source_packets(index) : reader.source_packets(index);
+}
+
 std::string parse_lookup(const JsonValue& params) {
   const JsonValue* ip = params.find("ip");
-  OBSCORR_REQUIRE(ip != nullptr, "lookup: ip A.B.C.D is required");
-  OBSCORR_REQUIRE(Ipv4::parse(ip->as_string()).has_value(),
-                  "lookup: malformed address " + ip->as_string());
+  if (ip == nullptr) throw std::invalid_argument("lookup: ip A.B.C.D is required");
+  if (!Ipv4::parse(ip->as_string()).has_value()) {
+    throw std::invalid_argument("lookup: malformed address " + ip->as_string());
+  }
   return ip->as_string();
 }
 
@@ -136,8 +152,9 @@ CorrelateQuery parse_correlate(const JsonValue& params) {
   CorrelateQuery query;
   if (const JsonValue* domain = params.find("domain")) {
     const std::string& name = domain->as_string();
-    OBSCORR_REQUIRE(name == "windows" || name == "snapshots",
-                    "correlate: domain must be windows or snapshots");
+    if (name != "windows" && name != "snapshots") {
+      throw std::invalid_argument("correlate: domain must be windows or snapshots");
+    }
     query.domain = name == "windows" ? analysis::Domain::kWindows : analysis::Domain::kSnapshots;
   }
   if (const auto* m = params.find("method")) query.method = analysis::parse_method(m->as_string());
@@ -156,7 +173,9 @@ CorrelateFrame resolve_correlate(const CorrelateQuery& query, const archive::Stu
   const bool windows = frame.domain == analysis::Domain::kWindows;
   frame.domain_name = windows ? "windows" : "snapshots";
   frame.count = windows ? reader.window_count() : reader.snapshot_count();
-  OBSCORR_REQUIRE(frame.count >= 2, "correlate: archive has fewer than 2 " + frame.domain_name);
+  if (frame.count < 2) {
+    throw std::invalid_argument("correlate: archive has fewer than 2 " + frame.domain_name);
+  }
   // netdata framing when unspecified: highlight = the trailing fifth,
   // baseline = the preceding 4x stretch.
   frame.highlight =
@@ -234,8 +253,7 @@ JsonValue QueryEngine::dispatch(const Request& req) {
   if (req.query == "correlate") return q_correlate(req.params);
   if (req.query == "stats") return q_stats();
   if (req.query == "metrics") return q_metrics(req.params);
-  OBSCORR_REQUIRE(false, "unknown query type \"" + req.query + "\"");
-  return JsonValue::null();  // unreachable
+  throw std::invalid_argument("unknown query type \"" + req.query + "\"");
 }
 
 std::string QueryEngine::cached(const std::string& key,
@@ -350,7 +368,9 @@ JsonValue QueryEngine::q_metrics(const JsonValue& params) {
   obs::gauge("mem.peak_rss").record_max(static_cast<std::uint64_t>(mem::peak_rss_bytes()));
   const JsonValue* format = params.find("format");
   const std::string name = format != nullptr ? format->as_string() : "json";
-  OBSCORR_REQUIRE(name == "json" || name == "prom", "metrics: format must be json|prom");
+  if (name != "json" && name != "prom") {
+    throw std::invalid_argument("metrics: format must be json|prom");
+  }
   std::ostringstream os;
   if (name == "prom") {
     // Prometheus exposition is a text artifact; ship it as one field so

@@ -65,9 +65,9 @@ JsonValue params_from_flags(std::string_view query, const CliArgs& flags);
 struct DegreesQuery {
   bool window = false;
   std::size_t index = 0;
-  gbl::SparseVec sources(const archive::StudyReader& reader) const {
-    return window ? reader.window_source_packets(index) : reader.source_packets(index);
-  }
+  /// The indexed snapshot's or window's source packet counts; throws
+  /// std::invalid_argument when the archive has no such index.
+  gbl::SparseVec sources(const archive::StudyReader& reader) const;
 };
 DegreesQuery parse_degrees(const JsonValue& params);
 

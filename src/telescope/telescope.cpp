@@ -13,16 +13,18 @@ namespace {
 /// counters keep the per-packet loop free of atomics; the single branch
 /// on the cached flag is the entire disabled-path cost.
 void flush_capture_counters(std::uint64_t valid, std::uint64_t discarded, std::uint64_t hits,
-                            std::uint64_t misses) {
+                            std::uint64_t misses, std::uint64_t anonymize_ns) {
   if (!obs::counters_enabled()) return;
   static obs::Counter& valid_packets = obs::counter("telescope.valid_packets");
   static obs::Counter& discarded_packets = obs::counter("telescope.discarded_packets");
   static obs::Counter& cache_hits = obs::counter("telescope.anon_cache_hits");
   static obs::Counter& cache_misses = obs::counter("telescope.anon_cache_misses");
+  static obs::Counter& anonymize_time = obs::counter("telescope.anonymize_ns");
   valid_packets.add(valid);
   discarded_packets.add(discarded);
   cache_hits.add(hits);
   cache_misses.add(misses);
+  anonymize_time.add(anonymize_ns);
 }
 
 /// How many packets ahead the capture loop prefetches anon-cache probe
@@ -64,14 +66,20 @@ std::uint64_t Telescope::capture_into(Context& ctx, std::span<const Packet> pack
   mem::PoolVec<std::uint64_t>& keys = ctx.batch_keys;
   keys.clear();
   keys.reserve(packets.size());
-  std::uint64_t discarded = 0, hits = 0, misses = 0;
+  std::uint64_t discarded = 0, hits = 0, misses = 0, anonymize_ns = 0;
+  // The CryptoPAN time of cache misses is clocked only under spans (the
+  // daemon always arms counters, and a clock read per miss would tax
+  // live ingest).
+  const bool timed = obs::spans_enabled();
   const auto anonymize = [&](std::uint32_t addr) {
     if (const std::uint32_t* hit = ctx.anon_cache.find(addr)) {
       ++hits;
       return *hit;
     }
     ++misses;
+    const std::uint64_t start_ns = timed ? obs::now_ns() : 0;
     const std::uint32_t anon = cryptopan_.anonymize(Ipv4(addr)).value();
+    if (timed) anonymize_ns += obs::now_ns() - start_ns;
     ctx.anon_cache.insert(addr, anon);
     ctx.dictionary.emplace(anon, addr);
     return anon;
@@ -93,7 +101,7 @@ std::uint64_t Telescope::capture_into(Context& ctx, std::span<const Packet> pack
   }
   ctx.discarded += discarded;
   ctx.accumulator.add_packets(keys);
-  flush_capture_counters(keys.size(), discarded, hits, misses);
+  flush_capture_counters(keys.size(), discarded, hits, misses, anonymize_ns);
   return keys.size();
 }
 

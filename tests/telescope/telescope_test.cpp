@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/prng.hpp"
+#include "obs/telemetry.hpp"
 
 namespace obscorr::telescope {
 namespace {
@@ -139,6 +140,33 @@ TEST(TelescopeTest, ConstantPacketWindowAcrossBlocks) {
     scope.capture({src, dst});
   }
   EXPECT_EQ(scope.finish_window().reduce_sum(), static_cast<double>(n));
+}
+
+TEST(TelescopeTest, AnonymizeTimeIsClockedOnlyUnderSpans) {
+  // `telescope.anonymize_ns` sums CryptoPAN time on cache misses, and only
+  // when spans are on: counters alone (what `serve` always arms) read no
+  // clock per miss.
+  ThreadPool pool(2);
+  std::vector<Packet> packets;
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    packets.push_back({Ipv4(Ipv4(1, 0, 0, 0).value() + i), Ipv4(77, 0, 0, 1)});
+  }
+  const auto capture_at = [&](obs::Level level) {
+    obs::reset();
+    obs::set_level(level);
+    Telescope scope(small_config(), pool);
+    scope.capture_block(packets);
+    obs::set_level(obs::Level::kOff);
+    return std::pair{obs::counter("telescope.anon_cache_misses").value(),
+                     obs::counter("telescope.anonymize_ns").value()};
+  };
+  const auto [counted_misses, counted_ns] = capture_at(obs::Level::kCounters);
+  EXPECT_EQ(counted_misses, 201u);  // 200 sources and one destination
+  EXPECT_EQ(counted_ns, 0u);
+  const auto [timed_misses, timed_ns] = capture_at(obs::Level::kFull);
+  EXPECT_EQ(timed_misses, 201u);
+  EXPECT_GT(timed_ns, 0u);
+  obs::reset();
 }
 
 TEST(TelescopeTest, SameSeedSameAnonymization) {

@@ -770,22 +770,35 @@ TEST(CliToolTest, CliAndDaemonRejectInvalidQueriesIdentically) {
   std::optional<svc::QueryEngine> engine(std::in_place, dir, pool);
   std::vector<FrontCase> cases = {
       {{"degrees", "--snapshot", "0", "--window", "0"},
-       R"({"query":"degrees","params":{"snapshot":0,"window":0}})"},
-      {{"degrees", "--snapshot", "99"}, R"({"query":"degrees","params":{"snapshot":99}})"},
-      {{"degrees", "--window", "first"}, R"({"query":"degrees","params":{"window":"first"}})"},
-      {{"degrees", "--snapshott", "3"}, R"({"query":"degrees","params":{"snapshott":3}})"},
-      {{"lookup", "--ip", "1.2.3"}, R"({"query":"lookup","params":{"ip":"1.2.3"}})"},
-      {{"lookup"}, R"({"query":"lookup"})"},
+       R"({"query":"degrees","params":{"snapshot":0,"window":0}})",
+       "degrees: snapshot and window are mutually exclusive"},
+      {{"degrees", "--snapshot", "99"}, R"({"query":"degrees","params":{"snapshot":99}})",
+       "degrees: snapshot 99 is out of range (snapshots: 5)"},
+      {{"degrees", "--window", "1"}, R"({"query":"degrees","params":{"window":1}})",
+       "degrees: window 1 is out of range (windows: 1)"},
+      {{"degrees", "--window", "first"}, R"({"query":"degrees","params":{"window":"first"}})",
+       "degrees: window must be a non-negative integer"},
+      {{"degrees", "--snapshott", "3"}, R"({"query":"degrees","params":{"snapshott":3}})",
+       "degrees: unknown parameter \"snapshott\""},
+      {{"lookup", "--ip", "1.2.3"}, R"({"query":"lookup","params":{"ip":"1.2.3"}})",
+       "lookup: malformed address 1.2.3"},
+      {{"lookup"}, R"({"query":"lookup"})", "lookup: ip A.B.C.D is required"},
       {{"correlate", "--domain", "snapshots", "--baseline", "3:1"},
-       R"({"query":"correlate","params":{"domain":"snapshots","baseline":"3:1"}})"},
-      {{"correlate", "--highlight", "4"}, R"({"query":"correlate","params":{"highlight":"4"}})"},
+       R"({"query":"correlate","params":{"domain":"snapshots","baseline":"3:1"}})",
+       "correlate: baseline range must be ordered"},
+      {{"correlate", "--highlight", "4"}, R"({"query":"correlate","params":{"highlight":"4"}})",
+       "correlate: highlight wants FIRST:LAST"},
       {{"correlate", "--domain", "galaxies"},
-       R"({"query":"correlate","params":{"domain":"galaxies"}})"},
+       R"({"query":"correlate","params":{"domain":"galaxies"}})",
+       "correlate: domain must be windows or snapshots"},
       {{"correlate", "--method", "pearson"},
-       R"({"query":"correlate","params":{"method":"pearson"}})"},
-      {{"correlate", "--top", "-3"}, R"({"query":"correlate","params":{"top":-3}})"},
+       R"({"query":"correlate","params":{"method":"pearson"}})",
+       "unknown correlation method 'pearson' (want ks2|volume)"},
+      {{"correlate", "--top", "-3"}, R"({"query":"correlate","params":{"top":-3}})",
+       "correlate: top must be a non-negative integer"},
       {{"correlate", "--domain", "windows"},
-       R"({"query":"correlate","params":{"domain":"windows"}})"},
+       R"({"query":"correlate","params":{"domain":"windows"}})",
+       "correlate: archive has fewer than 2 windows"},
   };
   // Each half of a range is a whole unsigned integer: no trailing text,
   // sign, leading space or radix prefix, and no wrap of a negative.
@@ -802,10 +815,12 @@ TEST(CliToolTest, CliAndDaemonRejectInvalidQueriesIdentically) {
     ASSERT_FALSE(r.response.find("ok")->as_bool()) << c.request;
     const svc::JsonValue* error = r.response.find("error");
     EXPECT_EQ(error->find("code")->as_string(), "bad_request") << c.request;
-    EXPECT_EQ(r.err, "error: " + error->find("message")->as_string() + "\n") << c.request;
-    if (!c.message.empty()) {
-      EXPECT_EQ(error->find("message")->as_string(), c.message) << c.request;
-    }
+    const std::string& message = error->find("message")->as_string();
+    EXPECT_EQ(r.err, "error: " + message + "\n") << c.request;
+    EXPECT_EQ(message, c.message) << c.request;
+    // Users see the message alone: no check expression or source location.
+    EXPECT_EQ(message.find("requirement failed"), std::string::npos) << c.request;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos) << c.request;
   }
   engine.reset();
   std::filesystem::remove_all(dir);

@@ -77,7 +77,8 @@ void export_telemetry(const Telemetry& t, std::ostream& err) {
   }
   if (t.timing) {
     err << "simd tier: " << simd::tier_name(simd::active_tier()) << " (detected "
-        << simd::tier_name(simd::detected_tier()) << ")\n";
+        << simd::tier_name(simd::detected_tier())
+        << "), aes: " << (simd::use_aes() ? "aes-ni" : "byte-wise") << '\n';
     err << "peak rss: " << mem::peak_rss_bytes() / (1024 * 1024) << " MiB"
         << ", arena high-water: "
         << obs::gauge("mem.arena_high_water").value() / 1024 << " KiB\n";
