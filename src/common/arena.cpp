@@ -1,10 +1,11 @@
 #include "common/arena.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <new>
 
 #include "common/asan.hpp"
 #include "common/error.hpp"
-#include "common/pool_alloc.hpp"
 #include "obs/telemetry.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -18,6 +19,10 @@ namespace {
 /// Allocation quantum: sizes and the cursor round to 8 bytes so ASan's
 /// shadow granules never straddle two live allocations.
 constexpr std::size_t kQuantum = 8;
+
+/// Alignment of every region base, and so the largest alignment
+/// `allocate` honours.
+constexpr std::size_t kRegionAlignment = 4096;
 
 constexpr std::size_t round_up(std::size_t v, std::size_t align) {
   return (v + align - 1) & ~(align - 1);
@@ -45,12 +50,12 @@ Arena::Arena(std::size_t first_region_bytes)
 Arena::~Arena() {
   for (const Region& r : regions_) {
     OBSCORR_ASAN_UNPOISON(r.base, r.capacity);
-    BufferPool::instance().deallocate(r.base, r.capacity);
+    ::operator delete(r.base, std::align_val_t{kRegionAlignment});
   }
 }
 
 void* Arena::allocate(std::size_t bytes, std::size_t align) {
-  OBSCORR_REQUIRE(align != 0 && (align & (align - 1)) == 0 && align <= BufferPool::kBlockAlignment,
+  OBSCORR_REQUIRE(align != 0 && (align & (align - 1)) == 0 && align <= kRegionAlignment,
                   "Arena::allocate: alignment must be a power of two <= 4096");
   bytes = round_up(std::max<std::size_t>(bytes, 1), kQuantum);
   align = std::max(align, kQuantum);
@@ -83,12 +88,11 @@ void* Arena::allocate_slow(std::size_t bytes) {
       return regions_[region_].base;
     }
   }
-  // Grow: geometric doubling, rounded to the pool's size class so the
-  // reservation matches what the pool actually hands out.
+  // Grow: geometric doubling, rounded up to a power of two.
   const std::size_t last = regions_.empty() ? first_region_bytes_ / 2 : regions_.back().capacity;
-  const std::size_t capacity = BufferPool::class_bytes(std::max(bytes, last * 2));
+  const std::size_t capacity = std::bit_ceil(std::max(bytes, last * 2));
   Region r;
-  r.base = static_cast<std::byte*>(BufferPool::instance().allocate(capacity));
+  r.base = static_cast<std::byte*>(::operator new(capacity, std::align_val_t{kRegionAlignment}));
   r.capacity = capacity;
   OBSCORR_ASAN_POISON(r.base, r.capacity);
   regions_.push_back(r);

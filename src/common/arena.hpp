@@ -6,8 +6,8 @@
 /// a scatter buffer and histograms per sealed block, a merged-row table
 /// per ewise_add — whose lifetime is exactly one call. Round-tripping
 /// malloc for them re-faults megabytes per window; the arena bump-
-/// allocates out of pooled regions instead, so the same warm pages serve
-/// every block of every window.
+/// allocates out of regions it keeps instead, so the same warm pages
+/// serve every block of every window.
 ///
 /// Lifecycle: allocations only move a cursor forward; `reset()` (or a
 /// `Frame` popping) rewinds it and bumps the arena epoch — O(1), nothing
@@ -35,9 +35,9 @@
 
 namespace obscorr::mem {
 
-/// Region-backed bump allocator. Regions come from the BufferPool (so
-/// they are recycled, page-aligned, and hugepage-backed when large) and
-/// grow geometrically; they are only returned on destruction.
+/// Region-backed bump allocator. Regions are 4096-byte-aligned heap
+/// blocks that grow geometrically (powers of two); they are only
+/// returned on destruction.
 class Arena {
  public:
   /// Size of the first region; later regions double.
@@ -117,8 +117,8 @@ class Arena {
   std::uint64_t epoch_ = 1;
 };
 
-/// This thread's kernel-scratch arena (thread_local, pool-backed). The
-/// gbl sort/merge kernels draw their scratch here inside frames.
+/// This thread's kernel-scratch arena (thread_local). The gbl
+/// sort/merge kernels draw their scratch here inside frames.
 Arena& scratch_arena();
 
 /// Peak resident set size of the process in bytes (getrusage); 0 when

@@ -1,12 +1,11 @@
 #pragma once
 /// \file asan.hpp
-/// AddressSanitizer interop for the custom allocators. The arena and the
-/// buffer pool recycle memory without returning it to the OS, which would
-/// normally blind ASan to use-after-reset and use-after-free-to-pool
-/// bugs. Under an ASan build these macros manually poison recycled
-/// memory, so touching an arena span after its frame popped (or a pooled
-/// block sitting in a free list) reports like any heap error. In normal
-/// builds they compile to nothing.
+/// AddressSanitizer interop for the arena. The arena recycles its regions
+/// without returning them to the heap, which would normally blind ASan
+/// to use-after-reset bugs. Under an ASan build these macros manually
+/// poison recycled memory, so touching an arena span after its frame
+/// popped reports like any heap error. In normal builds they compile to
+/// nothing.
 
 #if defined(__SANITIZE_ADDRESS__)
 #define OBSCORR_ASAN 1

@@ -7,13 +7,6 @@
 ///   OBSCORR_LOG2_NV   log2 of the packets-per-snapshot window (default 22)
 ///   OBSCORR_SEED      master simulation seed (default 42)
 ///   OBSCORR_THREADS   worker threads (default: hardware concurrency)
-///
-/// Memory-subsystem knobs (docs/performance.md "Memory model"); results
-/// are byte-identical either way — they only change speed and RSS:
-///
-///   OBSCORR_NO_HUGEPAGES=1  never madvise(MADV_HUGEPAGE) pooled blocks
-///   OBSCORR_NO_POOL=1       disable buffer recycling (every block is
-///                           mapped and unmapped fresh; A/B baseline)
 
 #include <cstdint>
 #include <string>

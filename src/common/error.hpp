@@ -19,11 +19,7 @@ class InternalError : public std::logic_error {
 };
 
 namespace detail {
-[[noreturn]] inline void throw_require(const char* expr, const char* file, int line,
-                                       const std::string& msg) {
-  throw std::invalid_argument(std::string("requirement failed: ") + expr + " at " + file + ":" +
-                              std::to_string(line) + (msg.empty() ? "" : ": " + msg));
-}
+[[noreturn]] inline void throw_require(const std::string& msg) { throw std::invalid_argument(msg); }
 [[noreturn]] inline void throw_invariant(const char* expr, const char* file, int line) {
   throw InternalError(std::string("invariant violated: ") + expr + " at " + file + ":" +
                       std::to_string(line));
@@ -32,13 +28,16 @@ namespace detail {
 
 }  // namespace obscorr
 
-/// Validate a caller-supplied precondition; throws std::invalid_argument.
+/// Validate a caller-supplied precondition; throws std::invalid_argument
+/// carrying `msg` alone, since the message reaches users verbatim
+/// (`error: <msg>` from the CLI, the daemon's error responses).
 #define OBSCORR_REQUIRE(expr, msg)                                              \
   do {                                                                          \
-    if (!(expr)) ::obscorr::detail::throw_require(#expr, __FILE__, __LINE__, (msg)); \
+    if (!(expr)) ::obscorr::detail::throw_require(msg);                         \
   } while (false)
 
-/// Validate an internal invariant; throws obscorr::InternalError.
+/// Validate an internal invariant; throws obscorr::InternalError with
+/// the failed expression and its source location, as it marks a bug.
 #define OBSCORR_INVARIANT(expr)                                                 \
   do {                                                                          \
     if (!(expr)) ::obscorr::detail::throw_invariant(#expr, __FILE__, __LINE__); \

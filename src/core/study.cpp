@@ -99,7 +99,6 @@ StudyData run_impl(const netgen::Scenario& scenario, ThreadPool& pool, bool with
             take_snapshot(scenario, population, scenario.snapshots[i], *scope, pool);
       } else {
         const std::size_t m = i - n_snapshots;
-        const obs::Span month_span("study.month", [&] { return std::to_string(m); });
         study.months[m] = run_month(scenario, population, m);
       }
     }
@@ -132,6 +131,7 @@ honeyfarm::MonthlyObservation run_month(const netgen::Scenario& scenario,
                                         const netgen::Population& population,
                                         std::size_t month_index) {
   OBSCORR_REQUIRE(month_index < scenario.months.size(), "run_month: month index out of range");
+  const obs::Span span("study.month", [&] { return std::to_string(month_index); });
   const honeyfarm::Honeyfarm farm(population, scenario.visibility,
                                   scenario.population.seed ^ 0x64E4015EULL);
   return farm.observe_month(scenario.months[month_index], static_cast<int>(month_index));

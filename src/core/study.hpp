@@ -70,7 +70,8 @@ StudyData run_telescope_only(const netgen::Scenario& scenario, ThreadPool& pool)
 SnapshotData run_snapshot(const netgen::Scenario& scenario, const netgen::Population& population,
                           std::size_t snapshot_index, ThreadPool& pool);
 
-/// Run one honeyfarm month; bit-identical to `run_study(...).months[index]`.
+/// Run one honeyfarm month under a `study.month` span; bit-identical to
+/// `run_study(...).months[index]`.
 honeyfarm::MonthlyObservation run_month(const netgen::Scenario& scenario,
                                         const netgen::Population& population,
                                         std::size_t month_index);

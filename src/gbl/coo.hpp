@@ -21,8 +21,7 @@ std::vector<Tuple> sort_and_combine(std::vector<Tuple> tuples);
 /// ingest path sorts these 8-byte keys instead of 16-byte tuples: half
 /// the bytes moved and a branch-free comparison. Radix scratch comes from
 /// the calling thread's recycled arena (`mem::scratch_arena()`), never
-/// from malloc. Accepts any contiguous key buffer (std::vector,
-/// mem::PoolVec, raw span).
+/// from malloc. Accepts any contiguous key buffer.
 void sort_packed_keys(std::span<std::uint64_t> keys);
 
 /// Pack a (row, col) cell into the ingest key order. Sorting packed keys

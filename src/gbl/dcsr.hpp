@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "common/pool_alloc.hpp"
 #include "common/thread_pool.hpp"
 #include "gbl/sparse_vec.hpp"
 #include "gbl/types.hpp"
@@ -114,14 +113,10 @@ class DcsrMatrix {
   friend bool operator==(const DcsrMatrix&, const DcsrMatrix&) = default;
 
  private:
-  // Pool-backed storage: snapshot matrices are built and torn down once
-  // per window, so their large col/val arrays recycle through the
-  // BufferPool instead of re-faulting fresh pages each time. The element
-  // sequences (and so operator==, spans, serialization) are unchanged.
-  mem::PoolVec<Index> row_ids_;
-  mem::PoolVec<std::uint64_t> row_ptr_;
-  mem::PoolVec<Index> col_;
-  mem::PoolVec<Value> val_;
+  std::vector<Index> row_ids_;
+  std::vector<std::uint64_t> row_ptr_;
+  std::vector<Index> col_;
+  std::vector<Value> val_;
 };
 
 }  // namespace obscorr::gbl

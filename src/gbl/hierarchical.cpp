@@ -31,8 +31,8 @@ void HierarchicalAccumulator::add_packets(std::span<const std::uint64_t> keys) {
 void HierarchicalAccumulator::seal_block() {
   if (pending_.empty()) return;
   // Sort in place and fold straight into the block matrix: the pending
-  // buffer keeps its (pool-backed) capacity and is recycled by every
-  // block of every window — sealing allocates nothing beyond the matrix.
+  // buffer keeps its capacity and is recycled by every block of every
+  // window — sealing allocates nothing beyond the matrix.
   sort_packed_keys(pending_);
   DcsrMatrix block = DcsrMatrix::from_sorted_packed_keys(pending_);
   pending_.clear();

@@ -21,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "common/pool_alloc.hpp"
 #include "common/thread_pool.hpp"
 #include "gbl/dcsr.hpp"
 #include "gbl/types.hpp"
@@ -61,7 +60,7 @@ class HierarchicalAccumulator {
 
   std::uint64_t block_packets_;
   ThreadPool& pool_;
-  mem::PoolVec<std::uint64_t> pending_;          // current partial leaf block (packed keys)
+  std::vector<std::uint64_t> pending_;           // current partial leaf block (packed keys)
   std::vector<std::vector<DcsrMatrix>> levels_;  // levels_[k]: at most 1 block of 2^k leaves
   std::uint64_t packets_ = 0;
   std::uint64_t merges_ = 0;

@@ -144,7 +144,7 @@ TrafficGenerator::ShardStats TrafficGenerator::stream_shard_scalar(
   const std::uint64_t block = std::min<std::uint64_t>(256, dark_size);
   // Packets accumulate in a fixed-size buffer flushed to the sink when
   // full; generation order (and so the emitted sequence) is unchanged.
-  mem::PoolVec<Packet>& buffer = scratch.buffer_;
+  std::vector<Packet>& buffer = scratch.buffer_;
   buffer.clear();
   buffer.reserve(batch_packets);
   ShardStats st;

@@ -25,7 +25,6 @@
 
 #include "common/ipv4.hpp"
 #include "common/packet.hpp"
-#include "common/pool_alloc.hpp"
 #include "common/prng.hpp"
 #include "netgen/population.hpp"
 
@@ -88,9 +87,9 @@ struct WindowPlan {
 /// only field every valid packet touches — is a dense u64 array (8
 /// entries per cache line), while the cursor/subnet state only the
 /// sequential and subnet strategies read lives separately. The strategy
-/// itself comes from the read-only plan. Arrays are pool-backed, so the
-/// per-window scratch contexts of the parallel capture path recycle
-/// their blocks instead of re-faulting them.
+/// itself comes from the read-only plan. The arrays keep their capacity
+/// from shard to shard, so each per-window scratch context of the
+/// parallel capture path reuses its blocks instead of re-faulting them.
 class ShardScratch {
  public:
   ShardScratch() = default;
@@ -103,9 +102,9 @@ class ShardScratch {
     std::uint64_t subnet_base = 0;  // subnet: offset of the /24-equivalent block
   };
 
-  mem::PoolVec<std::uint64_t> stamps_;  // epoch of last init; != epoch_ means stale
-  mem::PoolVec<ScanState> states_;
-  mem::PoolVec<Packet> buffer_;
+  std::vector<std::uint64_t> stamps_;  // epoch of last init; != epoch_ means stale
+  std::vector<ScanState> states_;
+  std::vector<Packet> buffer_;
   std::uint64_t epoch_ = 0;
 };
 

@@ -68,7 +68,7 @@ __attribute__((target("avx2"))) TrafficGenerator::ShardStats TrafficGenerator::s
 
   const std::uint64_t dark_size = config_.darkspace.size();
   const std::uint64_t block = std::min<std::uint64_t>(256, dark_size);
-  mem::PoolVec<Packet>& buffer = scratch.buffer_;
+  std::vector<Packet>& buffer = scratch.buffer_;
   buffer.clear();
   buffer.reserve(batch_packets);
 

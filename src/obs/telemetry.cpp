@@ -37,8 +37,6 @@ constexpr const char* kCanonicalCounters[] = {
     "cache.misses",
     "mem.arena_bytes",
     "mem.arena_resets",
-    "mem.pool_hits",
-    "mem.pool_misses",
     "netgen.packets_emitted",
     "netgen.rng_streams",
     "netgen.shards_generated",
@@ -73,9 +71,7 @@ constexpr const char* kCanonicalCounters[] = {
 constexpr const char* kCanonicalGauges[] = {
     "cache.bytes",
     "mem.arena_high_water",
-    "mem.hugepage_bytes",
     "mem.peak_rss",
-    "mem.pool_high_water",
     "simd.tier",
     "svc.connections_high_water",
     "svc.watchers_high_water",

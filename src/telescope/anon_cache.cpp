@@ -34,8 +34,8 @@ void AnonCache::insert(std::uint32_t key, std::uint32_t value) {
 }
 
 void AnonCache::grow() {
-  mem::PoolVec<Slot> old_slots(2 * slots_.size());
-  mem::PoolVec<std::uint8_t> old_used(old_slots.size(), 0);
+  std::vector<Slot> old_slots(2 * slots_.size());
+  std::vector<std::uint8_t> old_used(old_slots.size(), 0);
   old_slots.swap(slots_);
   old_used.swap(used_);
   mask_ = slots_.size() - 1;

@@ -11,8 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#include "common/pool_alloc.hpp"
+#include <vector>
 
 namespace obscorr::telescope {
 
@@ -54,10 +53,8 @@ class AnonCache {
   }
   void grow();
 
-  // Pool-backed: per-shard capture contexts build a fresh cache per
-  // window chunk, so the table arrays recycle instead of re-faulting.
-  mem::PoolVec<Slot> slots_;
-  mem::PoolVec<std::uint8_t> used_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint8_t> used_;
   std::size_t mask_ = 0;  // slots_.size() - 1 (power of two)
   std::size_t size_ = 0;
 };

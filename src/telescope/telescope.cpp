@@ -63,7 +63,7 @@ std::uint64_t Telescope::capture_block(std::span<const Packet> packets) {
 }
 
 std::uint64_t Telescope::capture_into(Context& ctx, std::span<const Packet> packets) const {
-  mem::PoolVec<std::uint64_t>& keys = ctx.batch_keys;
+  std::vector<std::uint64_t>& keys = ctx.batch_keys;
   keys.clear();
   keys.reserve(packets.size());
   std::uint64_t discarded = 0, hits = 0, misses = 0, anonymize_ns = 0;

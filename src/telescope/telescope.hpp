@@ -24,7 +24,6 @@
 
 #include "common/ipv4.hpp"
 #include "common/packet.hpp"
-#include "common/pool_alloc.hpp"
 #include "common/thread_pool.hpp"
 #include "crypt/cryptopan.hpp"
 #include "gbl/dcsr.hpp"
@@ -117,7 +116,7 @@ class Telescope {
     std::uint64_t discarded = 0;
     mutable AnonCache anon_cache;  // original -> anon (hot, flat open addressing)
     mutable std::unordered_map<std::uint32_t, std::uint32_t> dictionary;  // anon -> original
-    mem::PoolVec<std::uint64_t> batch_keys;  // capture_block scratch (pool-recycled)
+    std::vector<std::uint64_t> batch_keys;  // capture_block scratch (capacity reused)
   };
 
   bool is_valid(const Packet& packet) const;

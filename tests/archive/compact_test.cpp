@@ -58,8 +58,10 @@ std::map<std::string, std::vector<std::byte>> all_payloads(const std::string& di
   const ArchiveReader r(dir);
   std::map<std::string, std::vector<std::byte>> out;
   for (const EntryInfo& e : r.entries()) {
-    const std::span<const std::byte> p = r.payload(e.name);
-    out.emplace(e.name, std::vector<std::byte>(p.begin(), p.end()));
+    // The view owns the decoded page: with the page cache off, nothing
+    // else keeps a compressed entry's bytes alive.
+    const PayloadView p = r.payload(e.name);
+    out.emplace(e.name, std::vector<std::byte>(p.bytes.begin(), p.bytes.end()));
   }
   return out;
 }
@@ -124,7 +126,7 @@ TEST(CompactTest, GoldenArchiveCompressesThreeXAndReadsByteIdentical) {
   for (const EntryInfo& e : r.entries()) {
     const auto it = before.find(e.name);
     ASSERT_NE(it, before.end()) << e.name;
-    const std::span<const std::byte> p = r.payload(e.name);
+    const PayloadView p = r.payload(e.name);
     ASSERT_EQ(p.size(), it->second.size()) << e.name;
     EXPECT_EQ(std::memcmp(p.data(), it->second.data(), p.size()), 0) << e.name;
     if ((e.flags & kEntryFlagCompressed) != 0) {

@@ -20,6 +20,8 @@
 #include "archive/writer.hpp"
 #include "common/thread_pool.hpp"
 #include "core/study.hpp"
+#include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 
 namespace obscorr::archive {
 namespace {
@@ -135,6 +137,32 @@ TEST(StudyArchiveTest, RerunOnCompleteArchiveIsNoop) {
   EXPECT_TRUE(again.already_complete);
   EXPECT_EQ(again.snapshots_reused, s.snapshots.size());
   EXPECT_EQ(again.months_reused, s.months.size());
+}
+
+TEST(StudyArchiveTest, EveryMonthBuiltIsSpanned) {
+  // `--timing` and `--trace-out` see the honeyfarm months `archive`
+  // builds, one `study.month` span each, and none for reused months.
+  const netgen::Scenario s = small_scenario();
+  ThreadPool pool(2);
+  const std::string dir = temp_dir("sarch_month_spans");
+  const auto month_spans = [&] {
+    obs::reset();
+    obs::set_level(obs::Level::kFull);
+    archive_study(s, dir, pool);
+    obs::set_level(obs::Level::kOff);
+    std::vector<std::string> details;
+    for (const obs::SpanEvent& e : obs::span_events()) {
+      if (std::string(e.name) == "study.month") details.push_back(e.detail);
+    }
+    std::sort(details.begin(), details.end());
+    return details;
+  };
+  std::vector<std::string> want;
+  for (std::size_t m = 0; m < s.months.size(); ++m) want.push_back(std::to_string(m));
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(month_spans(), want);
+  EXPECT_TRUE(month_spans().empty());
+  obs::reset();
 }
 
 TEST(StudyArchiveTest, CompletedArchiveOfOtherScenarioIsRefused) {

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "common/asan.hpp"
-#include "common/pool_alloc.hpp"
 
 #if defined(OBSCORR_ASAN)
 #include <sanitizer/asan_interface.h>

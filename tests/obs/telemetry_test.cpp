@@ -260,8 +260,6 @@ TEST_F(TelemetryExportTest, MetricsJsonSchemaAndCanonicalCatalogue) {
       "cache.misses",
       "mem.arena_bytes",
       "mem.arena_resets",
-      "mem.pool_hits",
-      "mem.pool_misses",
       "netgen.packets_emitted",
       "netgen.rng_streams",
       "netgen.shards_generated",
@@ -296,9 +294,7 @@ TEST_F(TelemetryExportTest, MetricsJsonSchemaAndCanonicalCatalogue) {
   const std::vector<std::string> expected_gauges = {
       "cache.bytes",
       "mem.arena_high_water",
-      "mem.hugepage_bytes",
       "mem.peak_rss",
-      "mem.pool_high_water",
       "simd.tier",
       "svc.connections_high_water",
       "svc.watchers_high_water",

@@ -680,6 +680,38 @@ TEST(CliToolTest, SnapshotWithMatrixIsRejected) {
   }
 }
 
+TEST(CliToolTest, UsageErrorsPrintTheirMessageAlone) {
+  // A failed flag or range check reaches users as `error: <message>`,
+  // with no check expression or source location before it.
+  const std::string golden = OBSCORR_TEST_DATA_DIR "/golden_study";
+  const std::string missing = temp("no_such_archive");
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"prefixes", "--from", golden, "--snapshot", "99"}, "archive: snapshot index out of range"},
+      {{"prefixes", "--from", golden, "--length", "40"},
+       "analyze_prefixes: length must be in [1,32]"},
+      {{"serve", "--from", missing, "--unix", temp("serve_msg.sock"), "--surge-start", "1",
+        "--surge-len", "0"},
+       "serve: --surge-len must be > 0"},
+      {{"archive", "compact", "--dir", missing, "--keep-recent", "-1"},
+       "archive compact: --keep-recent must be >= 0"},
+      {{"archive", "compact", "--dir", missing, "--keep-recent", "abc"},
+       "option --keep-recent expects an integer"},
+      {{"study", "--log2-nv", "12", "--cache-bytes", "-5"},
+       "--cache-bytes must be a non-negative byte count"},
+      {{"study", "--log2-nv", "12", "--threads", "x"}, "option --threads expects an integer"},
+      {{"study", "--log2-nv", "12", "--metrics-format", "xml"},
+       "--metrics-format must be json or prom"},
+      {{"generate"}, "generate: --out FILE is required"},
+  };
+  for (const auto& [args, message] : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run(args, out, err), 2) << message;
+    EXPECT_EQ(out.str(), "") << message;
+    EXPECT_EQ(err.str(), "error: " + message + "\n");
+  }
+  archive::set_cache_bytes(std::nullopt);
+}
+
 /// A private copy of the golden archive (log2 N_V = 12, seed 42, five
 /// snapshots) with one live window appended: enough for degrees by
 /// window, too few windows for a windows-domain correlate.

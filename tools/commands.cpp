@@ -747,9 +747,6 @@ caps it — outputs are byte-identical at any tier (docs/performance.md
 compressed archive entries decode through an LRU page cache; every command
 accepts --cache-bytes N (default: OBSCORR_CACHE_BYTES, then 256 MiB; 0
 disables) — results are byte-identical at any budget (docs/archive.md).
-scratch memory is recycled through hugepage-backed pools; set
-OBSCORR_NO_HUGEPAGES=1 or OBSCORR_NO_POOL=1 to opt out — results are
-byte-identical either way (docs/performance.md "Memory model").
 every command also accepts the telemetry flags (docs/observability.md):
   --timing            per-phase timing summary + per-window rates on stderr
   --metrics-out FILE  counter/gauge/span metrics (obscorr.metrics.v1 JSON)
