@@ -77,8 +77,8 @@ const std::string& compressed_archive() {
 /// Raw payload of one representative entry of each compressible kind.
 std::vector<std::byte> entry_payload(const std::string& name) {
   const archive::ArchiveReader r(raw_archive());
-  const std::span<const std::byte> p = r.payload(name);
-  return {p.begin(), p.end()};
+  const archive::PayloadView p = r.payload(name);
+  return {p.bytes.begin(), p.bytes.end()};
 }
 
 void bench_encode(benchmark::State& state, const std::string& name) {

@@ -63,17 +63,17 @@ CompactStats compact_archive(const std::string& dir, const CompactOptions& opts)
       stats.entries_compressed += 1;
       continue;
     }
-    const std::span<const std::byte> payload = reader.payload(e.name);
+    const PayloadView payload = reader.payload(e.name);
     const std::int64_t w = window_index(e.name);
     const bool hot_tail = w >= 0 && w >= raw_from;
     if (!hot_tail) {
-      if (auto stored = codec::compress_entry(e.name, payload)) {
+      if (auto stored = codec::compress_entry(e.name, payload.bytes)) {
         writer.add_entry_compressed(e.name, *stored, payload.size());
         stats.entries_compressed += 1;
         continue;
       }
     }
-    writer.add_entry(e.name, as_chars(payload));
+    writer.add_entry(e.name, as_chars(payload.bytes));
   }
   for (const EntryInfo& e : writer.entries()) stats.stored_bytes_after += e.size;
   writer.finalize(reader.scenario_hash());

@@ -31,14 +31,13 @@ namespace obscorr::archive {
 
 /// Decoded payload bytes plus whatever owns them: nothing for raw
 /// entries (the reader's mapping outlives the view), a cache page for
-/// compressed entries. Converts implicitly to a byte span, so span
-/// call sites read either kind — but a caller that stores the span
-/// beyond the expression must store the view (or the page) with it.
+/// compressed entries. There is no conversion to a bare span: callers
+/// name `.bytes`, and one that keeps the bytes beyond the expression
+/// keeps the view (or the page) with them.
 struct PayloadView {
   std::span<const std::byte> bytes;
   CachePage page;  ///< null for zero-copy raw entries
 
-  operator std::span<const std::byte>() const { return bytes; }
   const std::byte* data() const { return bytes.data(); }
   std::size_t size() const { return bytes.size(); }
   bool empty() const { return bytes.empty(); }

@@ -1,9 +1,12 @@
 #include "archive/study_archive.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <exception>
 #include <filesystem>
+#include <future>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,9 +117,9 @@ void decode_snapshot_meta(std::span<const std::byte> bytes, core::SnapshotData& 
 }
 
 std::string encode_assoc(const d4m::AssocArray& a) {
-  std::ostringstream os(std::ios::binary);
-  a.write_binary(os);
-  return std::move(os).str();
+  std::string out;
+  a.write_binary(out);
+  return out;
 }
 
 d4m::AssocArray decode_assoc(std::span<const std::byte> bytes) {
@@ -131,7 +134,7 @@ std::string encode_month(const honeyfarm::MonthlyObservation& obs) {
   w.u64(obs.population_sources);
   w.u64(obs.ephemeral_sources);
   std::string out = w.take();
-  out += encode_assoc(obs.sources);
+  obs.sources.write_binary(out);
   return out;
 }
 
@@ -182,6 +185,70 @@ bool snapshot_complete(const ArchiveWriter& w, std::size_t k) {
     if (!w.has_entry(snapshot_entry(k, part))) return false;
   }
   return true;
+}
+
+/// Build the months `missing` lists as pool tasks and append them in
+/// list order, so the log is the one a serial loop writes. Returns false
+/// when a stop request ended the run first: no task starts after the
+/// request, and the months built before it that extend the appended
+/// prefix are still appended. A task's exception reaches the caller once
+/// every submitted task has finished. Call from outside `pool`'s tasks:
+/// this thread waits without helping, so that it only appends.
+bool append_months(ArchiveWriter& writer, const netgen::Scenario& scenario,
+                   const netgen::Population& population, std::span<const std::size_t> missing,
+                   ThreadPool& pool) {
+  // Month m's activity chain extends month m-1's, so the lazy fill is
+  // serial; doing it here keeps the tasks from queueing on its mutex.
+  (void)population.active(0, static_cast<int>(scenario.months.size()) - 1);
+
+  // One future per submitted month: its encoded payload, or nullopt when
+  // the stop request came before its task started.
+  using Payload = std::optional<std::string>;
+  std::vector<std::future<Payload>> built;
+  built.reserve(missing.size());
+  const auto submit = [&](std::size_t m) {
+    auto promise = std::make_shared<std::promise<Payload>>();
+    built.push_back(promise->get_future());
+    pool.submit([&scenario, &population, m, promise] {
+      try {
+        promise->set_value(interrupt::stop_requested()
+                               ? Payload()
+                               : encode_month(core::run_month(scenario, population, m)));
+      } catch (...) {
+        promise->set_exception(std::current_exception());
+      }
+    });
+  };
+  // The tasks read `scenario` and `population`: whatever way this
+  // function leaves, every submitted task has finished.
+  const auto wait_all = [&] {
+    for (std::future<Payload>& f : built) {
+      if (f.valid()) f.wait();
+    }
+  };
+
+  // Each encoded month waits for the append cursor, so the lookahead
+  // bounds how many payloads are held at once: 2 x threads keeps every
+  // worker busy and the median peak RSS at the serial loop's.
+  const std::size_t lookahead = 2 * pool.thread_count();
+  std::size_t next = 0;
+  try {
+    for (; next < missing.size(); ++next) {
+      while (built.size() < std::min(missing.size(), next + lookahead) &&
+             !interrupt::stop_requested()) {
+        submit(missing[built.size()]);
+      }
+      if (next == built.size()) break;  // stopped before this month was submitted
+      const Payload payload = built[next].get();
+      if (!payload) break;  // stopped before this month started
+      writer.add_entry(month_entry(missing[next]), *payload);
+    }
+  } catch (...) {
+    wait_all();
+    throw;
+  }
+  wait_all();
+  return next == missing.size();
 }
 
 }  // namespace
@@ -382,7 +449,9 @@ ArchiveStats archive_study(const netgen::Scenario& scenario, const std::string& 
   // snapshot/month is already flushed to the append-only log when the
   // flag is observed, so an interrupted run leaves a resumable partial
   // archive (no manifest) and the same command picks up where it
-  // stopped. The in-progress entry is abandoned, never half-written.
+  // stopped. No entry is ever half-written. Months are built as pool
+  // tasks but appended in index order, one entry each, so the log, the
+  // resume granularity and the manifest are those of a serial run.
   for (std::size_t k = 0; k < scenario.snapshots.size(); ++k) {
     if (snapshot_complete(writer, k)) {
       ++stats.snapshots_reused;
@@ -394,16 +463,19 @@ ArchiveStats archive_study(const netgen::Scenario& scenario, const std::string& 
     }
     add_snapshot_entries(writer, k, core::run_snapshot(scenario, world(), k, pool));
   }
+  std::vector<std::size_t> missing_months;
   for (std::size_t m = 0; m < scenario.months.size(); ++m) {
     if (writer.has_entry(month_entry(m))) {
       ++stats.months_reused;
-      continue;
+    } else {
+      missing_months.push_back(m);
     }
-    if (interrupt::stop_requested()) {
-      stats.interrupted = true;
-      return stats;
-    }
-    writer.add_entry(month_entry(m), encode_month(core::run_month(scenario, world(), m)));
+  }
+  if (!missing_months.empty() &&
+      (interrupt::stop_requested() ||
+       !append_months(writer, scenario, world(), missing_months, pool))) {
+    stats.interrupted = true;
+    return stats;
   }
   writer.finalize(hash);
   return stats;
@@ -424,7 +496,7 @@ void write_study(const core::StudyData& study, const std::string& dir) {
 
 StudyReader::StudyReader(const std::string& dir) : reader_(dir) {
   OBSCORR_REQUIRE(reader_.has("scenario"), "archive: missing scenario entry");
-  scenario_ = decode_scenario(reader_.payload("scenario"));
+  scenario_ = decode_scenario(reader_.payload("scenario").bytes);
   OBSCORR_REQUIRE(scenario_fingerprint(scenario_) == reader_.scenario_hash(),
                   "archive: manifest scenario hash does not match the scenario entry");
   for (const std::string& name : expected_entries(scenario_)) {
@@ -451,19 +523,19 @@ std::size_t StudyReader::refresh() {
 
 LiveWindowMeta StudyReader::window_meta(std::size_t w) const {
   OBSCORR_REQUIRE(w < window_count_, "archive: window index out of range");
-  return decode_window_meta(reader_.payload(window_entry(w, "meta")));
+  return decode_window_meta(reader_.payload(window_entry(w, "meta")).bytes);
 }
 
 gbl::MatrixView StudyReader::window_matrix(std::size_t w) const {
   OBSCORR_REQUIRE(w < window_count_, "archive: window index out of range");
   const PayloadView p = reader_.payload(window_entry(w, "matrix"));
-  return gbl::MatrixView::from_bytes(p, p.page);
+  return gbl::MatrixView::from_bytes(p.bytes, p.page);
 }
 
 StudyReader::SourcesRef StudyReader::window_sources(std::size_t w) const {
   OBSCORR_REQUIRE(w < window_count_, "archive: window index out of range");
   const PayloadView p = reader_.payload(window_entry(w, "sources"));
-  const SourcesView v = decode_sources(p);
+  const SourcesView v = decode_sources(p.bytes);
   return {v.ids, v.counts, p.page};
 }
 
@@ -476,13 +548,13 @@ gbl::SparseVec StudyReader::window_source_packets(std::size_t w) const {
 gbl::MatrixView StudyReader::matrix(std::size_t k) const {
   OBSCORR_REQUIRE(k < snapshot_count(), "archive: snapshot index out of range");
   const PayloadView p = reader_.payload(snapshot_entry(k, "matrix"));
-  return gbl::MatrixView::from_bytes(p, p.page);
+  return gbl::MatrixView::from_bytes(p.bytes, p.page);
 }
 
 StudyReader::SourcesRef StudyReader::sources(std::size_t k) const {
   OBSCORR_REQUIRE(k < snapshot_count(), "archive: snapshot index out of range");
   const PayloadView p = reader_.payload(snapshot_entry(k, "sources"));
-  const SourcesView v = decode_sources(p);
+  const SourcesView v = decode_sources(p.bytes);
   return {v.ids, v.counts, p.page};
 }
 
@@ -495,16 +567,16 @@ gbl::SparseVec StudyReader::source_packets(std::size_t k) const {
 core::SnapshotData StudyReader::snapshot(std::size_t k, bool with_matrix) const {
   OBSCORR_REQUIRE(k < snapshot_count(), "archive: snapshot index out of range");
   core::SnapshotData snap;
-  decode_snapshot_meta(reader_.payload(snapshot_entry(k, "meta")), snap);
+  decode_snapshot_meta(reader_.payload(snapshot_entry(k, "meta")).bytes, snap);
   if (with_matrix) snap.matrix = matrix(k).materialize();
   snap.source_packets = source_packets(k);
-  snap.sources = decode_assoc(reader_.payload(snapshot_entry(k, "assoc")));
+  snap.sources = decode_assoc(reader_.payload(snapshot_entry(k, "assoc")).bytes);
   return snap;
 }
 
 honeyfarm::MonthlyObservation StudyReader::month(std::size_t m) const {
   OBSCORR_REQUIRE(m < month_count(), "archive: month index out of range");
-  return decode_month(reader_.payload(month_entry(m)));
+  return decode_month(reader_.payload(month_entry(m)).bytes);
 }
 
 std::vector<honeyfarm::MonthlyObservation> StudyReader::months() const {

@@ -88,7 +88,10 @@ std::uint64_t scenario_fingerprint(const netgen::Scenario& scenario);
 /// snapshots/months left by a previous interrupted run of the *same*
 /// scenario (a differing scenario restarts the log from scratch), then
 /// commit the manifest. Throws std::invalid_argument when `dir` already
-/// holds a *completed* archive of a different scenario.
+/// holds a *completed* archive of a different scenario. Missing months
+/// are built as `pool` tasks and appended in index order, so the files
+/// written do not depend on the thread count. Call from outside `pool`'s
+/// tasks: the calling thread waits on them without helping.
 ArchiveStats archive_study(const netgen::Scenario& scenario, const std::string& dir,
                            ThreadPool& pool);
 

@@ -289,31 +289,36 @@ void ArchiveWriter::append_frame(std::string_view magic, std::string_view name,
   PayloadWriter crc_bytes;
   crc_bytes.u32(header_crc);
 
-  std::string block = prefix + crc_bytes.bytes() + std::string(name);
-  block.resize(padded8(block.size()), '\0');
-  const std::uint64_t payload_at = log_size_ + block.size();
-  block += payload;
-  block.resize(padded8(block.size()), '\0');
+  // The frame goes out as three pieces, header, payload and padding, so
+  // the payload is written from the caller's buffer without a copy.
+  std::string header = prefix + crc_bytes.bytes() + std::string(name);
+  header.resize(padded8(header.size()), '\0');
+  const std::uint64_t payload_at = log_size_ + header.size();
+  constexpr char kZeros[8] = {};
+  const std::string_view padding(kZeros, padded8(payload.size()) - payload.size());
 
   std::ofstream os(log_path_, std::ios::binary | std::ios::app);
   OBSCORR_REQUIRE(os.is_open(), "archive: cannot append to " + log_path_);
-  os.write(block.data(), static_cast<std::streamsize>(block.size()));
+  for (const std::string_view piece : {std::string_view(header), payload, padding}) {
+    os.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+  }
   os.flush();
   OBSCORR_REQUIRE(os.good(), "archive: write failure on " + log_path_);
 
+  const std::uint64_t frame_size = header.size() + payload.size() + padding.size();
   info.name = std::string(name);
   info.offset = payload_at;
   info.size = payload.size();
   info.crc32c = payload_crc;
   entries_.push_back(std::move(info));
-  log_size_ += block.size();
-  log_crc_ = crc32c(block, log_crc_);
+  log_size_ += frame_size;
+  log_crc_ = crc32c(padding, crc32c(payload, crc32c(header, log_crc_)));
   if (obs::counters_enabled()) {
     static obs::Counter& bytes_written = obs::counter("archive.bytes_written");
     static obs::Counter& frames_written = obs::counter("archive.frames_written");
     static obs::Counter& raw_bytes = obs::counter("archive.raw_bytes");
     static obs::Counter& stored_bytes = obs::counter("archive.stored_bytes");
-    bytes_written.add(block.size());
+    bytes_written.add(frame_size);
     frames_written.add(1);
     raw_bytes.add(entries_.back().raw_size);
     stored_bytes.add(payload.size());

@@ -4,9 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <istream>
 #include <iterator>
-#include <ostream>
 #include <set>
 
 #include "common/error.hpp"
@@ -321,15 +319,24 @@ namespace {
 constexpr char kBinaryMagic[8] = {'O', 'B', 'S', 'D', '4', 'M', 'A', '1'};
 
 template <typename T>
-void write_pod(std::ostream& os, const T& value) {
-  os.write(reinterpret_cast<const char*>(&value), sizeof value);
+void append_pods(std::string& out, const T* values, std::size_t count) {
+  out.append(reinterpret_cast<const char*>(values), count * sizeof(T));
 }
 
-void write_keys(std::ostream& os, const std::vector<std::string>& keys) {
-  write_pod<std::uint64_t>(os, keys.size());
+/// Encoded size of a key list: u64 count, then u32 length + bytes per key.
+std::size_t keys_size(const std::vector<std::string>& keys) {
+  std::size_t size = sizeof(std::uint64_t);
+  for (const std::string& key : keys) size += sizeof(std::uint32_t) + key.size();
+  return size;
+}
+
+void append_keys(std::string& out, const std::vector<std::string>& keys) {
+  const std::uint64_t count = keys.size();
+  append_pods(out, &count, 1);
   for (const std::string& key : keys) {
-    write_pod<std::uint32_t>(os, static_cast<std::uint32_t>(key.size()));
-    os.write(key.data(), static_cast<std::streamsize>(key.size()));
+    const auto len = static_cast<std::uint32_t>(key.size());
+    append_pods(out, &len, 1);
+    out.append(key);
   }
 }
 
@@ -383,25 +390,21 @@ std::vector<T> read_pod_array(SpanCursor& c, std::size_t n) {
 
 }  // namespace
 
-void AssocArray::write_binary(std::ostream& os) const {
-  os.write(kBinaryMagic, sizeof kBinaryMagic);
-  write_keys(os, row_keys_);
-  write_keys(os, col_keys_);
-  write_pod<std::uint64_t>(os, static_cast<std::uint64_t>(col_idx_.size()));
-  os.write(reinterpret_cast<const char*>(row_ptr_.data()),
-           static_cast<std::streamsize>(row_ptr_.size() * sizeof(std::uint64_t)));
-  os.write(reinterpret_cast<const char*>(col_idx_.data()),
-           static_cast<std::streamsize>(col_idx_.size() * sizeof(std::uint32_t)));
-  os.write(reinterpret_cast<const char*>(val_.data()),
-           static_cast<std::streamsize>(val_.size() * sizeof(double)));
-  OBSCORR_REQUIRE(os.good(), "write_binary: stream failure");
-}
-
-AssocArray AssocArray::read_binary(std::istream& is) {
-  // The istream form exists for symmetry with write_binary; the span
-  // overload is the validated parser.
-  const std::string buffer(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>{});
-  return read_binary(std::as_bytes(std::span<const char>(buffer.data(), buffer.size())));
+void AssocArray::write_binary(std::string& out) const {
+  const std::size_t end = out.size() + sizeof kBinaryMagic + keys_size(row_keys_) +
+                          keys_size(col_keys_) + sizeof(std::uint64_t) +
+                          row_ptr_.size() * sizeof(std::uint64_t) +
+                          col_idx_.size() * sizeof(std::uint32_t) + val_.size() * sizeof(double);
+  out.reserve(end);
+  out.append(kBinaryMagic, sizeof kBinaryMagic);
+  append_keys(out, row_keys_);
+  append_keys(out, col_keys_);
+  const std::uint64_t nnz = col_idx_.size();
+  append_pods(out, &nnz, 1);
+  append_pods(out, row_ptr_.data(), row_ptr_.size());
+  append_pods(out, col_idx_.data(), col_idx_.size());
+  append_pods(out, val_.data(), val_.size());
+  OBSCORR_INVARIANT(out.size() == end);
 }
 
 AssocArray AssocArray::read_binary(std::span<const std::byte> bytes) {

@@ -15,7 +15,6 @@
 /// multiplication — pure associative-array algebra.
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <string_view>
@@ -106,16 +105,14 @@ class AssocArray {
 
   /// Binary serialization ("OBSD4MA1", little-endian): the study-archive
   /// representation. Exact — values round-trip bit-for-bit and keys are
-  /// raw bytes (empty strings and non-ASCII bytes survive). `read_binary`
-  /// validates the canonical-form invariants (sorted unique keys,
-  /// monotone offsets, no unused keys) and throws std::invalid_argument
-  /// on malformed input. The span overload is the archive's hot read
-  /// path: it parses straight out of the mapped buffer (no istream
-  /// indirection per key) and requires the buffer to hold exactly one
-  /// serialized array; the istream overload consumes the rest of the
-  /// stream and delegates to it.
-  void write_binary(std::ostream& os) const;
-  static AssocArray read_binary(std::istream& is);
+  /// raw bytes (empty strings and non-ASCII bytes survive).
+  /// `write_binary` appends the encoding to `out`, growing it once, so an
+  /// archive entry's header and array share one buffer. `read_binary`
+  /// parses straight out of the mapped buffer, which must hold exactly
+  /// one serialized array; it validates the canonical-form invariants
+  /// (sorted unique keys, monotone offsets, no unused keys) and throws
+  /// std::invalid_argument on malformed input.
+  void write_binary(std::string& out) const;
   static AssocArray read_binary(std::span<const std::byte> bytes);
 
   friend bool operator==(const AssocArray&, const AssocArray&) = default;

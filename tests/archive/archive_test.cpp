@@ -43,8 +43,8 @@ void dump(const std::string& path, const std::vector<char>& data) {
   os.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
-std::string payload_text(std::span<const std::byte> bytes) {
-  return std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+std::string payload_text(const PayloadView& p) {
+  return std::string(reinterpret_cast<const char*>(p.data()), p.size());
 }
 
 TEST(ArchiveTest, Crc32cKnownVectors) {

@@ -48,9 +48,9 @@ TEST(CodecTest, GoldenArchiveEntriesRoundTripAndShrink) {
   std::uint64_t stored_total = 0;
   std::size_t compressed_entries = 0;
   for (const EntryInfo& e : r.entries()) {
-    const std::span<const std::byte> payload = r.payload(e.name);
+    const PayloadView payload = r.payload(e.name);
     raw_total += payload.size();
-    const auto stored = compress_entry(e.name, payload);
+    const auto stored = compress_entry(e.name, payload.bytes);
     if (!stored.has_value()) {
       stored_total += payload.size();
       continue;
@@ -103,7 +103,7 @@ TEST(CodecTest, UnknownOrTinyOrGarbagePayloadsStayRaw) {
 std::string golden_container() {
   const std::string dir = std::string(OBSCORR_TEST_DATA_DIR) + "/golden_study";
   const ArchiveReader r(dir);
-  const auto stored = compress_entry("month/0", r.payload("month/0"));
+  const auto stored = compress_entry("month/0", r.payload("month/0").bytes);
   EXPECT_TRUE(stored.has_value());
   return *stored;
 }

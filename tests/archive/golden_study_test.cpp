@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "archive/study_archive.hpp"
@@ -70,6 +73,30 @@ TEST(GoldenStudyTest, TelemetryEnabledRunReproducesArchivedCampaign) {
   ASSERT_EQ(fresh.months.size(), golden.months.size());
   for (std::size_t m = 0; m < fresh.months.size(); ++m) {
     EXPECT_EQ(fresh.months[m].sources, golden.months[m].sources) << m;
+  }
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+TEST(GoldenStudyTest, ArchiveStudyRewritesGoldenFilesAtEveryThreadCount) {
+  // `archive_study` builds the months as pool tasks and appends them in
+  // index order: at every pool size it writes the committed log and
+  // manifest byte for byte.
+  const std::string golden = std::string(OBSCORR_TEST_DATA_DIR) + "/golden_study";
+  const netgen::Scenario scenario = StudyReader(golden).scenario();
+  for (const std::size_t threads : {1u, 2u, 5u}) {
+    const std::string dir = ::testing::TempDir() + "/golden_rewrite_" + std::to_string(threads);
+    std::filesystem::remove_all(dir);
+    ThreadPool pool(threads);
+    const ArchiveStats stats = archive_study(scenario, dir, pool);
+    EXPECT_FALSE(stats.interrupted);
+    for (const char* file : {kEntryLogName, kManifestName}) {
+      EXPECT_TRUE(file_bytes(dir + "/" + file) == file_bytes(golden + "/" + file))
+          << file << " differs at " << threads << " threads";
+    }
   }
 }
 

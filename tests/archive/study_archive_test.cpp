@@ -10,13 +10,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <string>
 #include <vector>
 
+#include "archive/reader.hpp"
 #include "archive/writer.hpp"
 #include "common/thread_pool.hpp"
 #include "core/study.hpp"
@@ -40,9 +41,36 @@ netgen::Scenario small_scenario(std::uint64_t seed = 7) {
 }
 
 std::string assoc_bytes(const d4m::AssocArray& a) {
-  std::ostringstream os(std::ios::binary);
-  a.write_binary(os);
-  return os.str();
+  std::string out;
+  a.write_binary(out);
+  return out;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+/// Both files of two archive directories are byte-identical.
+void expect_same_files(const std::string& got, const std::string& want) {
+  for (const char* file : {kEntryLogName, kManifestName}) {
+    EXPECT_TRUE(file_bytes(got + "/" + file) == file_bytes(want + "/" + file)) << file;
+  }
+}
+
+/// What a run killed while appending `entry` leaves: no manifest, and a
+/// log that ends halfway through that entry's payload.
+void tear_log_at(const std::string& dir, const std::string& entry) {
+  std::uint64_t tear = 0;
+  {
+    const ArchiveReader reader(dir);
+    for (const EntryInfo& e : reader.entries()) {
+      if (e.name == entry) tear = e.offset + e.size / 2;
+    }
+  }
+  ASSERT_GT(tear, 0u) << entry;
+  fs::remove(dir + "/" + kManifestName);
+  fs::resize_file(dir + "/" + kEntryLogName, tear);
 }
 
 void expect_same_study(const core::StudyData& got, const core::StudyData& want) {
@@ -197,6 +225,42 @@ TEST(StudyArchiveTest, ResumeAfterTornLogReusesFinishedWork) {
       << "the tear should have cost some work";
 
   expect_same_study(read_study(crash_dir), read_study(clean_dir));
+}
+
+TEST(StudyArchiveTest, TornMonthResumedOnFourThreadsMatchesSerialRun) {
+  // Months are built as pool tasks but appended in index order, so a
+  // resume at any thread count writes the serial run's bytes.
+  const netgen::Scenario s = small_scenario();
+  ThreadPool serial(1);
+  const std::string clean_dir = temp_dir("sarch_month_clean");
+  archive_study(s, clean_dir, serial);
+
+  const std::string torn_dir = temp_dir("sarch_month_torn");
+  fs::copy(clean_dir, torn_dir);
+  tear_log_at(torn_dir, "month/7");
+
+  ThreadPool pool(4);
+  const ArchiveStats resumed = archive_study(s, torn_dir, pool);
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.snapshots_reused, s.snapshots.size());
+  EXPECT_EQ(resumed.months_reused, 7u);
+  expect_same_files(torn_dir, clean_dir);
+}
+
+TEST(StudyArchiveTest, FailedMonthReachesCallerAfterEarlierMonthsAreAppended) {
+  // Month 9 cannot be built (zero coverage). The failure surfaces once
+  // the outstanding tasks finish; months 0-8 are already in the log, and
+  // nothing after them is.
+  netgen::Scenario s = small_scenario();
+  s.months[9].coverage = 0.0;
+  ThreadPool pool(4);
+  const std::string dir = temp_dir("sarch_month_failure");
+  EXPECT_THROW(archive_study(s, dir, pool), std::invalid_argument);
+  EXPECT_FALSE(fs::exists(dir + "/" + kManifestName));
+  const ArchiveWriter w(dir);
+  for (std::size_t m = 0; m < s.months.size(); ++m) {
+    EXPECT_EQ(w.has_entry("month/" + std::to_string(m)), m < 9) << "month " << m;
+  }
 }
 
 TEST(StudyArchiveTest, IncompatibleIncompleteArchiveIsRestarted) {

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
+#include "archive/reader.hpp"
 #include "archive/study_archive.hpp"
 #include "common/thread_pool.hpp"
 #include "gbl/sparse_vec.hpp"
@@ -17,6 +21,11 @@
 
 namespace obscorr {
 namespace {
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
 
 class InterruptTest : public ::testing::Test {
  protected:
@@ -70,6 +79,53 @@ TEST_F(InterruptTest, InterruptedArchiveFlushesAndResumesByteIdentically) {
     EXPECT_TRUE(a.source_packets(k) == b.source_packets(k)) << k;
   }
   EXPECT_EQ(a.scenario_hash(), b.scenario_hash());
+}
+
+TEST_F(InterruptTest, StoppedResumeOfTornMonthLogAppendsNothing) {
+  namespace fs = std::filesystem;
+  const std::string clean = ::testing::TempDir() + "/interrupt_torn_clean";
+  const std::string dir = ::testing::TempDir() + "/interrupt_torn";
+  fs::remove_all(clean);
+  fs::remove_all(dir);
+  const netgen::Scenario scenario = netgen::Scenario::paper(/*log2_nv=*/10, /*seed=*/11);
+  ThreadPool serial(1);
+  ASSERT_FALSE(archive::archive_study(scenario, clean, serial).interrupted);
+
+  // Kill the run halfway through month 7's frame; month 6's frame ends
+  // where month 7's begins (frames are 8-byte aligned).
+  std::uint64_t tear = 0;
+  std::uint64_t prefix = 0;
+  const archive::ArchiveReader reader(clean);
+  for (const archive::EntryInfo& e : reader.entries()) {
+    if (e.name == "month/6") prefix = (e.offset + e.size + 7) / 8 * 8;
+    if (e.name == "month/7") tear = e.offset + e.size / 2;
+  }
+  ASSERT_GT(prefix, 0u);
+  ASSERT_GT(tear, prefix);
+  fs::copy(clean, dir);
+  fs::remove(dir + "/" + archive::kManifestName);
+  fs::resize_file(dir + "/" + archive::kEntryLogName, tear);
+
+  // A stop already requested: the torn tail is dropped, no month task
+  // starts, nothing is appended and no manifest is committed.
+  interrupt::request_stop();
+  ThreadPool pool(4);
+  const archive::ArchiveStats stopped = archive::archive_study(scenario, dir, pool);
+  EXPECT_TRUE(stopped.interrupted);
+  EXPECT_EQ(stopped.snapshots_reused, scenario.snapshots.size());
+  EXPECT_EQ(stopped.months_reused, 7u);
+  EXPECT_FALSE(fs::exists(dir + "/" + archive::kManifestName));
+  const std::string clean_log = file_bytes(clean + "/" + archive::kEntryLogName);
+  EXPECT_TRUE(file_bytes(dir + "/" + archive::kEntryLogName) == clean_log.substr(0, prefix));
+
+  // The flag cleared, the same command completes the uninterrupted bytes.
+  interrupt::reset();
+  const archive::ArchiveStats resumed = archive::archive_study(scenario, dir, pool);
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.months_reused, 7u);
+  for (const char* file : {archive::kEntryLogName, archive::kManifestName}) {
+    EXPECT_TRUE(file_bytes(dir + "/" + file) == file_bytes(clean + "/" + file)) << file;
+  }
 }
 
 TEST_F(InterruptTest, CompletedArchiveIgnoresStaleStopFlag) {

@@ -11,7 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
-#include <sstream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,14 +20,13 @@ namespace obscorr::d4m {
 namespace {
 
 std::string serialized(const AssocArray& a) {
-  std::ostringstream os(std::ios::binary);
-  a.write_binary(os);
-  return os.str();
+  std::string out;
+  a.write_binary(out);
+  return out;
 }
 
 AssocArray parse(const std::string& bytes) {
-  std::istringstream is(bytes, std::ios::binary);
-  return AssocArray::read_binary(is);
+  return AssocArray::read_binary(std::as_bytes(std::span<const char>(bytes.data(), bytes.size())));
 }
 
 void expect_round_trip(const AssocArray& a) {
@@ -36,6 +35,11 @@ void expect_round_trip(const AssocArray& a) {
   EXPECT_TRUE(back == a);
   // Canonical: re-serializing reproduces the exact bytes.
   EXPECT_EQ(serialized(back), bytes);
+  // write_binary appends, leaving what the buffer already held in front
+  // (an archive month's header).
+  std::string framed("head\0er", 7);
+  a.write_binary(framed);
+  EXPECT_EQ(framed, std::string("head\0er", 7) + bytes);
 }
 
 TEST(AssocBinaryTest, EmptyArrayRoundTrips) { expect_round_trip(AssocArray()); }

@@ -15,7 +15,6 @@
 #include <limits>
 #include <random>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -28,9 +27,9 @@ namespace obscorr::d4m {
 namespace {
 
 std::string bytes(const AssocArray& a) {
-  std::ostringstream os(std::ios::binary);
-  a.write_binary(os);
-  return os.str();
+  std::string out;
+  a.write_binary(out);
+  return out;
 }
 
 // --- Reference: the triple formulation ------------------------------------

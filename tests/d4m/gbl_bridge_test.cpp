@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <random>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -17,9 +16,9 @@ namespace obscorr::d4m {
 namespace {
 
 std::string bytes(const AssocArray& a) {
-  std::ostringstream os(std::ios::binary);
-  a.write_binary(os);
-  return os.str();
+  std::string out;
+  a.write_binary(out);
+  return out;
 }
 
 /// The triple formulation of a one-column array over addresses.

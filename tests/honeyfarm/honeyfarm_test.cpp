@@ -6,7 +6,6 @@
 #include <array>
 #include <cmath>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -167,9 +166,9 @@ TEST(HoneyfarmTest, TotalsAddUp) {
 }
 
 std::string bytes(const d4m::AssocArray& a) {
-  std::ostringstream os(std::ios::binary);
-  a.write_binary(os);
-  return os.str();
+  std::string out;
+  a.write_binary(out);
+  return out;
 }
 
 /// The month as the triple formulation builds it: four triples per

@@ -7,10 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 
 #include <cmath>
 #include <numeric>
+#include <span>
 
 #include "core/correlation.hpp"
 #include "core/degree_analysis.hpp"
@@ -26,9 +26,9 @@ namespace obscorr {
 namespace {
 
 std::string binary(const d4m::AssocArray& a) {
-  std::ostringstream os(std::ios::binary);
-  a.write_binary(os);
-  return os.str();
+  std::string out;
+  a.write_binary(out);
+  return out;
 }
 
 TEST(PipelineTest, GroundTruthFlowsThroughToAnalysis) {
@@ -185,9 +185,9 @@ TEST(PipelineTest, BinaryExportImportPreservesCorrelation) {
   ThreadPool pool(2);
   const auto study = core::run_study(netgen::Scenario::paper(14, 42), pool);
   const auto& month = study.months[4];
-  std::stringstream ss;
-  month.sources.write_binary(ss);
-  const d4m::AssocArray restored = d4m::AssocArray::read_binary(ss);
+  const std::string encoded = binary(month.sources);
+  const d4m::AssocArray restored = d4m::AssocArray::read_binary(
+      std::as_bytes(std::span<const char>(encoded.data(), encoded.size())));
   EXPECT_EQ(restored, month.sources);
 
   honeyfarm::MonthlyObservation month_copy;

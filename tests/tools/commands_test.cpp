@@ -137,6 +137,26 @@ TEST(CliToolTest, LookupFindsAPersistentSourceAndMissesAStranger) {
   EXPECT_EQ(run({"lookup", "--ip", "not-an-ip", "--log2-nv", "14"}, bad), 2);
 }
 
+TEST(CliToolTest, FreshLookupIsTheSameAtEveryThreadCount) {
+  // A fresh lookup builds its months on the pool; which worker builds
+  // which month must not move a byte of the answer.
+  const auto scenario = netgen::Scenario::paper(14, 5);
+  const netgen::Population population(scenario.population);
+  const std::string bright_ip = population.source(0).ip.to_string();
+  const auto lookup = [&](const std::string& threads) {
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(run({"lookup", "--ip", bright_ip, "--log2-nv", "14", "--seed", "5", "--threads",
+                   threads},
+                  out, err),
+              0);
+    return out.str();
+  };
+  const std::string serial = lookup("1");
+  EXPECT_NE(serial.find("seen in"), std::string::npos);
+  EXPECT_EQ(lookup("4"), serial);
+}
+
 TEST(CliToolTest, ReportWritesAllArtifacts) {
   const std::string dir = ::testing::TempDir();
   std::ostringstream out;

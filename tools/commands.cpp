@@ -248,9 +248,14 @@ int cmd_lookup(const Invocation& in, std::ostream& out, std::ostream& /*err*/) {
   } else {
     const auto scenario = in.scenario();
     const netgen::Population population(scenario.population);
-    for (std::size_t m = 0; m < scenario.months.size(); ++m) {
-      months.push_back(core::run_month(scenario, population, m));
-    }
+    months.resize(scenario.months.size());
+    // Month m's activity chain extends month m-1's, so fill it serially
+    // before the months run as pool tasks into their slots.
+    (void)population.active(0, static_cast<int>(months.size()) - 1);
+    ThreadPool pool(in.threads);
+    parallel_for(pool, 0, months.size(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t m = b; m < e; ++m) months[m] = core::run_month(scenario, population, m);
+    });
   }
   svc::render_lookup(honeyfarm::Database(std::move(months)), ip, out);
   return 0;
