@@ -81,6 +81,19 @@ bool crc32c_hw_available() {
 
 #endif  // OBSCORR_CRC32C_HW
 
+/// a(x)·b(x) modulo the polynomial, both reflected with x^0 in bit 31.
+std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if (a & m) {
+      product ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    b = (b & 1u) ? (b >> 1) ^ 0x82F63B78u : b >> 1;
+  }
+  return product;
+}
+
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::byte> bytes, std::uint32_t seed) {
@@ -99,6 +112,18 @@ std::uint32_t crc32c(std::span<const std::byte> bytes, std::uint32_t seed) {
 
 std::uint32_t crc32c(std::string_view bytes, std::uint32_t seed) {
   return crc32c(std::as_bytes(std::span<const char>(bytes.data(), bytes.size())), seed);
+}
+
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::uint64_t len_b) {
+  // Appending len_b bytes multiplies A's CRC by x^(8·len_b): the set bits
+  // of len_b pick the squares x^(8·2^k) that make up that power.
+  std::uint32_t shift = 1u << 31;   // x^0
+  std::uint32_t square = 1u << 23;  // x^8
+  for (; len_b != 0; len_b >>= 1) {
+    if (len_b & 1) shift = multmodp(square, shift);
+    square = multmodp(square, square);
+  }
+  return multmodp(shift, crc_a) ^ crc_b;
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) {

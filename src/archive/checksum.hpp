@@ -21,6 +21,12 @@ std::uint32_t crc32c(std::span<const std::byte> bytes, std::uint32_t seed = 0);
 /// Convenience overload over character data.
 std::uint32_t crc32c(std::string_view bytes, std::uint32_t seed = 0);
 
+/// CRC32C of the concatenation A·B from `crc_a` = crc32c(A), `crc_b` =
+/// crc32c(B) and `len_b` = |B|, in O(log len_b) without reading either
+/// (zlib's crc32_combine method over the Castagnoli polynomial). Lets a
+/// writer chain a running CRC over a payload it has already checksummed.
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::uint64_t len_b);
+
 /// FNV-1a 64-bit hash; the archive's scenario fingerprint.
 std::uint64_t fnv1a64(std::string_view bytes);
 

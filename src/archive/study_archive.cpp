@@ -138,12 +138,18 @@ std::string encode_month(const honeyfarm::MonthlyObservation& obs) {
   return out;
 }
 
-honeyfarm::MonthlyObservation decode_month(std::span<const std::byte> bytes) {
+/// A month's fixed-size header, leaving `r` at the assoc array.
+honeyfarm::MonthlyObservation decode_month_header(PayloadReader& r) {
   honeyfarm::MonthlyObservation obs;
-  PayloadReader r(bytes);
   obs.month = get_year_month(r);
   obs.population_sources = r.u64();
   obs.ephemeral_sources = r.u64();
+  return obs;
+}
+
+honeyfarm::MonthlyObservation decode_month(std::span<const std::byte> bytes) {
+  PayloadReader r(bytes);
+  honeyfarm::MonthlyObservation obs = decode_month_header(r);
   obs.sources = decode_assoc(bytes.subspan(r.position()));
   return obs;
 }
@@ -577,6 +583,14 @@ core::SnapshotData StudyReader::snapshot(std::size_t k, bool with_matrix) const 
 honeyfarm::MonthlyObservation StudyReader::month(std::size_t m) const {
   OBSCORR_REQUIRE(m < month_count(), "archive: month index out of range");
   return decode_month(reader_.payload(month_entry(m)).bytes);
+}
+
+honeyfarm::MonthView StudyReader::month_view(std::size_t m) const {
+  OBSCORR_REQUIRE(m < month_count(), "archive: month index out of range");
+  PayloadView p = reader_.payload(month_entry(m));
+  PayloadReader r(p.bytes);
+  const YearMonth month = decode_month_header(r).month;
+  return {month, d4m::AssocView::from_bytes(p.bytes.subspan(r.position()), std::move(p.page))};
 }
 
 std::vector<honeyfarm::MonthlyObservation> StudyReader::months() const {

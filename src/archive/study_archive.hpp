@@ -34,6 +34,7 @@
 #include "common/thread_pool.hpp"
 #include "core/study.hpp"
 #include "gbl/matrix_view.hpp"
+#include "honeyfarm/database.hpp"
 
 namespace obscorr::archive {
 
@@ -147,6 +148,13 @@ class StudyReader {
   core::SnapshotData snapshot(std::size_t k, bool with_matrix = true) const;
   honeyfarm::MonthlyObservation month(std::size_t m) const;
   std::vector<honeyfarm::MonthlyObservation> months() const;
+
+  /// Month m's label and a validated view of its catalog: over the
+  /// mapped log for a raw entry, over a decoded cache page for a
+  /// compressed one (the view shares ownership of the page). No key is
+  /// copied. A raw entry's view reads this reader's mapping, so the
+  /// reader must outlive it.
+  honeyfarm::MonthView month_view(std::size_t m) const;
   core::StudyData study() const;
 
   /// The `--from` load: a study sufficient for every report analysis but

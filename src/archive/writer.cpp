@@ -312,7 +312,10 @@ void ArchiveWriter::append_frame(std::string_view magic, std::string_view name,
   info.crc32c = payload_crc;
   entries_.push_back(std::move(info));
   log_size_ += frame_size;
-  log_crc_ = crc32c(padding, crc32c(payload, crc32c(header, log_crc_)));
+  // The payload was checksummed above; combining its CRC extends the
+  // whole-log CRC over it without reading it a second time.
+  log_crc_ = crc32c(padding,
+                    crc32c_combine(crc32c(header, log_crc_), payload_crc, payload.size()));
   if (obs::counters_enabled()) {
     static obs::Counter& bytes_written = obs::counter("archive.bytes_written");
     static obs::Counter& frames_written = obs::counter("archive.frames_written");

@@ -25,6 +25,49 @@ std::uint32_t key_index(const std::vector<std::string>& keys, std::string_view k
   return static_cast<std::uint32_t>(it - keys.begin());
 }
 
+/// The canonical-form checks of `from_csr`, `read_binary` (both through
+/// `validate`) and `AssocView::from_bytes`: strictly increasing row and
+/// column keys, offsets covering [0, nnz] with no empty row, column
+/// indices in range and strictly increasing within each row, and every
+/// column key referenced. `row_ptr(r)` and `col_idx(k)` read the arrays,
+/// which hold rows + 1 and nnz elements. Throws std::invalid_argument
+/// with messages prefixed by `who`.
+template <typename RowKeys, typename ColKeys, typename RowPtr, typename ColIdx>
+void check_canonical(std::string_view who, const RowKeys& row_keys, const ColKeys& col_keys,
+                     std::uint64_t nnz, RowPtr row_ptr, ColIdx col_idx) {
+  const auto fail = [who](std::string_view what) {
+    return std::string(who) + ": " + std::string(what);
+  };
+  for (std::size_t i = 1; i < row_keys.size(); ++i) {
+    OBSCORR_REQUIRE(row_keys[i - 1] < row_keys[i], fail("row keys must be strictly increasing"));
+  }
+  for (std::size_t i = 1; i < col_keys.size(); ++i) {
+    OBSCORR_REQUIRE(col_keys[i - 1] < col_keys[i], fail("col keys must be strictly increasing"));
+  }
+  const std::size_t rows = row_keys.size();
+  OBSCORR_REQUIRE(row_ptr(0) == 0 && row_ptr(rows) == nnz, fail("inconsistent row offsets"));
+  std::vector<bool> col_used(col_keys.size(), false);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint64_t begin = row_ptr(r);
+    const std::uint64_t end = row_ptr(r + 1);
+    OBSCORR_REQUIRE(begin < end, fail("row offsets must be strictly increasing"));
+    // Bounds the scan below: front and back alone leave the interior free.
+    OBSCORR_REQUIRE(end <= nnz, fail("row offset exceeds the entry count"));
+    std::uint32_t prev = 0;
+    for (std::uint64_t k = begin; k < end; ++k) {
+      const std::uint32_t c = col_idx(static_cast<std::size_t>(k));
+      OBSCORR_REQUIRE(c < col_keys.size(), fail("column index out of range"));
+      OBSCORR_REQUIRE(k == begin || prev < c,
+                      fail("column indices must be strictly increasing within a row"));
+      col_used[c] = true;
+      prev = c;
+    }
+  }
+  for (std::size_t c = 0; c < col_used.size(); ++c) {
+    OBSCORR_REQUIRE(col_used[c], fail("unused column key"));
+  }
+}
+
 }  // namespace
 
 AssocArray AssocArray::from_triples(std::vector<Triple> triples) {
@@ -364,13 +407,14 @@ struct SpanCursor {
   }
 };
 
-std::vector<std::string> read_keys(SpanCursor& c, const char* what) {
+template <typename Key>
+std::vector<Key> read_keys(SpanCursor& c, const char* what) {
   const auto count = c.pod<std::uint64_t>();
   // Each key costs at least its 4-byte length prefix, so the remaining
   // buffer bounds the plausible count — reject before reserving.
   OBSCORR_REQUIRE(count <= (1ULL << 32) && count <= c.remaining() / sizeof(std::uint32_t),
                   std::string("read_binary: implausible ") + what + " key count");
-  std::vector<std::string> keys;
+  std::vector<Key> keys;
   keys.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto len = c.pod<std::uint32_t>();
@@ -380,11 +424,59 @@ std::vector<std::string> read_keys(SpanCursor& c, const char* what) {
   return keys;
 }
 
+/// One serialized array split into its sections, every count and length
+/// checked against the bytes: the keys as `Key` and the CSR arrays as
+/// pointers into the bytes, unaligned since they follow variable-length
+/// keys. The canonical form is checked by the caller.
+template <typename Key>
+struct Sections {
+  std::vector<Key> row_keys;
+  std::vector<Key> col_keys;
+  const std::byte* row_ptr = nullptr;  ///< u64[rows + 1]
+  const std::byte* col_idx = nullptr;  ///< u32[nnz]
+  const std::byte* val = nullptr;      ///< f64[nnz]
+  std::size_t nnz = 0;
+};
+
+/// The one parser of the encoding, behind `read_binary` (Key =
+/// std::string: it owns its keys) and `AssocView::from_bytes` (Key =
+/// std::string_view into the bytes).
+template <typename Key>
+Sections<Key> parse(std::span<const std::byte> bytes) {
+  SpanCursor c{bytes};
+  OBSCORR_REQUIRE(std::memcmp(c.take(sizeof kBinaryMagic), kBinaryMagic,
+                              sizeof kBinaryMagic) == 0,
+                  "read_binary: bad magic");
+  Sections<Key> s;
+  s.row_keys = read_keys<Key>(c, "row");
+  s.col_keys = read_keys<Key>(c, "col");
+  const auto nnz = c.pod<std::uint64_t>();
+  OBSCORR_REQUIRE(nnz <= (1ULL << 40), "read_binary: implausible entry count");
+  OBSCORR_REQUIRE(s.row_keys.size() <= nnz, "read_binary: more row keys than entries");
+  s.nnz = static_cast<std::size_t>(nnz);
+  const auto array = [&c](std::size_t n, std::size_t size) {
+    return reinterpret_cast<const std::byte*>(c.take(n * size));
+  };
+  s.row_ptr = array(s.row_keys.size() + 1, sizeof(std::uint64_t));
+  s.col_idx = array(s.nnz, sizeof(std::uint32_t));
+  s.val = array(s.nnz, sizeof(double));
+  OBSCORR_REQUIRE(c.remaining() == 0, "read_binary: trailing bytes after array");
+  return s;
+}
+
+/// Unaligned load of element `i` of a little-endian array of T at `base`.
 template <typename T>
-std::vector<T> read_pod_array(SpanCursor& c, std::size_t n) {
-  const char* p = c.take(n * sizeof(T));
+T load(const std::byte* base, std::size_t i) {
+  T value;
+  std::memcpy(&value, base + i * sizeof(T), sizeof value);
+  return value;
+}
+
+/// Copy `n` unaligned elements of T at `base` into a vector.
+template <typename T>
+std::vector<T> load_array(const std::byte* base, std::size_t n) {
   std::vector<T> values(n);
-  if (n != 0) std::memcpy(values.data(), p, n * sizeof(T));
+  if (n != 0) std::memcpy(values.data(), base, n * sizeof(T));
   return values;
 }
 
@@ -408,57 +500,72 @@ void AssocArray::write_binary(std::string& out) const {
 }
 
 AssocArray AssocArray::read_binary(std::span<const std::byte> bytes) {
-  SpanCursor c{bytes};
-  OBSCORR_REQUIRE(std::memcmp(c.take(sizeof kBinaryMagic), kBinaryMagic,
-                              sizeof kBinaryMagic) == 0,
-                  "read_binary: bad magic");
+  Sections<std::string> s = parse<std::string>(bytes);
   AssocArray a;
-  a.row_keys_ = read_keys(c, "row");
-  a.col_keys_ = read_keys(c, "col");
-  const auto nnz = c.pod<std::uint64_t>();
-  OBSCORR_REQUIRE(nnz <= (1ULL << 40), "read_binary: implausible entry count");
-  OBSCORR_REQUIRE(a.row_keys_.size() <= nnz, "read_binary: more row keys than entries");
-  a.row_ptr_ = read_pod_array<std::uint64_t>(c, a.row_keys_.size() + 1);
-  a.col_idx_ = read_pod_array<std::uint32_t>(c, static_cast<std::size_t>(nnz));
-  a.val_ = read_pod_array<double>(c, static_cast<std::size_t>(nnz));
-  OBSCORR_REQUIRE(c.remaining() == 0, "read_binary: trailing bytes after array");
+  a.row_keys_ = std::move(s.row_keys);
+  a.col_keys_ = std::move(s.col_keys);
+  a.row_ptr_ = load_array<std::uint64_t>(s.row_ptr, a.row_keys_.size() + 1);
+  a.col_idx_ = load_array<std::uint32_t>(s.col_idx, s.nnz);
+  a.val_ = load_array<double>(s.val, s.nnz);
   a.validate("read_binary");
   return a;
 }
 
 void AssocArray::validate(std::string_view who) const {
-  const auto fail = [who](std::string_view what) {
-    return std::string(who) + ": " + std::string(what);
-  };
   OBSCORR_REQUIRE(row_ptr_.size() == row_keys_.size() + 1,
-                  fail("row offsets must number the row keys plus one"));
+                  std::string(who) + ": row offsets must number the row keys plus one");
   OBSCORR_REQUIRE(val_.size() == col_idx_.size(),
-                  fail("column indices and values must have equal length"));
-  for (std::size_t i = 1; i < row_keys_.size(); ++i) {
-    OBSCORR_REQUIRE(row_keys_[i - 1] < row_keys_[i], fail("row keys must be strictly increasing"));
-  }
-  for (std::size_t i = 1; i < col_keys_.size(); ++i) {
-    OBSCORR_REQUIRE(col_keys_[i - 1] < col_keys_[i], fail("col keys must be strictly increasing"));
-  }
-  // Offsets cover [0, nnz] with no empty rows, column indices sorted
-  // unique within each row, and every column key referenced at least once.
-  const std::uint64_t nnz = col_idx_.size();
-  OBSCORR_REQUIRE(row_ptr_.front() == 0 && row_ptr_.back() == nnz,
-                  fail("inconsistent row offsets"));
-  std::vector<bool> col_used(col_keys_.size(), false);
-  for (std::size_t r = 0; r < row_keys_.size(); ++r) {
-    OBSCORR_REQUIRE(row_ptr_[r] < row_ptr_[r + 1], fail("row offsets must be strictly increasing"));
-    OBSCORR_REQUIRE(row_ptr_[r + 1] <= nnz, fail("row offset exceeds the entry count"));
-    for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      OBSCORR_REQUIRE(col_idx_[k] < col_keys_.size(), fail("column index out of range"));
-      OBSCORR_REQUIRE(k == row_ptr_[r] || col_idx_[k - 1] < col_idx_[k],
-                      fail("column indices must be strictly increasing within a row"));
-      col_used[col_idx_[k]] = true;
-    }
-  }
-  for (std::size_t c = 0; c < col_used.size(); ++c) {
-    OBSCORR_REQUIRE(col_used[c], fail("unused column key"));
-  }
+                  std::string(who) + ": column indices and values must have equal length");
+  check_canonical(
+      who, row_keys_, col_keys_, col_idx_.size(), [this](std::size_t r) { return row_ptr_[r]; },
+      [this](std::size_t k) { return col_idx_[k]; });
+}
+
+AssocView AssocView::from_bytes(std::span<const std::byte> bytes,
+                                std::shared_ptr<const void> owner) {
+  Sections<std::string_view> s = parse<std::string_view>(bytes);
+  AssocView v;
+  v.row_keys_ = std::move(s.row_keys);
+  v.col_keys_ = std::move(s.col_keys);
+  v.row_ptr_ = s.row_ptr;
+  v.col_idx_ = s.col_idx;
+  v.val_ = s.val;
+  v.nnz_ = s.nnz;
+  check_canonical(
+      "read_binary", v.row_keys_, v.col_keys_, v.nnz_,
+      [&v](std::size_t r) { return v.row_ptr(r); },
+      [&v](std::size_t k) { return v.col_idx(k); });
+  v.owner_ = std::move(owner);
+  return v;
+}
+
+std::uint64_t AssocView::row_ptr(std::size_t r) const { return load<std::uint64_t>(row_ptr_, r); }
+
+std::uint32_t AssocView::col_idx(std::size_t k) const { return load<std::uint32_t>(col_idx_, k); }
+
+double AssocView::val(std::size_t k) const { return load<double>(val_, k); }
+
+std::vector<std::pair<std::string_view, double>> AssocView::row(std::string_view key) const {
+  std::vector<std::pair<std::string_view, double>> entries;
+  const auto it = std::lower_bound(row_keys_.begin(), row_keys_.end(), key);
+  if (it == row_keys_.end() || *it != key) return entries;
+  const auto r = static_cast<std::size_t>(it - row_keys_.begin());
+  const auto begin = static_cast<std::size_t>(row_ptr(r));
+  const auto end = static_cast<std::size_t>(row_ptr(r + 1));
+  entries.reserve(end - begin);
+  for (std::size_t k = begin; k < end; ++k) entries.emplace_back(col_keys_[col_idx(k)], val(k));
+  return entries;
+}
+
+AssocArray AssocView::materialize() const {
+  AssocArray a;
+  if (row_keys_.empty()) return a;
+  a.row_keys_.assign(row_keys_.begin(), row_keys_.end());
+  a.col_keys_.assign(col_keys_.begin(), col_keys_.end());
+  a.row_ptr_ = load_array<std::uint64_t>(row_ptr_, row_keys_.size() + 1);
+  a.col_idx_ = load_array<std::uint32_t>(col_idx_, nnz_);
+  a.val_ = load_array<double>(val_, nnz_);
+  return a;
 }
 
 std::vector<std::string> intersect_keys(std::span<const std::string> a,

@@ -14,7 +14,9 @@
 /// numeric. Intersection of observatories then reduces to element-wise
 /// multiplication — pure associative-array algebra.
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -109,15 +111,17 @@ class AssocArray {
   /// `write_binary` appends the encoding to `out`, growing it once, so an
   /// archive entry's header and array share one buffer. `read_binary`
   /// parses straight out of the mapped buffer, which must hold exactly
-  /// one serialized array; it validates the canonical-form invariants
-  /// (sorted unique keys, monotone offsets, no unused keys) and throws
-  /// std::invalid_argument on malformed input.
+  /// one serialized array, with the parser and the checks of
+  /// `AssocView::from_bytes`; malformed or non-canonical input throws
+  /// std::invalid_argument with the same messages.
   void write_binary(std::string& out) const;
   static AssocArray read_binary(std::span<const std::byte> bytes);
 
   friend bool operator==(const AssocArray&, const AssocArray&) = default;
 
  private:
+  friend class AssocView;
+
   /// Throws std::invalid_argument, with messages prefixed by `who`,
   /// unless the members are in canonical form (see from_csr).
   void validate(std::string_view who) const;
@@ -138,6 +142,54 @@ class AssocArray {
   std::vector<std::uint64_t> row_ptr_;  // size row_keys_.size() + 1
   std::vector<std::uint32_t> col_idx_;
   std::vector<double> val_;
+};
+
+/// Read-only view of one serialized AssocArray, the associative-array
+/// counterpart of gbl::MatrixView: `lookup` over an archived month reads
+/// the rows it needs from the entry's bytes instead of copying every key
+/// onto the heap. Row and column keys are string_views into the bytes;
+/// the CSR arrays follow the variable-length keys, so they are unaligned
+/// and read with memcpy loads. A view that constructs has passed every
+/// check `read_binary` runs, so it is safe to query.
+class AssocView {
+ public:
+  /// The empty view (no rows, no entries).
+  AssocView() = default;
+
+  /// Validate and wrap one serialized array ("OBSD4MA1"). Throws
+  /// std::invalid_argument, with `read_binary`'s messages, on malformed
+  /// or non-canonical bytes. When `owner` is given the view shares
+  /// ownership of the buffer (an archive cache page, an encoded month);
+  /// otherwise the bytes must outlive the view.
+  static AssocView from_bytes(std::span<const std::byte> bytes,
+                              std::shared_ptr<const void> owner = {});
+
+  std::size_t nnz() const { return nnz_; }
+
+  /// Sorted unique row / column key sets, viewing the serialized bytes.
+  std::span<const std::string_view> row_keys() const { return row_keys_; }
+  std::span<const std::string_view> col_keys() const { return col_keys_; }
+
+  /// The (column key, value) entries of one row in column-key order;
+  /// empty when the row is absent (AssocArray::row over the bytes).
+  std::vector<std::pair<std::string_view, double>> row(std::string_view key) const;
+
+  /// Owning copy (what `read_binary` returns for the same bytes); the
+  /// checks already ran, so it copies and nothing else.
+  AssocArray materialize() const;
+
+ private:
+  std::uint64_t row_ptr(std::size_t r) const;
+  std::uint32_t col_idx(std::size_t k) const;
+  double val(std::size_t k) const;
+
+  std::vector<std::string_view> row_keys_;
+  std::vector<std::string_view> col_keys_;
+  const std::byte* row_ptr_ = nullptr;  ///< u64[rows + 1], unaligned
+  const std::byte* col_idx_ = nullptr;  ///< u32[nnz], unaligned
+  const std::byte* val_ = nullptr;      ///< f64[nnz], unaligned
+  std::size_t nnz_ = 0;
+  std::shared_ptr<const void> owner_;  ///< keeps a page or buffer alive
 };
 
 /// Sorted intersection of two key sets; the paper's "sources seen by both

@@ -1,42 +1,88 @@
 #include "honeyfarm/database.hpp"
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <queue>
+#include <span>
 #include <string_view>
+#include <utility>
 
 #include "common/error.hpp"
+#include "obs/span.hpp"
 
 namespace obscorr::honeyfarm {
 
-Database::Database(std::vector<MonthlyObservation> months) : months_(std::move(months)) {
-  OBSCORR_REQUIRE(!months_.empty(), "Database: need at least one month");
-  for (std::size_t m = 1; m < months_.size(); ++m) {
-    OBSCORR_REQUIRE(months_[m].month.months_since(months_[m - 1].month) == 1,
-                    "Database: months must be consecutive");
+namespace {
+
+/// Merge the months' sorted row keys: `visit(key, months)` once per
+/// distinct key, in key order, with the number of months holding it.
+template <typename Visit>
+void merge_keys(std::span<const MonthView> months, Visit visit) {
+  // A min-heap of (key, month) cursors, one per month with keys left.
+  // Keys are unique within a month, so the entries popped with one key
+  // are the months holding it.
+  using Cursor = std::pair<std::string_view, std::size_t>;
+  std::priority_queue<Cursor, std::vector<Cursor>, std::greater<>> heap;
+  std::vector<std::size_t> next(months.size(), 1);
+  for (std::size_t m = 0; m < months.size(); ++m) {
+    const auto keys = months[m].sources.row_keys();
+    if (!keys.empty()) heap.emplace(keys.front(), m);
   }
-  // months_seen: fold of |A_m "seen" column|0 under plus.
-  // peak_contacts: fold of the contacts column under max.
-  const std::vector<std::string> contacts_col{"contacts"};
-  for (const MonthlyObservation& obs : months_) {
-    const d4m::AssocArray seen =
-        obs.sources.logical().row_sum().logical();  // ip -> ("sum", 1)
-    months_seen_ = d4m::AssocArray::ewise_add(months_seen_, seen);
-    peak_contacts_ = d4m::AssocArray::ewise_max(peak_contacts_,
-                                                obs.sources.select_cols(contacts_col));
+  while (!heap.empty()) {
+    const std::string_view key = heap.top().first;
+    int seen = 0;
+    while (!heap.empty() && heap.top().first == key) {
+      const std::size_t m = heap.top().second;
+      heap.pop();
+      ++seen;
+      const auto keys = months[m].sources.row_keys();
+      if (next[m] < keys.size()) heap.emplace(keys[next[m]++], m);
+    }
+    visit(key, seen);
   }
 }
 
-std::size_t Database::distinct_sources() const { return months_seen_.row_keys().size(); }
+}  // namespace
+
+Database::Database(std::size_t month_count, const std::function<MonthView(std::size_t)>& month) {
+  const obs::Span span("honeyfarm.database", [&] { return std::to_string(month_count); });
+  OBSCORR_REQUIRE(month_count > 0, "Database: need at least one month");
+  months_.reserve(month_count);
+  for (std::size_t m = 0; m < month_count; ++m) {
+    months_.push_back(month(m));
+    OBSCORR_REQUIRE(m == 0 || months_[m].month.months_since(months_[m - 1].month) == 1,
+                    "Database: months must be consecutive");
+  }
+  merge_keys(months_, [this](std::string_view, int) { ++distinct_sources_; });
+}
+
+Database::Database(std::vector<MonthlyObservation> months)
+    : Database(months.size(), [&months](std::size_t m) {
+        auto bytes = std::make_shared<std::string>();
+        months[m].sources.write_binary(*bytes);
+        months[m].sources = d4m::AssocArray();  // the encoding replaces it
+        const auto view = std::as_bytes(std::span<const char>(bytes->data(), bytes->size()));
+        return MonthView{months[m].month, d4m::AssocView::from_bytes(view, std::move(bytes))};
+      }) {}
 
 std::optional<SourceProfile> Database::lookup(const std::string& ip) const {
-  if (!months_seen_.has_row(ip)) return std::nullopt;
   SourceProfile profile;
   profile.ip = ip;
-  profile.months_seen = static_cast<int>(months_seen_.at(ip, "sum"));
-  profile.peak_contacts = peak_contacts_.at(ip, "contacts");
-  for (const MonthlyObservation& obs : months_) {
-    const auto row = obs.sources.row(ip);
+  bool has_contacts = false;
+  for (const MonthView& month : months_) {
+    const auto row = month.sources.row(ip);
     if (row.empty()) continue;
-    if (!profile.first_seen) profile.first_seen = obs.month;
-    profile.last_seen = obs.month;
+    ++profile.months_seen;
+    if (!profile.first_seen) profile.first_seen = month.month;
+    profile.last_seen = month.month;
+    // The max fold's union-max: the first contacts cell, then
+    // std::max(peak, cell) in month order.
+    for (const auto& [col, val] : row) {
+      if (col != "contacts") continue;
+      profile.peak_contacts = has_contacts ? std::max(profile.peak_contacts, val) : val;
+      has_contacts = true;
+    }
     if (!profile.classification.empty()) continue;
     // A facet's label is its first column, in key order, holding a
     // positive value; intent is re-read while classification is unset.
@@ -49,15 +95,16 @@ std::optional<SourceProfile> Database::lookup(const std::string& ip) const {
     if (const auto cls = label("classification|")) profile.classification = *cls;
     if (const auto intent = label("intent|")) profile.intent = *intent;
   }
+  if (profile.months_seen == 0) return std::nullopt;
   return profile;
 }
 
 std::vector<std::string> Database::persistent_sources(int min_months) const {
   OBSCORR_REQUIRE(min_months >= 1, "persistent_sources: min_months must be >= 1");
   std::vector<std::string> out;
-  for (const std::string& key : months_seen_.row_keys()) {
-    if (months_seen_.at(key, "sum") >= static_cast<double>(min_months)) out.push_back(key);
-  }
+  merge_keys(months_, [&](std::string_view key, int seen) {
+    if (seen >= min_months) out.emplace_back(key);
+  });
   return out;
 }
 

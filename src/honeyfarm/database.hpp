@@ -2,17 +2,24 @@
 /// \file database.hpp
 /// The outpost's query service: what the honeyfarm actually sells is a
 /// lookup API over its accumulated monthly catalogs ("have you seen this
-/// IP? what is it? how noisy?"). `Database` aggregates a span of
-/// MonthlyObservation arrays and answers per-source queries using pure
-/// associative-array algebra: months-seen via logical sums, peak
-/// activity via the max semiring, facet labels via exploded-schema
-/// column prefixes.
+/// IP? what is it? how noisy?"). `Database` answers per-source queries
+/// from validated views of the monthly associative arrays (d4m::AssocView,
+/// straight over the archived entries): a lookup binary-searches each
+/// month's row keys and reads that one row, and the distinct-source
+/// count is one merge over the months' sorted key lists.
+///
+/// The paper's D4M formulation of the same answers, months seen as the
+/// plus fold of |A_m|₀·1 and peak activity as the max fold of the
+/// contacts column, is the test oracle (tests/honeyfarm/fold_oracle.hpp),
+/// not the query path.
 
-#include <cstdint>
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "d4m/assoc.hpp"
 #include "honeyfarm/honeyfarm.hpp"
 
 namespace obscorr::honeyfarm {
@@ -25,37 +32,48 @@ struct SourceProfile {
   std::optional<YearMonth> last_seen;
   std::string classification;          ///< "malicious" / "benign" / "unknown"
   std::string intent;                  ///< e.g. "scan"; empty for ephemerals
-  double peak_contacts = 0.0;          ///< max monthly contact count
+  /// Max monthly contact count over the months whose row holds a
+  /// `contacts` cell, taken in month order; 0 when none does.
+  double peak_contacts = 0.0;
 };
 
-/// Aggregated monthly catalogs with O(log) per-month lookups.
+/// One catalog month as the database reads it: its label and a view of
+/// its associative array (see archive::StudyReader::month_view).
+struct MonthView {
+  YearMonth month;
+  d4m::AssocView sources;
+};
+
+/// Monthly catalogs with O(log) per-month lookups.
 class Database {
  public:
-  /// Build from a chronological span of monthly observations.
+  /// Build over `month_count` chronological months, asking `month(m)` for
+  /// month m's view in order. A view that does not own its bytes (a raw
+  /// archive entry viewed in the reader's mapping) needs them to outlive
+  /// the database. Records one `honeyfarm.database` span, whose detail
+  /// is the month count.
+  Database(std::size_t month_count, const std::function<MonthView(std::size_t)>& month);
+
+  /// Build over in-memory months: each is encoded with write_binary and
+  /// viewed in those bytes, so fresh and archived months share one query
+  /// path.
   explicit Database(std::vector<MonthlyObservation> months);
 
   std::size_t month_count() const { return months_.size(); }
 
   /// Distinct sources across the whole span.
-  std::size_t distinct_sources() const;
+  std::size_t distinct_sources() const { return distinct_sources_; }
 
   /// Full profile for one source; nullopt when never seen.
   std::optional<SourceProfile> lookup(const std::string& ip) const;
 
-  /// All sources seen in at least `min_months` months — the "persistent
-  /// scanner" population (drifting-beam members).
+  /// All sources seen in at least `min_months` months, in key order — the
+  /// "persistent scanner" population (drifting-beam members).
   std::vector<std::string> persistent_sources(int min_months) const;
 
-  /// Per-source peak monthly contacts across the span (max semiring fold).
-  const d4m::AssocArray& peak_contacts() const { return peak_contacts_; }
-
-  /// Per-source count of months seen (logical sum fold).
-  const d4m::AssocArray& months_seen() const { return months_seen_; }
-
  private:
-  std::vector<MonthlyObservation> months_;
-  d4m::AssocArray months_seen_;    // ip -> "months" count
-  d4m::AssocArray peak_contacts_;  // ip -> "contacts" max
+  std::vector<MonthView> months_;
+  std::size_t distinct_sources_ = 0;
 };
 
 }  // namespace obscorr::honeyfarm

@@ -291,7 +291,8 @@ std::string QueryEngine::cached(const std::string& key,
 
 const honeyfarm::Database& QueryEngine::database() {
   std::call_once(db_once_, [&] {
-    db_ = std::make_unique<honeyfarm::Database>(reader_.months());
+    db_ = std::make_unique<honeyfarm::Database>(
+        reader_.month_count(), [this](std::size_t m) { return reader_.month_view(m); });
   });
   return *db_;
 }

@@ -146,8 +146,10 @@ class QueryEngine {
   /// A render that throws is erased, so the key renders afresh next time.
   std::string cached(const std::string& key, const std::function<void(std::ostream&)>& print);
 
-  /// Lazily built honeyfarm database over the completed campaign's
-  /// months (immutable under live ingest); built once, first use.
+  /// Lazily built honeyfarm database over views of the completed
+  /// campaign's months (immutable under live ingest); built once, first
+  /// use. Raw months are viewed in reader_'s mapping, which refresh()
+  /// never unmaps and which outlives db_.
   const honeyfarm::Database& database();
 
   static constexpr std::size_t kMaxCacheEntries = 256;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -55,6 +56,24 @@ TEST(ArchiveTest, Crc32cKnownVectors) {
   std::string ff(32, '\xff');
   EXPECT_EQ(crc32c(std::string_view(ff)), 0x62A8AB43u);
   EXPECT_EQ(crc32c(std::string_view("123456789")), 0xE3069283u);
+}
+
+TEST(ArchiveTest, Crc32cCombineMatchesOnePass) {
+  std::mt19937_64 rng(20261019);
+  std::string bytes((1u << 20) + 4099 + 17, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng());
+  const std::string_view all(bytes);
+  const std::uint32_t whole = crc32c(all);
+  for (const std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+                                  std::size_t{9}, std::size_t{4095}, std::size_t{4099},
+                                  std::size_t{(1u << 20) + 3}, all.size()}) {
+    const std::string_view a = all.substr(0, split);
+    const std::string_view b = all.substr(split);
+    EXPECT_EQ(crc32c_combine(crc32c(a), crc32c(b), b.size()), whole) << "split " << split;
+    // And as the writer chains it: a running CRC continued over b.
+    EXPECT_EQ(crc32c_combine(crc32c(a), crc32c(b), b.size()), crc32c(b, crc32c(a)))
+        << "split " << split;
+  }
 }
 
 TEST(ArchiveTest, RoundTripMultipleEntries) {

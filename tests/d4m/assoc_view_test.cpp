@@ -1,0 +1,216 @@
+/// AssocView: the validated view the honeyfarm database reads archived
+/// months through. It shares `read_binary`'s parser and checks, so it must
+/// reject what `read_binary` rejects, with the same messages, and read
+/// exactly the array `read_binary` returns when it accepts: for every
+/// single-byte corruption of a real month, and over unaligned buffers.
+
+#include "d4m/assoc.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "archive/study_archive.hpp"
+
+#ifndef OBSCORR_TEST_DATA_DIR
+#error "OBSCORR_TEST_DATA_DIR must point at tests/data"
+#endif
+
+namespace obscorr::d4m {
+namespace {
+
+std::span<const std::byte> as_span(const std::string& bytes) {
+  return std::as_bytes(std::span<const char>(bytes.data(), bytes.size()));
+}
+
+std::string serialized(const AssocArray& a) {
+  std::string out;
+  a.write_binary(out);
+  return out;
+}
+
+/// The std::invalid_argument message `f` throws; empty when it returns.
+std::string error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
+std::string view_error(std::span<const std::byte> bytes) {
+  return error_of([&] { (void)AssocView::from_bytes(bytes); });
+}
+
+std::string read_binary_error(std::span<const std::byte> bytes) {
+  return error_of([&] { (void)AssocArray::read_binary(bytes); });
+}
+
+std::string view_error(const std::string& bytes) { return view_error(as_span(bytes)); }
+
+std::string read_binary_error(const std::string& bytes) {
+  return read_binary_error(as_span(bytes));
+}
+
+/// The array AssocBinaryTest's malformed-stream cases start from.
+const AssocArray kSmall = AssocArray::from_triples(
+    {{"alpha", "c1", 1.0}, {"beta", "c1", 2.0}, {"beta", "c2", 3.0}});
+
+/// The view reads exactly what the owning array holds.
+void expect_view_matches(const AssocView& v, const AssocArray& a) {
+  ASSERT_EQ(v.nnz(), a.nnz());
+  ASSERT_EQ(v.row_keys().size(), a.row_keys().size());
+  for (std::size_t i = 0; i < a.row_keys().size(); ++i) {
+    ASSERT_EQ(v.row_keys()[i], a.row_keys()[i]);
+    EXPECT_EQ(v.row(a.row_keys()[i]), a.row(a.row_keys()[i]));
+  }
+  ASSERT_EQ(v.col_keys().size(), a.col_keys().size());
+  for (std::size_t i = 0; i < a.col_keys().size(); ++i) EXPECT_EQ(v.col_keys()[i], a.col_keys()[i]);
+  EXPECT_TRUE(v.materialize() == a);
+}
+
+TEST(AssocViewTest, ViewsWhatReadBinaryReads) {
+  const std::string bytes = serialized(kSmall);
+  const AssocView v = AssocView::from_bytes(as_span(bytes));
+  expect_view_matches(v, kSmall);
+  EXPECT_TRUE(v.row("gamma").empty());
+  EXPECT_TRUE(v.row("alph").empty());
+  expect_view_matches(AssocView::from_bytes(as_span(serialized(AssocArray()))), AssocArray());
+  EXPECT_TRUE(AssocView().materialize() == AssocArray());
+  EXPECT_TRUE(AssocView().row("").empty());
+}
+
+TEST(AssocViewTest, OwnerKeepsTheBytesAlive) {
+  auto bytes = std::make_shared<std::string>(serialized(kSmall));
+  const AssocView v = AssocView::from_bytes(as_span(*bytes), bytes);
+  bytes.reset();  // the view holds the only reference now
+  expect_view_matches(v, kSmall);
+}
+
+TEST(AssocViewTest, MalformedStreamsGiveReadBinaryMessages) {
+  // Every input of AssocBinaryTest.MalformedStreamsRejected, with the
+  // message read_binary gave it before it went through the view.
+  const std::string good = serialized(kSmall);
+  EXPECT_EQ(view_error(""), "read_binary: truncated stream");
+  EXPECT_EQ(view_error("OBSD4MA"), "read_binary: truncated stream");
+  {
+    std::string bad = good;
+    bad[7] = 'X';
+    EXPECT_EQ(view_error(bad), "read_binary: bad magic");
+  }
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    const std::string cut = good.substr(0, len);
+    const std::string message = view_error(cut);
+    // A cut inside a count reads as a short stream; a whole count
+    // followed by too few bytes reads as an implausible count.
+    EXPECT_TRUE(message == "read_binary: truncated stream" ||
+                message == "read_binary: implausible row key count" ||
+                message == "read_binary: implausible col key count")
+        << "truncation to " << len << ": " << message;
+    EXPECT_EQ(message, read_binary_error(cut)) << "truncation to " << len;
+  }
+  {
+    std::string bad = good;
+    const std::uint64_t huge = 1ULL << 60;
+    std::memcpy(bad.data() + 8, &huge, 8);
+    EXPECT_EQ(view_error(bad), "read_binary: implausible row key count");
+  }
+}
+
+TEST(AssocViewTest, NonCanonicalStreamsGiveReadBinaryMessages) {
+  // Every input of AssocBinaryTest.NonCanonicalStreamsRejected.
+  const std::string good = serialized(kSmall);
+  const std::size_t alpha_at = 8 + 8 + 4;
+  {
+    std::string bad = good;
+    bad[alpha_at] = 'z';
+    EXPECT_EQ(view_error(bad), "read_binary: row keys must be strictly increasing");
+    EXPECT_EQ(read_binary_error(bad), view_error(bad));
+  }
+  {
+    std::string bad = good;
+    bad.replace(alpha_at, 5, "beta\0", 5);
+    EXPECT_EQ(view_error(bad), "read_binary: row keys must be strictly increasing");
+    EXPECT_EQ(read_binary_error(bad), view_error(bad));
+  }
+  {
+    // An interior row offset past nnz, with the first and last offsets
+    // intact: the bound that keeps the column scan inside col_idx.
+    std::string bad = serialized(AssocArray::from_triples(
+        {{"alpha", "c1", 1.0}, {"beta", "c2", 2.0}, {"beta", "c3", 3.0}}));
+    const std::size_t row_keys = 8 + (4 + 5) + (4 + 4);
+    const std::size_t col_keys = 8 + (4 + 2) + (4 + 2) + (4 + 2);
+    const std::size_t row_ptr_at = 8 + row_keys + col_keys + 8;
+    const std::uint64_t big = 1'000'000;
+    std::memcpy(bad.data() + row_ptr_at + 8, &big, 8);
+    EXPECT_EQ(view_error(bad), "read_binary: row offset exceeds the entry count");
+    EXPECT_EQ(read_binary_error(bad), view_error(bad));
+  }
+}
+
+TEST(AssocViewTest, UnalignedBuffersReadTheSameValues) {
+  // Keys of odd lengths put every CSR array at an odd offset already;
+  // shifting the whole buffer by 1 and 3 moves the payload start too.
+  const AssocArray a = AssocArray::from_triples({{"10.0.0.1", "contacts", 12.5},
+                                                 {"10.0.0.1", "intent|scan", 1.0},
+                                                 {"10.0.0.22", "contacts", -0.0},
+                                                 {"7", "classification|benign", 1e300}});
+  const std::string bytes = serialized(a);
+  for (const std::size_t shift : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    std::vector<std::uint64_t> storage(bytes.size() / 8 + 2);  // 8-aligned base
+    auto* base = reinterpret_cast<char*>(storage.data()) + shift;
+    std::memcpy(base, bytes.data(), bytes.size());
+    const auto span = std::as_bytes(std::span<const char>(base, bytes.size()));
+    SCOPED_TRACE("shift " + std::to_string(shift));
+    expect_view_matches(AssocView::from_bytes(span), a);
+  }
+}
+
+/// Month 2 of the golden archive (the smallest), serialized.
+std::string golden_month() {
+  const archive::StudyReader reader(OBSCORR_TEST_DATA_DIR "/golden_study");
+  return serialized(reader.month(2).sources);
+}
+
+TEST(AssocViewTest, GoldenMonthSurvivesEverySingleByteFlip) {
+  const std::string good = golden_month();
+  ASSERT_GT(good.size(), 1000u);
+  std::size_t accepted = 0;
+  std::string bad = good;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    bad[i] = static_cast<char>(good[i] ^ 0x5A);
+    try {
+      const AssocView v = AssocView::from_bytes(as_span(bad));
+      ASSERT_TRUE(v.materialize() == AssocArray::read_binary(as_span(bad))) << "flip at " << i;
+      ++accepted;
+    } catch (const std::invalid_argument& e) {
+      ASSERT_TRUE(std::string_view(e.what()).starts_with("read_binary: ")) << e.what();
+    }
+    bad[i] = good[i];
+  }
+  // Flipped values stay valid arrays; flipped keys and offsets do not.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, good.size());
+}
+
+TEST(AssocViewTest, GoldenMonthRejectsEveryTruncation) {
+  const std::string good = golden_month();
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    const auto cut = as_span(good).first(len);
+    const std::string message = view_error(cut);
+    ASSERT_TRUE(message.starts_with("read_binary: ")) << "truncation to " << len << ": "
+                                                      << (message.empty() ? "accepted" : message);
+  }
+}
+
+}  // namespace
+}  // namespace obscorr::d4m

@@ -3,75 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "fold_oracle.hpp"
+#include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 
 namespace obscorr::honeyfarm {
 namespace {
-
-/// A lookup the way the previous Database computed it: months seen and
-/// peak contacts from a per-month scan, and each facet label as the first
-/// column of the month's whole `select_cols_prefix` sub-array (key order)
-/// holding a positive value for the source, searched while the
-/// classification is still unset. The sub-arrays are built once per month
-/// instead of once per lookup; they are the same arrays.
-class ScanLookup {
- public:
-  explicit ScanLookup(const std::vector<MonthlyObservation>& months) : months_(months) {
-    for (const MonthlyObservation& obs : months_) {
-      cls_.push_back(obs.sources.select_cols_prefix("classification|"));
-      intent_.push_back(obs.sources.select_cols_prefix("intent|"));
-    }
-  }
-
-  std::optional<SourceProfile> operator()(const std::string& ip) const {
-    SourceProfile profile;
-    profile.ip = ip;
-    profile.peak_contacts = -1.0;
-    for (std::size_t m = 0; m < months_.size(); ++m) {
-      const d4m::AssocArray& month = months_[m].sources;
-      if (!month.has_row(ip)) continue;
-      ++profile.months_seen;
-      profile.peak_contacts = std::max(profile.peak_contacts, month.at(ip, "contacts"));
-      if (!profile.first_seen) profile.first_seen = months_[m].month;
-      profile.last_seen = months_[m].month;
-      if (profile.classification.empty()) {
-        for (const std::string& col : cls_[m].col_keys()) {
-          if (month.at(ip, col) > 0.0) {
-            profile.classification = col.substr(std::string("classification|").size());
-            break;
-          }
-        }
-        for (const std::string& col : intent_[m].col_keys()) {
-          if (month.at(ip, col) > 0.0) {
-            profile.intent = col.substr(std::string("intent|").size());
-            break;
-          }
-        }
-      }
-    }
-    if (profile.months_seen == 0) return std::nullopt;
-    return profile;
-  }
-
- private:
-  const std::vector<MonthlyObservation>& months_;
-  std::vector<d4m::AssocArray> cls_;
-  std::vector<d4m::AssocArray> intent_;
-};
-
-void expect_same_profile(const std::optional<SourceProfile>& got,
-                         const std::optional<SourceProfile>& want, const std::string& ip) {
-  ASSERT_EQ(got.has_value(), want.has_value()) << ip;
-  if (!got) return;
-  EXPECT_EQ(got->ip, want->ip) << ip;
-  EXPECT_EQ(got->months_seen, want->months_seen) << ip;
-  EXPECT_EQ(got->first_seen, want->first_seen) << ip;
-  EXPECT_EQ(got->last_seen, want->last_seen) << ip;
-  EXPECT_EQ(got->classification, want->classification) << ip;
-  EXPECT_EQ(got->intent, want->intent) << ip;
-  EXPECT_EQ(got->peak_contacts, want->peak_contacts) << ip;
-}
 
 class DatabaseTest : public ::testing::Test {
  protected:
@@ -90,11 +33,14 @@ class DatabaseTest : public ::testing::Test {
           {YearMonth(2020, 2).plus_months(m), 1.0, /*ephemeral=*/0.05}, m));
     }
     db_ = new Database(*months_);
+    oracle_ = new FoldOracle(*months_);
   }
   static void TearDownTestSuite() {
+    delete oracle_;
     delete db_;
     delete months_;
     delete population_;
+    oracle_ = nullptr;
     db_ = nullptr;
     months_ = nullptr;
     population_ = nullptr;
@@ -102,11 +48,13 @@ class DatabaseTest : public ::testing::Test {
   static netgen::Population* population_;
   static std::vector<MonthlyObservation>* months_;
   static Database* db_;
+  static FoldOracle* oracle_;
 };
 
 netgen::Population* DatabaseTest::population_ = nullptr;
 std::vector<MonthlyObservation>* DatabaseTest::months_ = nullptr;
 Database* DatabaseTest::db_ = nullptr;
+FoldOracle* DatabaseTest::oracle_ = nullptr;
 
 TEST_F(DatabaseTest, BasicCounts) {
   EXPECT_EQ(db_->month_count(), 6u);
@@ -118,8 +66,8 @@ TEST_F(DatabaseTest, LookupUnknownSourceIsEmpty) {
 }
 
 TEST_F(DatabaseTest, MonthsSeenMatchesManualCount) {
-  // Cross-check the fold against a per-month scan for a sample of rows.
-  const auto keys = db_->months_seen().row_keys();
+  // Cross-check a sample of the fold oracle's rows for consistency.
+  const auto keys = oracle_->months_seen().row_keys();
   ASSERT_GT(keys.size(), 10u);
   for (std::size_t i = 0; i < keys.size(); i += keys.size() / 10) {
     const auto profile = db_->lookup(keys[i]);
@@ -159,7 +107,8 @@ TEST_F(DatabaseTest, PeakContactsIsMaxAcrossMonths) {
   const auto persistent = db_->persistent_sources(5);
   ASSERT_FALSE(persistent.empty());
   const std::string& ip = persistent.front();
-  const double peak = db_->peak_contacts().at(ip, "contacts");
+  const double peak = db_->lookup(ip)->peak_contacts;
+  EXPECT_EQ(peak, oracle_->peak_contacts().at(ip, "contacts"));
   EXPECT_GE(peak, 1.0);
   // Peak must be attained in some month and never exceeded.
   netgen::VisibilityModel vis;
@@ -177,7 +126,7 @@ TEST_F(DatabaseTest, PeakContactsIsMaxAcrossMonths) {
 TEST_F(DatabaseTest, EphemeralSourcesAppearOnce) {
   // One-month noise sources should have months_seen == 1.
   int ephemeral_checked = 0;
-  for (const std::string& ip : db_->months_seen().row_keys()) {
+  for (const std::string& ip : oracle_->months_seen().row_keys()) {
     const auto parsed = Ipv4::parse(ip);
     ASSERT_TRUE(parsed.has_value());
     if (population_->owns_ip(*parsed)) continue;
@@ -191,11 +140,7 @@ TEST_F(DatabaseTest, EphemeralSourcesAppearOnce) {
 }
 
 TEST_F(DatabaseTest, LookupMatchesSelectColsPrefixScan) {
-  const ScanLookup scan(*months_);
-  for (const std::string& ip : db_->months_seen().row_keys()) {
-    expect_same_profile(db_->lookup(ip), scan(ip), ip);
-  }
-  expect_same_profile(db_->lookup("203.0.113.99"), scan("203.0.113.99"), "absent");
+  expect_matches_oracle(*db_, *months_, {"203.0.113.99", ""});
 }
 
 /// A month from hand-written exploded-schema triples.
@@ -247,11 +192,8 @@ TEST_F(DatabaseTest, LookupFollowsProfileRulesOnSyntheticMonths) {
       {"10.0.0.10", "classification|benign", 1.0},
       {"10.0.0.10", "contacts", 1.0},
   }));
-  const ScanLookup scan(months);
   const Database db(months);
-  for (const std::string& ip : db.months_seen().row_keys()) {
-    expect_same_profile(db.lookup(ip), scan(ip), ip);
-  }
+  expect_matches_oracle(db, months, {"10.0.0.", "10.0.0.5", ""});
 
   const auto first = db.lookup("10.0.0.1");
   ASSERT_TRUE(first.has_value());
@@ -285,6 +227,81 @@ TEST_F(DatabaseTest, LookupFollowsProfileRulesOnSyntheticMonths) {
   EXPECT_EQ(extended->months_seen, 1);
   EXPECT_EQ(extended->classification, "benign");
   EXPECT_FALSE(db.lookup("10.0.0.").has_value());
+}
+
+TEST(DatabaseEdgeTest, MatchesFoldOracleOnEdgeMonths) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<MonthlyObservation> months;
+  months.push_back(synthetic_month(0, {
+      // Only stored zeros: still a row, so still seen.
+      {"10.0.0.1", "classification|benign", 0.0},
+      {"10.0.0.1", "contacts", 0.0},
+      // Negative contacts.
+      {"10.0.0.2", "classification|malicious", 1.0},
+      {"10.0.0.2", "contacts", -7.0},
+      // No contacts cell this month.
+      {"10.0.0.3", "intent|scan", 1.0},
+  }));
+  // A month with no contacts column at all.
+  months.push_back(synthetic_month(1, {
+      {"10.0.0.2", "intent|worm", 1.0},
+      {"10.0.0.3", "classification|unknown", 1.0},
+      {"10.0.0.4", "protocol|tcp", 0.0},
+  }));
+  // An empty month.
+  months.push_back(synthetic_month(2, {}));
+  months.push_back(synthetic_month(3, {
+      {"10.0.0.2", "contacts", -3.0},
+      {"10.0.0.3", "contacts", nan},
+      {"10.0.0.1", "contacts", 0.0},
+  }));
+  months.push_back(synthetic_month(4, {
+      {"10.0.0.3", "contacts", 2.0},
+      // Seen only in the last month.
+      {"9.9.9.9", "classification|benign", 1.0},
+      {"9.9.9.9", "contacts", 4.0},
+  }));
+  const Database db(months);
+  expect_matches_oracle(db, months, {"10.0.0.", "10.0.0.5", "203.0.113.7", ""});
+
+  const auto zeros = db.lookup("10.0.0.1");
+  ASSERT_TRUE(zeros.has_value());
+  EXPECT_EQ(zeros->months_seen, 2);
+  EXPECT_EQ(zeros->classification, "");
+  EXPECT_EQ(zeros->peak_contacts, 0.0);
+
+  const auto negative = db.lookup("10.0.0.2");
+  ASSERT_TRUE(negative.has_value());
+  EXPECT_EQ(negative->peak_contacts, -3.0);  // not floored at zero
+
+  // std::max(NaN, 2) keeps the NaN, as the max fold does.
+  EXPECT_TRUE(std::isnan(db.lookup("10.0.0.3")->peak_contacts));
+  EXPECT_EQ(db.lookup("10.0.0.4")->peak_contacts, 0.0);  // no contacts cell anywhere
+
+  const auto late = db.lookup("9.9.9.9");
+  ASSERT_TRUE(late.has_value());
+  EXPECT_EQ(late->first_seen, YearMonth(2020, 6));
+  EXPECT_EQ(late->months_seen, 1);
+  EXPECT_EQ(db.persistent_sources(1).back(), "9.9.9.9");
+}
+
+TEST(DatabaseSpanTest, OneSpanPerBuild) {
+  std::vector<MonthlyObservation> months;
+  for (int m = 0; m < 3; ++m) {
+    months.push_back(synthetic_month(m, {{"10.0.0.1", "contacts", 1.0 + m}}));
+  }
+  obs::reset();
+  obs::set_level(obs::Level::kFull);
+  const Database db(months);
+  (void)db.lookup("10.0.0.1");
+  (void)db.lookup("10.0.0.2");
+  obs::set_level(obs::Level::kOff);
+  std::vector<std::string> details;
+  for (const obs::SpanEvent& e : obs::span_events()) {
+    if (std::string_view(e.name) == "honeyfarm.database") details.push_back(e.detail);
+  }
+  obs::reset();
+  EXPECT_EQ(details, std::vector<std::string>{"3"});
 }
 
 TEST(DatabaseValidationTest, RejectsEmptyAndGappyMonths) {

@@ -13,19 +13,24 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "archive/page_cache.hpp"
+#include "archive/study_archive.hpp"
 #include "common/interrupt.hpp"
 #include "common/thread_pool.hpp"
 #include "netgen/population.hpp"
 #include "netgen/scenario.hpp"
+#include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 #include "svc/ingest.hpp"
 #include "svc/json.hpp"
 #include "svc/protocol.hpp"
@@ -812,6 +817,73 @@ TEST(CliToolTest, CliAndDaemonAnswerValidQueriesIdentically) {
   }
   EXPECT_NE(run_both(cases[3], dir, *engine).out.find("seen in"), std::string::npos);
   EXPECT_NE(run_both(cases[4], dir, *engine).out.find("never observed"), std::string::npos);
+  engine.reset();
+  std::filesystem::remove_all(dir);
+}
+
+/// The `honeyfarm.database` spans recorded since the last obs::reset().
+std::vector<std::string> database_spans() {
+  std::vector<std::string> details;
+  for (const obs::SpanEvent& e : obs::span_events()) {
+    if (std::string_view(e.name) == "honeyfarm.database") details.push_back(e.detail);
+  }
+  return details;
+}
+
+TEST(CliToolTest, LookupRecordsOneDatabaseSpanPerBuild) {
+  const std::string golden = OBSCORR_TEST_DATA_DIR "/golden_study";
+  std::ostringstream out, err;
+  ASSERT_EQ(run({"lookup", "--ip", "203.0.113.7", "--from", golden, "--timing"}, out, err), 0);
+  EXPECT_NE(err.str().find("  honeyfarm.database: 1, "), std::string::npos) << err.str();
+
+  // The daemon builds its database on the first lookup; later lookups,
+  // cached or not, reuse it.
+  ThreadPool pool(2);
+  svc::QueryEngine engine(golden, pool);
+  const std::string seen = archive::StudyReader(golden).month(0).sources.row_keys().front();
+  obs::reset();
+  obs::set_level(obs::Level::kFull);
+  const auto lookup = [&](const std::string& ip) {
+    return svc::parse_json(engine.execute(
+        svc::parse_request(R"({"query":"lookup","params":{"ip":")" + ip + R"("}})")));
+  };
+  ASSERT_TRUE(lookup(seen).find("ok")->as_bool());
+  EXPECT_EQ(database_spans(), std::vector<std::string>{"15"});
+  ASSERT_TRUE(lookup("203.0.113.7").find("ok")->as_bool());
+  ASSERT_TRUE(lookup(seen).find("ok")->as_bool());
+  obs::set_level(obs::Level::kOff);
+  EXPECT_EQ(database_spans(), std::vector<std::string>{"15"});
+  obs::reset();
+}
+
+TEST(CliToolTest, LookupPrintsContactsOutsideTheCountRangeOnBothFronts) {
+  // read_binary checks a month's structure, not its values: a crafted
+  // month whose checksums hold can carry any contact count. Counts a u64
+  // holds print digit-grouped as always; the rest print as doubles.
+  core::StudyData study = archive::read_study(OBSCORR_TEST_DATA_DIR "/golden_study");
+  d4m::AssocArray& month = study.months[0].sources;
+  month = d4m::AssocArray::ewise_add(
+      month, d4m::AssocArray::from_triples(
+                 {{"198.51.100.1", "contacts", -7.0},
+                  {"198.51.100.2", "contacts", std::numeric_limits<double>::quiet_NaN()},
+                  {"198.51.100.3", "contacts", 1e20},
+                  {"198.51.100.4", "contacts", 1234567.9}}));
+  const std::string dir = temp("cli_crafted_contacts." + std::to_string(::getpid()));
+  archive::write_study(study, dir);
+  ThreadPool pool(2);
+  std::optional<svc::QueryEngine> engine(std::in_place, dir, pool);
+  for (const auto& [ip, peak] : std::vector<std::pair<std::string, std::string>>{
+           {"198.51.100.1", "-7"},
+           {"198.51.100.2", "nan"},
+           {"198.51.100.3", "1e+20"},
+           {"198.51.100.4", "1,234,567"}}) {
+    const FrontResult r = run_both(
+        {{"lookup", "--ip", ip}, R"({"query":"lookup","params":{"ip":")" + ip + R"("}})"}, dir,
+        *engine);
+    ASSERT_EQ(r.rc, 0) << ip << '\n' << r.err;
+    EXPECT_NE(r.out.find(", peak contacts=" + peak + "\n"), std::string::npos) << r.out;
+    EXPECT_EQ(r.out, r.response.find("result")->find("text")->as_string()) << ip;
+  }
   engine.reset();
   std::filesystem::remove_all(dir);
 }

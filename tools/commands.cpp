@@ -242,21 +242,27 @@ int cmd_lookup(const Invocation& in, std::ostream& out, std::ostream& /*err*/) {
   const std::string ip = svc::parse_lookup(svc::params_from_flags("lookup", in.cli));
   const auto from = in.cli.get("from");
 
-  std::vector<honeyfarm::MonthlyObservation> months;
   if (from.has_value()) {
-    months = archive::StudyReader(*from).months();
-  } else {
-    const auto scenario = in.scenario();
-    const netgen::Population population(scenario.population);
-    months.resize(scenario.months.size());
-    // Month m's activity chain extends month m-1's, so fill it serially
-    // before the months run as pool tasks into their slots.
-    (void)population.active(0, static_cast<int>(months.size()) - 1);
-    ThreadPool pool(in.threads);
-    parallel_for(pool, 0, months.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t m = b; m < e; ++m) months[m] = core::run_month(scenario, population, m);
-    });
+    // The database views raw months in the reader's mapping, so the
+    // reader outlives it.
+    const archive::StudyReader reader(*from);
+    svc::render_lookup(honeyfarm::Database(reader.month_count(),
+                                           [&reader](std::size_t m) {
+                                             return reader.month_view(m);
+                                           }),
+                       ip, out);
+    return 0;
   }
+  const auto scenario = in.scenario();
+  const netgen::Population population(scenario.population);
+  std::vector<honeyfarm::MonthlyObservation> months(scenario.months.size());
+  // Month m's activity chain extends month m-1's, so fill it serially
+  // before the months run as pool tasks into their slots.
+  (void)population.active(0, static_cast<int>(months.size()) - 1);
+  ThreadPool pool(in.threads);
+  parallel_for(pool, 0, months.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t m = b; m < e; ++m) months[m] = core::run_month(scenario, population, m);
+  });
   svc::render_lookup(honeyfarm::Database(std::move(months)), ip, out);
   return 0;
 }
