@@ -16,20 +16,13 @@ std::string window_event_json(const archive::LiveWindowMeta& meta) {
 
 Monitor::Monitor(MonitorConfig cfg) : cfg_(std::move(cfg)), bank_(cfg_.detectors) {}
 
-std::vector<AnomalyEvent> Monitor::prime(const archive::StudyReader& reader, Domain domain) {
+std::vector<AnomalyEvent> Monitor::prime(const archive::StudyReader& reader, Domain domain,
+                                         std::span<const WindowSample> samples) {
   std::vector<AnomalyEvent> all;
-  const std::size_t n =
-      domain == Domain::kSnapshots ? reader.snapshot_count() : reader.window_count();
-  for (std::size_t w = 0; w < n; ++w) {
-    const WindowSample sample = domain == Domain::kSnapshots ? sample_snapshot(reader, w)
-                                                             : sample_window(reader, w);
-    // Degree values for the shift detector, from the stored reduction.
-    const gbl::SparseVec sources = domain == Domain::kSnapshots
-                                       ? reader.source_packets(w)
-                                       : reader.window_source_packets(w);
-    store_.append(sample);
-    std::vector<AnomalyEvent> events =
-        bank_.observe(w, metric_row(sample), sources.values());
+  for (std::size_t w = 0; w < samples.size(); ++w) {
+    const archive::StudyReader::SourcesRef sources =
+        domain == Domain::kSnapshots ? reader.sources(w) : reader.window_sources(w);
+    std::vector<AnomalyEvent> events = bank_.observe(w, metric_row(samples[w]), sources.counts);
     all.insert(all.end(), std::make_move_iterator(events.begin()),
                std::make_move_iterator(events.end()));
   }
@@ -39,7 +32,6 @@ std::vector<AnomalyEvent> Monitor::prime(const archive::StudyReader& reader, Dom
 std::vector<AnomalyEvent> Monitor::observe_window(std::uint64_t window,
                                                   const WindowSample& sample,
                                                   std::span<const double> degrees) {
-  store_.append(sample);
   std::vector<AnomalyEvent> events = bank_.observe(window, metric_row(sample), degrees);
   if (!events.empty() && !cfg_.event_log_path.empty()) {
     std::ofstream log(cfg_.event_log_path, std::ios::app);

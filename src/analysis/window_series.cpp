@@ -1,6 +1,10 @@
 #include "analysis/window_series.hpp"
 
+#include <exception>
+#include <mutex>
+
 #include "common/error.hpp"
+#include "obs/telemetry.hpp"
 #include "stats/summary.hpp"
 
 namespace obscorr::analysis {
@@ -59,6 +63,11 @@ std::vector<double> metric_row(const WindowSample& s) {
 
 SeriesStore::SeriesStore() : data_(metric_count()) {}
 
+SeriesStore::SeriesStore(std::span<const WindowSample> samples) : SeriesStore() {
+  for (std::vector<double>& series : data_) series.reserve(samples.size());
+  for (const WindowSample& s : samples) append(s);
+}
+
 void SeriesStore::append(const WindowSample& s) {
   const std::vector<double> row = metric_row(s);
   OBSCORR_REQUIRE(row.size() == data_.size(), "metric row/catalogue mismatch");
@@ -79,28 +88,52 @@ std::size_t SeriesStore::find(std::string_view name) const {
   return npos;
 }
 
-WindowSample sample_from(const gbl::DcsrMatrix& matrix, std::span<const double> degrees,
+WindowSample sample_from(const gbl::MatrixView& matrix, std::span<const double> degrees,
                          std::uint64_t discarded, double duration_sec) {
   WindowSample s;
   s.q = gbl::aggregate_quantities(matrix);
   s.discarded_packets = discarded;
   s.duration_sec = duration_sec;
   s.source_gini = degrees.empty() ? 0.0 : stats::gini_coefficient(degrees);
+  if (obs::counters_enabled()) {
+    static obs::Counter& sampled = obs::counter("analysis.windows_sampled");
+    sampled.add(1);
+  }
   return s;
 }
 
 WindowSample sample_snapshot(const archive::StudyReader& reader, std::size_t k) {
-  const core::SnapshotData snap = reader.snapshot(k, /*with_matrix=*/false);
-  const gbl::DcsrMatrix matrix = reader.matrix(k).materialize();
-  return sample_from(matrix, snap.source_packets.values(), snap.discarded_packets,
-                     snap.duration_sec);
+  const core::SnapshotData meta = reader.snapshot_meta(k);
+  const archive::StudyReader::SourcesRef sources = reader.sources(k);
+  return sample_from(reader.matrix(k), sources.counts, meta.discarded_packets, meta.duration_sec);
 }
 
 WindowSample sample_window(const archive::StudyReader& reader, std::size_t w) {
   const archive::LiveWindowMeta meta = reader.window_meta(w);
-  const gbl::DcsrMatrix matrix = reader.window_matrix(w).materialize();
-  const gbl::SparseVec sources = reader.window_source_packets(w);
-  return sample_from(matrix, sources.values(), meta.discarded_packets, meta.duration_sec);
+  const archive::StudyReader::SourcesRef sources = reader.window_sources(w);
+  return sample_from(reader.window_matrix(w), sources.counts, meta.discarded_packets,
+                     meta.duration_sec);
+}
+
+std::vector<WindowSample> sample_all(const archive::StudyReader& reader, Domain domain,
+                                     ThreadPool& pool) {
+  const bool snapshots = domain == Domain::kSnapshots;
+  const std::size_t n = snapshots ? reader.snapshot_count() : reader.window_count();
+  std::vector<WindowSample> samples(n);
+  std::mutex error_mu;
+  std::exception_ptr error;
+  parallel_for(pool, 0, n, [&](std::size_t begin, std::size_t end) {
+    try {
+      for (std::size_t w = begin; w < end; ++w) {
+        samples[w] = snapshots ? sample_snapshot(reader, w) : sample_window(reader, w);
+      }
+    } catch (...) {
+      const std::lock_guard lock(error_mu);
+      if (!error) error = std::current_exception();
+    }
+  });
+  if (error) std::rethrow_exception(error);
+  return samples;
 }
 
 SeriesStore store_from_reader(const archive::StudyReader& reader, Domain domain) {

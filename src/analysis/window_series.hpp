@@ -22,6 +22,8 @@
 #include <vector>
 
 #include "archive/study_archive.hpp"
+#include "common/thread_pool.hpp"
+#include "gbl/matrix_view.hpp"
 #include "gbl/quantities.hpp"
 
 namespace obscorr::analysis {
@@ -45,13 +47,16 @@ std::size_t metric_count();
 /// value of metric_names()[i]).
 std::vector<double> metric_row(const WindowSample& s);
 
-/// Column-wise store of the per-window series. Append-only: live ingest
-/// pushes one row per published window, `store_from_reader` bulk-loads
-/// an archive. Not internally synchronized — callers serialize appends
-/// (the ingest loop is single-threaded by construction).
+/// Column-wise store of the per-window series. Append-only: built from
+/// a window domain's samples (`store_from_reader` bulk-loads an archive;
+/// the daemon builds one from the samples it holds) or grown one window
+/// at a time. Not internally synchronized — callers serialize appends.
 class SeriesStore {
  public:
   SeriesStore();
+
+  /// A store holding `samples`, one window each, in order.
+  explicit SeriesStore(std::span<const WindowSample> samples);
 
   const std::vector<std::string>& names() const { return metric_names(); }
   std::size_t series_count() const { return data_.size(); }
@@ -79,15 +84,27 @@ enum class Domain {
 };
 
 /// Reduce one window (its matrix, A·1 degree values, discards and
-/// duration) to a WindowSample; live ingest samples each window here.
-WindowSample sample_from(const gbl::DcsrMatrix& matrix, std::span<const double> degrees,
+/// duration) to a WindowSample, with the serial Table II aggregation
+/// straight over the matrix's arrays, so the result is bit-identical
+/// across thread counts and between an in-memory matrix
+/// (`MatrixView::over`) and its archived view. Every sample is taken
+/// here; each one counts once in `analysis.windows_sampled`.
+WindowSample sample_from(const gbl::MatrixView& matrix, std::span<const double> degrees,
                          std::uint64_t discarded, double duration_sec);
 
-/// Reduce archived snapshot k / live window w to a WindowSample. Both
-/// materialize the stored matrix view and run the serial Table II
-/// aggregation, so results are bit-identical across thread counts.
+/// Reduce archived snapshot k / live window w to a WindowSample: the
+/// stored matrix view and source reduction are read in place (over the
+/// mapping, or over a decoded page the refs keep alive), and a
+/// snapshot's D4M assoc entry is not read at all.
 WindowSample sample_snapshot(const archive::StudyReader& reader, std::size_t k);
 WindowSample sample_window(const archive::StudyReader& reader, std::size_t w);
+
+/// Every window of `domain`, reduced on `pool`: each window is sampled
+/// into its own slot, so the samples come back in window order and equal
+/// a serial loop's at any thread count. A failed sample throws here once
+/// every task has finished. Call from outside `pool`'s tasks.
+std::vector<WindowSample> sample_all(const archive::StudyReader& reader, Domain domain,
+                                     ThreadPool& pool);
 
 /// Bulk-load every window of `domain` from an archive into a store.
 SeriesStore store_from_reader(const archive::StudyReader& reader, Domain domain);

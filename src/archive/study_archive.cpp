@@ -570,10 +570,15 @@ gbl::SparseVec StudyReader::source_packets(std::size_t k) const {
                         std::vector<gbl::Value>(v.counts.begin(), v.counts.end()));
 }
 
-core::SnapshotData StudyReader::snapshot(std::size_t k, bool with_matrix) const {
+core::SnapshotData StudyReader::snapshot_meta(std::size_t k) const {
   OBSCORR_REQUIRE(k < snapshot_count(), "archive: snapshot index out of range");
   core::SnapshotData snap;
   decode_snapshot_meta(reader_.payload(snapshot_entry(k, "meta")).bytes, snap);
+  return snap;
+}
+
+core::SnapshotData StudyReader::snapshot(std::size_t k, bool with_matrix) const {
+  core::SnapshotData snap = snapshot_meta(k);
   if (with_matrix) snap.matrix = matrix(k).materialize();
   snap.source_packets = source_packets(k);
   snap.sources = decode_assoc(reader_.payload(snapshot_entry(k, "assoc")).bytes);

@@ -140,6 +140,10 @@ class StudyReader {
   /// Owning copy of the source reduction (for APIs taking SparseVec).
   gbl::SparseVec source_packets(std::size_t k) const;
 
+  /// Snapshot k's capture metadata alone (spec, month, packet counts,
+  /// duration): no matrix, reduction or assoc array is read.
+  core::SnapshotData snapshot_meta(std::size_t k) const;
+
   /// Fully materialized snapshot k / month m / whole study. Pass
   /// `with_matrix = false` to leave the snapshot's DCSR matrix empty:
   /// every downstream analysis consumes only the reductions

@@ -5,6 +5,7 @@
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
+#include "gbl/column_fold.hpp"
 #include "gbl/coo.hpp"
 #include "gbl/kernels.hpp"
 
@@ -117,12 +118,6 @@ DcsrMatrix DcsrMatrix::from_sorted_packed_keys(std::span<const std::uint64_t> ke
   return m;
 }
 
-std::size_t DcsrMatrix::nonempty_cols() const {
-  // Reuse the column-reduction run-fold: the pattern reduction's support
-  // is exactly the set of non-empty columns.
-  return reduce_cols_pattern().nnz();
-}
-
 Value DcsrMatrix::at(Index row, Index col) const {
   const auto rit = std::lower_bound(row_ids_.begin(), row_ids_.end(), row);
   if (rit == row_ids_.end() || *rit != row) return 0.0;
@@ -167,23 +162,12 @@ SparseVec DcsrMatrix::reduce_rows_pattern() const {
 namespace {
 
 SparseVec reduce_columns(std::span<const Index> col, std::span<const Value> val, bool pattern) {
-  // Gather (col, value) pairs, sort by column, and fold runs.
-  std::vector<std::pair<Index, Value>> pairs(col.size());
-  for (std::size_t k = 0; k < col.size(); ++k) {
-    pairs[k] = {col[k], pattern ? 1.0 : val[k]};
-  }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<Index> idx;
   std::vector<Value> sums;
-  for (const auto& [c, v] : pairs) {
-    if (idx.empty() || idx.back() != c) {
-      idx.push_back(c);
-      sums.push_back(v);
-    } else {
-      sums.back() += v;
-    }
-  }
+  fold_columns(col, val, [&](Index c, Value sum, std::size_t count) {
+    idx.push_back(c);
+    sums.push_back(pattern ? static_cast<Value>(count) : sum);
+  });
   return SparseVec(std::move(idx), std::move(sums));
 }
 

@@ -49,9 +49,6 @@ class DcsrMatrix {
   /// Number of non-empty rows (unique sources for an ext->int matrix).
   std::size_t nonempty_rows() const { return row_ids_.size(); }
 
-  /// Number of non-empty columns (unique destinations). O(nnz).
-  std::size_t nonempty_cols() const;
-
   /// Value at (row, col); 0 when the cell is not stored.
   Value at(Index row, Index col) const;
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "gbl/dcsr.hpp"
+#include "gbl/matrix_view.hpp"
 #include "gbl/sparse_vec.hpp"
 
 namespace obscorr::gbl {
@@ -34,7 +35,15 @@ struct EntityQuantities {
   SparseVec destination_fanin;   ///< 1ᵀ |A|₀
 };
 
-/// Compute all aggregate quantities of `a`.
+/// Compute all aggregate quantities of `a` straight over its arrays: the
+/// packet sum and maximum, one walk over the rows for the source
+/// aggregates, and one column fold (column_fold.hpp) for the destination
+/// aggregates. No per-entity vector is built, and nothing is copied, so
+/// an archived view reduces in place. Bit-identical to the maxima of the
+/// four `entity_quantities` reductions.
+AggregateQuantities aggregate_quantities(const MatrixView& a);
+
+/// The same over an in-memory matrix (through `MatrixView::over`).
 AggregateQuantities aggregate_quantities(const DcsrMatrix& a);
 
 /// Compute all per-entity quantities of `a`.

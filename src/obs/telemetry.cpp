@@ -23,6 +23,7 @@ namespace {
 constexpr const char* kCanonicalCounters[] = {
     "analysis.anomalies",
     "analysis.windows_observed",
+    "analysis.windows_sampled",
     "archive.bytes_read",
     "archive.bytes_written",
     "archive.crc_ns",

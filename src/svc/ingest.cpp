@@ -8,6 +8,7 @@
 #include "common/interrupt.hpp"
 #include "core/parallel_capture.hpp"
 #include "core/study.hpp"
+#include "gbl/matrix_view.hpp"
 #include "netgen/traffic.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -43,7 +44,7 @@ void IngestLoop::run() {
   try {
     archive::LiveArchive live(dir_);
     const netgen::Scenario& scenario = engine_.scenario();
-    engine_.refresh();  // windows the LiveArchive open just republished
+    engine_.refresh();  // samples the windows the LiveArchive open just republished
 
     const netgen::Population population(scenario.population);
     const netgen::TrafficGenerator generator(population, scenario.traffic);
@@ -85,14 +86,17 @@ void IngestLoop::run() {
       meta.duration_sec = core::window_duration_sec(streamed, config_.mean_packet_rate, salt);
       const gbl::SparseVec sources = matrix.reduce_rows(pool_);
       live.append_window(meta, matrix, sources);
-      engine_.refresh();
+      const analysis::WindowSample sample =
+          analysis::sample_from(gbl::MatrixView::over(matrix), sources.values(),
+                                meta.discarded_packets, meta.duration_sec);
+      engine_.refresh(w, &sample);
       published_.fetch_add(1, std::memory_order_relaxed);
       if (obs::counters_enabled()) {
         static obs::Counter& packets = obs::counter("svc.ingest_packets");
         packets.add(streamed);
       }
       if (config_.on_publish) {
-        config_.on_publish(PublishedWindow{meta, matrix, sources, streamed});
+        config_.on_publish(PublishedWindow{meta, sources, sample, streamed});
       }
     }
   } catch (const std::exception& e) {

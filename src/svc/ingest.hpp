@@ -12,10 +12,12 @@
 /// is `core::window_duration_sec` over every streamed packet at
 /// `mean_packet_rate`, timed from zero with the window's salt as seed.
 /// The loop reduces the window, appends it to the `LiveArchive` (atomic
-/// manifest publication), and nudges the `QueryEngine` to refresh — so a
-/// `degrees` query for window w starts answering the moment w's
-/// publication rename lands, with bytes identical to what a later batch
-/// CLI run over the same archive prints.
+/// manifest publication), samples it from the in-memory matrix (the one
+/// Table II reduction a live window gets), and hands the sample to the
+/// `QueryEngine` refresh that makes the window visible — so a `degrees`
+/// query for window w starts answering the moment w's publication rename
+/// lands, and a `correlate` ranks it, with bytes identical to what a
+/// later batch CLI run over the same archive prints.
 ///
 /// Determinism: window w always draws from scenario month `w %
 /// month_count` with salt `salt_base + w` and timing seed `salt_base +
@@ -36,9 +38,9 @@
 #include <string>
 #include <thread>
 
+#include "analysis/window_series.hpp"
 #include "archive/live_archive.hpp"
 #include "common/thread_pool.hpp"
-#include "gbl/dcsr.hpp"
 #include "gbl/sparse_vec.hpp"
 #include "netgen/scenario.hpp"
 #include "svc/queries.hpp"
@@ -47,12 +49,12 @@ namespace obscorr::svc {
 
 /// One freshly published live window, handed to IngestConfig::on_publish
 /// on the ingest thread right after the publication rename lands and the
-/// engine refreshed. The matrix/sources references are valid only for
+/// engine refreshed. The sources/sample references are valid only for
 /// the duration of the callback.
 struct PublishedWindow {
   archive::LiveWindowMeta meta;
-  const gbl::DcsrMatrix& matrix;
   const gbl::SparseVec& sources;
+  const analysis::WindowSample& sample;  ///< the sample the engine now holds
   std::uint64_t streamed = 0;  ///< generator packets offered (valid + discarded)
 };
 

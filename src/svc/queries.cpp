@@ -186,7 +186,11 @@ CorrelateFrame resolve_correlate(const CorrelateQuery& query, const archive::Stu
 }
 
 QueryEngine::QueryEngine(const std::string& dir, ThreadPool& pool)
-    : reader_(dir), pool_(pool) {}
+    : reader_(dir), pool_(pool) {
+  const obs::Span span("svc.sample_windows",
+                       [&] { return std::to_string(reader_.window_count()); });
+  windows_ = analysis::sample_all(reader_, analysis::Domain::kWindows, pool_);
+}
 
 std::string QueryEngine::execute(const Request& req) {
   const obs::Span span("svc.query", [&] { return req.query; });
@@ -229,14 +233,24 @@ std::vector<QueryLatency> QueryEngine::latency_snapshot() {
   return out;
 }
 
-std::size_t QueryEngine::refresh() {
+std::size_t QueryEngine::refresh(std::size_t window, const analysis::WindowSample* published) {
   const std::unique_lock lock(data_mu_);
   const std::size_t added = reader_.refresh();
+  for (std::size_t w = windows_.size(); w < reader_.window_count(); ++w) {
+    windows_.push_back(published != nullptr && w == window
+                           ? *published
+                           : analysis::sample_window(reader_, w));
+  }
   if (added > 0 && obs::counters_enabled()) {
     static obs::Counter& refreshes = obs::counter("svc.refreshes");
     refreshes.add(1);
   }
   return added;
+}
+
+std::vector<analysis::AnomalyEvent> QueryEngine::prime(analysis::Monitor& monitor) {
+  const std::shared_lock lock(data_mu_);
+  return monitor.prime(reader_, analysis::Domain::kWindows, windows_);
 }
 
 std::size_t QueryEngine::window_count() {
@@ -327,8 +341,13 @@ JsonValue QueryEngine::q_correlate(const JsonValue& params) {
                           std::to_string(f.highlight.last) + "/" +
                           analysis::method_name(query.method) + "/" + std::to_string(query.top);
   return parse_json(cached(key, [&](std::ostream& os) {
+    // Windows rank the resident samples (as many as the frame resolved:
+    // both grow only under the exclusive lock); the immutable snapshots
+    // are reduced from the archive.
     const std::vector<analysis::MetricScore> ranked = analysis::rank_series(
-        analysis::store_from_reader(reader_, f.domain), f.baseline, f.highlight, query.method);
+        f.domain == analysis::Domain::kWindows ? analysis::SeriesStore(windows_)
+                                               : analysis::store_from_reader(reader_, f.domain),
+        f.baseline, f.highlight, query.method);
     JsonValue result = correlate_json(ranked, query.method, f.baseline, f.highlight);
     std::ostringstream out;
     render_correlate(ranked, query.method, f.baseline, f.highlight, query.top, out);

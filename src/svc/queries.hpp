@@ -18,7 +18,12 @@
 ///    are a string copy; a render that throws leaves no entry;
 ///  * the completed campaign prefix is immutable, so cached entries for
 ///    it are valid forever; per-window entries are keyed by index and
-///    windows are immutable once published.
+///    windows are immutable once published;
+///  * the engine holds every visible live window's sample (the series
+///    `correlate` ranks over windows): the windows in the archive at open
+///    are reduced then, and each later one is appended in the exclusive
+///    section of the refresh that makes it visible, so a `correlate`
+///    resolved at N windows ranks N resident samples and reads no window.
 ///
 /// Rendering goes through svc/render.hpp — the same functions the batch
 /// CLI prints with — which is what makes responses byte-identical to the
@@ -40,6 +45,7 @@
 #include <vector>
 
 #include "analysis/correlate.hpp"
+#include "analysis/monitor.hpp"
 #include "analysis/window_series.hpp"
 #include "archive/study_archive.hpp"
 #include "common/cli.hpp"
@@ -110,17 +116,31 @@ struct QueryLatency {
 /// Dispatches requests over one archive; shared by every connection.
 class QueryEngine {
  public:
-  /// Open the archive; throws on a missing/corrupt one. `pool` is used
-  /// for the scaling ladder (and must outlive the engine).
+  /// Open the archive and reduce its live windows to their samples, as
+  /// `pool` tasks; throws on a missing/corrupt archive. `pool` is also
+  /// used for the scaling ladder (and must outlive the engine). Call from
+  /// outside `pool`'s tasks.
   QueryEngine(const std::string& dir, ThreadPool& pool);
 
   /// Execute one parsed request and return the full response line.
   /// Never throws: failures become protocol error responses.
   std::string execute(const Request& req);
 
-  /// Absorb windows published since open/last refresh (exclusive lock);
-  /// returns the number of newly visible windows.
-  std::size_t refresh();
+  /// Absorb windows published since open/last refresh and append their
+  /// samples to the resident series, all under the exclusive lock.
+  /// `published`, when given, is the sample of window `window`, taken by
+  /// the ingest loop from the matrix it just published; every other newly
+  /// visible window (one the `LiveArchive` open recovered, say) is
+  /// sampled from the archive here. Returns the number of newly visible
+  /// windows.
+  std::size_t refresh(std::size_t window = 0,
+                      const analysis::WindowSample* published = nullptr);
+
+  /// Prime `monitor` with the resident samples of the visible windows
+  /// (shared lock): their detectors see the windows in order, each
+  /// window's stored source reduction feeding the degree-shift detector.
+  /// Returns the events fired during the replay.
+  std::vector<analysis::AnomalyEvent> prime(analysis::Monitor& monitor);
 
   /// Currently visible live windows (shared lock).
   std::size_t window_count();
@@ -157,6 +177,7 @@ class QueryEngine {
   archive::StudyReader reader_;
   ThreadPool& pool_;
   std::shared_mutex data_mu_;  // queries shared, refresh exclusive
+  std::vector<analysis::WindowSample> windows_;  // one per visible live window
   std::mutex cache_mu_;
   std::unordered_map<std::string, std::shared_future<std::string>> cache_;
   std::mutex latency_mu_;

@@ -1,5 +1,6 @@
-/// Monitor: archive replay priming, live observation with the NDJSON
-/// anomaly sidecar, and the window push-event serialization.
+/// Monitor: archive replay priming from a caller's samples, live
+/// observation with the NDJSON anomaly sidecar, and the window push-event
+/// serialization.
 
 #include "analysis/monitor.hpp"
 
@@ -60,9 +61,11 @@ TEST(MonitorTest, PrimeReplaysArchiveAndFlagsInjectedSurge) {
     for (std::size_t w = 0; w < 10; ++w) append_window(live, w, w == 8 ? 8.0 : 1.0);
   }
   archive::StudyReader reader(dir);
+  ThreadPool pool(2);
   Monitor monitor;
-  const std::vector<AnomalyEvent> events = monitor.prime(reader, Domain::kWindows);
-  EXPECT_EQ(monitor.store().window_count(), 10u);
+  const std::vector<AnomalyEvent> events =
+      monitor.prime(reader, Domain::kWindows, sample_all(reader, Domain::kWindows, pool));
+  EXPECT_EQ(monitor.detectors().observed(), 10u);
 
   // The surge at window 8 fires; the detectors stay silent elsewhere
   // (window 9 returns to baseline, which is itself a detectable step
@@ -96,7 +99,7 @@ TEST(MonitorTest, ObserveWindowAppendsSidecarEvents) {
   surge.q.valid_packets = 9000.0;
   const std::vector<AnomalyEvent> events = monitor.observe_window(8, surge, degrees);
   ASSERT_FALSE(events.empty());
-  EXPECT_EQ(monitor.store().window_count(), 9u);
+  EXPECT_EQ(monitor.detectors().observed(), 9u);
 
   // Sidecar holds exactly the fired events, one JSON object per line.
   std::ifstream log(cfg.event_log_path);

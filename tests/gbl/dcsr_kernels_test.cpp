@@ -99,12 +99,6 @@ TEST(ZeroCopyKernelsTest, PackedKeysMatchTupleBuild) {
   EXPECT_EQ(DcsrMatrix::from_sorted_packed_keys({}), DcsrMatrix{});
 }
 
-TEST(ZeroCopyKernelsTest, NonemptyColsMatchesPatternReduction) {
-  const DcsrMatrix m = random_matrix(3, 5000, 200);
-  EXPECT_EQ(m.nonempty_cols(), m.reduce_cols_pattern().nnz());
-  EXPECT_EQ(DcsrMatrix{}.nonempty_cols(), 0u);
-}
-
 // --- Randomized differential tests across thread counts ---
 
 class ZeroCopyDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {};

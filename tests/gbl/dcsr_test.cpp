@@ -21,7 +21,7 @@ TEST(DcsrTest, EmptyMatrix) {
   const DcsrMatrix m;
   EXPECT_EQ(m.nnz(), 0u);
   EXPECT_EQ(m.nonempty_rows(), 0u);
-  EXPECT_EQ(m.nonempty_cols(), 0u);
+  EXPECT_EQ(m.reduce_cols_pattern().nnz(), 0u);
   EXPECT_EQ(m.reduce_sum(), 0.0);
   EXPECT_EQ(m.reduce_max(), 0.0);
   EXPECT_EQ(m.at(5, 5), 0.0);
@@ -33,7 +33,7 @@ TEST(DcsrTest, BasicAccessors) {
   const DcsrMatrix m = make_small();
   EXPECT_EQ(m.nnz(), 4u);
   EXPECT_EQ(m.nonempty_rows(), 3u);
-  EXPECT_EQ(m.nonempty_cols(), 3u);
+  EXPECT_EQ(m.reduce_cols_pattern().nnz(), 3u);
   EXPECT_EQ(m.at(10, 1), 2.0);
   EXPECT_EQ(m.at(10, 3), 1.0);
   EXPECT_EQ(m.at(70, 3), 5.0);
@@ -171,7 +171,7 @@ TEST(DcsrTest, RandomizedReductionInvariants) {
   EXPECT_NEAR(m.reduce_rows_pattern().reduce_sum(), static_cast<double>(m.nnz()), 1e-9);
   EXPECT_NEAR(m.reduce_cols_pattern().reduce_sum(), static_cast<double>(m.nnz()), 1e-9);
   EXPECT_EQ(m.reduce_rows().nnz(), m.nonempty_rows());
-  EXPECT_EQ(m.reduce_cols().nnz(), m.nonempty_cols());
+  EXPECT_EQ(m.reduce_cols().nnz(), m.reduce_cols_pattern().nnz());
 }
 
 }  // namespace

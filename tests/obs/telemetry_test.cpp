@@ -246,6 +246,7 @@ TEST_F(TelemetryExportTest, MetricsJsonSchemaAndCanonicalCatalogue) {
   const std::vector<std::string> expected_counters = {
       "analysis.anomalies",
       "analysis.windows_observed",
+      "analysis.windows_sampled",
       "archive.bytes_read",
       "archive.bytes_written",
       "archive.crc_ns",

@@ -517,17 +517,14 @@ TEST(SvcServerTest, DrainFlushesInFlightResponseThenRefusesNewWork) {
   }
 }
 
-/// The serve command's on_publish wiring, reproduced for tests: sample
-/// the published window, run the monitor, push the heartbeat plus any
-/// anomaly events to watchers.
+/// The serve command's on_publish wiring, reproduced for tests: run the
+/// monitor over the published window's sample, push the heartbeat plus
+/// any anomaly events to watchers.
 std::function<void(const PublishedWindow&)> monitor_publisher(Server& server,
                                                               analysis::Monitor& monitor) {
   return [&server, &monitor](const PublishedWindow& pw) {
-    const auto events = monitor.observe_window(
-        pw.meta.window,
-        analysis::sample_from(pw.matrix, pw.sources.values(), pw.meta.discarded_packets,
-                              pw.meta.duration_sec),
-        pw.sources.values());
+    const auto events =
+        monitor.observe_window(pw.meta.window, pw.sample, pw.sources.values());
     server.publish_event(analysis::window_event_json(pw.meta));
     for (const auto& ev : events) server.publish_event(analysis::event_json(ev));
   };

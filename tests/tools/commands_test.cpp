@@ -10,6 +10,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -737,28 +739,39 @@ TEST(CliToolTest, UsageErrorsPrintTheirMessageAlone) {
   archive::set_cache_bytes(std::nullopt);
 }
 
-/// A private copy of the golden archive (log2 N_V = 12, seed 42, five
-/// snapshots) with one live window appended: enough for degrees by
-/// window, too few windows for a windows-domain correlate.
-std::string one_window_archive(const std::string& name) {
-  const std::string dir = temp(name + "." + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::copy(OBSCORR_TEST_DATA_DIR "/golden_study", dir);
+/// Publish `windows` more live windows of 4096 valid packets into `dir`
+/// through `engine`, as `obscorr serve` does; throws when ingest fails.
+void ingest_windows(const std::string& dir, svc::QueryEngine& engine, ThreadPool& pool,
+                    std::size_t windows) {
   interrupt::reset();
-  ThreadPool pool(2);
-  svc::QueryEngine engine(dir, pool);
   svc::IngestConfig cfg;
-  cfg.max_windows = 1;
+  cfg.max_windows = windows;
   cfg.window_packets = 4096;
   svc::IngestLoop ingest(dir, engine, pool, cfg);
   ingest.start();
-  for (int spin = 0; spin < 6000 && ingest.published() < 1 && ingest.error().empty(); ++spin) {
+  for (int spin = 0; spin < 6000 && ingest.published() < windows && ingest.error().empty();
+       ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ingest.stop_and_join();
-  if (ingest.published() != 1) throw std::runtime_error("ingest failed: " + ingest.error());
+  if (ingest.published() != windows) throw std::runtime_error("ingest failed: " + ingest.error());
+}
+
+/// A private copy of the golden archive (log2 N_V = 12, seed 42, five
+/// snapshots) with `windows` live windows appended.
+std::string live_window_archive(const std::string& name, std::size_t windows) {
+  const std::string dir = temp(name + "." + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::copy(OBSCORR_TEST_DATA_DIR "/golden_study", dir);
+  ThreadPool pool(2);
+  svc::QueryEngine engine(dir, pool);
+  ingest_windows(dir, engine, pool, windows);
   return dir;
 }
+
+/// One live window: enough for degrees by window, too few windows for a
+/// windows-domain correlate.
+std::string one_window_archive(const std::string& name) { return live_window_archive(name, 1); }
 
 /// One query as each front spells it: CLI flags (`--from DIR` is added)
 /// and the daemon's request line.
@@ -785,14 +798,53 @@ FrontResult run_both(const FrontCase& c, const std::string& dir, svc::QueryEngin
   return {rc, out.str(), err.str(), svc::parse_json(engine.execute(svc::parse_request(c.request)))};
 }
 
+/// The windows-domain correlate cases of the parity table: the default
+/// framing, and volume with explicit ranges and every metric.
+const std::vector<FrontCase> kWindowCorrelateCases = {
+    {{"correlate", "--domain", "windows"},
+     R"({"query":"correlate","params":{"domain":"windows"}})"},
+    {{"correlate"}, R"({"query":"correlate"})"},
+    {{"correlate", "--domain", "windows", "--method", "volume", "--baseline", "0:3",
+      "--highlight", "4:5", "--top", "0"},
+     R"({"query":"correlate","params":{"domain":"windows","method":"volume",)"
+     R"("baseline":"0:3","highlight":"4:5","top":0}})"},
+};
+
+/// Run `cases` through both fronts over `dir` and require the same text.
+/// correlate's CLI output opens with a line naming the archive and the
+/// domain's window count.
+void expect_fronts_agree(const std::vector<FrontCase>& cases, const std::string& dir,
+                         svc::QueryEngine& engine, std::size_t windows) {
+  for (const FrontCase& c : cases) {
+    const FrontResult r = run_both(c, dir, engine);
+    ASSERT_EQ(r.rc, 0) << c.request << '\n' << r.err;
+    ASSERT_TRUE(r.response.find("ok")->as_bool()) << c.request;
+    const bool snapshots = std::ranges::find(c.cli, "snapshots") != c.cli.end();
+    const std::string header =
+        c.cli.front() != "correlate" ? ""
+        : snapshots                  ? "archive: " + dir + " (5 snapshots)\n"
+                                     : "archive: " + dir + " (" + std::to_string(windows) +
+                                           " windows)\n";
+    EXPECT_EQ(r.out, header + r.response.find("result")->find("text")->as_string()) << c.request;
+  }
+}
+
 TEST(CliToolTest, CliAndDaemonAnswerValidQueriesIdentically) {
-  const std::string dir = one_window_archive("cli_fronts_valid");
+  // Six live windows, published in two sessions. The second session's
+  // manifest publications are then rolled back, as a crash would lose
+  // them, so the restart below recovers those three windows.
+  const std::string dir = live_window_archive("cli_fronts_valid", 3);
+  const std::string manifest = dir + "/MANIFEST.obsar";
+  const std::string lost = temp("cli_fronts_valid.manifest." + std::to_string(::getpid()));
+  std::filesystem::copy_file(manifest, lost, std::filesystem::copy_options::overwrite_existing);
   ThreadPool pool(2);
   std::optional<svc::QueryEngine> engine(std::in_place, dir, pool);
+  ingest_windows(dir, *engine, pool, 3);
+  ASSERT_EQ(engine->window_count(), 6u);
   // A source the honeyfarm saw in the first month.
   const std::string seen = archive::StudyReader(dir).months().front().sources.row_keys().front();
 
-  const std::vector<FrontCase> cases = {
+  std::vector<FrontCase> cases = {
       {{"degrees"}, R"({"query":"degrees"})"},
       {{"degrees", "--snapshot", "3"}, R"({"query":"degrees","params":{"snapshot":3}})"},
       {{"degrees", "--window", "0"}, R"({"query":"degrees","params":{"window":0}})"},
@@ -806,18 +858,127 @@ TEST(CliToolTest, CliAndDaemonAnswerValidQueriesIdentically) {
        R"({"query":"correlate","params":{"domain":"snapshots","method":"volume",)"
        R"("baseline":"0:2","highlight":"3:4","top":0}})"},
   };
-  for (const FrontCase& c : cases) {
-    const FrontResult r = run_both(c, dir, *engine);
-    ASSERT_EQ(r.rc, 0) << c.request << '\n' << r.err;
-    ASSERT_TRUE(r.response.find("ok")->as_bool()) << c.request;
-    // correlate's CLI output opens with a line naming the archive.
-    const std::string header =
-        c.cli.front() == "correlate" ? "archive: " + dir + " (5 snapshots)\n" : "";
-    EXPECT_EQ(r.out, header + r.response.find("result")->find("text")->as_string()) << c.request;
-  }
+  cases.insert(cases.end(), kWindowCorrelateCases.begin(), kWindowCorrelateCases.end());
+  expect_fronts_agree(cases, dir, *engine, 6);
   EXPECT_NE(run_both(cases[3], dir, *engine).out.find("seen in"), std::string::npos);
   EXPECT_NE(run_both(cases[4], dir, *engine).out.find("never observed"), std::string::npos);
+
+  // Restart over the rolled-back manifest: the engine opens at three
+  // windows, and the ingest loop's LiveArchive open republishes the other
+  // three, which the engine samples from the archive as they appear.
   engine.reset();
+  std::filesystem::copy_file(lost, manifest, std::filesystem::copy_options::overwrite_existing);
+  engine.emplace(dir, pool);
+  ASSERT_EQ(engine->window_count(), 3u);
+  ingest_windows(dir, *engine, pool, 0);
+  ASSERT_EQ(engine->window_count(), 6u);
+  expect_fronts_agree(kWindowCorrelateCases, dir, *engine, 6);
+  engine.reset();
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(lost);
+}
+
+/// Samples taken so far (the counter registry must be armed).
+std::uint64_t windows_sampled() { return obs::counter("analysis.windows_sampled").value(); }
+
+TEST(DaemonCorrelateTest, UncachedWindowsCorrelateReadsNoWindow) {
+  // Over a force-compacted archive with the page cache off, every window
+  // read decodes. The daemon's correlate ranks the samples it took when
+  // it opened, so an uncached render decodes nothing and samples nothing.
+  const std::string dir = live_window_archive("daemon_correlate_compacted", 6);
+  std::ostringstream out, err;
+  ASSERT_EQ(run({"archive", "compact", "--dir", dir, "--all"}, out, err), 0) << err.str();
+  archive::set_cache_bytes(0);
+  obs::reset();
+  obs::set_level(obs::Level::kFull);
+  {
+    ThreadPool pool(2);
+    svc::QueryEngine engine(dir, pool);
+    EXPECT_EQ(windows_sampled(), 6u);
+    obs::reset();
+    const auto decodes = [] {
+      return std::ranges::count_if(obs::span_events(), [](const obs::SpanEvent& e) {
+        return std::string_view(e.name) == "archive.decode";
+      });
+    };
+    for (const FrontCase& c : kWindowCorrelateCases) {
+      const svc::JsonValue r = svc::parse_json(engine.execute(svc::parse_request(c.request)));
+      ASSERT_TRUE(r.find("ok")->as_bool()) << c.request;
+    }
+    EXPECT_EQ(decodes(), 0);
+    EXPECT_EQ(windows_sampled(), 0u);
+    // The spans are live: a window's degrees do decode its sources.
+    const svc::JsonValue degrees = svc::parse_json(
+        engine.execute(svc::parse_request(R"({"query":"degrees","params":{"window":2}})")));
+    ASSERT_TRUE(degrees.find("ok")->as_bool());
+    EXPECT_GT(decodes(), 0);
+  }
+  obs::set_level(obs::Level::kOff);
+  obs::reset();
+  archive::set_cache_bytes(std::nullopt);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DaemonCorrelateTest, CorrelateRacingIngestMatchesTheCliAtItsWindowCount) {
+  // Correlates race live ingest. Each answer is the CLI's over the same
+  // ranges, the ranges the daemon resolved at its window count, and the
+  // daemon samples every window exactly once: the windows at open, plus
+  // one per published window, however many correlates it rendered.
+  const std::string dir = live_window_archive("daemon_correlate_race", 2);
+  obs::reset();
+  obs::set_level(obs::Level::kCounters);
+  std::vector<std::pair<bool, svc::JsonValue>> answers;  // (volume?, result)
+  {
+    ThreadPool pool(4);
+    svc::QueryEngine engine(dir, pool);
+    EXPECT_EQ(windows_sampled(), 2u);
+    std::atomic<bool> done{false};
+    std::thread client([&] {
+      for (std::size_t i = 0; !done.load(); ++i) {
+        const bool volume = i % 2 == 1;
+        const svc::JsonValue r = svc::parse_json(engine.execute(svc::parse_request(
+            volume ? R"({"query":"correlate","params":{"domain":"windows","method":"volume"}})"
+                   : R"({"query":"correlate","params":{"domain":"windows"}})")));
+        if (r.find("ok")->as_bool()) answers.emplace_back(volume, *r.find("result"));
+      }
+    });
+    ingest_windows(dir, engine, pool, 8);
+    done.store(true);
+    client.join();
+    EXPECT_EQ(windows_sampled(), 10u);
+  }
+  obs::set_level(obs::Level::kOff);
+  obs::reset();
+  ASSERT_FALSE(answers.empty());
+  const auto range = [](const svc::JsonValue& r) {
+    return std::to_string(r.find("first")->as_uint()) + ":" +
+           std::to_string(r.find("last")->as_uint());
+  };
+  std::size_t checked = 0;
+  std::string last_key;
+  for (const auto& [volume, result] : answers) {
+    const std::string baseline = range(*result.find("baseline"));
+    const std::string highlight = range(*result.find("highlight"));
+    const std::string key = (volume ? "v" : "k") + baseline + "/" + highlight;
+    if (key == last_key) continue;  // a repeat of the answer just checked
+    last_key = key;
+    const std::string json_path = temp("daemon_correlate_race.json");
+    std::vector<std::string> args = {"correlate",   "--from",  dir,       "--baseline", baseline,
+                                     "--highlight", highlight, "--json", json_path};
+    if (volume) args.insert(args.end(), {"--method", "volume"});
+    std::ostringstream out, err;
+    ASSERT_EQ(run(args, out, err), 0) << err.str();
+    const std::string text = out.str();
+    EXPECT_EQ(text.substr(text.find('\n') + 1), result.find("text")->as_string()) << key;
+    std::ifstream json(json_path);
+    const std::string cli_json((std::istreambuf_iterator<char>(json)),
+                               std::istreambuf_iterator<char>());
+    EXPECT_EQ(svc::dump_json(*svc::parse_json(cli_json).find("ranked")),
+              svc::dump_json(*result.find("ranked")))
+        << key;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
   std::filesystem::remove_all(dir);
 }
 

@@ -410,9 +410,13 @@ int cmd_correlate(const Invocation& in, std::ostream& out, std::ostream& err) {
 
   const archive::StudyReader reader(*from);
   const svc::CorrelateFrame frame = svc::resolve_correlate(query, reader);
-  const std::vector<analysis::MetricScore> ranked =
-      analysis::rank_series(analysis::store_from_reader(reader, frame.domain), frame.baseline,
-                            frame.highlight, query.method);
+  // Each window is reduced once: the ranking and the --events replay
+  // read the same samples.
+  ThreadPool pool(in.threads);
+  const std::vector<analysis::WindowSample> samples =
+      analysis::sample_all(reader, frame.domain, pool);
+  const std::vector<analysis::MetricScore> ranked = analysis::rank_series(
+      analysis::SeriesStore(samples), frame.baseline, frame.highlight, query.method);
   out << "archive: " << *from << " (" << frame.count << " " << frame.domain_name << ")\n";
   svc::render_correlate(ranked, query.method, frame.baseline, frame.highlight, query.top, out);
 
@@ -420,7 +424,8 @@ int cmd_correlate(const Invocation& in, std::ostream& out, std::ostream& err) {
     // Replay the same windows through the streaming detectors and print
     // the anomaly stream a live `watch` subscriber would have seen.
     analysis::Monitor monitor;
-    const std::vector<analysis::AnomalyEvent> fired = monitor.prime(reader, frame.domain);
+    const std::vector<analysis::AnomalyEvent> fired =
+        monitor.prime(reader, frame.domain, samples);
     out << "\nanomaly events (" << fired.size() << "):\n";
     for (const analysis::AnomalyEvent& ev : fired) out << analysis::event_json(ev) << '\n';
   }
@@ -553,32 +558,31 @@ int cmd_serve(const Invocation& in, std::ostream& /*out*/, std::ostream& err) {
   int rc = 0;
   {
     ThreadPool pool(in.threads);
+    // The engine reduces the archive's live windows as it opens, and the
+    // monitor primes from those samples, both before the listener exists:
+    // no request waits on start-up work.
     svc::QueryEngine engine(*from, pool);
-    svc::Server server(scfg, engine, pool);
-    server.bind();
-    err << "listening on " << server.endpoint() << " (archive " << *from << ", "
-        << engine.window_count() << " live windows)\n";
-    err.flush();
 
     // The anomaly monitor rides the ingest thread: primed here (before
     // the thread exists) over the windows already in the archive, then
-    // fed exclusively from on_publish. Events are pushed to `watch`
-    // subscribers and appended to the archive's NDJSON sidecar.
+    // fed exclusively from on_publish with the sample the engine was
+    // handed. Events are pushed to `watch` subscribers and appended to
+    // the archive's NDJSON sidecar.
     analysis::MonitorConfig mcfg;
     mcfg.event_log_path = *from + "/anomalies.ndjson";
     analysis::Monitor monitor(mcfg);
-    {
-      const archive::StudyReader replay(*from);
-      const auto primed = monitor.prime(replay, analysis::Domain::kWindows);
-      err << "monitor: primed over " << monitor.store().window_count() << " windows ("
-          << primed.size() << " historical anomalies)\n";
-    }
+    const auto primed = engine.prime(monitor);
+
+    svc::Server server(scfg, engine, pool);
+    server.bind();
+    err << "listening on " << server.endpoint() << " (archive " << *from << ", "
+        << engine.window_count() << " live windows)\n"
+        << "monitor: primed over " << monitor.detectors().observed() << " windows ("
+        << primed.size() << " historical anomalies)\n";
+    err.flush();
     icfg.on_publish = [&server, &monitor](const svc::PublishedWindow& pw) {
-      const auto events = monitor.observe_window(
-          pw.meta.window,
-          analysis::sample_from(pw.matrix, pw.sources.values(), pw.meta.discarded_packets,
-                                pw.meta.duration_sec),
-          pw.sources.values());
+      const auto events =
+          monitor.observe_window(pw.meta.window, pw.sample, pw.sources.values());
       // Window heartbeat first, then its anomalies: a watcher always
       // learns about an anomaly within the window that produced it.
       server.publish_event(analysis::window_event_json(pw.meta));
