@@ -1,7 +1,7 @@
 /// Performance benches for the anonymization layer: raw AES-128 blocks,
-/// CryptoPAN address anonymization (32 AES calls each), the telescope's
-/// memoized path (the working-set argument for scaling the darkspace
-/// with the window), and SipHash keyed hashing.
+/// CryptoPAN address anonymization (32 AES calls each), and the
+/// telescope's memoized path (the working-set argument for scaling the
+/// darkspace with the window).
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +9,6 @@
 #include "common/thread_pool.hpp"
 #include "crypt/aes128.hpp"
 #include "crypt/cryptopan.hpp"
-#include "crypt/siphash.hpp"
 #include "telescope/telescope.hpp"
 
 namespace {
@@ -55,14 +54,5 @@ void BM_TelescopeMemoizedAnonymize(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TelescopeMemoizedAnonymize)->Arg(1 << 10)->Arg(1 << 16);
-
-void BM_SipHashIpKey(benchmark::State& state) {
-  Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(siphash24(Ipv4(rng.next_u32()).to_string(), 1, 2));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SipHashIpKey);
 
 }  // namespace

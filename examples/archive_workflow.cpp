@@ -6,8 +6,10 @@
 ///   1. record a capture window to a packet-trace file,
 ///   2. replay the trace through the telescope into an anonymized
 ///      hypersparse matrix,
-///   3. archive the matrix in the binary GraphBLAS container,
-///   4. reload it later and verify the analysis is identical,
+///   3. write the matrix to a file in the archive's matrix layout (the
+///      bytes of a study archive's snapshot entry),
+///   4. read and validate that file later, reduce it in place, and check
+///      it holds exactly the captured matrix,
 ///
 /// then the campaign scale (the study archive, `src/archive`):
 ///
@@ -23,10 +25,10 @@
 #include <iostream>
 #include <string>
 
+#include "archive/matrix_file.hpp"
 #include "archive/study_archive.hpp"
 #include "common/table.hpp"
 #include "core/study.hpp"
-#include "gbl/matrix_io.hpp"
 #include "gbl/quantities.hpp"
 #include "netgen/scenario.hpp"
 #include "netgen/traffic.hpp"
@@ -67,11 +69,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(scope.discarded_packets()));
 
   // 3. Archive the anonymized matrix — this artifact is shareable.
-  gbl::save_matrix(matrix_path, matrix);
+  archive::write_matrix_file(matrix_path, matrix);
   std::printf("archived anonymized matrix -> %s\n\n", matrix_path.c_str());
 
-  // 4. A later analysis session loads the archive cold.
-  const gbl::DcsrMatrix loaded = gbl::load_matrix(matrix_path);
+  // 4. A later analysis session reads the file cold: one copy into an
+  //    owned buffer, validated, then reduced as a view.
+  const gbl::MatrixView loaded = archive::read_matrix_file(matrix_path);
   const auto q = gbl::aggregate_quantities(loaded);
   const auto fit =
       stats::fit_zipf_mandelbrot(stats::LogHistogram::from_sparse_vec(loaded.reduce_rows()));
@@ -86,10 +89,11 @@ int main(int argc, char** argv) {
   table.add_row({"ZM delta", fmt_double(fit.model.delta, 2)});
   table.print(std::cout);
 
-  std::printf("\narchive round-trip exact: %s\n", loaded == matrix ? "yes" : "NO (bug!)");
+  const bool round_trip = loaded.materialize() == matrix;
+  std::printf("\narchive round-trip exact: %s\n", round_trip ? "yes" : "NO (bug!)");
   std::remove(trace_path.c_str());
   std::remove(matrix_path.c_str());
-  if (loaded != matrix) return 1;
+  if (!round_trip) return 1;
 
   // 5. The campaign scale: persist a whole study. The entry log is
   //    append-only and resumable — kill this mid-run and the next

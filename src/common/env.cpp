@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -19,19 +20,22 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   return value;
 }
 
-int resolve_thread_count(std::int64_t requested) {
-  if (requested <= 0) requested = env_int("OBSCORR_THREADS", 0);
-  if (requested <= 0) return static_cast<int>(ThreadPool::default_thread_count());
-  return static_cast<int>(requested);
+int resolve_thread_count(int requested) {
+  if (requested > 0) return requested;
+  const std::int64_t env = env_int("OBSCORR_THREADS", 0);
+  OBSCORR_REQUIRE(std::in_range<int>(env), "OBSCORR_THREADS is out of range");
+  return env > 0 ? static_cast<int>(env) : static_cast<int>(ThreadPool::default_thread_count());
 }
 
 BenchEnv BenchEnv::from_environment() {
   BenchEnv env;
-  env.log2_nv = static_cast<int>(env_int("OBSCORR_LOG2_NV", env.log2_nv));
-  OBSCORR_REQUIRE(env.log2_nv >= 10 && env.log2_nv <= 34,
-                  "OBSCORR_LOG2_NV must be in [10,34]");
+  const std::int64_t log2_nv = env_int("OBSCORR_LOG2_NV", env.log2_nv);
+  OBSCORR_REQUIRE(log2_nv >= 10 && log2_nv <= 34, "OBSCORR_LOG2_NV must be in [10,34]");
+  env.log2_nv = static_cast<int>(log2_nv);
   env.seed = static_cast<std::uint64_t>(env_int("OBSCORR_SEED", static_cast<std::int64_t>(env.seed)));
-  env.threads = static_cast<int>(env_int("OBSCORR_THREADS", env.threads));
+  const std::int64_t threads = env_int("OBSCORR_THREADS", env.threads);
+  OBSCORR_REQUIRE(std::in_range<int>(threads), "OBSCORR_THREADS is out of range");
+  env.threads = static_cast<int>(threads);
   return env;
 }
 

@@ -18,8 +18,9 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback);
 
 /// Worker-thread count for a tool invocation: an explicit `requested > 0`
 /// (e.g. a --threads flag) wins, otherwise OBSCORR_THREADS, otherwise the
-/// hardware default. The result is always >= 1.
-int resolve_thread_count(std::int64_t requested = 0);
+/// hardware default. The result is always >= 1. Throws
+/// std::invalid_argument when OBSCORR_THREADS does not fit in an `int`.
+int resolve_thread_count(int requested = 0);
 
 /// Bench-harness configuration resolved from the environment.
 struct BenchEnv {

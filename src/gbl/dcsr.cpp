@@ -5,9 +5,9 @@
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
-#include "gbl/column_fold.hpp"
 #include "gbl/coo.hpp"
 #include "gbl/kernels.hpp"
+#include "gbl/matrix_view.hpp"
 
 namespace obscorr::gbl {
 
@@ -118,64 +118,29 @@ DcsrMatrix DcsrMatrix::from_sorted_packed_keys(std::span<const std::uint64_t> ke
   return m;
 }
 
-Value DcsrMatrix::at(Index row, Index col) const {
-  const auto rit = std::lower_bound(row_ids_.begin(), row_ids_.end(), row);
-  if (rit == row_ids_.end() || *rit != row) return 0.0;
-  const std::size_t r = static_cast<std::size_t>(rit - row_ids_.begin());
-  const auto begin = col_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r]);
-  const auto end = col_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r + 1]);
-  const auto cit = std::lower_bound(begin, end, col);
-  if (cit == end || *cit != col) return 0.0;
-  return val_[static_cast<std::size_t>(cit - col_.begin())];
-}
+// The read-side reductions have one body each, in MatrixView.
 
-Value DcsrMatrix::reduce_sum() const { return kernels::sum_span(val_); }
+Value DcsrMatrix::at(Index row, Index col) const { return MatrixView::over(*this).at(row, col); }
 
-Value DcsrMatrix::reduce_max() const { return kernels::max_span(val_); }
+Value DcsrMatrix::reduce_sum() const { return MatrixView::over(*this).reduce_sum(); }
 
-SparseVec DcsrMatrix::reduce_rows() const {
-  std::vector<Index> idx(row_ids_.begin(), row_ids_.end());
-  std::vector<Value> sums(row_ids_.size(), 0.0);
-  kernels::row_sums(row_ptr_, val_, sums);
-  return SparseVec(std::move(idx), std::move(sums));
-}
+Value DcsrMatrix::reduce_max() const { return MatrixView::over(*this).reduce_max(); }
+
+SparseVec DcsrMatrix::reduce_rows() const { return MatrixView::over(*this).reduce_rows(); }
 
 SparseVec DcsrMatrix::reduce_rows(ThreadPool& pool) const {
-  std::vector<Index> idx(row_ids_.begin(), row_ids_.end());
-  std::vector<Value> sums(row_ids_.size(), 0.0);
-  parallel_for(pool, 0, row_ids_.size(), [&](std::size_t begin, std::size_t end) {
-    kernels::row_sums(std::span<const std::uint64_t>(row_ptr_).subspan(begin, end - begin + 1),
-                      val_, std::span<Value>(sums).subspan(begin, end - begin));
-  });
-  return SparseVec(std::move(idx), std::move(sums));
+  return MatrixView::over(*this).reduce_rows(pool);
 }
 
 SparseVec DcsrMatrix::reduce_rows_pattern() const {
-  std::vector<Index> idx(row_ids_.begin(), row_ids_.end());
-  std::vector<Value> counts(row_ids_.size(), 0.0);
-  for (std::size_t r = 0; r < row_ids_.size(); ++r) {
-    counts[r] = static_cast<Value>(row_ptr_[r + 1] - row_ptr_[r]);
-  }
-  return SparseVec(std::move(idx), std::move(counts));
+  return MatrixView::over(*this).reduce_rows_pattern();
 }
 
-namespace {
+SparseVec DcsrMatrix::reduce_cols() const { return MatrixView::over(*this).reduce_cols(); }
 
-SparseVec reduce_columns(std::span<const Index> col, std::span<const Value> val, bool pattern) {
-  std::vector<Index> idx;
-  std::vector<Value> sums;
-  fold_columns(col, val, [&](Index c, Value sum, std::size_t count) {
-    idx.push_back(c);
-    sums.push_back(pattern ? static_cast<Value>(count) : sum);
-  });
-  return SparseVec(std::move(idx), std::move(sums));
+SparseVec DcsrMatrix::reduce_cols_pattern() const {
+  return MatrixView::over(*this).reduce_cols_pattern();
 }
-
-}  // namespace
-
-SparseVec DcsrMatrix::reduce_cols() const { return reduce_columns(col_, val_, false); }
-
-SparseVec DcsrMatrix::reduce_cols_pattern() const { return reduce_columns(col_, val_, true); }
 
 DcsrMatrix DcsrMatrix::pattern() const {
   DcsrMatrix m = *this;

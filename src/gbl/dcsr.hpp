@@ -49,6 +49,9 @@ class DcsrMatrix {
   /// Number of non-empty rows (unique sources for an ext->int matrix).
   std::size_t nonempty_rows() const { return row_ids_.size(); }
 
+  // The read-side reductions below run MatrixView's bodies over this
+  // matrix's arrays (`MatrixView::over`); nothing is copied.
+
   /// Value at (row, col); 0 when the cell is not stored.
   Value at(Index row, Index col) const;
 

@@ -87,14 +87,6 @@ Value max_span_scalar(std::span<const Value> values) {
   return best;
 }
 
-std::size_t count_in_range_span_scalar(std::span<const Value> values, Value lo, Value hi) {
-  std::size_t n = 0;
-  for (const Value v : values) {
-    if (v >= lo && v < hi) ++n;
-  }
-  return n;
-}
-
 void row_sums(std::span<const std::uint64_t> row_ptr, std::span<const Value> values,
               std::span<Value> sums) {
   for (std::size_t r = 0; r < sums.size(); ++r) {
@@ -145,14 +137,6 @@ Value max_span(std::span<const Value> values) {
     return max_span_avx2(values);
   }
   return max_span_scalar(values);
-}
-
-std::size_t count_in_range_span(std::span<const Value> values, Value lo, Value hi) {
-  if (simd::use_avx2()) {
-    if (obs::counters_enabled()) reduce_dispatches().add(1);
-    return count_in_range_span_avx2(values, lo, hi);
-  }
-  return count_in_range_span_scalar(values, lo, hi);
 }
 
 }  // namespace obscorr::gbl::kernels

@@ -18,7 +18,7 @@
 ///    sum is exactly representable — true for this pipeline, whose values
 ///    are integer packet counts far below 2^53. For general doubles the
 ///    reassociation can differ in the last ulp.
-///  - max/count assume no NaNs (the scalar fold starts at 0.0 and the
+///  - max assumes no NaNs (the scalar fold starts at 0.0 and the
 ///    pipeline stores only finite counts).
 
 #include <cstddef>
@@ -56,9 +56,6 @@ Value sum_span(std::span<const Value> values);
 /// Max of a value span; 0.0 for an empty span. No-NaN contract.
 Value max_span(std::span<const Value> values);
 
-/// Entries with value >= lo and < hi (brightness-bin count).
-std::size_t count_in_range_span(std::span<const Value> values, Value lo, Value hi);
-
 /// Per-row sums: `sums[r] = sum(values[row_ptr[r] .. row_ptr[r+1]))` for
 /// each of the `sums.size()` rows (left fold from 0.0); `row_ptr` holds
 /// one more entry than `sums` and its offsets index into `values`.
@@ -71,7 +68,6 @@ void row_sums(std::span<const std::uint64_t> row_ptr, std::span<const Value> val
 void radix_sort_u64_scalar(std::uint64_t* keys, std::size_t n, mem::Arena& arena);
 Value sum_span_scalar(std::span<const Value> values);
 Value max_span_scalar(std::span<const Value> values);
-std::size_t count_in_range_span_scalar(std::span<const Value> values, Value lo, Value hi);
 
 // ---- AVX2 variants (coo_simd.cpp / reduce_simd.cpp; on non-x86 builds
 // each forwards to its scalar reference so the symbols always link —
@@ -80,6 +76,5 @@ std::size_t count_in_range_span_scalar(std::span<const Value> values, Value lo, 
 void radix_sort_u64_avx2(std::uint64_t* keys, std::size_t n, mem::Arena& arena);
 Value sum_span_avx2(std::span<const Value> values);
 Value max_span_avx2(std::span<const Value> values);
-std::size_t count_in_range_span_avx2(std::span<const Value> values, Value lo, Value hi);
 
 }  // namespace obscorr::gbl::kernels

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "gbl/column_fold.hpp"
 #include "gbl/kernels.hpp"
 
 namespace obscorr::gbl {
@@ -139,6 +140,16 @@ SparseVec MatrixView::reduce_rows() const {
   return SparseVec(std::move(idx), std::move(sums));
 }
 
+SparseVec MatrixView::reduce_rows(ThreadPool& pool) const {
+  std::vector<Index> idx(row_ids_.begin(), row_ids_.end());
+  std::vector<Value> sums(row_ids_.size(), 0.0);
+  parallel_for(pool, 0, row_ids_.size(), [&](std::size_t begin, std::size_t end) {
+    kernels::row_sums(row_ptr_.subspan(begin, end - begin + 1), val_,
+                      std::span<Value>(sums).subspan(begin, end - begin));
+  });
+  return SparseVec(std::move(idx), std::move(sums));
+}
+
 SparseVec MatrixView::reduce_rows_pattern() const {
   std::vector<Index> idx(row_ids_.begin(), row_ids_.end());
   std::vector<Value> counts(row_ids_.size(), 0.0);
@@ -147,6 +158,24 @@ SparseVec MatrixView::reduce_rows_pattern() const {
   }
   return SparseVec(std::move(idx), std::move(counts));
 }
+
+namespace {
+
+SparseVec reduce_columns(std::span<const Index> col, std::span<const Value> val, bool pattern) {
+  std::vector<Index> idx;
+  std::vector<Value> sums;
+  fold_columns(col, val, [&](Index c, Value sum, std::size_t count) {
+    idx.push_back(c);
+    sums.push_back(pattern ? static_cast<Value>(count) : sum);
+  });
+  return SparseVec(std::move(idx), std::move(sums));
+}
+
+}  // namespace
+
+SparseVec MatrixView::reduce_cols() const { return reduce_columns(col_, val_, false); }
+
+SparseVec MatrixView::reduce_cols_pattern() const { return reduce_columns(col_, val_, true); }
 
 DcsrMatrix MatrixView::materialize() const {
   std::vector<Tuple> tuples;

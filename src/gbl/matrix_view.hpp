@@ -20,17 +20,18 @@
 /// unique columns per row) up front — a view that constructs is safe to
 /// query; hostile or corrupt bytes throw std::invalid_argument.
 ///
-/// The view implements the reductions the archive query path needs
-/// (`reduce_sum`, `reduce_rows`, ...) directly over the mapped spans —
-/// identical results to the owning DcsrMatrix, no copy of the nnz-sized
-/// arrays — plus `materialize()` for call sites that need an owning
-/// matrix.
+/// The view holds the one body of every read-side reduction (`at`,
+/// `reduce_sum`, `reduce_rows`, `reduce_cols`, ...), run directly over
+/// the mapped spans with no copy of the nnz-sized arrays; the owning
+/// DcsrMatrix forwards its reductions through `MatrixView::over`.
+/// `materialize()` serves call sites that need an owning matrix.
 
 #include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
 
+#include "common/thread_pool.hpp"
 #include "gbl/dcsr.hpp"
 #include "gbl/sparse_vec.hpp"
 #include "gbl/types.hpp"
@@ -74,12 +75,22 @@ class MatrixView {
   /// Maximum stored value `max(A)`.
   Value reduce_max() const;
 
-  /// Row reduction `A·1`: packets per source. Bit-identical to
-  /// DcsrMatrix::reduce_rows on the same data.
+  /// Row reduction `A·1`: packets per source.
   SparseVec reduce_rows() const;
+
+  /// Parallel row reduction over `pool`. Each row is summed in index
+  /// order whatever the chunking, so the result is bit-identical to the
+  /// serial reduction at every thread count.
+  SparseVec reduce_rows(ThreadPool& pool) const;
 
   /// Row reduction of the pattern `|A|₀·1`: fan-out per source.
   SparseVec reduce_rows_pattern() const;
+
+  /// Column reduction `1ᵀ·A`: packets per destination.
+  SparseVec reduce_cols() const;
+
+  /// Column reduction of the pattern `1ᵀ·|A|₀`: fan-in per destination.
+  SparseVec reduce_cols_pattern() const;
 
   /// Owning deep copy, re-validated through the tuple path.
   DcsrMatrix materialize() const;

@@ -1,12 +1,12 @@
 /// \file reduce_simd.cpp
-/// AVX2 variants of the span-served Table II reductions (sum / max /
-/// range-count). The sum uses four lane-split accumulators combined in a
-/// fixed order; that reassociates the additions, which is bit-identical
-/// to the scalar left fold exactly when every partial sum is exactly
-/// representable — the pipeline's values are integer packet counts far
-/// below 2^53, so it always is (see kernels.hpp for the contract on
-/// general doubles). Max and count are order-independent on the no-NaN
-/// domain the scalar references assume.
+/// AVX2 variants of the span-served Table II reductions (sum / max). The
+/// sum uses four lane-split accumulators combined in a fixed order; that
+/// reassociates the additions, which is bit-identical to the scalar left
+/// fold exactly when every partial sum is exactly representable — the
+/// pipeline's values are integer packet counts far below 2^53, so it
+/// always is (see kernels.hpp for the contract on general doubles). Max
+/// is order-independent on the no-NaN domain the scalar reference
+/// assumes.
 
 #include "gbl/kernels.hpp"
 
@@ -70,27 +70,6 @@ __attribute__((target("avx2"))) Value max_span_avx2(std::span<const Value> value
   return best;
 }
 
-__attribute__((target("avx2"))) std::size_t count_in_range_span_avx2(std::span<const Value> values,
-                                                                     Value lo, Value hi) {
-  const double* p = values.data();
-  const std::size_t n = values.size();
-  const __m256d vlo = _mm256_set1_pd(lo);
-  const __m256d vhi = _mm256_set1_pd(hi);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(p + i);
-    const __m256d in = _mm256_and_pd(_mm256_cmp_pd(v, vlo, _CMP_GE_OQ),
-                                     _mm256_cmp_pd(v, vhi, _CMP_LT_OQ));
-    count += static_cast<std::size_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_pd(in))));
-  }
-  for (; i < n; ++i) {
-    if (p[i] >= lo && p[i] < hi) ++count;
-  }
-  return count;
-}
-
 }  // namespace obscorr::gbl::kernels
 
 #else  // !defined(__x86_64__)
@@ -99,9 +78,6 @@ namespace obscorr::gbl::kernels {
 
 Value sum_span_avx2(std::span<const Value> values) { return sum_span_scalar(values); }
 Value max_span_avx2(std::span<const Value> values) { return max_span_scalar(values); }
-std::size_t count_in_range_span_avx2(std::span<const Value> values, Value lo, Value hi) {
-  return count_in_range_span_scalar(values, lo, hi);
-}
 
 }  // namespace obscorr::gbl::kernels
 

@@ -26,12 +26,4 @@ Value SparseVec::reduce_sum() const { return kernels::sum_span(values_); }
 
 Value SparseVec::reduce_max() const { return kernels::max_span(values_); }
 
-std::size_t SparseVec::count_in_range(Value lo, Value hi) const {
-  return kernels::count_in_range_span(values_, lo, hi);
-}
-
-bool SparseVec::all_positive() const {
-  return std::all_of(values_.begin(), values_.end(), [](Value v) { return v > 0.0; });
-}
-
 }  // namespace obscorr::gbl

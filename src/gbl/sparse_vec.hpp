@@ -35,12 +35,6 @@ class SparseVec {
   /// Maximum stored value; 0 for an empty vector (no entries, no packets).
   Value reduce_max() const;
 
-  /// Number of entries with value >= lo and < hi (brightness-bin count).
-  std::size_t count_in_range(Value lo, Value hi) const;
-
-  /// Element-wise test: true when every stored value is > 0.
-  bool all_positive() const;
-
   friend bool operator==(const SparseVec&, const SparseVec&) = default;
 
  private:

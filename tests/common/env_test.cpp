@@ -78,6 +78,28 @@ TEST(BenchEnvTest, RejectsOutOfRangeWindow) {
   EXPECT_THROW(BenchEnv::from_environment(), std::invalid_argument);
   EnvGuard low("OBSCORR_LOG2_NV", "2");
   EXPECT_THROW(BenchEnv::from_environment(), std::invalid_argument);
+  EnvGuard wrapped("OBSCORR_LOG2_NV", "4294967308");  // 12 once narrowed to int
+  EXPECT_THROW(BenchEnv::from_environment(), std::invalid_argument);
+}
+
+TEST(ResolveThreadCountTest, ExplicitThenEnvironmentThenHardware) {
+  EnvGuard guard("OBSCORR_THREADS", "3");
+  EXPECT_EQ(resolve_thread_count(5), 5);
+  EXPECT_EQ(resolve_thread_count(0), 3);
+  EnvGuard unset("OBSCORR_THREADS", "");
+  EXPECT_GE(resolve_thread_count(0), 1);
+}
+
+TEST(ResolveThreadCountTest, RejectsAnEnvironmentCountAnIntCannotHold) {
+  // 2^32 + 2 narrows to 2 workers: only a range check rejects it.
+  EnvGuard guard("OBSCORR_THREADS", "4294967298");
+  try {
+    (void)resolve_thread_count(0);
+    ADD_FAILURE() << "OBSCORR_THREADS=4294967298 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "OBSCORR_THREADS is out of range");
+  }
+  EXPECT_EQ(resolve_thread_count(2), 2);  // an explicit count never reads it
 }
 
 }  // namespace

@@ -71,6 +71,10 @@ TEST(MatrixViewTest, ReductionsMatchOwningKernels) {
   EXPECT_EQ(v.reduce_max(), m.reduce_max());
   EXPECT_TRUE(v.reduce_rows() == m.reduce_rows());
   EXPECT_TRUE(v.reduce_rows_pattern() == m.reduce_rows_pattern());
+  EXPECT_TRUE(v.reduce_cols() == m.reduce_cols());
+  EXPECT_TRUE(v.reduce_cols_pattern() == m.reduce_cols_pattern());
+  ThreadPool pool(3);
+  EXPECT_TRUE(v.reduce_rows(pool) == m.reduce_rows());
   // over() shares the same kernels without serialization.
   const MatrixView borrowed = MatrixView::over(m);
   EXPECT_TRUE(borrowed.reduce_rows() == m.reduce_rows());

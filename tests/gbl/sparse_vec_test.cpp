@@ -11,8 +11,6 @@ TEST(SparseVecTest, EmptyVector) {
   EXPECT_EQ(v.at(0), 0.0);
   EXPECT_EQ(v.reduce_sum(), 0.0);
   EXPECT_EQ(v.reduce_max(), 0.0);
-  EXPECT_EQ(v.count_in_range(0.0, 1e9), 0u);
-  EXPECT_TRUE(v.all_positive());
 }
 
 TEST(SparseVecTest, ConstructionValidation) {
@@ -36,14 +34,6 @@ TEST(SparseVecTest, Reductions) {
   const SparseVec v({1, 2, 3}, {4.0, -1.0, 10.0});
   EXPECT_EQ(v.reduce_sum(), 13.0);
   EXPECT_EQ(v.reduce_max(), 10.0);
-  EXPECT_FALSE(v.all_positive());
-}
-
-TEST(SparseVecTest, CountInRangeIsHalfOpen) {
-  const SparseVec v({1, 2, 3, 4}, {1.0, 2.0, 2.0, 4.0});
-  EXPECT_EQ(v.count_in_range(2.0, 4.0), 2u);  // the two 2.0s; 4.0 excluded
-  EXPECT_EQ(v.count_in_range(1.0, 5.0), 4u);
-  EXPECT_EQ(v.count_in_range(5.0, 9.0), 0u);
 }
 
 TEST(SparseVecTest, EqualityIsStructural) {

@@ -13,10 +13,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,10 +28,13 @@
 #include <utility>
 #include <vector>
 
+#include "archive/matrix_file.hpp"
 #include "archive/page_cache.hpp"
 #include "archive/study_archive.hpp"
 #include "common/interrupt.hpp"
 #include "common/thread_pool.hpp"
+#include "core/study.hpp"
+#include "gbl/matrix_view.hpp"
 #include "netgen/population.hpp"
 #include "netgen/scenario.hpp"
 #include "obs/span.hpp"
@@ -37,6 +43,8 @@
 #include "svc/json.hpp"
 #include "svc/protocol.hpp"
 #include "svc/queries.hpp"
+#include "telescope/telescope.hpp"
+#include "telescope/trace.hpp"
 
 namespace obscorr::tools {
 namespace {
@@ -99,6 +107,78 @@ TEST(CliToolTest, GenerateCaptureQuantitiesDegreesChain) {
 TEST(CliToolTest, CaptureRejectsMissingTrace) {
   std::ostringstream out;
   EXPECT_EQ(run({"capture", "--trace", temp("nope.trc"), "--out", temp("nope.gbl")}, out), 2);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+TEST(CliToolTest, CaptureWritesTheArchiveMatrixLayout) {
+  // The file `capture --out` writes holds exactly the bytes an archive's
+  // snapshot entry holds for the same window's matrix.
+  const std::string trace = temp("cli_layout.trc");
+  const std::string matrix_path = temp("cli_layout.gbl");
+  std::ostringstream io;
+  ASSERT_EQ(run({"generate", "--out", trace, "--log2-nv", "12", "--seed", "5"}, io), 0);
+  ASSERT_EQ(run({"capture", "--trace", trace, "--out", matrix_path, "--log2-nv", "12", "--seed",
+                 "5", "--threads", "2"},
+                io),
+            0);
+
+  ThreadPool pool(2);
+  telescope::Telescope scope(core::scope_config_for(netgen::Scenario::paper(12, 5)), pool);
+  telescope::replay_trace(trace, [&](std::span<const Packet> batch) { scope.capture_block(batch); });
+  const gbl::DcsrMatrix window = scope.finish_window();
+  ASSERT_GT(window.nnz(), 0u);
+  std::string expected;
+  gbl::append_matrix_v2(expected, window);
+  EXPECT_TRUE(file_bytes(matrix_path) == expected);
+  EXPECT_TRUE(archive::read_matrix_file(matrix_path).materialize() == window);
+  std::remove(trace.c_str());
+  std::remove(matrix_path.c_str());
+}
+
+TEST(CliToolTest, MatrixCommandsRejectBadMatrixFiles) {
+  // Four files no `--matrix` command may read: one in the retired v1
+  // stream layout (unpadded sections behind the magic "OBSCGBL" + '1'),
+  // an empty one, a valid one cut short by a byte, and one that does not
+  // exist. Each is a usage error on stderr alone.
+  const std::string v1 = temp("bad_v1.gbl");
+  const std::string empty = temp("bad_empty.gbl");
+  const std::string short_by_one = temp("bad_short.gbl");
+  const std::string missing = temp("bad_missing.gbl");
+  {
+    std::string bytes = std::string("OBSCGBL") + '1';
+    const std::uint64_t counts[] = {1, 1};  // one row, one entry
+    const std::uint32_t row = 7, col = 3;
+    const std::uint64_t row_ptr[] = {0, 1};
+    const double val = 1.0;
+    bytes.append(reinterpret_cast<const char*>(counts), sizeof counts);
+    bytes.append(reinterpret_cast<const char*>(&row), sizeof row);
+    bytes.append(reinterpret_cast<const char*>(row_ptr), sizeof row_ptr);
+    bytes.append(reinterpret_cast<const char*>(&col), sizeof col);
+    bytes.append(reinterpret_cast<const char*>(&val), sizeof val);
+    std::ofstream(v1, std::ios::binary) << bytes;
+  }
+  std::ofstream(empty, std::ios::binary).flush();
+  archive::write_matrix_file(short_by_one,
+                             gbl::DcsrMatrix::from_tuples({{1, 2, 3.0}, {4, 5, 6.0}}));
+  std::filesystem::resize_file(short_by_one, std::filesystem::file_size(short_by_one) - 1);
+  std::filesystem::remove(missing);
+
+  for (const char* command : {"quantities", "degrees", "prefixes"}) {
+    for (const std::string& file : {v1, empty, short_by_one, missing}) {
+      std::ostringstream out, err;
+      EXPECT_EQ(run({command, "--matrix", file}, out, err), 2) << command << ' ' << file;
+      EXPECT_EQ(out.str(), "") << command << ' ' << file;
+      EXPECT_EQ(err.str().rfind("error: ", 0), 0u) << command << ' ' << file << ": " << err.str();
+    }
+    std::ostringstream out, err;
+    ASSERT_EQ(run({command, "--matrix", v1}, out, err), 2);
+    EXPECT_EQ(err.str(), "error: matrix view: bad magic\n") << command;
+  }
+  for (const std::string& path : {v1, empty, short_by_one}) std::remove(path.c_str());
 }
 
 TEST(CliToolTest, StudyPrintsCampaignSummary) {
@@ -729,6 +809,14 @@ TEST(CliToolTest, UsageErrorsPrintTheirMessageAlone) {
       {{"study", "--log2-nv", "12", "--metrics-format", "xml"},
        "--metrics-format must be json or prom"},
       {{"generate"}, "generate: --out FILE is required"},
+      // Each value below narrows to a small, valid `int` (12, 12, 0 and
+      // 2), so only a range check before the narrowing rejects it.
+      {{"prefixes", "--from", golden, "--length", "4294967308"},
+       "option --length is out of range"},
+      {{"scaling", "--log2-nv", "4294967308"}, "option --log2-nv is out of range"},
+      {{"generate", "--out", temp("wrapped_month.trc"), "--month-index", "4294967296"},
+       "option --month-index is out of range"},
+      {{"study", "--log2-nv", "12", "--threads", "4294967298"}, "option --threads is out of range"},
   };
   for (const auto& [args, message] : cases) {
     std::ostringstream out, err;

@@ -6,11 +6,13 @@
 #include <optional>
 #include <ostream>
 #include <string_view>
+#include <utility>
 
 #include "analysis/correlate.hpp"
 #include "analysis/monitor.hpp"
 #include "analysis/window_series.hpp"
 #include "archive/compact.hpp"
+#include "archive/matrix_file.hpp"
 #include "archive/page_cache.hpp"
 #include "archive/study_archive.hpp"
 #include "common/arena.hpp"
@@ -24,7 +26,6 @@
 #include "core/degree_analysis.hpp"
 #include "core/prefix_analysis.hpp"
 #include "core/study.hpp"
-#include "gbl/matrix_io.hpp"
 #include "gbl/quantities.hpp"
 #include "honeyfarm/database.hpp"
 #include "netgen/scenario.hpp"
@@ -86,6 +87,14 @@ void export_telemetry(const Telemetry& t, std::ostream& err) {
   }
 }
 
+/// `--name` as an `int`, or `fallback`. A value an `int` cannot hold is a
+/// usage error, never a silent wrap to a small one.
+int int_flag(const CliArgs& cli, const std::string& name, int fallback) {
+  const std::int64_t value = cli.get_int(name, fallback);
+  OBSCORR_REQUIRE(std::in_range<int>(value), "option --" + name + " is out of range");
+  return static_cast<int>(value);
+}
+
 /// What the driver hands a command body: its checked flags and the
 /// plumbing every command shares.
 struct Invocation {
@@ -110,7 +119,7 @@ struct Command {
 int cmd_generate(const Invocation& in, std::ostream& /*out*/, std::ostream& err) {
   const auto path = in.cli.get("out");
   OBSCORR_REQUIRE(path.has_value(), "generate: --out FILE is required");
-  const int month = static_cast<int>(in.cli.get_int("month-index", 0));
+  const int month = int_flag(in.cli, "month-index", 0);
 
   const auto scenario = in.scenario();
   const netgen::Population population(scenario.population);
@@ -135,7 +144,7 @@ int cmd_capture(const Invocation& in, std::ostream& /*out*/, std::ostream& err) 
   const std::uint64_t replayed = telescope::replay_trace(
       *trace, [&](std::span<const Packet> batch) { scope.capture_block(batch); });
   const gbl::DcsrMatrix matrix = scope.finish_window();
-  gbl::save_matrix(*matrix_path, matrix);
+  archive::write_matrix_file(*matrix_path, matrix);
   err << "replayed " << fmt_count(replayed) << " packets, captured "
       << fmt_count(static_cast<std::uint64_t>(matrix.reduce_sum())) << " valid ("
       << fmt_count(scope.discarded_packets()) << " discarded), archived "
@@ -150,8 +159,7 @@ int cmd_quantities(const Invocation& in, std::ostream& out, std::ostream& /*err*
   const auto path = in.cli.get("matrix");
   OBSCORR_REQUIRE(path.has_value(), "quantities: --matrix FILE is required");
 
-  const gbl::DcsrMatrix matrix = gbl::load_matrix(*path);
-  const gbl::AggregateQuantities q = gbl::aggregate_quantities(matrix);
+  const gbl::AggregateQuantities q = gbl::aggregate_quantities(archive::read_matrix_file(*path));
   TextTable table("Table II network quantities of " + *path);
   table.set_header({"quantity", "value"});
   table.add_row({"valid packets", fmt_count(static_cast<std::uint64_t>(q.valid_packets))});
@@ -184,7 +192,7 @@ int cmd_degrees(const Invocation& in, std::ostream& out, std::ostream& /*err*/) 
     sources = query.sources(archive::StudyReader(*from));
   } else {
     ThreadPool pool(in.threads);
-    sources = gbl::load_matrix(*path).reduce_rows(pool);
+    sources = archive::read_matrix_file(*path).reduce_rows(pool);
   }
   svc::render_degrees(sources, out);
   return 0;
@@ -374,7 +382,7 @@ int cmd_prefixes(const Invocation& in, std::ostream& out, std::ostream& /*err*/)
   OBSCORR_REQUIRE(from.has_value() || !in.cli.has("snapshot"),
                   "prefixes: --snapshot needs --from DIR");
   const auto snapshot = static_cast<std::size_t>(in.cli.get_int("snapshot", 0));
-  const int length = static_cast<int>(in.cli.get_int("length", 16));
+  const int length = int_flag(in.cli, "length", 16);
 
   core::PrefixAnalysis analysis;
   if (from.has_value()) {
@@ -384,7 +392,7 @@ int cmd_prefixes(const Invocation& in, std::ostream& out, std::ostream& /*err*/)
     const auto src = reader.sources(snapshot);
     analysis = core::analyze_prefixes(src.ids, src.counts, length);
   } else {
-    analysis = core::analyze_prefixes(gbl::load_matrix(*path).reduce_rows(), length);
+    analysis = core::analyze_prefixes(archive::read_matrix_file(*path).reduce_rows(), length);
   }
   TextTable table("source concentration by /" + std::to_string(length) +
                   " prefix (anonymized ids; prefix structure is CryptoPAN-invariant)");
@@ -715,8 +723,8 @@ int drive(const Command& cmd, const std::vector<std::string>& args, std::ostream
   OBSCORR_REQUIRE(telemetry.metrics_format == "json" || telemetry.metrics_format == "prom",
                   "--metrics-format must be json or prom");
   const Invocation in{cli,
-                      static_cast<std::size_t>(resolve_thread_count(cli.get_int("threads", 0))),
-                      static_cast<int>(cli.get_int("log2-nv", cmd.log2_nv)),
+                      static_cast<std::size_t>(resolve_thread_count(int_flag(cli, "threads", 0))),
+                      int_flag(cli, "log2-nv", cmd.log2_nv),
                       static_cast<std::uint64_t>(cli.get_int("seed", 42)), telemetry};
   if (telemetry.active()) {
     obs::reset();
