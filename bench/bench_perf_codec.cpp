@@ -3,9 +3,8 @@
 ///
 ///   * encode MB/s per entry kind — what `archive compact` pays once to
 ///     shrink the cold tier (BM_CodecEncode_*);
-///   * decode MB/s per entry kind per SIMD tier (0 = scalar, 2 = AVX2) —
-///     what a cache miss pays on every compressed read
-///     (BM_CodecDecode_*);
+///   * decode MB/s per entry kind — what a cache miss pays on every
+///     compressed read (BM_CodecDecode_*);
 ///   * the `report --from` load path end to end: raw mmap baseline vs a
 ///     force-compressed archive with the page cache cold (budget 0,
 ///     decode every read) and warm (default budget, decode once) —
@@ -28,28 +27,12 @@
 #include "archive/page_cache.hpp"
 #include "archive/reader.hpp"
 #include "archive/study_archive.hpp"
-#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "core/study.hpp"
 
 namespace {
 
 using namespace obscorr;
-
-simd::Tier tier_of(benchmark::State& state) {
-  const auto tier = static_cast<simd::Tier>(state.range(0));
-  if (tier > simd::detected_tier()) {
-    state.SkipWithError("host does not support the requested tier");
-  }
-  return tier;
-}
-
-/// Forces a tier for the duration of one benchmark run.
-class TierScope {
- public:
-  explicit TierScope(simd::Tier tier) { simd::set_tier(tier); }
-  ~TierScope() { simd::set_tier(std::nullopt); }
-};
 
 /// One raw campaign archive shared by every benchmark (built once).
 const std::string& raw_archive() {
@@ -99,7 +82,6 @@ void bench_encode(benchmark::State& state, const std::string& name) {
 }
 
 void bench_decode(benchmark::State& state, const std::string& name) {
-  const TierScope scope(tier_of(state));
   const std::vector<std::byte> payload = entry_payload(name);
   const auto stored = archive::codec::compress_entry(name, payload);
   if (!stored.has_value()) {
@@ -131,10 +113,10 @@ void BM_CodecDecode_Matrix(benchmark::State& s) { bench_decode(s, "snapshot/0/ma
 void BM_CodecDecode_Sources(benchmark::State& s) { bench_decode(s, "snapshot/0/sources"); }
 void BM_CodecDecode_Assoc(benchmark::State& s) { bench_decode(s, "snapshot/0/assoc"); }
 void BM_CodecDecode_Month(benchmark::State& s) { bench_decode(s, "month/0"); }
-BENCHMARK(BM_CodecDecode_Matrix)->Arg(0)->Arg(2);
-BENCHMARK(BM_CodecDecode_Sources)->Arg(0)->Arg(2);
-BENCHMARK(BM_CodecDecode_Assoc)->Arg(0)->Arg(2);
-BENCHMARK(BM_CodecDecode_Month)->Arg(0)->Arg(2);
+BENCHMARK(BM_CodecDecode_Matrix);
+BENCHMARK(BM_CodecDecode_Sources);
+BENCHMARK(BM_CodecDecode_Assoc);
+BENCHMARK(BM_CodecDecode_Month);
 
 /// The `report --from` load, minus the fixed open cost: analysis_study()
 /// over an already-open reader, which is what the resident service and

@@ -7,8 +7,6 @@
 
 #include "archive/checksum.hpp"
 #include "common/error.hpp"
-#include "common/simd.hpp"
-#include "obs/telemetry.hpp"
 
 namespace obscorr::archive::codec {
 
@@ -340,6 +338,34 @@ void decode_raw(std::span<const std::byte> enc, std::uint64_t raw_len,
   out.insert(out.end(), enc.begin(), enc.end());
 }
 
+/// Rebuild a u32 sequence from its zigzag-encoded wrapping deltas:
+/// out[i] = out[i-1] + unzigzag(zz[i]) (out[-1] = 0), arithmetic mod 2^32.
+void unzigzag_prefix_u32(std::span<const std::uint32_t> zz, std::uint32_t* out) {
+  std::uint32_t acc = 0;
+  for (std::size_t i = 0; i < zz.size(); ++i) {
+    const std::uint32_t z = zz[i];
+    acc += (z >> 1) ^ (~(z & 1) + 1);
+    out[i] = acc;
+  }
+}
+
+/// Unpack `count` values of `width` bits (LSB-first within the packed
+/// stream) into doubles. Values are exact unsigned integers < 2^width,
+/// width in [1, 51]. `packed` must hold ceil(count*width/8) bytes.
+void unpack_f64(std::span<const std::byte> packed, unsigned width, std::size_t count,
+                double* out) {
+  const std::uint64_t mask = (1ULL << width) - 1;
+  std::size_t bit = 0;
+  for (std::size_t i = 0; i < count; ++i, bit += width) {
+    const std::size_t byte = bit >> 3;
+    // A value spans at most ceil((7 + 51) / 8) = 8 bytes; near the tail
+    // the window is loaded short so the read never leaves the span.
+    std::uint64_t window = 0;
+    std::memcpy(&window, packed.data() + byte, std::min<std::size_t>(8, packed.size() - byte));
+    out[i] = static_cast<double>((window >> (bit & 7)) & mask);
+  }
+}
+
 void decode_delta_u32(std::span<const std::byte> enc, std::uint64_t raw_len,
                       std::vector<std::byte>& out) {
   OBSCORR_REQUIRE(raw_len % sizeof(std::uint32_t) == 0,
@@ -540,61 +566,6 @@ std::vector<std::byte> decompress_payload(std::span<const std::byte> stored) {
   OBSCORR_REQUIRE(crc32c({out.data(), out.size()}) == raw_crc,
                   "archive: decoded payload fails its checksum");
   return out;
-}
-
-// ------------------------------------------------------------- dispatch
-
-void unpack_f64(std::span<const std::byte> packed, unsigned width, std::size_t count,
-                double* out) {
-#if defined(__x86_64__)
-  // cvtepi32_pd is signed: the AVX2 lane math holds for widths <= 31.
-  if (width <= 31 && count >= 16 && simd::use_avx2()) {
-    if (obs::counters_enabled()) {
-      static obs::Counter& dispatched = obs::counter("simd.dispatch_codec");
-      dispatched.add(1);
-    }
-    unpack_f64_avx2(packed, width, count, out);
-    return;
-  }
-#endif
-  unpack_f64_scalar(packed, width, count, out);
-}
-
-void unpack_f64_scalar(std::span<const std::byte> packed, unsigned width, std::size_t count,
-                       double* out) {
-  const std::uint64_t mask = width >= 64 ? ~0ULL : (1ULL << width) - 1;
-  std::size_t bit = 0;
-  for (std::size_t i = 0; i < count; ++i, bit += width) {
-    const std::size_t byte = bit >> 3;
-    // A value spans at most ceil((7 + 51) / 8) = 8 bytes; near the tail
-    // the window is loaded short so the read never leaves the span.
-    std::uint64_t window = 0;
-    std::memcpy(&window, packed.data() + byte, std::min<std::size_t>(8, packed.size() - byte));
-    out[i] = static_cast<double>((window >> (bit & 7)) & mask);
-  }
-}
-
-void unzigzag_prefix_u32(std::span<const std::uint32_t> zz, std::uint32_t* out) {
-#if defined(__x86_64__)
-  if (zz.size() >= 16 && simd::use_avx2()) {
-    if (obs::counters_enabled()) {
-      static obs::Counter& dispatched = obs::counter("simd.dispatch_codec");
-      dispatched.add(1);
-    }
-    unzigzag_prefix_u32_avx2(zz, out);
-    return;
-  }
-#endif
-  unzigzag_prefix_u32_scalar(zz, out);
-}
-
-void unzigzag_prefix_u32_scalar(std::span<const std::uint32_t> zz, std::uint32_t* out) {
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < zz.size(); ++i) {
-    const std::uint32_t z = zz[i];
-    acc += (z >> 1) ^ (~(z & 1) + 1);
-    out[i] = acc;
-  }
 }
 
 }  // namespace obscorr::archive::codec

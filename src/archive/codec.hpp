@@ -22,11 +22,6 @@
 /// declared size and the raw CRC. Any malformation — truncated stream,
 /// codec tag out of range, declared size mismatch, failed CRC — throws
 /// std::invalid_argument, same as every other hostile-input path.
-///
-/// The hot decode loops (bit unpacking, zigzag-delta prefix
-/// reconstruction) dispatch through the common/simd tiers; the AVX2
-/// variants are bit-identical to the scalar references and differentially
-/// tested (tests/archive/codec_test.cpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -70,23 +65,5 @@ std::vector<std::byte> decompress_payload(std::span<const std::byte> stored);
 /// fixed header is malformed (log recovery uses this to classify frames
 /// without running a full decode).
 std::optional<std::uint64_t> decoded_size(std::span<const std::byte> stored);
-
-// --- dispatched decode kernels (exposed for differential tests/bench) ---
-
-/// Unpack `count` values of `width` bits (LSB-first within the packed
-/// stream) into doubles. Values are exact unsigned integers < 2^width,
-/// width in [1, 51]. `packed` must hold ceil(count*width/8) bytes.
-void unpack_f64(std::span<const std::byte> packed, unsigned width, std::size_t count,
-                double* out);
-void unpack_f64_scalar(std::span<const std::byte> packed, unsigned width, std::size_t count,
-                       double* out);
-void unpack_f64_avx2(std::span<const std::byte> packed, unsigned width, std::size_t count,
-                     double* out);
-
-/// Rebuild a u32 sequence from its zigzag-encoded wrapping deltas:
-/// out[i] = out[i-1] + unzigzag(zz[i]) (out[-1] = 0), arithmetic mod 2^32.
-void unzigzag_prefix_u32(std::span<const std::uint32_t> zz, std::uint32_t* out);
-void unzigzag_prefix_u32_scalar(std::span<const std::uint32_t> zz, std::uint32_t* out);
-void unzigzag_prefix_u32_avx2(std::span<const std::uint32_t> zz, std::uint32_t* out);
 
 }  // namespace obscorr::archive::codec

@@ -1,7 +1,6 @@
 #include "archive/mapped_file.hpp"
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 
 #include "common/error.hpp"
@@ -29,11 +28,6 @@ struct MappedFile::Mapping {};
 #endif
 
 namespace {
-
-bool mmap_disabled_by_env() {
-  const char* flag = std::getenv("OBSCORR_ARCHIVE_NO_MMAP");
-  return flag != nullptr && flag[0] != '\0' && flag[0] != '0';
-}
 
 std::vector<std::byte> read_whole_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary | std::ios::ate);
@@ -67,7 +61,7 @@ std::vector<std::byte> read_file_range(const std::string& path, std::size_t offs
 MappedFile MappedFile::open(const std::string& path, bool allow_mmap) {
   MappedFile file;
 #ifdef OBSCORR_HAVE_MMAP
-  if (allow_mmap && !mmap_disabled_by_env()) {
+  if (allow_mmap) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     OBSCORR_REQUIRE(fd >= 0, "archive: cannot open " + path);
     struct stat st{};
@@ -100,40 +94,36 @@ MappedFile MappedFile::open(const std::string& path, bool allow_mmap) {
 }
 
 MappedFile MappedFile::open_range(const std::string& path, std::size_t offset,
-                                  std::size_t length, bool allow_mmap) {
+                                  std::size_t length) {
   MappedFile file;
   if (length == 0) return file;
 #ifdef OBSCORR_HAVE_MMAP
-  if (allow_mmap && !mmap_disabled_by_env()) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    OBSCORR_REQUIRE(fd >= 0, "archive: cannot open " + path);
-    struct stat st{};
-    const bool regular = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
-    if (regular && static_cast<std::uint64_t>(st.st_size) >= offset + length) {
-      // mmap offsets must be page-aligned; map from the enclosing page
-      // boundary and expose exactly the requested window.
-      const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-      const std::size_t slop = offset % page;
-      const std::size_t map_length = length + slop;
-      void* addr = ::mmap(nullptr, map_length, PROT_READ, MAP_PRIVATE, fd,
-                          static_cast<off_t>(offset - slop));
-      ::close(fd);
-      if (addr != MAP_FAILED) {
-        file.mapping_ = std::make_shared<Mapping>();
-        file.mapping_->addr = addr;
-        file.mapping_->length = map_length;
-        file.bytes_ = {static_cast<const std::byte*>(addr) + slop, length};
-        return file;
-      }
-      // fall through to the streaming fallback on mmap failure
-    } else {
-      ::close(fd);
-      OBSCORR_REQUIRE(regular, "archive: cannot stat " + path);
-      OBSCORR_REQUIRE(false, "archive: " + path + " shorter than the requested range");
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  OBSCORR_REQUIRE(fd >= 0, "archive: cannot open " + path);
+  struct stat st{};
+  const bool regular = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+  if (regular && static_cast<std::uint64_t>(st.st_size) >= offset + length) {
+    // mmap offsets must be page-aligned; map from the enclosing page
+    // boundary and expose exactly the requested window.
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t slop = offset % page;
+    const std::size_t map_length = length + slop;
+    void* addr = ::mmap(nullptr, map_length, PROT_READ, MAP_PRIVATE, fd,
+                        static_cast<off_t>(offset - slop));
+    ::close(fd);
+    if (addr != MAP_FAILED) {
+      file.mapping_ = std::make_shared<Mapping>();
+      file.mapping_->addr = addr;
+      file.mapping_->length = map_length;
+      file.bytes_ = {static_cast<const std::byte*>(addr) + slop, length};
+      return file;
     }
+    // fall through to the streaming fallback on mmap failure
+  } else {
+    ::close(fd);
+    OBSCORR_REQUIRE(regular, "archive: cannot stat " + path);
+    OBSCORR_REQUIRE(false, "archive: " + path + " shorter than the requested range");
   }
-#else
-  (void)allow_mmap;
 #endif
   file.buffer_ = std::make_shared<std::vector<std::byte>>(read_file_range(path, offset, length));
   file.bytes_ = {file.buffer_->data(), file.buffer_->size()};

@@ -4,9 +4,11 @@
 /// POSIX hosts the whole entry log is mmap'd once and every MatrixView
 /// serves spans straight out of the page cache — the "analyze years of
 /// archived captures without deserializing them" access pattern of the
-/// paper's supercomputing-center store. Where mmap is unavailable (or
-/// disabled with OBSCORR_ARCHIVE_NO_MMAP=1) the file is read into an
-/// owned buffer instead: same spans, one extra copy, identical results.
+/// paper's supercomputing-center store. Where mmap is unavailable or
+/// fails, the file is read into an owned buffer instead: same spans, one
+/// extra copy, identical results. `archive::read_matrix_file` always
+/// reads into a buffer (a mapping dies with SIGBUS when another process
+/// rewrites the file).
 
 #include <cstddef>
 #include <memory>
@@ -20,9 +22,7 @@ namespace obscorr::archive {
 class MappedFile {
  public:
   /// Map (or read) `path`; throws std::invalid_argument when the file
-  /// cannot be opened. `allow_mmap=false` forces the streaming fallback;
-  /// the OBSCORR_ARCHIVE_NO_MMAP environment variable does the same
-  /// globally.
+  /// cannot be opened. `allow_mmap=false` reads it into an owned buffer.
   static MappedFile open(const std::string& path, bool allow_mmap = true);
 
   /// Map (or read) exactly `[offset, offset + length)` of `path` — the
@@ -30,9 +30,8 @@ class MappedFile {
   /// of the entry log instead of remapping the whole file. Page
   /// alignment of the mmap offset is handled internally; `bytes()` spans
   /// exactly the requested range. Throws when the file is shorter than
-  /// `offset + length`.
-  static MappedFile open_range(const std::string& path, std::size_t offset, std::size_t length,
-                               bool allow_mmap = true);
+  /// `offset + length`; reads the range into a buffer when mmap fails.
+  static MappedFile open_range(const std::string& path, std::size_t offset, std::size_t length);
 
   MappedFile() = default;
   MappedFile(MappedFile&&) noexcept = default;

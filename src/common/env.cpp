@@ -21,9 +21,11 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
 }
 
 int resolve_thread_count(int requested) {
+  OBSCORR_REQUIRE(requested <= static_cast<int>(kMaxThreads), "option --threads is out of range");
   if (requested > 0) return requested;
   const std::int64_t env = env_int("OBSCORR_THREADS", 0);
-  OBSCORR_REQUIRE(std::in_range<int>(env), "OBSCORR_THREADS is out of range");
+  OBSCORR_REQUIRE(env <= static_cast<std::int64_t>(kMaxThreads) && std::in_range<int>(env),
+                  "OBSCORR_THREADS is out of range");
   return env > 0 ? static_cast<int>(env) : static_cast<int>(ThreadPool::default_thread_count());
 }
 
@@ -34,7 +36,8 @@ BenchEnv BenchEnv::from_environment() {
   env.log2_nv = static_cast<int>(log2_nv);
   env.seed = static_cast<std::uint64_t>(env_int("OBSCORR_SEED", static_cast<std::int64_t>(env.seed)));
   const std::int64_t threads = env_int("OBSCORR_THREADS", env.threads);
-  OBSCORR_REQUIRE(std::in_range<int>(threads), "OBSCORR_THREADS is out of range");
+  OBSCORR_REQUIRE(threads <= static_cast<std::int64_t>(kMaxThreads) && std::in_range<int>(threads),
+                  "OBSCORR_THREADS is out of range");
   env.threads = static_cast<int>(threads);
   return env;
 }

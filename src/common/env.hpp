@@ -17,9 +17,11 @@ namespace obscorr {
 std::int64_t env_int(const std::string& name, std::int64_t fallback);
 
 /// Worker-thread count for a tool invocation: an explicit `requested > 0`
-/// (e.g. a --threads flag) wins, otherwise OBSCORR_THREADS, otherwise the
-/// hardware default. The result is always >= 1. Throws
-/// std::invalid_argument when OBSCORR_THREADS does not fit in an `int`.
+/// (the --threads flag) wins, otherwise OBSCORR_THREADS, otherwise the
+/// hardware default clamped to kMaxThreads (common/thread_pool.hpp). The
+/// result is always in [1, kMaxThreads]. Throws std::invalid_argument
+/// ("... is out of range") when --threads or OBSCORR_THREADS exceeds
+/// kMaxThreads.
 int resolve_thread_count(int requested = 0);
 
 /// Bench-harness configuration resolved from the environment.

@@ -143,7 +143,7 @@ class AliasTable {
   std::size_t size() const { return prob_.size(); }
 
   /// The acceptance probabilities and alias slots backing `sample`,
-  /// exposed for vectorized batch sampling (gather + compare + blend).
+  /// exposed for batch sampling (draw a pass of slots, then resolve).
   /// `sample(rng)` is exactly: `i = rng.uniform_u64(size());
   /// rng.uniform() < probs()[i] ? i : aliases()[i]` — batch callers must
   /// reproduce that draw order to stay stream-identical.

@@ -32,6 +32,7 @@ void run_task_instrumented(std::function<void()>& task, bool is_help_drain) {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   OBSCORR_REQUIRE(threads >= 1, "thread pool needs at least one worker");
+  OBSCORR_REQUIRE(threads <= kMaxThreads, "thread pool needs at most 1024 workers");
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -91,7 +92,7 @@ void ThreadPool::wait_idle() {
 }
 
 std::size_t ThreadPool::default_thread_count() {
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, kMaxThreads);
 }
 
 ThreadPool& ThreadPool::global() {

@@ -26,10 +26,18 @@
 
 namespace obscorr {
 
+/// The most threads one process asks the host for: a pool's workers, or
+/// obscorr-bots' clients (one thread each). A larger request is a usage
+/// error (a typo such as `--threads 100000`), not a reason to start
+/// that many threads.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// Fixed-size pool of worker threads executing submitted tasks FIFO.
 class ThreadPool {
  public:
-  /// Spawn `threads` workers (>= 1). The default uses hardware concurrency.
+  /// Spawn `threads` workers, 1 to kMaxThreads; throws
+  /// std::invalid_argument otherwise, before starting any. The default
+  /// uses hardware concurrency.
   explicit ThreadPool(std::size_t threads = default_thread_count());
   ~ThreadPool();
 
@@ -50,7 +58,7 @@ class ThreadPool {
   /// queue while waiting (safe to call from inside a pool task).
   void wait_idle();
 
-  /// max(1, hardware_concurrency).
+  /// hardware_concurrency, clamped to [1, kMaxThreads].
   static std::size_t default_thread_count();
 
   /// Process-wide shared pool, created on first use.

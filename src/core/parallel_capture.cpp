@@ -19,25 +19,15 @@ gbl::DcsrMatrix capture_window(telescope::Telescope& scope,
   using netgen::TrafficGenerator;
   const obs::Span span("core.capture_window", [&] { return std::to_string(month); });
   const std::uint64_t shards = TrafficGenerator::shard_count(valid_count);
-  if (shards <= 1) {
-    // Single-shard windows take the historical serial path straight into
-    // the telescope: shard 0 *is* the unsharded stream, so this is
-    // byte-identical to pre-shard capture.
-    generator.stream_window_batched(month, valid_count, salt,
-                                    [&](std::span<const Packet> b) { scope.capture_block(b); });
-    return scope.finish_window();
-  }
-
-  if (pool.thread_count() == 1) {
-    // One worker means one chunk: stream the sharded plan straight into
-    // the telescope, skipping the private-capture/merge machinery. The
-    // packet sequence is the concatenation of the shards in order —
-    // exactly what a single ShardCapture over [0, shards) would absorb —
-    // and it keeps the telescope's anonymization memo warm across
+  const netgen::WindowPlan plan = generator.plan_window(month);
+  if (shards <= 1 || pool.thread_count() == 1) {
+    // One shard or one worker: stream the plan's shards in order straight
+    // into the telescope, skipping the private-capture/merge machinery.
+    // A one-shard window is then exactly `stream_window_batched`'s
+    // stream, and the telescope's anonymization memo stays warm across
     // windows, which a per-window capture context would discard.
-    const netgen::WindowPlan plan = generator.plan_window(month);
     netgen::ShardScratch scratch;
-    for (std::size_t s = 0; s < shards; ++s) {
+    for (std::uint64_t s = 0; s < shards; ++s) {
       generator.stream_shard_batched(
           plan, TrafficGenerator::shard_valid_packets(valid_count, s), salt, s, scratch,
           [&](std::span<const Packet> batch) { scope.capture_block(batch); });
@@ -50,7 +40,6 @@ gbl::DcsrMatrix capture_window(telescope::Telescope& scope,
   // range. Runs are summed in first-shard order below, but any grouping
   // yields the same matrix: shard packet multisets are fixed by (seed,
   // month, salt, shard) and counts aggregate exactly.
-  const netgen::WindowPlan plan = generator.plan_window(month);
   std::mutex collect_mutex;
   std::vector<std::pair<std::size_t, gbl::DcsrMatrix>> runs;
   // parallel_for hands out at most one contiguous chunk per worker.

@@ -9,13 +9,13 @@
 /// latency every round; the kernel instead steps eight blocks through
 /// each round before the next, so eight chains are in flight at once.
 /// The same contract holds with AES-NI off: `OBSCORR_SIMD=scalar` or
-/// `simd::set_tier(Tier::kScalar)` runs the byte-wise reference.
+/// `simd::set_aes(false)` runs the byte-wise reference.
 
 #include "crypt/aes128.hpp"
 
 #if defined(__x86_64__)
 
-#include <immintrin.h>
+#include <wmmintrin.h>  // AES-NI, and the SSE2 loads and stores
 
 namespace obscorr::crypt {
 

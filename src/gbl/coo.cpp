@@ -28,12 +28,12 @@ void sort_packed_keys(std::span<std::uint64_t> keys) {
     std::sort(keys.begin(), keys.end());
     return;
   }
-  // Serial LSD radix sort (kernels::radix_sort_u64, runtime SIMD
-  // dispatch): six 11-bit digit passes with a scatter buffer, all six
-  // histograms built in one initial sweep, and passes whose digit is
-  // constant across the range skipped — ~5-8x a comparison sort on
-  // random packet keys. Scratch lives in a frame of the calling thread's
-  // arena, so the sort of every sealed block reuses the same warm pages.
+  // Serial LSD radix sort (kernels::radix_sort_u64): six 11-bit digit
+  // passes with a scatter buffer, all six histograms built in one
+  // initial sweep, and passes whose digit is constant across the range
+  // skipped — ~5-8x a comparison sort on random packet keys. Scratch
+  // lives in a frame of the calling thread's arena, so the sort of every
+  // sealed block reuses the same warm pages.
   kernels::radix_sort_u64(keys.data(), keys.size(), mem::scratch_arena());
 }
 

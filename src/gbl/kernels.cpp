@@ -3,18 +3,20 @@
 #include <algorithm>
 
 #include "common/arena.hpp"
-#include "common/simd.hpp"
-#include "obs/telemetry.hpp"
 
 namespace obscorr::gbl::kernels {
 
-// ---- scalar reference implementations (and the scalar-only kernels) ---
-
-void radix_sort_u64_scalar(std::uint64_t* keys, std::size_t n, mem::Arena& arena) {
+void radix_sort_u64(std::uint64_t* keys, std::size_t n, mem::Arena& arena) {
   constexpr int kBits = 11;
   constexpr int kPasses = 6;  // 6 * 11 = 66 bits >= 64
   constexpr std::size_t kBuckets = std::size_t{1} << kBits;
   constexpr std::uint64_t kMask = kBuckets - 1;
+  // How many keys ahead the scatter prefetches its destination: the
+  // writes land at 2048 independent cursors, far more streams than the
+  // hardware prefetcher tracks. A cursor moves at most this many slots
+  // between the hint and the write, so the hint lands within two cache
+  // lines of the store.
+  constexpr std::size_t kPrefetchDist = 16;
   if (n < 2) return;  // the constant-digit probe below reads src[0]
   const mem::Arena::Frame frame(arena);
   std::uint64_t* const scratch = arena.alloc_span<std::uint64_t>(n).data();
@@ -38,7 +40,13 @@ void radix_sort_u64_scalar(std::uint64_t* keys, std::size_t n, mem::Arena& arena
       h[d] = offset;
       offset += c;
     }
-    for (std::size_t i = 0; i < n; ++i) dst[h[(src[i] >> shift) & kMask]++] = src[i];
+    const std::size_t hinted = n > kPrefetchDist ? n - kPrefetchDist : 0;
+    std::size_t i = 0;
+    for (; i < hinted; ++i) {
+      __builtin_prefetch(dst + h[(src[i + kPrefetchDist] >> shift) & kMask]);
+      dst[h[(src[i] >> shift) & kMask]++] = src[i];
+    }
+    for (; i < n; ++i) dst[h[(src[i] >> shift) & kMask]++] = src[i];
     std::swap(src, dst);
   }
   if (src != keys) std::copy(src, src + n, keys);
@@ -75,13 +83,13 @@ std::size_t merge_add_columns(const Index* ac, const Value* av, std::size_t na, 
   return out;
 }
 
-Value sum_span_scalar(std::span<const Value> values) {
+Value sum_span(std::span<const Value> values) {
   Value total = 0.0;
   for (const Value v : values) total += v;
   return total;
 }
 
-Value max_span_scalar(std::span<const Value> values) {
+Value max_span(std::span<const Value> values) {
   Value best = 0.0;
   for (const Value v : values) best = std::max(best, v);
   return best;
@@ -94,49 +102,6 @@ void row_sums(std::span<const std::uint64_t> row_ptr, std::span<const Value> val
     for (std::uint64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) s += values[k];
     sums[r] = s;
   }
-}
-
-// ---- runtime dispatch ---------------------------------------------------
-
-namespace {
-
-/// Per-kernel dispatch counters: how many times the vectorized variant
-/// actually ran (the scalar path counts nothing — a forced-scalar run
-/// exports all-zero simd.dispatch_* values).
-obs::Counter& radix_dispatches() {
-  static obs::Counter& c = obs::counter("simd.dispatch_radix");
-  return c;
-}
-obs::Counter& reduce_dispatches() {
-  static obs::Counter& c = obs::counter("simd.dispatch_reduce");
-  return c;
-}
-
-}  // namespace
-
-void radix_sort_u64(std::uint64_t* keys, std::size_t n, mem::Arena& arena) {
-  if (simd::use_avx2()) {
-    if (obs::counters_enabled()) radix_dispatches().add(1);
-    radix_sort_u64_avx2(keys, n, arena);
-    return;
-  }
-  radix_sort_u64_scalar(keys, n, arena);
-}
-
-Value sum_span(std::span<const Value> values) {
-  if (simd::use_avx2()) {
-    if (obs::counters_enabled()) reduce_dispatches().add(1);
-    return sum_span_avx2(values);
-  }
-  return sum_span_scalar(values);
-}
-
-Value max_span(std::span<const Value> values) {
-  if (simd::use_avx2()) {
-    if (obs::counters_enabled()) reduce_dispatches().add(1);
-    return max_span_avx2(values);
-  }
-  return max_span_scalar(values);
 }
 
 }  // namespace obscorr::gbl::kernels

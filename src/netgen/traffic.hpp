@@ -73,7 +73,7 @@ struct WindowPlan {
 
   int month;
   std::vector<std::uint32_t> active;     ///< active source indices this month
-  std::vector<std::uint32_t> src_ips;    ///< source ip per active slot (gather-friendly)
+  std::vector<std::uint32_t> src_ips;    ///< source ip per active slot (flat, for the emit loop)
   std::vector<ScanStrategy> strategies;  ///< strategy per active slot (see strategy_of)
   AliasTable alias;                      ///< over the active sources' weights
 };
@@ -170,27 +170,6 @@ class TrafficGenerator {
   /// own gamma) keeps shard streams far apart in id space. Shard 0
   /// offsets by zero, preserving the historical unsharded stream ids.
   static constexpr std::uint64_t kShardStreamGamma = 0x9E3779B97F4A7C15ULL;
-
-  /// Per-shard emission tallies, returned by the streaming variants so
-  /// the dispatching wrapper owns the telemetry flush.
-  struct ShardStats {
-    std::uint64_t emitted = 0;
-    std::uint64_t valid = 0;
-    std::uint64_t fresh_source_states = 0;  // one init RNG stream each
-  };
-
-  /// Reference implementation of `stream_shard_batched` (traffic.cpp).
-  ShardStats stream_shard_scalar(const WindowPlan& plan, std::uint64_t shard_valid_count,
-                                 std::uint64_t salt, std::uint64_t shard, ShardScratch& scratch,
-                                 const BatchSink& sink, std::size_t batch_packets) const;
-
-  /// AVX2 ingest variant (traffic_simd.cpp): identical packet stream —
-  /// the source/destination RNG draws happen in exactly the scalar order;
-  /// only the alias-slot resolution and source-ip lookups are batched
-  /// into gathers. On non-x86 builds this forwards to the scalar path.
-  ShardStats stream_shard_avx2(const WindowPlan& plan, std::uint64_t shard_valid_count,
-                               std::uint64_t salt, std::uint64_t shard, ShardScratch& scratch,
-                               const BatchSink& sink, std::size_t batch_packets) const;
 
   const Population& population_;
   TrafficConfig config_;

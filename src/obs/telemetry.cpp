@@ -43,10 +43,6 @@ constexpr const char* kCanonicalCounters[] = {
     "netgen.shards_generated",
     "netgen.valid_packets",
     "netgen.windows_planned",
-    "simd.dispatch_codec",
-    "simd.dispatch_ingest",
-    "simd.dispatch_radix",
-    "simd.dispatch_reduce",
     "svc.accepted",
     "svc.bytes_in",
     "svc.bytes_out",
@@ -73,7 +69,6 @@ constexpr const char* kCanonicalGauges[] = {
     "cache.bytes",
     "mem.arena_high_water",
     "mem.peak_rss",
-    "simd.tier",
     "svc.connections_high_water",
     "svc.watchers_high_water",
     "threadpool.queue_high_water",

@@ -2,8 +2,8 @@
 /// golden archive (the encoder's structure parsers against real payloads),
 /// hostile-container rejection (truncation, tag out of range, declared
 /// size mismatch, CRC mismatch, trailing bytes), a full single-byte-flip
-/// sweep over a compressed container, and scalar-vs-AVX2 differential
-/// tests of the dispatched decode kernels.
+/// sweep over a compressed container, and the bit-unpack and delta
+/// decoders on hand-built blocks.
 
 #include "archive/codec.hpp"
 
@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "archive/checksum.hpp"
 #include "archive/reader.hpp"
-#include "common/simd.hpp"
 
 namespace obscorr::archive::codec {
 namespace {
@@ -185,7 +185,7 @@ TEST(CodecTest, EverySingleByteFlipThrowsOrDecodesIdentically) {
   }
 }
 
-// --- differential tests of the dispatched decode kernels ---
+// --- the decode kernels, through hand-built containers ---
 
 /// Reference LSB-first bitpacker, mirroring the encoder's layout.
 std::vector<std::byte> pack_bits(const std::vector<std::uint64_t>& vals, unsigned width) {
@@ -205,71 +205,80 @@ std::vector<std::byte> pack_bits(const std::vector<std::uint64_t>& vals, unsigne
   return out;
 }
 
-TEST(CodecTest, UnpackF64Avx2MatchesScalarAtEveryWidth) {
+void append_varint(std::string& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out.push_back(static_cast<char>((v & 0x7F) | 0x80));
+  out.push_back(static_cast<char>(v));
+}
+
+/// A one-block container whose block `tag` decodes `enc` to `raw`.
+std::string one_block_container(std::uint8_t tag, const std::string& raw,
+                                const std::string& enc) {
+  std::string out(kContainerMagic);
+  const std::uint64_t raw_size = raw.size();
+  const std::uint32_t raw_crc = crc32c(raw);
+  const std::uint32_t blocks = 1;
+  out.append(reinterpret_cast<const char*>(&raw_size), sizeof raw_size);
+  out.append(reinterpret_cast<const char*>(&raw_crc), sizeof raw_crc);
+  out.append(reinterpret_cast<const char*>(&blocks), sizeof blocks);
+  out.push_back(static_cast<char>(tag));
+  append_varint(out, raw.size());
+  append_varint(out, enc.size());
+  out += enc;
+  return out;
+}
+
+template <typename T>
+std::string raw_lanes(const std::vector<T>& lanes) {
+  return {reinterpret_cast<const char*>(lanes.data()), lanes.size() * sizeof(T)};
+}
+
+/// The bit unpacker at every width the encoder may choose, on counts
+/// around its 8-byte load window, with each run ending on the width's
+/// largest value so the top bit of the last load is read.
+TEST(CodecTest, PackF64BlocksDecodeAtEveryWidth) {
   std::mt19937_64 rng(0x0B5C0DEC);
   for (unsigned width = 1; width <= 51; ++width) {
-    const std::uint64_t max = width >= 64 ? ~0ull : (1ull << width) - 1;
+    const std::uint64_t max = (1ull << width) - 1;
     for (const std::size_t count :
-         {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{8},
-          std::size_t{15}, std::size_t{16}, std::size_t{17}, std::size_t{64},
-          std::size_t{100}, std::size_t{201}}) {
+         {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{8}, std::size_t{15},
+          std::size_t{16}, std::size_t{17}, std::size_t{64}, std::size_t{100},
+          std::size_t{201}}) {
       std::vector<std::uint64_t> vals(count);
       for (auto& v : vals) v = rng() & max;
-      if (!vals.empty()) vals.back() = max;  // exercise the top bit
+      vals.back() = max;
+      std::vector<double> want(count);
+      for (std::size_t i = 0; i < count; ++i) want[i] = static_cast<double>(vals[i]);
       const std::vector<std::byte> packed = pack_bits(vals, width);
-      std::vector<double> scalar(count, -1.0), dispatched(count, -2.0);
-      unpack_f64_scalar(packed, width, count, scalar.data());
-      unpack_f64(packed, width, count, dispatched.data());
-      for (std::size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(scalar[i], static_cast<double>(vals[i]))
-            << "width " << width << " i " << i;
-        ASSERT_EQ(dispatched[i], scalar[i]) << "width " << width << " i " << i;
-      }
-#if defined(__x86_64__)
-      if (simd::use_avx2() && width <= 31) {
-        std::vector<double> vec(count, -3.0);
-        unpack_f64_avx2(packed, width, count, vec.data());
-        for (std::size_t i = 0; i < count; ++i) {
-          ASSERT_EQ(vec[i], scalar[i]) << "width " << width << " i " << i;
-        }
-      }
-#endif
+      std::string enc(1, static_cast<char>(width));
+      enc.append(reinterpret_cast<const char*>(packed.data()), packed.size());
+      const std::string raw = raw_lanes(want);
+      const std::vector<std::byte> got =
+          decompress_payload(as_bytes(one_block_container(kBlockPackF64, raw, enc)));
+      ASSERT_EQ(got, to_bytes(as_bytes(raw))) << "width " << width << " count " << count;
     }
   }
 }
 
-TEST(CodecTest, UnzigzagPrefixU32Avx2MatchesScalar) {
+/// The zigzag prefix sum wraps mod 2^32 in both directions.
+TEST(CodecTest, DeltaU32BlocksDecodeWrappingDeltas) {
   std::mt19937_64 rng(0x51D2A6);
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
-        std::size_t{15}, std::size_t{16}, std::size_t{63}, std::size_t{200},
-        std::size_t{1000}}) {
-    std::vector<std::uint32_t> zz(n);
-    for (auto& z : zz) z = static_cast<std::uint32_t>(rng());
-    std::vector<std::uint32_t> scalar(n, 0xAAAAAAAA), dispatched(n, 0xBBBBBBBB);
-    unzigzag_prefix_u32_scalar(zz, scalar.data());
-    unzigzag_prefix_u32(zz, dispatched.data());
-    EXPECT_EQ(scalar, dispatched) << "n " << n;
-#if defined(__x86_64__)
-    if (simd::use_avx2()) {
-      std::vector<std::uint32_t> vec(n, 0xCCCCCCCC);
-      unzigzag_prefix_u32_avx2(zz, vec.data());
-      EXPECT_EQ(scalar, vec) << "n " << n;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+                              std::size_t{63}, std::size_t{1000}}) {
+    std::vector<std::uint32_t> values(n);
+    std::string enc;
+    std::uint32_t prev = 0;
+    for (std::uint32_t& v : values) {
+      v = static_cast<std::uint32_t>(rng());
+      const auto delta = static_cast<std::int32_t>(v - prev);
+      append_varint(enc, (static_cast<std::uint32_t>(delta) << 1) ^
+                             static_cast<std::uint32_t>(delta >> 31));
+      prev = v;
     }
-#endif
+    const std::string raw = raw_lanes(values);
+    const std::vector<std::byte> got =
+        decompress_payload(as_bytes(one_block_container(kBlockDeltaU32, raw, enc)));
+    ASSERT_EQ(got, to_bytes(as_bytes(raw))) << "n " << n;
   }
-}
-
-/// The dispatched kernels under a forced-scalar tier take the scalar
-/// path; differential against the explicit scalar entry points pins the
-/// dispatch wrapper itself.
-TEST(CodecTest, ForcedScalarTierDecodesGoldenContainerIdentically) {
-  const std::string good = golden_container();
-  const std::vector<std::byte> vec_bytes = decompress_payload(as_bytes(good));
-  simd::set_tier(simd::Tier::kScalar);
-  const std::vector<std::byte> scalar_bytes = decompress_payload(as_bytes(good));
-  simd::set_tier(std::nullopt);
-  EXPECT_EQ(to_bytes(vec_bytes), to_bytes(scalar_bytes));
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+
+#include "common/thread_pool.hpp"
 
 namespace obscorr {
 namespace {
@@ -100,6 +103,38 @@ TEST(ResolveThreadCountTest, RejectsAnEnvironmentCountAnIntCannotHold) {
     EXPECT_STREQ(e.what(), "OBSCORR_THREADS is out of range");
   }
   EXPECT_EQ(resolve_thread_count(2), 2);  // an explicit count never reads it
+}
+
+TEST(ResolveThreadCountTest, RejectsCountsAboveTheThreadCeiling) {
+  // No pool is constructed here: the check runs before any thread starts.
+  EXPECT_EQ(resolve_thread_count(static_cast<int>(kMaxThreads)), 1024);
+  try {
+    (void)resolve_thread_count(1025);
+    ADD_FAILURE() << "--threads 1025 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "option --threads is out of range");
+  }
+  {
+    EnvGuard guard("OBSCORR_THREADS", "1024");
+    EXPECT_EQ(resolve_thread_count(0), 1024);
+  }
+  EnvGuard guard("OBSCORR_THREADS", "1025");
+  try {
+    (void)resolve_thread_count(0);
+    ADD_FAILURE() << "OBSCORR_THREADS=1025 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "OBSCORR_THREADS is out of range");
+  }
+  EXPECT_THROW(BenchEnv::from_environment(), std::invalid_argument);
+  EXPECT_EQ(resolve_thread_count(2), 2);  // an explicit count never reads it
+}
+
+TEST(ResolveThreadCountTest, HardwareDefaultStaysUnderTheCeiling) {
+  EnvGuard unset("OBSCORR_THREADS", "");
+  const int threads = resolve_thread_count(0);
+  EXPECT_GE(threads, 1);
+  EXPECT_LE(threads, static_cast<int>(kMaxThreads));
+  EXPECT_EQ(static_cast<std::size_t>(threads), ThreadPool::default_thread_count());
 }
 
 }  // namespace

@@ -7,67 +7,52 @@
 namespace obscorr::simd {
 namespace {
 
-/// Restores auto dispatch whatever a test does to the override slot.
-class TierGuard {
+/// Restores the default cipher choice whatever a test overrides.
+class AesGuard {
  public:
-  TierGuard() = default;
-  ~TierGuard() { set_tier(std::nullopt); }
+  AesGuard() = default;
+  ~AesGuard() { set_aes(std::nullopt); }
 };
 
-TEST(SimdDispatchTest, DetectedTierIsStableAndOrdered) {
-  const Tier first = detected_tier();
-  EXPECT_GE(first, Tier::kScalar);
-  EXPECT_LE(first, Tier::kAvx2);
-  EXPECT_EQ(detected_tier(), first);  // cached, not re-probed
+TEST(SimdDispatchTest, AesDetectionIsStable) {
+  const bool first = aes_detected();
+  EXPECT_EQ(aes_detected(), first);  // cached, not re-probed
+#if !defined(__x86_64__)
+  EXPECT_FALSE(first);
+#endif
 }
 
-TEST(SimdDispatchTest, ParseTierAcceptsCanonicalNames) {
-  EXPECT_EQ(parse_tier("scalar"), Tier::kScalar);
-  EXPECT_EQ(parse_tier("sse42"), Tier::kSse42);
-  EXPECT_EQ(parse_tier("avx2"), Tier::kAvx2);
-  EXPECT_EQ(parse_tier(""), std::nullopt);
-  EXPECT_EQ(parse_tier("AVX2"), std::nullopt);
-  EXPECT_EQ(parse_tier("avx512"), std::nullopt);
-  EXPECT_EQ(parse_tier("auto"), std::nullopt);
-}
-
-TEST(SimdDispatchTest, TierNamesRoundTripThroughParse) {
-  for (const Tier t : {Tier::kScalar, Tier::kSse42, Tier::kAvx2}) {
-    EXPECT_EQ(parse_tier(tier_name(t)), t);
-  }
+TEST(SimdDispatchTest, OnlyScalarForcesByteWise) {
+  EXPECT_TRUE(forces_byte_wise("scalar"));
+  // A retired tier name, like any other value, means auto.
+  EXPECT_FALSE(forces_byte_wise(""));
+  EXPECT_FALSE(forces_byte_wise("sse42"));
+  EXPECT_FALSE(forces_byte_wise("AVX"));
+  EXPECT_FALSE(forces_byte_wise("SCALAR"));
+  EXPECT_FALSE(forces_byte_wise("scalar "));
+  EXPECT_FALSE(forces_byte_wise("auto"));
 }
 
 TEST(SimdDispatchTest, ForcedScalarAlwaysWins) {
-  const TierGuard guard;
-  set_tier(Tier::kScalar);
-  EXPECT_EQ(active_tier(), Tier::kScalar);
-  EXPECT_FALSE(use_avx2());
+  const AesGuard guard;
+  set_aes(false);
+  EXPECT_FALSE(use_aes());
 }
 
-TEST(SimdDispatchTest, ForcedTierClampsToDetection) {
-  const TierGuard guard;
-  // Requesting more than the host supports silently degrades: the active
-  // tier never exceeds what cpuid reported, so every kernel stays safe.
-  set_tier(Tier::kAvx2);
-  EXPECT_EQ(active_tier(), detected_tier() < Tier::kAvx2 ? detected_tier() : Tier::kAvx2);
-  set_tier(Tier::kSse42);
-  EXPECT_LE(active_tier(), Tier::kSse42);
+TEST(SimdDispatchTest, ForcedAesNiClampsToDetection) {
+  const AesGuard guard;
+  // Requesting AES-NI on a host without it keeps the byte-wise cipher:
+  // the kernel never runs where cpuid does not report the `aes` bit.
+  set_aes(true);
+  EXPECT_EQ(use_aes(), aes_detected());
 }
 
 TEST(SimdDispatchTest, AutoNeverExceedsDetection) {
-  const TierGuard guard;
-  set_tier(std::nullopt);
-  // The environment cap (OBSCORR_SIMD) may lower this further, so the
-  // only portable invariant is the detection ceiling.
-  EXPECT_LE(active_tier(), detected_tier());
-}
-
-TEST(SimdDispatchTest, UseAvx2MatchesActiveTier) {
-  const TierGuard guard;
-  set_tier(Tier::kScalar);
-  EXPECT_EQ(use_avx2(), active_tier() >= Tier::kAvx2);
-  set_tier(Tier::kAvx2);
-  EXPECT_EQ(use_avx2(), active_tier() >= Tier::kAvx2);
+  const AesGuard guard;
+  set_aes(std::nullopt);
+  // OBSCORR_SIMD=scalar may turn it off, so the only portable invariant
+  // is the detection ceiling.
+  EXPECT_TRUE(!use_aes() || aes_detected());
 }
 
 }  // namespace

@@ -18,19 +18,17 @@
 namespace obscorr::crypt {
 namespace {
 
-/// The cipher a test pins: the byte-wise reference (`set_tier(kScalar)`)
-/// or the host's best (`set_tier(detected_tier())`, which overrides an
-/// `OBSCORR_SIMD=scalar` cap, so the forced-scalar job still compares
-/// the two paths).
+/// The cipher a test pins: the byte-wise reference (`set_aes(false)`) or
+/// the host's best (`set_aes(true)`, which overrides
+/// `OBSCORR_SIMD=scalar`, so the byte-wise CI job still compares the two
+/// paths).
 enum class CipherPath { kByteWise, kHost };
 
-/// Pins the dispatch tier for its lifetime and restores auto after.
+/// Pins the cipher for its lifetime and restores the default after.
 class PathGuard {
  public:
-  explicit PathGuard(CipherPath path) {
-    simd::set_tier(path == CipherPath::kByteWise ? simd::Tier::kScalar : simd::detected_tier());
-  }
-  ~PathGuard() { simd::set_tier(std::nullopt); }
+  explicit PathGuard(CipherPath path) { simd::set_aes(path == CipherPath::kHost); }
+  ~PathGuard() { simd::set_aes(std::nullopt); }
   PathGuard(const PathGuard&) = delete;
   PathGuard& operator=(const PathGuard&) = delete;
 };
@@ -112,10 +110,8 @@ TEST(Aes128BatchTest, HostPathIsAesNiWhereCpuidReportsIt) {
   }
   const PathGuard guard(CipherPath::kHost);
 #if defined(__x86_64__)
-  // Every x86-64 host with AES-NI also reports SSE4.2, so the host tier
-  // is above scalar wherever the aes bit is set.
   if (__builtin_cpu_supports("aes")) {
-    EXPECT_TRUE(simd::use_aes()) << "detected " << simd::tier_name(simd::detected_tier());
+    EXPECT_TRUE(simd::use_aes());
   } else {
     EXPECT_FALSE(simd::use_aes());
   }

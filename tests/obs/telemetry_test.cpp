@@ -266,10 +266,6 @@ TEST_F(TelemetryExportTest, MetricsJsonSchemaAndCanonicalCatalogue) {
       "netgen.shards_generated",
       "netgen.valid_packets",
       "netgen.windows_planned",
-      "simd.dispatch_codec",
-      "simd.dispatch_ingest",
-      "simd.dispatch_radix",
-      "simd.dispatch_reduce",
       "svc.accepted",
       "svc.bytes_in",
       "svc.bytes_out",
@@ -296,7 +292,6 @@ TEST_F(TelemetryExportTest, MetricsJsonSchemaAndCanonicalCatalogue) {
       "cache.bytes",
       "mem.arena_high_water",
       "mem.peak_rss",
-      "simd.tier",
       "svc.connections_high_water",
       "svc.watchers_high_water",
       "threadpool.queue_high_water",

@@ -817,6 +817,9 @@ TEST(CliToolTest, UsageErrorsPrintTheirMessageAlone) {
       {{"generate", "--out", temp("wrapped_month.trc"), "--month-index", "4294967296"},
        "option --month-index is out of range"},
       {{"study", "--log2-nv", "12", "--threads", "4294967298"}, "option --threads is out of range"},
+      // Fits an `int` but is past the thread ceiling: rejected before
+      // any pool starts a thread.
+      {{"study", "--log2-nv", "12", "--threads", "1025"}, "option --threads is out of range"},
   };
   for (const auto& [args, message] : cases) {
     std::ostringstream out, err;

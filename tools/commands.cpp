@@ -77,9 +77,7 @@ void export_telemetry(const Telemetry& t, std::ostream& err) {
     err << "wrote metrics to " << *t.metrics_out << " (" << t.metrics_format << ")\n";
   }
   if (t.timing) {
-    err << "simd tier: " << simd::tier_name(simd::active_tier()) << " (detected "
-        << simd::tier_name(simd::detected_tier())
-        << "), aes: " << (simd::use_aes() ? "aes-ni" : "byte-wise") << '\n';
+    err << "aes: " << (simd::use_aes() ? "aes-ni" : "byte-wise") << '\n';
     err << "peak rss: " << mem::peak_rss_bytes() / (1024 * 1024) << " MiB"
         << ", arena high-water: "
         << obs::gauge("mem.arena_high_water").value() / 1024 << " KiB\n";
@@ -729,7 +727,6 @@ int drive(const Command& cmd, const std::vector<std::string>& args, std::ostream
   if (telemetry.active()) {
     obs::reset();
     obs::set_level(obs::Level::kFull);
-    obs::gauge("simd.tier").record_max(static_cast<std::uint64_t>(simd::active_tier()));
   }
   const int rc = cmd.body(in, out, err);
   export_telemetry(telemetry, err);
@@ -764,9 +761,9 @@ SIGTERM stop `study`/`archive`/`serve` cleanly at the next window boundary.
 degrees, scaling, correlate, stats, metrics, watch — responses over a fixed
 window range are byte-identical to the matching batch subcommand; `watch`
 streams window/anomaly events as ingest publishes.
-kernels dispatch on the host's best SIMD tier; OBSCORR_SIMD=scalar|sse42|avx2
-caps it — outputs are byte-identical at any tier (docs/performance.md
-"SIMD dispatch").
+CryptoPAN runs AES-NI where cpuid reports it; OBSCORR_SIMD=scalar keeps the
+byte-wise cipher — outputs are byte-identical either way (docs/performance.md
+"The AES-NI cipher").
 compressed archive entries decode through an LRU page cache; every command
 accepts --cache-bytes N (default: OBSCORR_CACHE_BYTES, then 256 MiB; 0
 disables) — results are byte-identical at any budget (docs/archive.md).

@@ -12,7 +12,7 @@
 /// bench/baselines/BENCH_service.json.
 ///
 /// usage: obscorr-bots (--unix PATH | --host H --port N)
-///          [--clients N=100] [--requests R=50] [--out FILE]
+///          [--clients N=100 (1-1024)] [--requests R=50] [--out FILE]
 ///          [--heavy] [--timeout SEC=30]
 ///
 /// The default mix is cheap queries only (stats/degrees/lookup/metrics);
@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -39,6 +40,7 @@
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "svc/json.hpp"
 
 namespace {
@@ -200,16 +202,28 @@ int run(const std::vector<std::string>& args) {
   Options opt;
   opt.unix_path = cli.get_or("unix", "");
   opt.host = cli.get_or("host", "127.0.0.1");
-  opt.port = static_cast<int>(cli.get_int("port", -1));
+  // Every integer flag is range-checked as read, before any narrowing
+  // cast: `--port 4294974366` must not wrap to 7070, nor `--clients -1`
+  // to 2^64 - 1 threads.
+  if (cli.has("port")) {
+    const std::int64_t port = cli.get_int("port", -1);
+    OBSCORR_REQUIRE(port >= 0 && port <= 65535, "obscorr-bots: --port must be in 0-65535");
+    opt.port = static_cast<int>(port);
+  }
   OBSCORR_REQUIRE(!opt.unix_path.empty() || opt.port >= 0,
                   "obscorr-bots: --unix PATH or --port N is required");
-  opt.clients = static_cast<std::size_t>(cli.get_int("clients", 100));
-  opt.requests = static_cast<std::size_t>(cli.get_int("requests", 50));
+  const std::int64_t clients = cli.get_int("clients", 100);
+  OBSCORR_REQUIRE(clients >= 1, "obscorr-bots: --clients must be at least 1");
+  // One client is one thread.
+  OBSCORR_REQUIRE(clients <= static_cast<std::int64_t>(obscorr::kMaxThreads),
+                  "obscorr-bots: --clients must be at most 1024");
+  opt.clients = static_cast<std::size_t>(clients);
+  const std::int64_t requests = cli.get_int("requests", 50);
+  OBSCORR_REQUIRE(requests >= 1, "obscorr-bots: --requests must be at least 1");
+  opt.requests = static_cast<std::size_t>(requests);
   opt.out_path = cli.get_or("out", "");
   opt.heavy = cli.has("heavy");
   opt.timeout_sec = cli.get_double("timeout", 30.0);
-  OBSCORR_REQUIRE(opt.clients > 0 && opt.requests > 0,
-                  "obscorr-bots: --clients and --requests must be positive");
   const auto stray = cli.unused();
   OBSCORR_REQUIRE(stray.empty(),
                   "obscorr-bots: unknown option --" + (stray.empty() ? "" : stray.front()));
