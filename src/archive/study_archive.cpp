@@ -1,6 +1,7 @@
 #include "archive/study_archive.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <exception>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include "common/error.hpp"
 #include "common/interrupt.hpp"
 #include "honeyfarm/honeyfarm.hpp"
+#include "obs/span.hpp"
 #include "telescope/telescope.hpp"
 
 namespace obscorr::archive {
@@ -615,14 +617,48 @@ core::StudyData StudyReader::study() const {
   return study;
 }
 
-core::StudyData StudyReader::analysis_study() const {
+core::StudyData StudyReader::analysis_study(ThreadPool& pool) const {
   core::StudyData study;
   study.scenario = scenario_;
-  study.snapshots.reserve(snapshot_count());
-  for (std::size_t k = 0; k < snapshot_count(); ++k) {
-    study.snapshots.push_back(snapshot(k, /*with_matrix=*/false));
+  study.snapshots.resize(snapshot_count());
+  study.months.resize(month_count());
+  // Entries in the serial read order: snapshot k's metadata and source
+  // reduction (2k), its assoc array (2k + 1), then month m (2K + m).
+  const std::size_t snapshot_entries = 2 * snapshot_count();
+  const std::size_t entries = snapshot_entries + month_count();
+  const obs::Span span("study.load", [&] { return std::to_string(entries); });
+  const auto load = [&](std::size_t e) {
+    if (e >= snapshot_entries) {
+      study.months[e - snapshot_entries] = month(e - snapshot_entries);
+      return;
+    }
+    const std::size_t k = e / 2;
+    core::SnapshotData& snap = study.snapshots[k];
+    if (e % 2 == 1) {
+      snap.sources = decode_assoc(reader_.payload(snapshot_entry(k, "assoc")).bytes);
+      return;
+    }
+    decode_snapshot_meta(reader_.payload(snapshot_entry(k, "meta")).bytes, snap);
+    snap.source_packets = source_packets(k);
+  };
+  // Entries differ in size by an order of magnitude, so workers claim
+  // them one at a time; each lands in its own slot (two entries fill
+  // disjoint members of one snapshot). A failed entry does not stop the
+  // others, and the first failure in read order is the one rethrown.
+  std::vector<std::exception_ptr> errors(entries);
+  std::atomic<std::size_t> next{0};
+  parallel_for(pool, 0, pool.thread_count(), [&](std::size_t, std::size_t) {
+    for (std::size_t e = next++; e < entries; e = next++) {
+      try {
+        load(e);
+      } catch (...) {
+        errors[e] = std::current_exception();
+      }
+    }
+  });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
-  study.months = months();
   return study;
 }
 

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdlib>
-#include <utility>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -20,12 +19,23 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   return value;
 }
 
-int resolve_thread_count(int requested) {
-  OBSCORR_REQUIRE(requested <= static_cast<int>(kMaxThreads), "option --threads is out of range");
-  if (requested > 0) return requested;
-  const std::int64_t env = env_int("OBSCORR_THREADS", 0);
-  OBSCORR_REQUIRE(env <= static_cast<std::int64_t>(kMaxThreads) && std::in_range<int>(env),
+namespace {
+
+/// OBSCORR_THREADS as a count in [0, kMaxThreads]; 0 when unset.
+std::int64_t env_thread_count(std::int64_t fallback) {
+  const std::int64_t threads = env_int("OBSCORR_THREADS", fallback);
+  OBSCORR_REQUIRE(threads >= 0 && threads <= static_cast<std::int64_t>(kMaxThreads),
                   "OBSCORR_THREADS is out of range");
+  return threads;
+}
+
+}  // namespace
+
+int resolve_thread_count(int requested) {
+  OBSCORR_REQUIRE(requested >= 0 && requested <= static_cast<int>(kMaxThreads),
+                  "option --threads is out of range");
+  if (requested > 0) return requested;
+  const std::int64_t env = env_thread_count(0);
   return env > 0 ? static_cast<int>(env) : static_cast<int>(ThreadPool::default_thread_count());
 }
 
@@ -35,10 +45,7 @@ BenchEnv BenchEnv::from_environment() {
   OBSCORR_REQUIRE(log2_nv >= 10 && log2_nv <= 34, "OBSCORR_LOG2_NV must be in [10,34]");
   env.log2_nv = static_cast<int>(log2_nv);
   env.seed = static_cast<std::uint64_t>(env_int("OBSCORR_SEED", static_cast<std::int64_t>(env.seed)));
-  const std::int64_t threads = env_int("OBSCORR_THREADS", env.threads);
-  OBSCORR_REQUIRE(threads <= static_cast<std::int64_t>(kMaxThreads) && std::in_range<int>(threads),
-                  "OBSCORR_THREADS is out of range");
-  env.threads = static_cast<int>(threads);
+  env.threads = static_cast<int>(env_thread_count(env.threads));
   return env;
 }
 

@@ -20,8 +20,8 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback);
 /// (the --threads flag) wins, otherwise OBSCORR_THREADS, otherwise the
 /// hardware default clamped to kMaxThreads (common/thread_pool.hpp). The
 /// result is always in [1, kMaxThreads]. Throws std::invalid_argument
-/// ("... is out of range") when --threads or OBSCORR_THREADS exceeds
-/// kMaxThreads.
+/// ("... is out of range") when --threads or OBSCORR_THREADS is negative
+/// or exceeds kMaxThreads; 0 means "not given".
 int resolve_thread_count(int requested = 0);
 
 /// Bench-harness configuration resolved from the environment.

@@ -1,6 +1,10 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
@@ -120,54 +124,72 @@ void ThreadPool::worker_loop() {
 
 namespace detail {
 
+namespace {
+
+/// One parallel_for call, shared with its queued tasks. Chunks are
+/// claimed from one cursor by the caller and by the workers that pop
+/// those tasks; a task popped after every chunk was claimed touches
+/// nothing else, so it may outlive the call.
+struct ChunkedCall {
+  ChunkedCall(std::size_t first, std::size_t n, std::size_t chunk_count, ParallelBody f)
+      : begin(first), base(n / chunk_count), extra(n % chunk_count), chunks(chunk_count),
+        body(f) {}
+
+  /// Claim and run chunks until none is left. A chunk's exception stays
+  /// here, never let out of a pool task; the lowest chunk's is kept.
+  void run_unclaimed() {
+    for (std::size_t c = next++; c < chunks; c = next++) {
+      // Static split: chunk c's bounds depend only on (n, chunks).
+      const std::size_t first = begin + c * base + std::min(c, extra);
+      const std::size_t last = first + base + (c < extra ? 1 : 0);
+      std::exception_ptr error;
+      try {
+        body(first, last);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::scoped_lock lock(mutex);
+      if (error && c < error_chunk) {
+        first_error = error;
+        error_chunk = c;
+      }
+      if (++finished == chunks) all_finished.notify_all();
+    }
+  }
+
+  const std::size_t begin, base, extra, chunks;
+  const ParallelBody body;  ///< only run while the caller waits
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;
+  std::condition_variable all_finished;
+  std::size_t finished = 0;
+  std::exception_ptr first_error;
+  std::size_t error_chunk = std::numeric_limits<std::size_t>::max();
+};
+
+}  // namespace
+
 void parallel_for_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,
                           ParallelBody body) {
-  const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(pool.thread_count(), n);
+  const std::size_t chunks = std::min(pool.thread_count(), end - begin);
   if (chunks <= 1) {
     body(begin, end);
     return;
   }
-  // Static split: chunk boundaries depend only on (n, chunks).
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;
-  std::size_t start = begin;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  ranges.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    ranges.emplace_back(start, start + len);
-    start += len;
+  const auto call = std::make_shared<ChunkedCall>(begin, end - begin, chunks, body);
+  for (std::size_t c = 0; c + 1 < chunks; ++c) {
+    pool.submit([call] { call->run_unclaimed(); });
   }
-  OBSCORR_INVARIANT(start == end);
-
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t remaining = ranges.size() - 1;
-  for (std::size_t c = 0; c + 1 < ranges.size(); ++c) {
-    pool.submit([&, c] {
-      body(ranges[c].first, ranges[c].second);
-      std::scoped_lock lock(done_mutex);
-      if (--remaining == 0) done_cv.notify_all();
-    });
-  }
-  body(ranges.back().first, ranges.back().second);
-  // Help drain the queue instead of sleeping: when this caller is itself
-  // a pool worker, its remaining chunks may sit queued behind it, and
-  // with every worker doing the same a sleeping wait would deadlock.
-  // Sleeping is safe only once the queue is empty — then every
-  // outstanding chunk is already executing on some other thread.
-  for (;;) {
-    {
-      std::unique_lock lock(done_mutex);
-      if (remaining == 0) return;
-    }
-    if (!pool.run_one_task()) {
-      std::unique_lock lock(done_mutex);
-      done_cv.wait(lock, [&] { return remaining == 0; });
-      return;
-    }
-  }
+  // The caller claims chunks alongside the workers and sleeps only on
+  // chunks already running on other threads, so progress never depends
+  // on a queue position, at any thread count and nesting depth. It never
+  // runs another caller's task: a pool task that waits here (a daemon
+  // request) never finds a second request, with its locks and its
+  // render, running inside it.
+  call->run_unclaimed();
+  std::unique_lock lock(call->mutex);
+  call->all_finished.wait(lock, [&] { return call->finished == chunks; });
+  if (call->first_error) std::rethrow_exception(call->first_error);
 }
 
 }  // namespace detail

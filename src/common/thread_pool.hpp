@@ -8,13 +8,15 @@
 /// split statically, so results never depend on scheduling.
 ///
 /// The pool tolerates nesting: a task (or `parallel_for` body) running on
-/// a worker may itself call `parallel_for` on the same pool. Instead of
-/// sleeping on work it may be blocking, a waiting caller helps drain the
-/// queue (`run_one_task`), so every pending chunk is always either queued
-/// or executing on some thread and progress is guaranteed at any thread
-/// count, including one. (`wait_idle` helps the same way, but waits for
-/// ALL tasks — including the caller's own, so only call it from threads
-/// outside the pool.)
+/// a worker may itself call `parallel_for` on the same pool. A waiting
+/// `parallel_for` caller claims and runs its own chunks that no worker
+/// has started, and sleeps only on chunks already running on other
+/// threads, so progress is guaranteed at any thread count, including
+/// one. It never runs another caller's task, so a pool task that calls
+/// `parallel_for` (a daemon request) never finds an unrelated task, with
+/// its locks, running inside it. (`wait_idle` instead helps drain the
+/// whole queue (`run_one_task`) and waits for ALL tasks — including the
+/// caller's own, so only call it from threads outside the pool.)
 
 #include <condition_variable>
 #include <cstddef>
@@ -111,6 +113,9 @@ inline constexpr std::size_t kParallelForInlineCutoff = 2;
 /// any reduction the caller does per-chunk is reproducible. Tiny ranges
 /// and 1-thread pools run the body inline as the single chunk
 /// [begin, end); nested calls from pool tasks are safe (see class docs).
+/// A body may throw: every chunk still runs to its end, and then the
+/// caller receives the exception of the lowest-numbered chunk that threw
+/// — the one a serial loop over the range would have raised first.
 template <typename Body>
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end, const Body& body) {
   if (begin >= end) return;

@@ -10,6 +10,11 @@
 ///    Gaussian / Cauchy / modified-Cauchy fits.
 ///  * `fit_grid`             — Figs. 7/8: best-fit modified-Cauchy (α, β)
 ///    across all snapshots and brightness bins.
+///
+/// Each counts the sources both observatories saw — the D4M intersection
+/// of a snapshot's and a month's row keys — with one galloping merge of
+/// the two sorted key lists per (snapshot, month) pair, binned by the
+/// snapshot's "packets" column.
 
 #include <cstdint>
 #include <optional>
@@ -73,9 +78,10 @@ struct FitGridCell {
 };
 
 /// All (snapshot × brightness-bin) temporal fits with enough sources.
-/// Cells are embarrassingly parallel: the pool overloads fit them as
+/// Each snapshot is binned once and each (snapshot, month) pair counted
+/// with one merge, as pool tasks; the cells are then fitted as
 /// `parallel_for` tasks into slots ordered (snapshot, bin) — identical
-/// output at any thread count; the pool-less overloads run on the
+/// output at any thread count. The pool-less overloads run on the
 /// process-global pool.
 std::vector<FitGridCell> fit_grid(const StudyData& study, std::uint64_t min_sources = 20);
 std::vector<FitGridCell> fit_grid(const StudyData& study, std::uint64_t min_sources,
@@ -88,9 +94,5 @@ std::vector<FitGridCell> fit_grid(std::span<const SnapshotData> snapshots,
 std::vector<FitGridCell> fit_grid(std::span<const SnapshotData> snapshots,
                                   std::span<const honeyfarm::MonthlyObservation> months,
                                   std::uint64_t min_sources, ThreadPool& pool);
-
-/// Sources of `snapshot` whose packet count lies in [2^bin, 2^(bin+1)),
-/// as dotted-quad keys (helper shared by the analyses and tests).
-std::vector<std::string> bin_sources(const SnapshotData& snapshot, int bin);
 
 }  // namespace obscorr::core

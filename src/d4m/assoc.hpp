@@ -65,6 +65,13 @@ class AssocArray {
   std::span<const std::string> row_keys() const { return row_keys_; }
   std::span<const std::string> col_keys() const { return col_keys_; }
 
+  /// The CSR arrays over the key indices: row r's entries are positions
+  /// [row_ptr()[r], row_ptr()[r + 1]) of `col_idx()` and `values()`, in
+  /// column-key order.
+  std::span<const std::uint64_t> row_ptr() const { return row_ptr_; }
+  std::span<const std::uint32_t> col_idx() const { return col_idx_; }
+  std::span<const double> values() const { return val_; }
+
   /// Value at (row, col); 0 when absent.
   double at(std::string_view row, std::string_view col) const;
 

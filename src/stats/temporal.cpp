@@ -1,10 +1,11 @@
 #include "stats/temporal.hpp"
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "common/error.hpp"
-#include "stats/norms.hpp"
 
 namespace obscorr::stats {
 
@@ -42,13 +43,22 @@ double peak_amplitude(const TemporalSeries& series) {
   return amp;
 }
 
+/// The | |^{1/2} residual of the predictions `predict(i)` against the
+/// observed fractions: half_norm_residual's terms, summed in its order,
+/// without materializing the predictions.
+template <typename Predict>
+double half_norm_of(const TemporalSeries& series, const Predict& predict) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < series.dt.size(); ++i) {
+    total += std::pow(std::abs(predict(i) - series.fraction[i]), 0.5);
+  }
+  return total;
+}
+
 template <typename Model>
 double residual_for(const TemporalSeries& series, const Model& model, double amplitude) {
-  std::vector<double> predicted(series.dt.size());
-  for (std::size_t i = 0; i < series.dt.size(); ++i) {
-    predicted[i] = amplitude * model.value(series.dt[i]);
-  }
-  return half_norm_residual(predicted, series.fraction);
+  return half_norm_of(series,
+                      [&](std::size_t i) { return amplitude * model.value(series.dt[i]); });
 }
 
 }  // namespace
@@ -61,11 +71,19 @@ TemporalFit<ModifiedCauchy> fit_modified_cauchy(const TemporalSeries& series) {
   fit.amplitude = amp;
   fit.residual = std::numeric_limits<double>::infinity();
 
-  // Coarse grid: α linear, β logarithmic (it is a scale parameter).
+  // Coarse grid: α linear, β logarithmic (it is a scale parameter). The
+  // β row of one α shares its |dt|^α, and each evaluation repeats
+  // ModifiedCauchy::value's arithmetic, so the fit is bit-identical to
+  // calling residual_for at every grid point.
+  std::vector<double> dt_pow(series.dt.size());
   for (double alpha = 0.05; alpha <= 4.0; alpha += 0.05) {
+    for (std::size_t i = 0; i < dt_pow.size(); ++i) {
+      dt_pow[i] = std::pow(std::abs(series.dt[i]), alpha);
+    }
     for (double log_beta = std::log(0.02); log_beta <= std::log(100.0); log_beta += 0.1) {
       const ModifiedCauchy m{alpha, std::exp(log_beta)};
-      const double r = residual_for(series, m, amp);
+      const double r = half_norm_of(
+          series, [&](std::size_t i) { return amp * (m.beta / (m.beta + dt_pow[i])); });
       if (r < fit.residual) {
         fit.residual = r;
         fit.model = m;

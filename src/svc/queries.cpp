@@ -318,8 +318,9 @@ JsonValue QueryEngine::q_lookup(const JsonValue& params) {
 }
 
 JsonValue QueryEngine::q_report() {
-  return text_result(
-      cached("report", [&](std::ostream& out) { render_study(reader_.analysis_study(), out); }));
+  return text_result(cached("report", [&](std::ostream& out) {
+    render_study(reader_.analysis_study(pool_), out);
+  }));
 }
 
 JsonValue QueryEngine::q_degrees(const JsonValue& params) {

@@ -129,6 +129,27 @@ TEST(ResolveThreadCountTest, RejectsCountsAboveTheThreadCeiling) {
   EXPECT_EQ(resolve_thread_count(2), 2);  // an explicit count never reads it
 }
 
+TEST(ResolveThreadCountTest, RejectsNegativeCounts) {
+  // A negative count is a usage error, not "use the default".
+  try {
+    (void)resolve_thread_count(-3);
+    ADD_FAILURE() << "--threads -3 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "option --threads is out of range");
+  }
+  EnvGuard guard("OBSCORR_THREADS", "-2");
+  try {
+    (void)resolve_thread_count(0);
+    ADD_FAILURE() << "OBSCORR_THREADS=-2 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "OBSCORR_THREADS is out of range");
+  }
+  EXPECT_THROW(BenchEnv::from_environment(), std::invalid_argument);
+  EXPECT_EQ(resolve_thread_count(2), 2);  // an explicit count never reads it
+  EnvGuard zero("OBSCORR_THREADS", "0");  // 0 still means "not given"
+  EXPECT_EQ(static_cast<std::size_t>(resolve_thread_count(0)), ThreadPool::default_thread_count());
+}
+
 TEST(ResolveThreadCountTest, HardwareDefaultStaysUnderTheCeiling) {
   EnvGuard unset("OBSCORR_THREADS", "");
   const int threads = resolve_thread_count(0);

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -213,6 +216,97 @@ TEST(ParallelForTest, OneThreadPoolRunsInlineAsSingleChunk) {
   });
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(chunks[0], (std::pair<std::size_t, std::size_t>{0, 1000}));
+}
+
+TEST(ParallelForTest, LowestChunkExceptionReachesTheCallerAfterEveryChunk) {
+  // Chunks 1 and 3 of [0, 400) on four workers throw, chunk 3 first:
+  // the caller must still receive chunk 1's exception, the one a serial
+  // loop raises, and only once every chunk has run to its end.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(400);
+  std::atomic<bool> chunk3_threw{false};
+  const auto wait_for_chunk3 = [&] {
+    for (int spin = 0; spin < 5000 && !chunk3_threw.load(); ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  try {
+    parallel_for(pool, 0, hits.size(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+      if (b == 100) {
+        wait_for_chunk3();
+        throw std::runtime_error("chunk 1");
+      }
+      if (b == 300) {
+        chunk3_threw.store(true);
+        throw std::logic_error("chunk 3");
+      }
+    });
+    ADD_FAILURE() << "no exception reached the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 1");
+  }
+  EXPECT_TRUE(chunk3_threw.load());
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+
+  // The pool is whole afterwards, and a one-thread pool throws inline.
+  std::atomic<int> after{0};
+  parallel_for(pool, 0, std::size_t{64}, [&](std::size_t b, std::size_t e) {
+    after.fetch_add(static_cast<int>(e - b));
+  });
+  EXPECT_EQ(after.load(), 64);
+  ThreadPool serial(1);
+  EXPECT_THROW(parallel_for(serial, 0, std::size_t{10},
+                            [](std::size_t, std::size_t) { throw std::runtime_error("x"); }),
+               std::runtime_error);
+}
+
+TEST(ParallelForTest, WaitingCallerRunsOnlyItsOwnChunks) {
+  // Worker B is held busy while an unrelated task U waits at the front
+  // of the queue, and a task on worker A calls parallel_for, whose chunk
+  // queues behind U. A must run that chunk itself and return without
+  // running U: a daemon request that fans out on the pool must never find
+  // another request, with its locks and its render, running inside it.
+  ThreadPool pool(2);
+  std::mutex m;
+  std::condition_variable cv;
+  bool hold_released = false;
+  bool holding = false;
+  pool.submit([&] {
+    std::unique_lock lock(m);
+    holding = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return hold_released; });
+  });
+  {
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return holding; });
+  }
+  std::atomic<bool> unrelated_ran{false};
+  std::atomic<bool> unrelated_ran_inside{true};
+  std::atomic<int> covered{0};
+  bool caller_done = false;
+  pool.submit([&] {
+    pool.submit([&] { unrelated_ran.store(true); });
+    parallel_for(pool, 0, std::size_t{100}, [&](std::size_t b, std::size_t e) {
+      covered.fetch_add(static_cast<int>(e - b));
+    });
+    unrelated_ran_inside.store(unrelated_ran.load());
+    std::scoped_lock lock(m);
+    caller_done = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock lock(m);
+    const bool done = cv.wait_for(lock, std::chrono::seconds(30), [&] { return caller_done; });
+    hold_released = true;
+    cv.notify_all();
+    ASSERT_TRUE(done);
+  }
+  pool.wait_idle();
+  EXPECT_EQ(covered.load(), 100);
+  EXPECT_FALSE(unrelated_ran_inside.load());
+  EXPECT_TRUE(unrelated_ran.load());
 }
 
 TEST(ParallelForTest, ChunkBoundariesDependOnlyOnRangeAndThreadCount) {

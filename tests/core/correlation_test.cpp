@@ -2,11 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
 #include <set>
 
-#include <cmath>
-
 #include "common/binning.hpp"
+#include "correlation_oracle.hpp"
 
 namespace obscorr::core {
 namespace {
@@ -35,7 +36,7 @@ TEST_F(CorrelationTest, BinSourcesPartitionTheSnapshot) {
   std::size_t total = 0;
   const int max_bin = log2_bin(static_cast<std::uint64_t>(snap.source_packets.reduce_max()));
   for (int b = 0; b <= max_bin; ++b) {
-    const auto keys = bin_sources(snap, b);
+    const auto keys = oracle::bin_sources(snap, b);
     total += keys.size();
     for (const std::string& key : keys) {
       const double d = snap.sources.at(key, "packets");
@@ -183,10 +184,117 @@ TEST_F(CorrelationTest, OneMonthDropInPaperRange) {
   EXPECT_GT(max_drop, 0.15);  // the churny mid-brightness bins are there
 }
 
+TEST_F(CorrelationTest, CountsAndFitsMatchThePerSourceOracle) {
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    for (const std::uint64_t min_sources : {0u, 20u, 100u}) {
+      oracle::expect_matches_oracle(study_->snapshots, study_->months, study_->half_log_nv(),
+                                    min_sources, pool,
+                                    std::to_string(threads) + " threads, min_sources " +
+                                        std::to_string(min_sources));
+    }
+  }
+}
+
 TEST_F(CorrelationTest, PeakCorrelationRequiresValidHalfLogNv) {
   EXPECT_THROW(
       peak_correlation(study_->snapshots[0], study_->months[4], 0.0),
       std::invalid_argument);
+}
+
+/// A one-column "packets" snapshot over `keys` (any order) with the given
+/// counts, plus an unrelated column on every third row; its source
+/// reduction carries the same counts, so fit_grid enumerates its bins.
+SnapshotData synthetic_snapshot(const std::vector<std::string>& keys,
+                                const std::vector<double>& packets, int month_index) {
+  std::vector<d4m::Triple> triples;
+  std::vector<gbl::Index> ids;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    triples.push_back({keys[i], "packets", packets[i]});
+    if (i % 3 == 0) triples.push_back({keys[i], "aa_other", 7.0});
+    ids.push_back(static_cast<gbl::Index>(i));
+  }
+  SnapshotData snap;
+  snap.month_index = month_index;
+  snap.sources = d4m::AssocArray::from_triples(std::move(triples));
+  snap.source_packets = gbl::SparseVec(std::move(ids), packets);
+  return snap;
+}
+
+honeyfarm::MonthlyObservation synthetic_month(const std::vector<std::string>& keys) {
+  std::vector<d4m::Triple> triples;
+  for (const std::string& key : keys) triples.push_back({key, "classification|malicious", 1.0});
+  honeyfarm::MonthlyObservation month;
+  month.sources = d4m::AssocArray::from_triples(std::move(triples));
+  return month;
+}
+
+TEST(CorrelationOracleTest, GallopingMergeMatchesLookupsOnRandomKeySets) {
+  // Key sets from a few to thousands of keys, dense and sparse against
+  // each other, with overlaps from none to all: every count, series and
+  // fit must equal the per-source lookups.
+  std::mt19937_64 rng(20260907);
+  std::vector<std::string> universe;
+  for (int i = 0; i < 6000; ++i) {
+    universe.push_back(std::to_string(rng() % 256) + "." + std::to_string(rng() % 256) + "." +
+                       std::to_string(rng() % 256) + "." + std::to_string(rng() % 256));
+  }
+  std::sort(universe.begin(), universe.end());
+  universe.erase(std::unique(universe.begin(), universe.end()), universe.end());
+  const auto subset = [&](double p) {
+    std::vector<std::string> keys;
+    std::bernoulli_distribution keep(p);
+    for (const std::string& key : universe) {
+      if (keep(rng)) keys.push_back(key);
+    }
+    return keys;
+  };
+  ThreadPool pool(4);
+  for (const double snapshot_share : {0.001, 0.05, 0.5, 1.0}) {
+    std::vector<SnapshotData> snapshots;
+    for (int k = 0; k < 3; ++k) {
+      const std::vector<std::string> keys = subset(snapshot_share);
+      std::vector<double> packets;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        // Log-uniform counts over bins 0-11, some below 1 (untracked).
+        packets.push_back(i % 17 == 0 ? 0.5 : std::floor(std::exp2(static_cast<double>(rng() % 1200) / 100.0)));
+      }
+      snapshots.push_back(synthetic_snapshot(keys, packets, k + 1));
+    }
+    std::vector<honeyfarm::MonthlyObservation> months;
+    for (const double month_share : {0.0, 0.002, 0.3, 0.9, 1.0}) {
+      months.push_back(synthetic_month(subset(month_share)));
+    }
+    oracle::expect_matches_oracle(snapshots, months, 6.0, 0, pool,
+                                  "snapshot share " + std::to_string(snapshot_share));
+  }
+}
+
+TEST(CorrelationOracleTest, EdgeKeySetsMatchLookups) {
+  // Month keys entirely below, entirely above, interleaved with and
+  // equal to the snapshot's; an empty month and an empty snapshot; and a
+  // snapshot whose assoc array has no "packets" column at all.
+  const std::vector<std::string> snap_keys = {"5.0.0.1", "5.0.0.3", "5.0.0.5", "5.0.0.7"};
+  const SnapshotData snap = synthetic_snapshot(snap_keys, {1.0, 2.0, 3.0, 900.0}, 2);
+  std::vector<honeyfarm::MonthlyObservation> months = {
+      synthetic_month({"1.0.0.1", "1.0.0.2"}),
+      synthetic_month({"9.0.0.1", "9.9.9.9"}),
+      synthetic_month({"5.0.0.0", "5.0.0.2", "5.0.0.4", "5.0.0.6", "5.0.0.8"}),
+      synthetic_month(snap_keys),
+      synthetic_month({}),
+      synthetic_month({"5.0.0.7"}),
+  };
+  ThreadPool pool(2);
+  const std::vector<SnapshotData> one = {snap};
+  oracle::expect_matches_oracle(one, months, 6.0, 0, pool, "edges");
+  oracle::expect_matches_oracle(one, months, 6.0, 1, pool, "edges, min 1");
+  const std::vector<SnapshotData> empty = {synthetic_snapshot({}, {}, 0)};
+  oracle::expect_matches_oracle(empty, months, 6.0, 0, pool, "empty snapshot");
+
+  SnapshotData no_packets = snap;
+  no_packets.sources = d4m::AssocArray::from_triples({{"5.0.0.1", "bytes", 10.0}});
+  const std::vector<SnapshotData> unpacketed = {no_packets};
+  oracle::expect_matches_oracle(unpacketed, months, 6.0, 0, pool, "no packets column");
 }
 
 }  // namespace

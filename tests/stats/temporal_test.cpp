@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/prng.hpp"
+#include "modified_cauchy_reference.hpp"
 
 namespace obscorr::stats {
 namespace {
@@ -177,6 +178,47 @@ TEST(TemporalFitTest, BetaMixtureIdentityMatchesDriftingBeam) {
   const ModifiedCauchy expected{1.0, a};
   for (std::size_t k = 0; k < overlap.size(); ++k) {
     EXPECT_NEAR(overlap[k] / n, expected.value(static_cast<double>(k)), 0.005) << "k=" << k;
+  }
+}
+
+/// Months around a coeval month at index `peak`, with the given fractions.
+TemporalSeries series_of(int peak, const std::vector<double>& fraction) {
+  TemporalSeries s;
+  for (std::size_t m = 0; m < fraction.size(); ++m) {
+    s.dt.push_back(static_cast<double>(static_cast<int>(m) - peak));
+  }
+  s.fraction = fraction;
+  return s;
+}
+
+TEST(ModifiedCauchyReferenceTest, HandBuiltSeriesFitBitIdentically) {
+  // The grid shares |dt|^alpha across each alpha's beta row; these
+  // degenerate shapes must still take the reference's exact path.
+  std::vector<double> one_month(15, 0.0);
+  one_month[4] = 0.37;
+  std::vector<double> off_peak(15, 0.0);
+  off_peak[9] = 0.5;
+  std::vector<double> decaying(15);
+  for (std::size_t m = 0; m < decaying.size(); ++m) {
+    decaying[m] = 0.8 / (1.0 + static_cast<double>(14 - m));
+  }
+  const std::vector<std::pair<std::string, TemporalSeries>> cases = {
+      {"all zero", series_of(4, std::vector<double>(15, 0.0))},
+      {"all one", series_of(4, std::vector<double>(15, 1.0))},
+      {"one nonzero month at the peak", series_of(4, one_month)},
+      {"one nonzero month off the peak", series_of(4, off_peak)},
+      {"dt = 0 only at the last month", series_of(14, decaying)},
+      {"three months", series_of(1, {0.2, 0.6, 0.3})},
+  };
+  for (const auto& [name, series] : cases) {
+    reference::expect_reference_fit(fit_modified_cauchy(series), series, name);
+  }
+  for (const auto& params : {ModifiedCauchy{0.4, 0.3}, ModifiedCauchy{1.0, 4.0}}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const TemporalSeries noisy = synth_series(params, 0.7, 0.05, seed);
+      reference::expect_reference_fit(fit_modified_cauchy(noisy), noisy,
+                                       "synthetic seed " + std::to_string(seed));
+    }
   }
 }
 

@@ -18,12 +18,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -517,6 +519,19 @@ TEST(SvcServerTest, DrainFlushesInFlightResponseThenRefusesNewWork) {
   }
 }
 
+/// Runs `fn` when the scope ends, however it ends (a failed ASSERT
+/// returns from the test body).
+class ScopeExit {
+ public:
+  explicit ScopeExit(std::function<void()> fn) : fn_(std::move(fn)) {}
+  ~ScopeExit() { fn_(); }
+  ScopeExit(const ScopeExit&) = delete;
+  ScopeExit& operator=(const ScopeExit&) = delete;
+
+ private:
+  std::function<void()> fn_;
+};
+
 /// The serve command's on_publish wiring, reproduced for tests: run the
 /// monitor over the published window's sample, push the heartbeat plus
 /// any anomaly events to watchers.
@@ -549,6 +564,12 @@ TEST(SvcServerTest, WatchDeliversEveryWindowExactlyOnceWithAnomalies) {
   Server server(cfg, engine, pool);
   server.bind();
   std::thread serve_thread([&] { server.serve(); });
+  // Every exit path, a failed ASSERT included, stops the server and joins
+  // its thread.
+  const ScopeExit stop_server([&] {
+    server.request_stop();
+    if (serve_thread.joinable()) serve_thread.join();
+  });
 
   Client early(server.port(), /*timeout_sec=*/30.0);
   ASSERT_TRUE(early.connected());
@@ -565,9 +586,32 @@ TEST(SvcServerTest, WatchDeliversEveryWindowExactlyOnceWithAnomalies) {
   icfg.surge_start = 8;
   icfg.surge_len = 2;
   icfg.surge_factor = 8.0;
-  icfg.on_publish = monitor_publisher(server, monitor);
+  // The ten windows publish within milliseconds, so the ingest holds at
+  // window 3 until the late watcher's subscription is acknowledged: the
+  // late watcher joins mid-ingest by construction, not by timing.
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  const auto open_gate = [&] {
+    {
+      const std::lock_guard lk(gate_mu);
+      gate_open = true;
+    }
+    gate_cv.notify_all();
+  };
+  icfg.on_publish = [&, publish = monitor_publisher(server, monitor)](const PublishedWindow& pw) {
+    publish(pw);
+    if (pw.meta.window == 2) {
+      std::unique_lock lk(gate_mu);
+      gate_cv.wait_for(lk, std::chrono::seconds(60), [&] { return gate_open; });
+    }
+  };
   IngestLoop ingest(dir, engine, pool, icfg);
   ingest.start();
+  const ScopeExit stop_ingest([&] {
+    open_gate();
+    ingest.stop_and_join();
+  });
 
   // Churn: watchers that subscribe and immediately vanish, mid-stream.
   for (int k = 0; k < 3; ++k) {
@@ -586,6 +630,8 @@ TEST(SvcServerTest, WatchDeliversEveryWindowExactlyOnceWithAnomalies) {
   ASSERT_TRUE(late_ack.has_value());
   const std::uint64_t late_windows = late_ack->find("result")->find("windows")->as_uint();
   EXPECT_GE(late_windows, 3u);
+  EXPECT_EQ(late_windows, 3u);  // held at window 3: the join is mid-ingest
+  open_gate();
 
   // Drain the early watcher's stream until the final heartbeat.
   std::vector<std::uint64_t> seen;
@@ -644,6 +690,31 @@ TEST(SvcServerTest, WatchDeliversEveryWindowExactlyOnceWithAnomalies) {
   }
   EXPECT_TRUE(early.at_eof());
   EXPECT_TRUE(late.at_eof());
+}
+
+TEST(SvcServerTest, ConcurrentColdReportsAllAnswer) {
+  // `report` loads the archive as pool tasks from inside its request.
+  // Eight cold reports at once, on two workers: the render waits only on
+  // its own chunks, so it never runs a queued twin of itself, which
+  // would wait forever on the render's own unfinished cache entry.
+  RunningServer rs({}, /*threads=*/2);
+  std::vector<std::string> answers(8);
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    clients.emplace_back([&, i] {
+      Client c(rs.port(), /*timeout_sec=*/60.0);
+      if (!c.connected()) return;
+      const auto resp = c.query(R"({"query":"report"})");
+      if (resp && resp->find("ok")->as_bool()) {
+        answers[i] = resp->find("result")->find("text")->as_string();
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_FALSE(answers[i].empty()) << "request " << i << " got no report";
+    EXPECT_EQ(answers[i], answers[0]) << "request " << i;
+  }
 }
 
 TEST(SvcServerTest, WatcherDisconnectsCleanlyDuringDrain) {

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -359,6 +360,76 @@ TEST(CliToolTest, ReportFromArchiveWritesSameArtifacts) {
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(fresh_dir);
   std::filesystem::remove_all(from_dir);
+}
+
+/// Every file of `dir` by name, with its bytes.
+std::vector<std::pair<std::string, std::string>> directory_bytes(const std::string& dir) {
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files.emplace_back(entry.path().filename().string(),
+                       std::string(std::istreambuf_iterator<char>(in), {}));
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+TEST(CliToolTest, ReportFromArchiveIsTheSameAtEveryThreadCount) {
+  // The load decodes entries as pool tasks and fit_grid merges and fits
+  // on the same pool: the written report must not depend on its size.
+  const std::string golden = OBSCORR_TEST_DATA_DIR "/golden_study";
+  std::vector<std::vector<std::pair<std::string, std::string>>> reports;
+  for (const char* threads : {"1", "4"}) {
+    const std::string out_dir = temp(std::string("cli_report_threads_") + threads);
+    std::filesystem::remove_all(out_dir);
+    std::filesystem::create_directories(out_dir);
+    std::ostringstream out, err;
+    ASSERT_EQ(run({"report", "--from", golden, "--out", out_dir, "--threads", threads}, out, err),
+              0)
+        << err.str();
+    reports.push_back(directory_bytes(out_dir));
+    std::filesystem::remove_all(out_dir);
+  }
+  ASSERT_EQ(reports[0].size(), 6u);
+  EXPECT_EQ(reports[0], reports[1]);
+}
+
+TEST(CliToolTest, ReportFromTwoMonthArchiveIsCleanError) {
+  // An archive may hold any month count, and a temporal fit needs three
+  // months. The fit's error must reach the user as a usage error at any
+  // thread count, not terminate the process from a pool worker.
+  const std::string dir = temp("cli_two_month_archive");
+  {
+    core::StudyData study = archive::read_study(OBSCORR_TEST_DATA_DIR "/golden_study");
+    // Keep 2020-06 and 2020-07 with their two snapshots, re-indexed.
+    const int first = study.snapshots[0].month_index;
+    study.scenario.months = {study.scenario.months[static_cast<std::size_t>(first)],
+                             study.scenario.months[static_cast<std::size_t>(first) + 1]};
+    study.scenario.snapshots.resize(2);
+    study.months = {study.months[static_cast<std::size_t>(first)],
+                    study.months[static_cast<std::size_t>(first) + 1]};
+    study.snapshots.resize(2);
+    for (auto& snap : study.snapshots) snap.month_index -= first;
+    archive::write_study(study, dir);
+  }
+  const std::string out_dir = temp("cli_two_month_report");
+  for (const char* threads : {"1", "4"}) {
+    std::filesystem::remove_all(out_dir);
+    std::filesystem::create_directories(out_dir);
+    std::ostringstream out, err;
+    EXPECT_EQ(run({"report", "--from", dir, "--out", out_dir, "--threads", threads}, out, err), 2)
+        << threads;
+    EXPECT_EQ(out.str(), "") << threads;
+    const std::string message = "error: temporal fit: need at least 3 observations\n";
+    ASSERT_GE(err.str().size(), message.size()) << err.str();
+    EXPECT_EQ(err.str().substr(err.str().size() - message.size()), message) << err.str();
+
+    std::ostringstream study_out, study_err;
+    EXPECT_EQ(run({"study", "--from", dir, "--threads", threads}, study_out, study_err), 2);
+    EXPECT_EQ(study_err.str(), message) << threads;
+  }
+  std::filesystem::remove_all(out_dir);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CliToolTest, FromMissingArchiveIsCleanError) {
@@ -820,6 +891,8 @@ TEST(CliToolTest, UsageErrorsPrintTheirMessageAlone) {
       // Fits an `int` but is past the thread ceiling: rejected before
       // any pool starts a thread.
       {{"study", "--log2-nv", "12", "--threads", "1025"}, "option --threads is out of range"},
+      // Negative is not "not given": it is out of range.
+      {{"study", "--log2-nv", "12", "--threads", "-3"}, "option --threads is out of range"},
   };
   for (const auto& [args, message] : cases) {
     std::ostringstream out, err;
@@ -828,6 +901,21 @@ TEST(CliToolTest, UsageErrorsPrintTheirMessageAlone) {
     EXPECT_EQ(err.str(), "error: " + message + "\n");
   }
   archive::set_cache_bytes(std::nullopt);
+
+  // The environment's thread count is checked the same way.
+  const char* saved = std::getenv("OBSCORR_THREADS");
+  const std::optional<std::string> old_threads =
+      saved != nullptr ? std::optional<std::string>(saved) : std::nullopt;
+  ::setenv("OBSCORR_THREADS", "-2", 1);
+  std::ostringstream out, err;
+  EXPECT_EQ(run({"study", "--log2-nv", "12"}, out, err), 2);
+  EXPECT_EQ(out.str(), "");
+  EXPECT_EQ(err.str(), "error: OBSCORR_THREADS is out of range\n");
+  if (old_threads) {
+    ::setenv("OBSCORR_THREADS", old_threads->c_str(), 1);
+  } else {
+    ::unsetenv("OBSCORR_THREADS");
+  }
 }
 
 /// Publish `windows` more live windows of 4096 valid packets into `dir`

@@ -196,11 +196,11 @@ int cmd_degrees(const Invocation& in, std::ostream& out, std::ostream& /*err*/) 
   return 0;
 }
 
-/// The campaign `study` and `report` print: --from DIR's, else a fresh run.
-core::StudyData campaign(const Invocation& in) {
+/// The campaign `study` and `report` print: --from DIR's, else a fresh
+/// run; either way built on `pool`.
+core::StudyData campaign(const Invocation& in, ThreadPool& pool) {
   const auto from = in.cli.get("from");
-  if (from.has_value()) return archive::StudyReader(*from).analysis_study();
-  ThreadPool pool(in.threads);
+  if (from.has_value()) return archive::StudyReader(*from).analysis_study(pool);
   return core::run_study(in.scenario(), pool);
 }
 
@@ -209,7 +209,8 @@ int cmd_study(const Invocation& in, std::ostream& out, std::ostream& err) {
   // exits at the next window boundary with a pointer at the resumable
   // path (`obscorr archive`) instead of dying mid-frame.
   if (!in.cli.has("from")) interrupt::install_handlers();
-  const core::StudyData study = campaign(in);
+  ThreadPool pool(in.threads);
+  const core::StudyData study = campaign(in, pool);
   svc::render_study(study, out);
 
   // Surface the telescope bookkeeping the capture accumulated. Derived
@@ -293,7 +294,8 @@ int cmd_report(const Invocation& in, std::ostream& /*out*/, std::ostream& err) {
     err << "wrote " << path << '\n';
   };
 
-  const core::StudyData study = campaign(in);
+  ThreadPool pool(in.threads);
+  const core::StudyData study = campaign(in, pool);
 
   // Table I.
   TextTable t1;
@@ -335,7 +337,7 @@ int cmd_report(const Invocation& in, std::ostream& /*out*/, std::ostream& err) {
   csv(f4, "fig4_peak_correlation");
 
   // Figures 5-8 from the fit grid.
-  const auto grid = core::fit_grid(study, 20);
+  const auto grid = core::fit_grid(study, 20, pool);
   TextTable f6;
   f6.set_header({"snapshot", "d_bin", "dt_months", "fraction", "fit"});
   TextTable f78;

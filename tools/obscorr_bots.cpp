@@ -18,6 +18,10 @@
 /// The default mix is cheap queries only (stats/degrees/lookup/metrics);
 /// --heavy adds report and scaling, which render once and then serve
 /// from the daemon's cache.
+///
+/// Exit status: 0 when every request sent was answered `ok`; 1 when one
+/// was not, or when no client sent a request at all (no daemon listens);
+/// 2 on a usage error.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -28,6 +32,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -158,8 +163,11 @@ void run_bot(const Options& opt, std::size_t bot_index,
     ++connect_failures;
     return;
   }
-  const timeval tv{static_cast<time_t>(opt.timeout_sec),
-                   static_cast<suseconds_t>((opt.timeout_sec - static_cast<time_t>(opt.timeout_sec)) * 1e6)};
+  // Past 10^9 s (about 31 years) a timeout is as good as none, and the
+  // cast to time_t stays in range.
+  const double timeout = std::min(opt.timeout_sec, 1e9);
+  const timeval tv{static_cast<time_t>(timeout),
+                   static_cast<suseconds_t>((timeout - static_cast<time_t>(timeout)) * 1e6)};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 
@@ -224,6 +232,8 @@ int run(const std::vector<std::string>& args) {
   opt.out_path = cli.get_or("out", "");
   opt.heavy = cli.has("heavy");
   opt.timeout_sec = cli.get_double("timeout", 30.0);
+  OBSCORR_REQUIRE(std::isfinite(opt.timeout_sec) && opt.timeout_sec > 0.0,
+                  "obscorr-bots: --timeout must be a positive number of seconds");
   const auto stray = cli.unused();
   OBSCORR_REQUIRE(stray.empty(),
                   "obscorr-bots: unknown option --" + (stray.empty() ? "" : stray.front()));
@@ -297,7 +307,13 @@ int run(const std::vector<std::string>& args) {
     std::cout << text << '\n';
   }
   // The harness succeeds when the daemon answered: shed connections are
-  // expected under deliberate overload, hard errors are not.
+  // expected under deliberate overload, hard errors are not, and a run
+  // in which no client got to send anything measured nothing.
+  if (total == 0) {
+    std::cerr << "obscorr-bots: no client sent a request (connect failures: " << refused
+              << ")\n";
+    return 1;
+  }
   return errors == 0 ? 0 : 1;
 }
 
