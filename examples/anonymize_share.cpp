@@ -5,6 +5,7 @@
 ///
 ///   $ ./anonymize_share
 
+#include <cstddef>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -62,9 +63,10 @@ int main() {
   }
   const d4m::AssocArray shared = d4m::from_addresses(sources, packets, "packets");
   std::cout << "anonymized result set shared with the partner:\n";
-  for (const std::string& row : shared.row_keys()) {
-    for (const auto& [col, value] : shared.row(row)) {
-      std::cout << row << '\t' << col << '\t' << value << '\n';
+  for (std::size_t r = 0; r < shared.row_keys().size(); ++r) {
+    for (std::uint64_t k = shared.row_ptr()[r]; k < shared.row_ptr()[r + 1]; ++k) {
+      std::cout << shared.row_keys()[r] << '\t' << shared.col_keys()[shared.col_idx()[k]] << '\t'
+                << shared.values()[k] << '\n';
     }
   }
   std::cout << '\n';

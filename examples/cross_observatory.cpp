@@ -11,13 +11,18 @@
 ///
 ///   $ ./cross_observatory [log2_nv]   (default 18)
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/table.hpp"
 #include "core/correlation.hpp"
 #include "core/study.hpp"
+#include "honeyfarm/database.hpp"
 
 int main(int argc, char** argv) {
   using namespace obscorr;
@@ -54,27 +59,30 @@ int main(int argc, char** argv) {
   }
 
   // 3. D4M join: enrichment of the snapshot's brightest sources in the
-  //    coeval honeyfarm month (the "what is this scanner" question).
+  //    coeval honeyfarm month (the "what is this scanner" question). A
+  //    one-month database's lookup labels each facet with the first
+  //    column, in key order, that holds a positive value for the source.
   const auto& snap = study.snapshots[0];
-  const auto& month = study.months[static_cast<std::size_t>(snap.month_index)];
+  const d4m::AssocArray& packets = snap.sources;  // one "packets" column
   std::vector<std::pair<double, std::string>> ranked;
-  for (const auto& t : snap.sources.to_triples()) ranked.emplace_back(t.val, t.row);
+  for (std::size_t r = 0; r < packets.row_keys().size(); ++r) {
+    ranked.emplace_back(packets.values()[packets.row_ptr()[r]], packets.row_keys()[r]);
+  }
   std::sort(ranked.rbegin(), ranked.rend());
+  const honeyfarm::Database coeval(std::vector<honeyfarm::MonthlyObservation>{
+      study.months[static_cast<std::size_t>(snap.month_index)]});
 
   TextTable enrich("\nbrightest telescope sources, enriched by the outpost");
   enrich.set_header({"source", "telescope packets", "classification", "intent", "contacts"});
-  const auto facet = [&](const std::string& ip, const std::string& prefix) -> std::string {
-    const d4m::AssocArray cols = month.sources.select_cols_prefix(prefix);
-    for (const auto& col : cols.col_keys()) {
-      if (month.sources.at(ip, col) > 0.0) return std::string(col.substr(prefix.size()));
-    }
-    return "(not seen)";
+  const auto facet = [](const std::string& label) {
+    return label.empty() ? std::string("(not seen)") : label;
   };
   for (std::size_t r = 0; r < 8 && r < ranked.size(); ++r) {
     const std::string& ip = ranked[r].second;
+    const auto profile = coeval.lookup(ip).value_or(honeyfarm::SourceProfile{});
     enrich.add_row({ip, fmt_count(static_cast<std::uint64_t>(ranked[r].first)),
-                    facet(ip, "classification|"), facet(ip, "intent|"),
-                    fmt_count(static_cast<std::uint64_t>(month.sources.at(ip, "contacts")))});
+                    facet(profile.classification), facet(profile.intent),
+                    fmt_count(static_cast<std::uint64_t>(profile.peak_contacts))});
   }
   enrich.print(std::cout);
   return 0;

@@ -7,7 +7,10 @@
 /// This is the five-minute tour of the public API; see darknet_monitor
 /// and cross_observatory for the full instruments.
 
+#include <algorithm>
+#include <cstddef>
 #include <iostream>
+#include <string_view>
 #include <vector>
 
 #include "common/ipv4.hpp"
@@ -16,6 +19,7 @@
 #include "d4m/gbl_bridge.hpp"
 #include "gbl/dcsr.hpp"
 #include "gbl/quantities.hpp"
+#include "gbl/sparse_vec.hpp"
 #include "telescope/quadrants.hpp"
 
 int main() {
@@ -62,8 +66,14 @@ int main() {
 
   // 5. Reduce to per-source packets and convert to a D4M associative
   //    array keyed by dotted-quad strings — the correlation currency.
-  const d4m::AssocArray sources = d4m::from_sparse_vec(traffic.reduce_rows(), "packets");
-  std::cout << "D4M rows: " << sources.row_keys().size()
-            << ", packets from 1.1.1.1: " << sources.at("1.1.1.1", "packets") << '\n';
+  //    Its one column holds row r's packets at values()[row_ptr()[r]].
+  const gbl::SparseVec per_source = traffic.reduce_rows();
+  const d4m::AssocArray sources =
+      d4m::from_addresses(per_source.indices(), per_source.values(), "packets");
+  const auto keys = sources.row_keys();
+  const auto r = static_cast<std::size_t>(
+      std::lower_bound(keys.begin(), keys.end(), std::string_view("1.1.1.1")) - keys.begin());
+  std::cout << "D4M rows: " << keys.size()
+            << ", packets from 1.1.1.1: " << sources.values()[sources.row_ptr()[r]] << '\n';
   return 0;
 }

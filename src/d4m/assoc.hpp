@@ -11,8 +11,12 @@
 /// String-valued data (e.g. GreyNoise classifications) is represented in
 /// the canonical D4M *exploded schema*: the value moves into the column
 /// key, `A('1.2.3.4', 'intent|malicious') = 1`, keeping stored values
-/// numeric. Intersection of observatories then reduces to element-wise
-/// multiplication — pure associative-array algebra.
+/// numeric. This module holds the arrays' storage: canonical CSR arrays
+/// (`from_csr`), their archive encoding, and validated read-only views of
+/// that encoding, which the production reads walk directly. The paper's
+/// algebra over them (element-wise ops, zero-norm, column selection, row
+/// sums) is the tests' reference, in the triple formulation of
+/// tests/d4m/assoc_oracle.hpp.
 
 #include <cstddef>
 #include <cstdint>
@@ -25,27 +29,12 @@
 
 namespace obscorr::d4m {
 
-/// One (row, col, value) triple with string keys.
-struct Triple {
-  std::string row;
-  std::string col;
-  double val = 0.0;
-
-  friend bool operator==(const Triple&, const Triple&) = default;
-};
-
 /// Immutable associative array. Row and column key sets are sorted and
-/// deduplicated; entries are stored CSR-style over the key indices. The
-/// algebra (element-wise ops, column selection, row sums) walks those CSR
-/// arrays directly and writes its result in canonical form.
+/// deduplicated; entries are stored CSR-style over the key indices.
 class AssocArray {
  public:
   /// The empty array.
   AssocArray();
-
-  /// Build from triples; duplicate (row, col) values are summed
-  /// (GraphBLAS "plus" accumulation, the D4M default).
-  static AssocArray from_triples(std::vector<Triple> triples);
 
   /// Adopt CSR arrays that are already in canonical form: strictly
   /// increasing row and column keys, `row_ptr` of size rows + 1 running
@@ -72,46 +61,6 @@ class AssocArray {
   std::span<const std::uint32_t> col_idx() const { return col_idx_; }
   std::span<const double> values() const { return val_; }
 
-  /// Value at (row, col); 0 when absent.
-  double at(std::string_view row, std::string_view col) const;
-
-  /// True when the row key has at least one stored entry.
-  bool has_row(std::string_view row) const;
-
-  /// The (column key, value) entries of one row in column-key order;
-  /// empty when the row is absent. The keys view this array's storage.
-  std::vector<std::pair<std::string_view, double>> row(std::string_view key) const;
-
-  /// Element-wise sum over the union of cells (D4M `A + B`).
-  static AssocArray ewise_add(const AssocArray& a, const AssocArray& b);
-
-  /// Element-wise product over the intersection of cells (D4M `A & B`);
-  /// the correlation primitive: nonzeros are cells present in both.
-  static AssocArray ewise_mult(const AssocArray& a, const AssocArray& b);
-
-  /// Element-wise maximum over the union of cells (the D4M max semiring,
-  /// e.g. peak monthly contact counts across a span of months).
-  static AssocArray ewise_max(const AssocArray& a, const AssocArray& b);
-
-  /// Zero-norm |A|₀: every stored value becomes 1.
-  AssocArray logical() const;
-
-  /// Sub-array of the columns whose key is in `keys` (D4M `A(:, keys)`).
-  AssocArray select_cols(std::span<const std::string> keys) const;
-
-  /// Sub-array of columns whose key starts with `prefix` (the D4M
-  /// `A(:, 'intent|*')` idiom over an exploded schema).
-  AssocArray select_cols_prefix(std::string_view prefix) const;
-
-  /// Row sums `A·1` as a one-column array (column key "sum").
-  AssocArray row_sum() const;
-
-  /// Sum of all stored values.
-  double reduce_sum() const;
-
-  /// Export all entries as sorted triples.
-  std::vector<Triple> to_triples() const;
-
   /// Binary serialization ("OBSD4MA1", little-endian): the study-archive
   /// representation. Exact — values round-trip bit-for-bit and keys are
   /// raw bytes (empty strings and non-ASCII bytes survive).
@@ -127,22 +76,9 @@ class AssocArray {
   friend bool operator==(const AssocArray&, const AssocArray&) = default;
 
  private:
-  friend class AssocView;
-
   /// Throws std::invalid_argument, with messages prefixed by `who`,
   /// unless the members are in canonical form (see from_csr).
   void validate(std::string_view who) const;
-
-  /// The element-wise walk behind ewise_add/mult/max over the union of
-  /// cells (the intersection when `intersect`); a cell stored in both
-  /// operands becomes combine(a, b).
-  template <typename Combine>
-  static AssocArray merge(const AssocArray& a, const AssocArray& b, bool intersect,
-                          Combine combine);
-
-  /// The entries in the columns `keep_col` flags; rows left empty and
-  /// column keys left unreferenced are dropped.
-  AssocArray filter(const std::vector<bool>& keep_col) const;
 
   std::vector<std::string> row_keys_;
   std::vector<std::string> col_keys_;
@@ -178,12 +114,8 @@ class AssocView {
   std::span<const std::string_view> col_keys() const { return col_keys_; }
 
   /// The (column key, value) entries of one row in column-key order;
-  /// empty when the row is absent (AssocArray::row over the bytes).
+  /// empty when the row is absent.
   std::vector<std::pair<std::string_view, double>> row(std::string_view key) const;
-
-  /// Owning copy (what `read_binary` returns for the same bytes); the
-  /// checks already ran, so it copies and nothing else.
-  AssocArray materialize() const;
 
  private:
   std::uint64_t row_ptr(std::size_t r) const;
@@ -198,10 +130,5 @@ class AssocView {
   std::size_t nnz_ = 0;
   std::shared_ptr<const void> owner_;  ///< keeps a page or buffer alive
 };
-
-/// Sorted intersection of two key sets; the paper's "sources seen by both
-/// observatories" operation.
-std::vector<std::string> intersect_keys(std::span<const std::string> a,
-                                        std::span<const std::string> b);
 
 }  // namespace obscorr::d4m

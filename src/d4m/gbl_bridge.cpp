@@ -58,8 +58,4 @@ AssocArray from_addresses(std::span<const std::uint32_t> addresses,
                               std::vector<std::uint32_t>(rows.size(), 0), std::move(val));
 }
 
-AssocArray from_sparse_vec(const gbl::SparseVec& vec, std::string col_key) {
-  return from_addresses(vec.indices(), vec.values(), std::move(col_key));
-}
-
 }  // namespace obscorr::d4m

@@ -5,10 +5,11 @@
 /// The paper's workflow: network quantities are computed from hypersparse
 /// GraphBLAS matrices, then "the reduced results are converted to D4M
 /// associative arrays to facilitate correlation" with the GreyNoise
-/// associative arrays. These adapters are that conversion — sparse vectors
-/// over uint32 IPv4 ids become one-column associative arrays keyed by
-/// dotted-quad strings. Every array keyed by addresses orders its rows
-/// with `text_key`, so this module owns that order.
+/// associative arrays. `from_addresses` is that conversion: a reduced
+/// vector's uint32 IPv4 ids and values (`v.indices()`, `v.values()`)
+/// become a one-column associative array keyed by dotted-quad strings.
+/// Every array keyed by addresses orders its rows with `text_key`, so
+/// this module owns that order.
 
 #include <array>
 #include <cstdint>
@@ -17,7 +18,6 @@
 
 #include "common/ipv4.hpp"
 #include "d4m/assoc.hpp"
-#include "gbl/sparse_vec.hpp"
 
 namespace obscorr::d4m {
 
@@ -38,9 +38,5 @@ std::string key_text(const IpKey& key);
 /// differ in length.
 AssocArray from_addresses(std::span<const std::uint32_t> addresses,
                           std::span<const double> values, std::string col_key);
-
-/// Convert a reduced GraphBLAS vector (e.g. source packets `A·1`) to a
-/// one-column associative array keyed by dotted-quad IPv4 strings.
-AssocArray from_sparse_vec(const gbl::SparseVec& vec, std::string col_key);
 
 }  // namespace obscorr::d4m

@@ -99,13 +99,4 @@ std::optional<SourceProfile> Database::lookup(const std::string& ip) const {
   return profile;
 }
 
-std::vector<std::string> Database::persistent_sources(int min_months) const {
-  OBSCORR_REQUIRE(min_months >= 1, "persistent_sources: min_months must be >= 1");
-  std::vector<std::string> out;
-  merge_keys(months_, [&](std::string_view key, int seen) {
-    if (seen >= min_months) out.emplace_back(key);
-  });
-  return out;
-}
-
 }  // namespace obscorr::honeyfarm

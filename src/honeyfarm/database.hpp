@@ -10,8 +10,10 @@
 ///
 /// The paper's D4M formulation of the same answers, months seen as the
 /// plus fold of |A_m|₀·1 and peak activity as the max fold of the
-/// contacts column, is the test oracle (tests/honeyfarm/fold_oracle.hpp),
-/// not the query path.
+/// contacts column, is the test oracle (tests/honeyfarm/fold_oracle.hpp,
+/// over the triple-formulation algebra of tests/d4m/assoc_oracle.hpp),
+/// not the query path: src/d4m holds the arrays and their views, not
+/// the algebra.
 
 #include <cstddef>
 #include <functional>
@@ -66,10 +68,6 @@ class Database {
 
   /// Full profile for one source; nullopt when never seen.
   std::optional<SourceProfile> lookup(const std::string& ip) const;
-
-  /// All sources seen in at least `min_months` months, in key order — the
-  /// "persistent scanner" population (drifting-beam members).
-  std::vector<std::string> persistent_sources(int min_months) const;
 
  private:
   std::vector<MonthView> months_;

@@ -2,7 +2,8 @@
 /// \file correlation_oracle.hpp
 /// Per-source oracle for the correlation analyses: a snapshot is binned by
 /// walking its triples, and every tracked source is looked up in each
-/// month with its own binary search (`AssocArray::has_row`). The analyses
+/// month with its own binary search (`has_row` of the triple-formulation
+/// algebra, tests/d4m/assoc_oracle.hpp). The analyses
 /// count the same matches with one sorted merge per (snapshot, month);
 /// `expect_matches_oracle` holds every count, series and modified-Cauchy
 /// fit they return to this formulation exactly.
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "../d4m/assoc_oracle.hpp"
 #include "../stats/modified_cauchy_reference.hpp"
 #include "common/binning.hpp"
 #include "common/thread_pool.hpp"
@@ -27,7 +29,7 @@ namespace obscorr::core::oracle {
 /// as sorted dotted-quad keys.
 inline std::vector<std::string> bin_sources(const SnapshotData& snapshot, int bin) {
   std::vector<std::string> keys;
-  for (const d4m::Triple& t : snapshot.sources.to_triples()) {
+  for (const d4m::oracle::Triple& t : d4m::oracle::triples(snapshot.sources)) {
     if (t.col != "packets") continue;
     if (t.val >= 1.0 && log2_bin(static_cast<std::uint64_t>(t.val)) == bin) {
       keys.push_back(t.row);
@@ -42,7 +44,7 @@ inline std::vector<PeakCorrelationBin> peak_correlation(const SnapshotData& snap
                                                         const honeyfarm::MonthlyObservation& month,
                                                         double half_log_nv) {
   std::vector<PeakCorrelationBin> bins;
-  for (const d4m::Triple& t : snapshot.sources.to_triples()) {
+  for (const d4m::oracle::Triple& t : d4m::oracle::triples(snapshot.sources)) {
     if (t.col != "packets" || t.val < 1.0) continue;
     const int b = log2_bin(static_cast<std::uint64_t>(t.val));
     if (bins.size() <= static_cast<std::size_t>(b)) {
@@ -51,7 +53,7 @@ inline std::vector<PeakCorrelationBin> peak_correlation(const SnapshotData& snap
     }
     auto& cell = bins[static_cast<std::size_t>(b)];
     ++cell.caida_sources;
-    if (month.sources.has_row(t.row)) ++cell.matched;
+    if (d4m::oracle::has_row(month.sources, t.row)) ++cell.matched;
   }
   for (auto& cell : bins) {
     if (cell.caida_sources > 0) {
@@ -78,7 +80,7 @@ inline std::optional<Curve> curve(const SnapshotData& snapshot,
   for (std::size_t m = 0; m < months.size(); ++m) {
     std::uint64_t matched = 0;
     for (const std::string& ip : tracked) {
-      if (months[m].sources.has_row(ip)) ++matched;
+      if (d4m::oracle::has_row(months[m].sources, ip)) ++matched;
     }
     out.series.dt.push_back(static_cast<double>(static_cast<int>(m) - snapshot.month_index));
     out.series.fraction.push_back(static_cast<double>(matched) /

@@ -39,7 +39,7 @@ TEST_F(CorrelationTest, BinSourcesPartitionTheSnapshot) {
     const auto keys = oracle::bin_sources(snap, b);
     total += keys.size();
     for (const std::string& key : keys) {
-      const double d = snap.sources.at(key, "packets");
+      const double d = d4m::oracle::at(snap.sources, key, "packets");
       EXPECT_EQ(log2_bin(static_cast<std::uint64_t>(d)), b) << key;
     }
   }
@@ -207,7 +207,7 @@ TEST_F(CorrelationTest, PeakCorrelationRequiresValidHalfLogNv) {
 /// reduction carries the same counts, so fit_grid enumerates its bins.
 SnapshotData synthetic_snapshot(const std::vector<std::string>& keys,
                                 const std::vector<double>& packets, int month_index) {
-  std::vector<d4m::Triple> triples;
+  std::vector<d4m::oracle::Triple> triples;
   std::vector<gbl::Index> ids;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     triples.push_back({keys[i], "packets", packets[i]});
@@ -216,16 +216,16 @@ SnapshotData synthetic_snapshot(const std::vector<std::string>& keys,
   }
   SnapshotData snap;
   snap.month_index = month_index;
-  snap.sources = d4m::AssocArray::from_triples(std::move(triples));
+  snap.sources = d4m::oracle::build(std::move(triples));
   snap.source_packets = gbl::SparseVec(std::move(ids), packets);
   return snap;
 }
 
 honeyfarm::MonthlyObservation synthetic_month(const std::vector<std::string>& keys) {
-  std::vector<d4m::Triple> triples;
+  std::vector<d4m::oracle::Triple> triples;
   for (const std::string& key : keys) triples.push_back({key, "classification|malicious", 1.0});
   honeyfarm::MonthlyObservation month;
-  month.sources = d4m::AssocArray::from_triples(std::move(triples));
+  month.sources = d4m::oracle::build(std::move(triples));
   return month;
 }
 
@@ -292,7 +292,7 @@ TEST(CorrelationOracleTest, EdgeKeySetsMatchLookups) {
   oracle::expect_matches_oracle(empty, months, 6.0, 0, pool, "empty snapshot");
 
   SnapshotData no_packets = snap;
-  no_packets.sources = d4m::AssocArray::from_triples({{"5.0.0.1", "bytes", 10.0}});
+  no_packets.sources = d4m::oracle::build({{"5.0.0.1", "bytes", 10.0}});
   const std::vector<SnapshotData> unpacketed = {no_packets};
   oracle::expect_matches_oracle(unpacketed, months, 6.0, 0, pool, "no packets column");
 }

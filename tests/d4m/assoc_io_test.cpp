@@ -2,8 +2,6 @@
 /// keys and every double survive; the archive format must not be lossy)
 /// and rejection of malformed streams.
 
-#include "d4m/assoc.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,8 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "assoc_oracle.hpp"
+
 namespace obscorr::d4m {
 namespace {
+
+using oracle::build;
+using oracle::Triple;
 
 std::string serialized(const AssocArray& a) {
   std::string out;
@@ -45,41 +48,32 @@ void expect_round_trip(const AssocArray& a) {
 TEST(AssocBinaryTest, EmptyArrayRoundTrips) { expect_round_trip(AssocArray()); }
 
 TEST(AssocBinaryTest, SimpleArrayRoundTrips) {
-  expect_round_trip(AssocArray::from_triples({{"10.0.0.1", "packets", 12.0},
-                                              {"10.0.0.2", "packets", 1.0},
-                                              {"10.0.0.2", "intent|scan", 1.0}}));
+  expect_round_trip(build({{"10.0.0.1", "packets", 12.0},
+                           {"10.0.0.2", "packets", 1.0},
+                           {"10.0.0.2", "intent|scan", 1.0}}));
 }
 
 TEST(AssocBinaryTest, EmptyStringKeysSurvive) {
   // Text formats cannot represent these; the binary format must.
-  expect_round_trip(AssocArray::from_triples(
-      {{"", "", 1.0}, {"", "col", 2.0}, {"row", "", 3.0}}));
+  expect_round_trip(build({{"", "", 1.0}, {"", "col", 2.0}, {"row", "", 3.0}}));
 }
 
 TEST(AssocBinaryTest, NonAsciiAndControlKeyBytesSurvive) {
   const std::string high("\xff\xfe\x80", 3);
   const std::string tabs("a\tb\nc", 5);
   const std::string nul(std::string("x") + '\0' + "y");
-  expect_round_trip(AssocArray::from_triples(
-      {{high, "c1", 1.0}, {tabs, "c2", 2.0}, {nul, high, 3.0}, {"r", tabs, 4.0}}));
+  expect_round_trip(
+      build({{high, "c1", 1.0}, {tabs, "c2", 2.0}, {nul, high, 3.0}, {"r", tabs, 4.0}}));
 }
 
 TEST(AssocBinaryTest, ValuesRoundTripBitForBit) {
   const double tiny = std::nextafter(0.0, 1.0);      // smallest subnormal
   const double precise = 0.1 + 0.2;                  // not representable exactly
   const double huge = std::numeric_limits<double>::max();
-  const AssocArray a = AssocArray::from_triples(
-      {{"a", "c", tiny}, {"b", "c", precise}, {"d", "c", huge}, {"e", "c", -0.0}});
-  const AssocArray back = parse(serialized(a));
-  const auto triples = a.to_triples();
-  const auto got = back.to_triples();
-  ASSERT_EQ(got.size(), triples.size());
-  for (std::size_t i = 0; i < triples.size(); ++i) {
-    std::uint64_t w = 0, g = 0;
-    std::memcpy(&w, &triples[i].val, 8);
-    std::memcpy(&g, &got[i].val, 8);
-    EXPECT_EQ(g, w) << "value " << i << " not bit-identical";
-  }
+  const AssocArray a =
+      build({{"a", "c", tiny}, {"b", "c", precise}, {"d", "c", huge}, {"e", "c", -0.0}});
+  // Triples compare their values bit for bit.
+  EXPECT_EQ(oracle::triples(parse(serialized(a))), oracle::triples(a));
 }
 
 TEST(AssocBinaryTest, RandomArraysRoundTrip) {
@@ -95,13 +89,13 @@ TEST(AssocBinaryTest, RandomArraysRoundTrip) {
       for (int i = key_len(rng); i > 0; --i) t.col.push_back(static_cast<char>(byte(rng)));
       t.val = value(rng);
     }
-    expect_round_trip(AssocArray::from_triples(std::move(triples)));
+    expect_round_trip(build(std::move(triples)));
   }
 }
 
 TEST(AssocBinaryTest, MalformedStreamsRejected) {
-  const std::string good = serialized(AssocArray::from_triples(
-      {{"alpha", "c1", 1.0}, {"beta", "c1", 2.0}, {"beta", "c2", 3.0}}));
+  const std::string good = serialized(
+      build({{"alpha", "c1", 1.0}, {"beta", "c1", 2.0}, {"beta", "c2", 3.0}}));
 
   EXPECT_THROW(parse(""), std::invalid_argument);
   EXPECT_THROW(parse("OBSD4MA"), std::invalid_argument);
@@ -128,8 +122,8 @@ TEST(AssocBinaryTest, NonCanonicalStreamsRejected) {
   // Build a valid stream, then break each canonical-form invariant by
   // patching bytes. Layout: magic(8), row key count u64, then per key
   // u32 len + bytes...  keys "alpha" (5) and "beta" (4).
-  const std::string good = serialized(AssocArray::from_triples(
-      {{"alpha", "c1", 1.0}, {"beta", "c1", 2.0}, {"beta", "c2", 3.0}}));
+  const std::string good = serialized(
+      build({{"alpha", "c1", 1.0}, {"beta", "c1", 2.0}, {"beta", "c2", 3.0}}));
   {
     std::string bad = good;
     // Swap the sorted row keys' first bytes so "alpha" > "beta" fails
@@ -152,8 +146,8 @@ TEST(AssocBinaryTest, NonCanonicalStreamsRejected) {
     // col_idx. The column indices [0,1,2] stay strictly increasing, so
     // without the offset <= nnz bound no other invariant trips first and
     // the scan reads past the col_idx vector (caught by ASan).
-    std::string bad = serialized(AssocArray::from_triples(
-        {{"alpha", "c1", 1.0}, {"beta", "c2", 2.0}, {"beta", "c3", 3.0}}));
+    std::string bad =
+        serialized(build({{"alpha", "c1", 1.0}, {"beta", "c2", 2.0}, {"beta", "c3", 3.0}}));
     // row_ptr lives after magic, both key sections, and nnz.
     const std::size_t row_keys = 8 + (4 + 5) + (4 + 4);            // count, "alpha", "beta"
     const std::size_t col_keys = 8 + (4 + 2) + (4 + 2) + (4 + 2);  // count, "c1".."c3"

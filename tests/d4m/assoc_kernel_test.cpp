@@ -1,9 +1,10 @@
-/// The CSR kernels (element-wise ops, column selection, row sums,
-/// zero-norm) against the triple formulation: every operand is expanded
-/// to sorted (row, col, value) triples, combined, and rebuilt through
-/// `from_triples`. Results are compared as `write_binary` bytes, which
-/// also pins NaN payloads and signed zeros that `operator==` cannot.
-/// `from_csr` must reject every non-canonical input `read_binary` rejects.
+/// The reference algebra of tests/d4m/assoc_oracle.hpp on edge-shaped
+/// operands, held to the cell-by-cell definition of each operation: the
+/// operands become maps from (row, col) to value, the operation runs
+/// cell by cell, and the result must hold exactly those cells, values
+/// bit for bit (NaN payloads and signed zeros included). `build` hands
+/// every result to `from_csr`, so each is canonical. `from_csr` must
+/// reject every non-canonical input `read_binary` rejects.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -21,10 +23,13 @@
 #include <utility>
 #include <vector>
 
-#include "d4m/assoc.hpp"
+#include "assoc_oracle.hpp"
 
 namespace obscorr::d4m {
 namespace {
+
+using oracle::build;
+using oracle::Triple;
 
 std::string bytes(const AssocArray& a) {
   std::string out;
@@ -32,112 +37,88 @@ std::string bytes(const AssocArray& a) {
   return out;
 }
 
-// --- Reference: the triple formulation ------------------------------------
+AssocArray parse(const std::string& b) {
+  return AssocArray::read_binary(std::as_bytes(std::span<const char>(b.data(), b.size())));
+}
 
-bool triple_key_less(const Triple& a, const Triple& b) {
-  return a.row != b.row ? a.row < b.row : a.col < b.col;
+// --- The cell-by-cell definition ------------------------------------------
+
+using Cells = std::map<std::pair<std::string, std::string>, double>;
+
+Cells cells(const AssocArray& a) {
+  Cells out;
+  for (const Triple& t : oracle::triples(a)) out.emplace(std::pair(t.row, t.col), t.val);
+  return out;
+}
+
+/// The cells as triples, in (row, col) order.
+std::vector<Triple> listed(const Cells& c) {
+  std::vector<Triple> out;
+  for (const auto& [key, val] : c) out.push_back({key.first, key.second, val});
+  return out;
 }
 
 enum class Op { kAdd, kMult, kMax };
 
-AssocArray reference_merge(const AssocArray& a, const AssocArray& b, Op op) {
-  const bool intersect = op == Op::kMult;
-  const auto ta = a.to_triples();
-  const auto tb = b.to_triples();
-  const auto combine = [op](double x, double y) {
-    switch (op) {
-      case Op::kAdd:
-        return x + y;
-      case Op::kMult:
-        return x * y;
-      case Op::kMax:
-        return std::max(x, y);
-    }
-    return 0.0;
-  };
-  std::vector<Triple> out;
-  std::size_t i = 0, j = 0;
-  while (i < ta.size() && j < tb.size()) {
-    const Triple& x = ta[i];
-    const Triple& y = tb[j];
-    if (x.row == y.row && x.col == y.col) {
-      out.push_back({x.row, x.col, combine(x.val, y.val)});
-      ++i;
-      ++j;
-    } else if (triple_key_less(x, y)) {
-      if (!intersect) out.push_back(x);
-      ++i;
+/// `op` applied cell by cell: a cell stored in both operands combines in
+/// operand order; add and max keep the others, mult drops them.
+Cells definition(const Cells& a, const Cells& b, Op op) {
+  Cells out;
+  for (const auto& [key, x] : a) {
+    const auto y = b.find(key);
+    if (y == b.end()) {
+      if (op != Op::kMult) out.emplace(key, x);
     } else {
-      if (!intersect) out.push_back(y);
-      ++j;
+      out.emplace(key, op == Op::kAdd    ? x + y->second
+                       : op == Op::kMult ? x * y->second
+                                         : std::max(x, y->second));
     }
   }
-  if (!intersect) {
-    out.insert(out.end(), ta.begin() + static_cast<std::ptrdiff_t>(i), ta.end());
-    out.insert(out.end(), tb.begin() + static_cast<std::ptrdiff_t>(j), tb.end());
+  if (op != Op::kMult) {
+    for (const auto& [key, y] : b) out.emplace(key, y);  // no-op where `a` holds the cell
   }
-  return AssocArray::from_triples(std::move(out));
+  return out;
 }
 
-AssocArray reference_filter(const AssocArray& a,
-                            const std::function<bool(const Triple&)>& keep) {
-  std::vector<Triple> kept;
-  for (const Triple& t : a.to_triples()) {
-    if (keep(t)) kept.push_back(t);
+/// The cells of `a` whose column `keep` accepts.
+Cells columns(const AssocArray& a, const std::function<bool(const std::string&)>& keep) {
+  Cells out;
+  for (const auto& [key, val] : cells(a)) {
+    if (keep(key.second)) out.emplace(key, val);
   }
-  return AssocArray::from_triples(std::move(kept));
+  return out;
 }
 
-AssocArray reference_select_cols(const AssocArray& a, std::vector<std::string> keys) {
-  std::sort(keys.begin(), keys.end());
-  return reference_filter(
-      a, [&](const Triple& t) { return std::binary_search(keys.begin(), keys.end(), t.col); });
-}
+// --- Comparison against the definition ------------------------------------
 
-AssocArray reference_select_cols_prefix(const AssocArray& a, const std::string& prefix) {
-  return reference_filter(a, [&](const Triple& t) { return t.col.starts_with(prefix); });
-}
-
-AssocArray reference_row_sum(const AssocArray& a) {
-  std::vector<Triple> sums;
-  const auto triples = a.to_triples();
-  for (std::size_t k = 0; k < triples.size(); ++k) {
-    if (k == 0 || triples[k - 1].row != triples[k].row) {
-      sums.push_back({triples[k].row, "sum", 0.0});
-    }
-    sums.back().val += triples[k].val;
-  }
-  return AssocArray::from_triples(std::move(sums));
-}
-
-AssocArray reference_logical(const AssocArray& a) {
-  auto triples = a.to_triples();
-  for (Triple& t : triples) t.val = 1.0;
-  return AssocArray::from_triples(std::move(triples));
-}
-
-// --- Comparison against the reference ------------------------------------
-
-/// Every kernel on (a, b) and on each operand alone, byte-compared with
-/// the reference.
-void expect_kernels_match(const AssocArray& a, const AssocArray& b, const std::string& label) {
+/// Every operation on (a, b) and on each operand alone against its
+/// definition.
+void expect_algebra_holds(const AssocArray& a, const AssocArray& b, const std::string& label) {
   const struct {
     const char* name;
-    AssocArray (*kernel)(const AssocArray&, const AssocArray&);
-    Op op;
-  } binary[] = {{"ewise_add", &AssocArray::ewise_add, Op::kAdd},
-                {"ewise_mult", &AssocArray::ewise_mult, Op::kMult},
-                {"ewise_max", &AssocArray::ewise_max, Op::kMax}};
+    AssocArray (*op)(const AssocArray&, const AssocArray&);
+    Op kind;
+  } binary[] = {{"ewise_add", &oracle::ewise_add, Op::kAdd},
+                {"ewise_mult", &oracle::ewise_mult, Op::kMult},
+                {"ewise_max", &oracle::ewise_max, Op::kMax}};
+  const Cells ca = cells(a);
+  const Cells cb = cells(b);
   for (const auto& k : binary) {
-    EXPECT_EQ(bytes(k.kernel(a, b)), bytes(reference_merge(a, b, k.op)))
+    EXPECT_EQ(oracle::triples(k.op(a, b)), listed(definition(ca, cb, k.kind)))
         << label << ": " << k.name << "(a, b)";
-    EXPECT_EQ(bytes(k.kernel(b, a)), bytes(reference_merge(b, a, k.op)))
+    EXPECT_EQ(oracle::triples(k.op(b, a)), listed(definition(cb, ca, k.kind)))
         << label << ": " << k.name << "(b, a)";
   }
   for (const AssocArray* x : {&a, &b}) {
     const std::string side = label + (x == &a ? " [a]" : " [b]");
-    EXPECT_EQ(bytes(x->row_sum()), bytes(reference_row_sum(*x))) << side << ": row_sum";
-    EXPECT_EQ(bytes(x->logical()), bytes(reference_logical(*x))) << side << ": logical";
+    Cells sums;  // each row's values in column order
+    Cells ones;
+    for (const auto& [key, val] : cells(*x)) {
+      sums.try_emplace(std::pair(key.first, std::string("sum")), 0.0).first->second += val;
+      ones.emplace(key, 1.0);
+    }
+    EXPECT_EQ(oracle::triples(oracle::row_sum(*x)), listed(sums)) << side << ": row_sum";
+    EXPECT_EQ(oracle::triples(oracle::logical(*x)), listed(ones)) << side << ": logical";
     // Column selections: every present key, a key that is absent, a key
     // that is a textual prefix of present keys, and the empty key.
     std::vector<std::string> keys(x->col_keys().begin(), x->col_keys().end());
@@ -146,19 +127,19 @@ void expect_kernels_match(const AssocArray& a, const AssocArray& b, const std::s
       some.push_back("absent");
       some.push_back("1.2.3.4");
       some.push_back("");
-      EXPECT_EQ(bytes(x->select_cols(some)), bytes(reference_select_cols(*x, some)))
+      const auto wanted = [&some](const std::string& col) {
+        return std::find(some.begin(), some.end(), col) != some.end();
+      };
+      EXPECT_EQ(oracle::triples(oracle::select_cols(*x, some)), listed(columns(*x, wanted)))
           << side << ": select_cols of " << n << " keys";
     }
     for (const std::string prefix : {"", "1", "1.2.3.4", "c", "intent|", "\xff", "zzz"}) {
-      EXPECT_EQ(bytes(x->select_cols_prefix(prefix)),
-                bytes(reference_select_cols_prefix(*x, prefix)))
+      const auto wanted = [&prefix](const std::string& col) { return col.starts_with(prefix); };
+      EXPECT_EQ(oracle::triples(oracle::select_cols_prefix(*x, prefix)),
+                listed(columns(*x, wanted)))
           << side << ": select_cols_prefix(\"" << prefix << "\")";
     }
   }
-}
-
-AssocArray build(std::vector<Triple> triples) {
-  return AssocArray::from_triples(std::move(triples));
 }
 
 // --- Fixed cases ----------------------------------------------------------
@@ -170,27 +151,27 @@ const AssocArray kSample = build({{"1.2.3.4", "classification|malicious", 1.0},
                                   {"5.6.7.8", "contacts", 2.0}});
 
 TEST(AssocKernelTest, EmptyOperands) {
-  expect_kernels_match(AssocArray{}, AssocArray{}, "empty, empty");
-  expect_kernels_match(kSample, AssocArray{}, "sample, empty");
-  EXPECT_EQ(bytes(AssocArray::ewise_add(kSample, AssocArray{})), bytes(kSample));
-  EXPECT_TRUE(AssocArray::ewise_mult(kSample, AssocArray{}).empty());
+  expect_algebra_holds(AssocArray{}, AssocArray{}, "empty, empty");
+  expect_algebra_holds(kSample, AssocArray{}, "sample, empty");
+  EXPECT_EQ(bytes(oracle::ewise_add(kSample, AssocArray{})), bytes(kSample));
+  EXPECT_TRUE(oracle::ewise_mult(kSample, AssocArray{}).empty());
 }
 
-TEST(AssocKernelTest, ArrayWithItself) { expect_kernels_match(kSample, kSample, "a op a"); }
+TEST(AssocKernelTest, ArrayWithItself) { expect_algebra_holds(kSample, kSample, "a op a"); }
 
 TEST(AssocKernelTest, DisjointRows) {
   const AssocArray other = build({{"9.9.9.9", "contacts", 4.0},
                                   {"0.0.0.1", "classification|benign", 1.0},
                                   {"9.9.9.9", "protocol|tcp", 1.0}});
-  expect_kernels_match(kSample, other, "disjoint rows");
-  EXPECT_EQ(AssocArray::ewise_add(kSample, other).row_keys().size(), 4u);
+  expect_algebra_holds(kSample, other, "disjoint rows");
+  EXPECT_EQ(oracle::ewise_add(kSample, other).row_keys().size(), 4u);
 }
 
 TEST(AssocKernelTest, SharedRowsDisjointColumns) {
   const AssocArray other = build({{"1.2.3.4", "protocol|udp", 1.0},
                                   {"5.6.7.8", "intent|worm", 1.0},
                                   {"5.6.7.8", "protocol|tcp", 3.0}});
-  expect_kernels_match(kSample, other, "shared rows, disjoint columns");
+  expect_algebra_holds(kSample, other, "shared rows, disjoint columns");
 }
 
 TEST(AssocKernelTest, StoredZerosAndNegativeValues) {
@@ -204,12 +185,16 @@ TEST(AssocKernelTest, StoredZerosAndNegativeValues) {
                               {"s", "c1", 0.0},
                               {"t", "c2", -std::numeric_limits<double>::infinity()},
                               {"u", "c3", std::numeric_limits<double>::quiet_NaN()}});
-  expect_kernels_match(a, b, "zeros and negatives");
+  expect_algebra_holds(a, b, "zeros and negatives");
   // Sums that cancel stay stored (D4M keeps explicit zeros).
-  const AssocArray sum = AssocArray::ewise_add(a, b);
+  const AssocArray sum = oracle::ewise_add(a, b);
   EXPECT_EQ(sum.nnz(), 6u);
-  EXPECT_EQ(sum.row("r"), (std::vector<std::pair<std::string_view, double>>{{"c1", -1.0},
-                                                                            {"c2", 0.0}}));
+  EXPECT_EQ(oracle::at(sum, "r", "c1"), -1.0);
+  EXPECT_EQ(oracle::at(sum, "r", "c2"), 0.0);
+  EXPECT_TRUE(std::isnan(oracle::at(sum, "t", "c2")));  // inf + -inf
+  // Signed zeros follow operand order: std::max(-0, 0) is its first operand.
+  EXPECT_TRUE(std::signbit(oracle::at(oracle::ewise_max(a, b), "s", "c1")));
+  EXPECT_FALSE(std::signbit(oracle::at(oracle::ewise_max(b, a), "s", "c1")));
 }
 
 TEST(AssocKernelTest, KeysThatArePrefixesOfEachOther) {
@@ -219,20 +204,20 @@ TEST(AssocKernelTest, KeysThatArePrefixesOfEachOther) {
   const AssocArray b = build({{"1.2.3.40", "contacts", 7.0},
                               {"1.2.3.400", "contacts|x", 1.0},
                               {"1.2.3.4", "contact", 2.0}});
-  expect_kernels_match(a, b, "prefix keys");
+  expect_algebra_holds(a, b, "prefix keys");
 }
 
 TEST(AssocKernelTest, EmptyStringKeys) {
   const AssocArray a = build({{"", "", 1.0}, {"", "col", 2.0}, {"row", "", 3.0}});
   const AssocArray b = build({{"", "", 4.0}, {"row", "col", 5.0}, {"z", "", -1.0}});
-  expect_kernels_match(a, b, "empty-string keys");
+  expect_algebra_holds(a, b, "empty-string keys");
 }
 
 TEST(AssocKernelTest, MultWithNoCommonCellIsEmpty) {
   const AssocArray other = build({{"1.2.3.4", "protocol|udp", 1.0},
                                   {"5.6.7.9", "contacts", 3.0}});
-  expect_kernels_match(kSample, other, "no common cell");
-  const AssocArray product = AssocArray::ewise_mult(kSample, other);
+  expect_algebra_holds(kSample, other, "no common cell");
+  const AssocArray product = oracle::ewise_mult(kSample, other);
   EXPECT_TRUE(product.empty());
   EXPECT_TRUE(product.row_keys().empty());
   EXPECT_TRUE(product.col_keys().empty());
@@ -247,7 +232,8 @@ TEST(AssocKernelTest, RandomArraysMatchTripleFormulation) {
   std::uniform_int_distribution<int> key_len(0, 3);
   std::uniform_int_distribution<std::size_t> letter(0, alphabet.size() - 1);
   std::uniform_int_distribution<int> size(0, 30);
-  const double values[] = {-2.0, -0.0, 0.0, 0.5, 1.0, 3.0, 1e300, -1e-300};
+  const double values[] = {-2.0, -0.0, 0.0, 0.5, 1.0, 3.0, 1e300, -1e-300,
+                           std::numeric_limits<double>::quiet_NaN()};
   std::uniform_int_distribution<std::size_t> value(0, std::size(values) - 1);
   const auto random_key = [&] {
     std::string key;
@@ -260,22 +246,27 @@ TEST(AssocKernelTest, RandomArraysMatchTripleFormulation) {
     return build(std::move(triples));
   };
   for (int trial = 0; trial < 200; ++trial) {
-    expect_kernels_match(random_array(), random_array(), "trial " + std::to_string(trial));
+    expect_algebra_holds(random_array(), random_array(), "trial " + std::to_string(trial));
   }
 }
 
-// --- row() ----------------------------------------------------------------
+// --- AssocView::row ---------------------------------------------------------
 
 TEST(AssocKernelTest, RowListsEntriesInColumnOrder) {
   using Entries = std::vector<std::pair<std::string_view, double>>;
-  EXPECT_EQ(kSample.row("1.2.3.4"),
+  const std::string encoded = bytes(kSample);
+  const auto view_of = [](const std::string& b) {
+    return AssocView::from_bytes(std::as_bytes(std::span<const char>(b.data(), b.size())));
+  };
+  const AssocView sample = view_of(encoded);
+  EXPECT_EQ(sample.row("1.2.3.4"),
             (Entries{{"classification|malicious", 1.0}, {"contacts", 17.0}, {"intent|scan", 1.0}}));
-  EXPECT_EQ(kSample.row("5.6.7.8"), (Entries{{"classification|benign", 1.0}, {"contacts", 2.0}}));
-  EXPECT_TRUE(kSample.row("1.2.3").empty());
-  EXPECT_TRUE(kSample.row("1.2.3.40").empty());
-  EXPECT_TRUE(AssocArray{}.row("").empty());
-  const AssocArray keyed = build({{"", "", 1.0}, {"", "c", 2.0}});
-  EXPECT_EQ(keyed.row(""), (Entries{{"", 1.0}, {"c", 2.0}}));
+  EXPECT_EQ(sample.row("5.6.7.8"), (Entries{{"classification|benign", 1.0}, {"contacts", 2.0}}));
+  EXPECT_TRUE(sample.row("1.2.3").empty());
+  EXPECT_TRUE(sample.row("1.2.3.40").empty());
+  EXPECT_TRUE(AssocView{}.row("").empty());
+  const std::string keyed_bytes = bytes(build({{"", "", 1.0}, {"", "c", 2.0}}));
+  EXPECT_EQ(view_of(keyed_bytes).row(""), (Entries{{"", 1.0}, {"c", 2.0}}));
 }
 
 // --- from_csr -------------------------------------------------------------
@@ -310,10 +301,6 @@ std::string serialize(const Csr& csr) {
 
 AssocArray adopt(const Csr& csr) {
   return AssocArray::from_csr(csr.rows, csr.cols, csr.row_ptr, csr.col_idx, csr.val);
-}
-
-AssocArray parse(const std::string& b) {
-  return AssocArray::read_binary(std::as_bytes(std::span<const char>(b.data(), b.size())));
 }
 
 // alpha: {c1: 1}, beta: {c1: 2, c2: 3}

@@ -9,8 +9,10 @@
 #include <utility>
 #include <vector>
 
+#include "assoc_oracle.hpp"
 #include "common/ipv4.hpp"
 #include "common/prng.hpp"
+#include "gbl/sparse_vec.hpp"
 
 namespace obscorr::d4m {
 namespace {
@@ -24,19 +26,19 @@ std::string bytes(const AssocArray& a) {
 /// The triple formulation of a one-column array over addresses.
 AssocArray reference(std::span<const std::uint32_t> addresses, std::span<const double> values,
                      const std::string& col_key) {
-  std::vector<Triple> triples;
+  std::vector<oracle::Triple> triples;
   for (std::size_t i = 0; i < addresses.size(); ++i) {
     triples.push_back({Ipv4(addresses[i]).to_string(), col_key, values[i]});
   }
-  return AssocArray::from_triples(std::move(triples));
+  return oracle::build(std::move(triples));
 }
 
 TEST(GblBridgeTest, SparseVecToAssocUsesDottedQuadKeys) {
   // 16843009 == 1.1.1.1 (the paper's example).
   const gbl::SparseVec v({16843009u, 33686018u}, {3.0, 7.0});
-  const AssocArray a = from_sparse_vec(v, "packets");
-  EXPECT_EQ(a.at("1.1.1.1", "packets"), 3.0);
-  EXPECT_EQ(a.at("2.2.2.2", "packets"), 7.0);
+  const AssocArray a = from_addresses(v.indices(), v.values(), "packets");
+  EXPECT_EQ(oracle::at(a, "1.1.1.1", "packets"), 3.0);
+  EXPECT_EQ(oracle::at(a, "2.2.2.2", "packets"), 7.0);
   EXPECT_EQ(a.nnz(), 2u);
 }
 
@@ -51,11 +53,13 @@ TEST(GblBridgeTest, MatchesFromTriplesOnRandomVector) {
     val.push_back(static_cast<double>(1 + rng.uniform_u64(1000)));
   }
   const gbl::SparseVec v(idx, val);
-  EXPECT_EQ(bytes(from_sparse_vec(v, "packets")), bytes(reference(idx, val, "packets")));
+  EXPECT_EQ(bytes(from_addresses(v.indices(), v.values(), "packets")),
+            bytes(reference(idx, val, "packets")));
 }
 
 TEST(GblBridgeTest, EmptyVectorGivesEmptyAssoc) {
-  const AssocArray a = from_sparse_vec(gbl::SparseVec{}, "packets");
+  const gbl::SparseVec v;
+  const AssocArray a = from_addresses(v.indices(), v.values(), "packets");
   EXPECT_TRUE(a.empty());
   EXPECT_EQ(bytes(a), bytes(AssocArray{}));
 }
@@ -65,7 +69,8 @@ TEST(GblBridgeTest, StringOrderDiffersFromNumericOrder) {
   // numerically; the rows follow the string order.
   const std::vector<gbl::Index> idx{Ipv4(9, 0, 0, 1).value(), Ipv4(10, 0, 0, 2).value()};
   const std::vector<gbl::Value> val{1.0, 2.0};
-  const AssocArray a = from_sparse_vec(gbl::SparseVec(idx, val), "c");
+  const gbl::SparseVec v(idx, val);
+  const AssocArray a = from_addresses(v.indices(), v.values(), "c");
   EXPECT_EQ(a.row_keys()[0], "10.0.0.2");
   EXPECT_EQ(a.row_keys()[1], "9.0.0.1");
   EXPECT_EQ(bytes(a), bytes(reference(idx, val, "c")));

@@ -85,7 +85,7 @@ TEST_F(DatabaseTest, MonthsSeenMatchesManualCount) {
 
 TEST_F(DatabaseTest, ProfileFacetsForPopulationSources) {
   // The brightest persistent source must have full enrichment.
-  const auto persistent = db_->persistent_sources(4);
+  const auto persistent = oracle_->persistent_sources(4);
   ASSERT_FALSE(persistent.empty());
   const auto profile = db_->lookup(persistent.front());
   ASSERT_TRUE(profile.has_value());
@@ -94,21 +94,29 @@ TEST_F(DatabaseTest, ProfileFacetsForPopulationSources) {
 }
 
 TEST_F(DatabaseTest, PersistentSourcesShrinkWithThreshold) {
-  const auto p1 = db_->persistent_sources(1);
-  const auto p3 = db_->persistent_sources(3);
-  const auto p6 = db_->persistent_sources(6);
+  // The persistent populations of the oracle's months-seen array: each
+  // member's lookup is seen in at least the threshold's months.
+  const auto p1 = oracle_->persistent_sources(1);
+  const auto p3 = oracle_->persistent_sources(3);
+  const auto p6 = oracle_->persistent_sources(6);
   EXPECT_GT(p1.size(), p3.size());
   EXPECT_GT(p3.size(), p6.size());
   EXPECT_EQ(p1.size(), db_->distinct_sources());
-  EXPECT_THROW(db_->persistent_sources(0), std::invalid_argument);
+  for (const std::string& ip : p3) {
+    const auto profile = db_->lookup(ip);
+    ASSERT_TRUE(profile.has_value()) << ip;
+    EXPECT_GE(profile->months_seen, 3) << ip;
+    EXPECT_EQ(profile->months_seen == 6,
+              std::binary_search(p6.begin(), p6.end(), ip)) << ip;
+  }
 }
 
 TEST_F(DatabaseTest, PeakContactsIsMaxAcrossMonths) {
-  const auto persistent = db_->persistent_sources(5);
+  const auto persistent = oracle_->persistent_sources(5);
   ASSERT_FALSE(persistent.empty());
   const std::string& ip = persistent.front();
   const double peak = db_->lookup(ip)->peak_contacts;
-  EXPECT_EQ(peak, oracle_->peak_contacts().at(ip, "contacts"));
+  EXPECT_EQ(peak, d4m::oracle::at(oracle_->peak_contacts(), ip, "contacts"));
   EXPECT_GE(peak, 1.0);
   // Peak must be attained in some month and never exceeded.
   netgen::VisibilityModel vis;
@@ -118,7 +126,7 @@ TEST_F(DatabaseTest, PeakContactsIsMaxAcrossMonths) {
   for (int m = 0; m < 6; ++m) {
     const auto obs =
         farm.observe_month({YearMonth(2020, 2).plus_months(m), 1.0, 0.05}, m);
-    best = std::max(best, obs.sources.at(ip, "contacts"));
+    best = std::max(best, d4m::oracle::at(obs.sources, ip, "contacts"));
   }
   EXPECT_EQ(peak, best);
 }
@@ -144,10 +152,10 @@ TEST_F(DatabaseTest, LookupMatchesSelectColsPrefixScan) {
 }
 
 /// A month from hand-written exploded-schema triples.
-MonthlyObservation synthetic_month(int offset, std::vector<d4m::Triple> triples) {
+MonthlyObservation synthetic_month(int offset, std::vector<d4m::oracle::Triple> triples) {
   MonthlyObservation obs;
   obs.month = YearMonth(2020, 2).plus_months(offset);
-  obs.sources = d4m::AssocArray::from_triples(std::move(triples));
+  obs.sources = d4m::oracle::build(std::move(triples));
   return obs;
 }
 
@@ -282,7 +290,7 @@ TEST(DatabaseEdgeTest, MatchesFoldOracleOnEdgeMonths) {
   ASSERT_TRUE(late.has_value());
   EXPECT_EQ(late->first_seen, YearMonth(2020, 6));
   EXPECT_EQ(late->months_seen, 1);
-  EXPECT_EQ(db.persistent_sources(1).back(), "9.9.9.9");
+  EXPECT_EQ(db.distinct_sources(), 5u);  // 10.0.0.1-4 and the late 9.9.9.9
 }
 
 TEST(DatabaseSpanTest, OneSpanPerBuild) {

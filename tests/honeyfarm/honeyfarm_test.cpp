@@ -5,15 +5,28 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "../d4m/assoc_oracle.hpp"
 #include "common/prng.hpp"
 #include "netgen/scenario.hpp"
 
 namespace obscorr::honeyfarm {
 namespace {
+
+using d4m::oracle::select_cols_prefix;
+
+/// The row keys two sorted key sets share.
+std::vector<std::string> shared_keys(std::span<const std::string> a,
+                                     std::span<const std::string> b) {
+  std::vector<std::string> out;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
+  return out;
+}
 
 netgen::PopulationConfig pop_config(std::uint64_t seed = 42) {
   netgen::PopulationConfig c;
@@ -58,16 +71,16 @@ TEST(HoneyfarmTest, ExplodedSchemaColumnsPresent) {
   const Honeyfarm farm(pop, vis_model(), 7);
   const auto obs = farm.observe_month(month_spec(), 0);
   ASSERT_GT(obs.population_sources, 0u);
-  const auto cls = obs.sources.select_cols_prefix("classification|");
-  const auto intent = obs.sources.select_cols_prefix("intent|");
-  const auto proto = obs.sources.select_cols_prefix("protocol|");
+  const auto cls = select_cols_prefix(obs.sources, "classification|");
+  const auto intent = select_cols_prefix(obs.sources, "intent|");
+  const auto proto = select_cols_prefix(obs.sources, "protocol|");
   // Every detected population source carries one label per facet.
   EXPECT_EQ(cls.nnz(), obs.population_sources);
   EXPECT_EQ(intent.nnz(), obs.population_sources);
   EXPECT_EQ(proto.nnz(), obs.population_sources);
   // Contacts column is positive everywhere.
   const std::vector<std::string> contacts_col{"contacts"};
-  for (const auto& t : obs.sources.select_cols(contacts_col).to_triples()) {
+  for (const auto& t : d4m::oracle::triples(d4m::oracle::select_cols(obs.sources, contacts_col))) {
     EXPECT_GE(t.val, 1.0);
   }
 }
@@ -78,14 +91,15 @@ TEST(HoneyfarmTest, EnrichmentIsStableAcrossMonths) {
   const Honeyfarm farm(pop, vis_model(), 7);
   const auto m0 = farm.observe_month(month_spec(), 0);
   const auto m1 = farm.observe_month(month_spec(), 1);
-  const auto shared = d4m::intersect_keys(m0.sources.row_keys(), m1.sources.row_keys());
+  const auto shared = shared_keys(m0.sources.row_keys(), m1.sources.row_keys());
   ASSERT_GT(shared.size(), 10u);
-  const auto cls0 = m0.sources.select_cols_prefix("classification|");
-  const auto cls1 = m1.sources.select_cols_prefix("classification|");
+  const auto cls0 = select_cols_prefix(m0.sources, "classification|");
+  const auto cls1 = select_cols_prefix(m1.sources, "classification|");
   for (const std::string& ip : shared) {
     for (const char* label :
          {"classification|malicious", "classification|benign", "classification|unknown"}) {
-      EXPECT_EQ(cls0.at(ip, label), cls1.at(ip, label)) << ip << " " << label;
+      EXPECT_EQ(d4m::oracle::at(cls0, ip, label), d4m::oracle::at(cls1, ip, label))
+          << ip << " " << label;
     }
   }
 }
@@ -98,7 +112,7 @@ TEST(HoneyfarmTest, BrightSourcesAlwaysDetectedWhenActive) {
   for (std::size_t i = 0; i < pop.size(); ++i) {
     if (!pop.active(i, 0)) continue;
     if (pop.expected_active_degree(i) >= threshold) {
-      EXPECT_TRUE(obs.sources.has_row(pop.source(i).ip.to_string()))
+      EXPECT_TRUE(d4m::oracle::has_row(obs.sources, pop.source(i).ip.to_string()))
           << pop.source(i).ip.to_string();
     }
   }
@@ -146,7 +160,7 @@ TEST(HoneyfarmTest, DifferentMonthsDifferentEphemerals) {
   for (const std::string& k : m1.sources.row_keys()) {
     if (!pop.owns_ip(*Ipv4::parse(k))) eph1.push_back(k);
   }
-  EXPECT_LT(d4m::intersect_keys(eph0, eph1).size(), 3u);
+  EXPECT_LT(shared_keys(eph0, eph1).size(), 3u);
 }
 
 TEST(HoneyfarmTest, InputValidation) {
@@ -173,7 +187,7 @@ std::string bytes(const d4m::AssocArray& a) {
 
 /// The month as the triple formulation builds it: four triples per
 /// detected source and two per ephemeral draw, from the same RNG streams,
-/// accumulated by `from_triples`. `repeated` counts ephemeral draws of an
+/// accumulated by `oracle::build`. `repeated` counts ephemeral draws of an
 /// address already drawn that month.
 d4m::AssocArray triple_month(const netgen::Population& pop, const netgen::VisibilityModel& vis,
                              std::uint64_t seed, const netgen::GreyNoiseMonthSpec& spec,
@@ -181,7 +195,7 @@ d4m::AssocArray triple_month(const netgen::Population& pop, const netgen::Visibi
   constexpr std::array<const char*, 3> kClassifications = {"malicious", "benign", "unknown"};
   constexpr std::array<const char*, 4> kIntents = {"scan", "backscatter", "worm", "botnet-c2"};
   constexpr std::array<const char*, 3> kProtocols = {"tcp", "udp", "icmp"};
-  std::vector<d4m::Triple> triples;
+  std::vector<d4m::oracle::Triple> triples;
   const std::size_t n = pop.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (!pop.active(i, month_index)) continue;
@@ -214,7 +228,7 @@ d4m::AssocArray triple_month(const netgen::Population& pop, const netgen::Visibi
     triples.push_back({key, "contacts", 1.0});
     ++made;
   }
-  return d4m::AssocArray::from_triples(std::move(triples));
+  return d4m::oracle::build(std::move(triples));
 }
 
 TEST(HoneyfarmTest, MonthsMatchTripleFormulation) {

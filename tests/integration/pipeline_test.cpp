@@ -6,17 +6,18 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <map>
 #include <numeric>
 #include <span>
 
+#include "../d4m/assoc_oracle.hpp"
 #include "core/correlation.hpp"
 #include "core/degree_analysis.hpp"
 #include "core/parallel_capture.hpp"
 #include "core/study.hpp"
-#include "d4m/assoc.hpp"
 #include "gbl/quantities.hpp"
 #include "netgen/traffic.hpp"
 #include "telescope/quadrants.hpp"
@@ -103,7 +104,8 @@ TEST(PipelineTest, SnapshotSourcesMatchTripleFormulation) {
   // Each snapshot's deanonymized source array equals the triple
   // formulation: recapture the window through a fresh telescope, take
   // every source's dotted quad from its dictionary, and build the array
-  // with from_triples. Compared as write_binary bytes, at 1 and 4 threads.
+  // with the oracle's `build`. Compared as write_binary bytes, at 1 and 4
+  // threads.
   const auto scenario = netgen::Scenario::paper(14, 42);
   for (const std::size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
@@ -114,13 +116,13 @@ TEST(PipelineTest, SnapshotSourcesMatchTripleFormulation) {
       const gbl::DcsrMatrix matrix = core::capture_window(scope, generator, snap.month_index,
                                                           scenario.nv(), snap.spec.salt, pool);
       ASSERT_EQ(matrix, snap.matrix) << snap.spec.start_label;
-      std::vector<d4m::Triple> triples;
+      std::vector<d4m::oracle::Triple> triples;
       const auto ids = snap.source_packets.indices();
       const auto counts = snap.source_packets.values();
       for (std::size_t i = 0; i < ids.size(); ++i) {
         triples.push_back({scope.deanonymize(Ipv4(ids[i])).to_string(), "packets", counts[i]});
       }
-      const d4m::AssocArray reference = d4m::AssocArray::from_triples(std::move(triples));
+      const d4m::AssocArray reference = d4m::oracle::build(std::move(triples));
       EXPECT_EQ(binary(snap.sources), binary(reference))
           << snap.spec.start_label << " at " << threads << " threads";
     }
@@ -135,15 +137,19 @@ TEST(PipelineTest, SameMonthOverlapViaD4mAlgebraMatchesKeyIntersection) {
   const core::SnapshotData& snap = study.snapshots[0];
   const auto& month = study.months[static_cast<std::size_t>(snap.month_index)];
 
-  const auto keys = d4m::intersect_keys(snap.sources.row_keys(), month.sources.row_keys());
+  std::vector<std::string> keys;
+  std::set_intersection(snap.sources.row_keys().begin(), snap.sources.row_keys().end(),
+                        month.sources.row_keys().begin(), month.sources.row_keys().end(),
+                        std::back_inserter(keys));
 
   // Algebra route: |A_caida|0 row-summed to one "seen" column, then
   // element-wise multiplied with the honeyfarm's "seen" column.
-  const d4m::AssocArray caida_seen = snap.sources.logical().row_sum().logical();
-  const d4m::AssocArray gn_seen = month.sources.logical().row_sum().logical();
-  const d4m::AssocArray both = d4m::AssocArray::ewise_mult(caida_seen, gn_seen);
+  using namespace d4m::oracle;
+  const d4m::AssocArray caida_seen = logical(row_sum(logical(snap.sources)));
+  const d4m::AssocArray gn_seen = logical(row_sum(logical(month.sources)));
+  const d4m::AssocArray both = ewise_mult(caida_seen, gn_seen);
   EXPECT_EQ(both.nnz(), keys.size());
-  for (const std::string& k : keys) EXPECT_EQ(both.at(k, "sum"), 1.0) << k;
+  for (const std::string& k : keys) EXPECT_EQ(at(both, k, "sum"), 1.0) << k;
 }
 
 TEST(PipelineTest, VisibilityAblationChangesFig4Shape) {

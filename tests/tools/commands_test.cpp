@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "../d4m/assoc_oracle.hpp"
 #include "archive/matrix_file.hpp"
 #include "archive/page_cache.hpp"
 #include "archive/study_archive.hpp"
@@ -1202,8 +1203,8 @@ TEST(CliToolTest, LookupPrintsContactsOutsideTheCountRangeOnBothFronts) {
   // holds print digit-grouped as always; the rest print as doubles.
   core::StudyData study = archive::read_study(OBSCORR_TEST_DATA_DIR "/golden_study");
   d4m::AssocArray& month = study.months[0].sources;
-  month = d4m::AssocArray::ewise_add(
-      month, d4m::AssocArray::from_triples(
+  month = d4m::oracle::ewise_add(
+      month, d4m::oracle::build(
                  {{"198.51.100.1", "contacts", -7.0},
                   {"198.51.100.2", "contacts", std::numeric_limits<double>::quiet_NaN()},
                   {"198.51.100.3", "contacts", 1e20},
