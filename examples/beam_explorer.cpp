@@ -7,13 +7,17 @@
 ///
 ///   $ ./beam_explorer [log2_nv]   (default 16)
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <iterator>
+#include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/table.hpp"
-#include "d4m/assoc.hpp"
 #include "honeyfarm/database.hpp"
 #include "netgen/scenario.hpp"
 
@@ -29,28 +33,40 @@ int main(int argc, char** argv) {
   for (std::size_t m = 0; m < scenario.months.size(); ++m) {
     months.push_back(farm.observe_month(scenario.months[m], static_cast<int>(m)));
   }
-  // Keep an independent copy for churn computation.
+  // Keep an independent copy for the persistence counts and the churn.
   const std::vector<honeyfarm::MonthlyObservation> monthly(months);
   const honeyfarm::Database db(std::move(months));
+
+  // Months seen per source, in key order.
+  std::map<std::string_view, int> months_seen;
+  for (const auto& month : monthly) {
+    for (const std::string& key : month.sources.row_keys()) ++months_seen[key];
+  }
+  // The number of sources seen in at least `min_months` months.
+  const auto persistent = [&months_seen](int min_months) {
+    return static_cast<std::size_t>(std::ranges::count_if(
+        months_seen, [min_months](const auto& entry) { return entry.second >= min_months; }));
+  };
 
   // (a) Persistence spectrum: how many sources survive k of 15 months.
   TextTable spectrum("persistence spectrum (population + ephemeral sources)");
   spectrum.set_header({"months seen >=", "sources", "fraction of catalog"});
   const double total = static_cast<double>(db.distinct_sources());
   for (int k : {1, 2, 4, 6, 8, 10, 12, 15}) {
-    const auto persistent = db.persistent_sources(k);
-    spectrum.add_row({std::to_string(k), fmt_count(persistent.size()),
-                      fmt_percent(static_cast<double>(persistent.size()) / total, 2)});
+    const std::size_t sources = persistent(k);
+    spectrum.add_row({std::to_string(k), fmt_count(sources),
+                      fmt_percent(static_cast<double>(sources) / total, 2)});
   }
   spectrum.print(std::cout);
 
   // (b) The beam core: sources seen every single month, with brightness.
-  const auto core = db.persistent_sources(static_cast<int>(monthly.size()));
-  std::printf("\nbeam core: %zu sources catalogued in all %zu months\n", core.size(),
+  const int all_months = static_cast<int>(monthly.size());
+  std::printf("\nbeam core: %zu sources catalogued in all %zu months\n", persistent(all_months),
               monthly.size());
   double core_bright = 0.0;
   std::size_t matched = 0;
-  for (const std::string& ip : core) {
+  for (const auto& [ip, seen] : months_seen) {
+    if (seen < all_months) continue;
     const auto parsed = Ipv4::parse(ip);
     if (!parsed) continue;
     for (std::size_t i = 0; i < population.size(); ++i) {
@@ -81,15 +97,21 @@ int main(int argc, char** argv) {
     }
     return keys;
   };
+  // The keys two sorted key sets share.
+  const auto shared_keys = [](const auto& a, const auto& b) {
+    std::vector<std::string_view> both;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(both));
+    return both;
+  };
   TextTable churn("\nmonth-over-month churn: whole catalog vs the recurring (beam) subset");
   churn.set_header({"from", "to", "catalog retained", "beam retained"});
   for (std::size_t m = 0; m + 1 < monthly.size(); ++m) {
     const auto shared_all =
-        d4m::intersect_keys(monthly[m].sources.row_keys(), monthly[m + 1].sources.row_keys());
+        shared_keys(monthly[m].sources.row_keys(), monthly[m + 1].sources.row_keys());
     const double from_all = static_cast<double>(monthly[m].sources.row_keys().size());
     const auto beam_from = population_keys(m);
     const auto beam_to = population_keys(m + 1);
-    const auto beam_shared = d4m::intersect_keys(beam_from, beam_to);
+    const auto beam_shared = shared_keys(beam_from, beam_to);
     churn.add_row({monthly[m].month.to_string(), monthly[m + 1].month.to_string(),
                    fmt_percent(static_cast<double>(shared_all.size()) / from_all, 1),
                    beam_from.empty()

@@ -71,9 +71,10 @@ int main() {
   const d4m::AssocArray sources =
       d4m::from_addresses(per_source.indices(), per_source.values(), "packets");
   const auto keys = sources.row_keys();
-  const auto r = static_cast<std::size_t>(
-      std::lower_bound(keys.begin(), keys.end(), std::string_view("1.1.1.1")) - keys.begin());
-  std::cout << "D4M rows: " << keys.size()
-            << ", packets from 1.1.1.1: " << sources.values()[sources.row_ptr()[r]] << '\n';
+  const auto it = std::lower_bound(keys.begin(), keys.end(), std::string_view("1.1.1.1"));
+  const bool seen = it != keys.end() && *it == "1.1.1.1";
+  const auto r = static_cast<std::size_t>(it - keys.begin());
+  std::cout << "D4M rows: " << keys.size() << ", packets from 1.1.1.1: "
+            << (seen ? sources.values()[sources.row_ptr()[r]] : 0.0) << '\n';
   return 0;
 }

@@ -17,6 +17,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <span>
 #include <string>
@@ -210,6 +211,15 @@ inline double at(const AssocArray& a, std::string_view row, std::string_view col
     if (a.col_keys()[a.col_idx()[k]] == col) return a.values()[k];
   }
   return 0.0;
+}
+
+/// The keys two sorted key sets share: the sources both observatories
+/// saw, when the sets are their row keys.
+inline std::vector<std::string> shared_keys(std::span<const std::string> a,
+                                            std::span<const std::string> b) {
+  std::vector<std::string> out;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
+  return out;
 }
 
 }  // namespace obscorr::d4m::oracle

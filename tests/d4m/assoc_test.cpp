@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <iterator>
 #include <numeric>
 
 namespace obscorr::d4m {
@@ -138,10 +136,7 @@ TEST(AssocTest, KeyIntersection) {
   const AssocArray b = build({{"b", "z", 9.0}, {"c", "x", 1.0}, {"d", "x", 3.0}});
   const auto seen = [](const AssocArray& x) { return oracle::logical(oracle::row_sum(x)); };
   const AssocArray both = oracle::ewise_mult(seen(a), seen(b));
-  std::vector<std::string> shared;
-  std::set_intersection(a.row_keys().begin(), a.row_keys().end(), b.row_keys().begin(),
-                        b.row_keys().end(), std::back_inserter(shared));
-  EXPECT_EQ(shared, (std::vector<std::string>{"b", "c"}));
+  EXPECT_EQ(oracle::shared_keys(a.row_keys(), b.row_keys()), (std::vector<std::string>{"b", "c"}));
   EXPECT_EQ(both, build({{"b", "sum", 1.0}, {"c", "sum", 1.0}}));
   EXPECT_TRUE(oracle::ewise_mult(seen(a), seen(AssocArray{})).empty());
 }

@@ -5,9 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <iterator>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -19,14 +17,7 @@ namespace obscorr::honeyfarm {
 namespace {
 
 using d4m::oracle::select_cols_prefix;
-
-/// The row keys two sorted key sets share.
-std::vector<std::string> shared_keys(std::span<const std::string> a,
-                                     std::span<const std::string> b) {
-  std::vector<std::string> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
-}
+using d4m::oracle::shared_keys;
 
 netgen::PopulationConfig pop_config(std::uint64_t seed = 42) {
   netgen::PopulationConfig c;

@@ -6,9 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <map>
 #include <numeric>
 #include <span>
@@ -137,14 +135,11 @@ TEST(PipelineTest, SameMonthOverlapViaD4mAlgebraMatchesKeyIntersection) {
   const core::SnapshotData& snap = study.snapshots[0];
   const auto& month = study.months[static_cast<std::size_t>(snap.month_index)];
 
-  std::vector<std::string> keys;
-  std::set_intersection(snap.sources.row_keys().begin(), snap.sources.row_keys().end(),
-                        month.sources.row_keys().begin(), month.sources.row_keys().end(),
-                        std::back_inserter(keys));
+  using namespace d4m::oracle;
+  const auto keys = shared_keys(snap.sources.row_keys(), month.sources.row_keys());
 
   // Algebra route: |A_caida|0 row-summed to one "seen" column, then
   // element-wise multiplied with the honeyfarm's "seen" column.
-  using namespace d4m::oracle;
   const d4m::AssocArray caida_seen = logical(row_sum(logical(snap.sources)));
   const d4m::AssocArray gn_seen = logical(row_sum(logical(month.sources)));
   const d4m::AssocArray both = ewise_mult(caida_seen, gn_seen);
