@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 #include "common/error.hpp"
@@ -110,6 +111,12 @@ std::string fmt_count(std::uint64_t v) {
     out.push_back(digits[i]);
   }
   return out;
+}
+
+std::string fmt_count_double(double v) {
+  if (v >= 0.0 && v < 0x1p64) return fmt_count(static_cast<std::uint64_t>(v));
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 }  // namespace obscorr

@@ -42,5 +42,12 @@ std::string fmt_sci(double v, int precision = 3);
 std::string fmt_percent(double fraction, int precision = 1);
 /// Thousands-separated integer, e.g. 2,752,690 (Table I style).
 std::string fmt_count(std::uint64_t v);
+/// A count held in a double (a matrix value): digit-grouped and truncated
+/// when a u64 holds it, as every count the pipeline stores does. A
+/// crafted file can hold any double (its layout is checked, not its
+/// values), so a negative, NaN or too large value prints in its shortest
+/// round-trip form (`-7`, `nan`, `1e+20`) instead of through an
+/// undefined cast.
+std::string fmt_count_double(double v);
 
 }  // namespace obscorr

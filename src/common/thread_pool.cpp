@@ -17,19 +17,17 @@ namespace {
 /// Run one task under telemetry: count it and accumulate its wall time
 /// as pool busy time. The disabled path is a single branch on the
 /// cached level flag; no clock reads, no atomics.
-void run_task_instrumented(std::function<void()>& task, bool is_help_drain) {
+void run_task_instrumented(std::function<void()>& task) {
   if (!obs::counters_enabled()) {
     task();
     return;
   }
   static obs::Counter& tasks_executed = obs::counter("threadpool.tasks_executed");
   static obs::Counter& busy_ns = obs::counter("threadpool.busy_ns");
-  static obs::Counter& help_drains = obs::counter("threadpool.help_drains");
   const std::uint64_t start = obs::now_ns();
   task();
   tasks_executed.add(1);
   busy_ns.add(obs::now_ns() - start);
-  if (is_help_drain) help_drains.add(1);
 }
 
 }  // namespace
@@ -56,43 +54,12 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::scoped_lock lock(mutex_);
     tasks_.push(std::move(task));
-    ++in_flight_;
     if (obs::counters_enabled()) {
       static obs::Gauge& high_water = obs::gauge("threadpool.queue_high_water");
       high_water.record_max(tasks_.size());
     }
   }
   task_available_.notify_one();
-  // Wake helpers parked in wait_idle: new work is something they can run.
-  all_done_.notify_all();
-}
-
-bool ThreadPool::run_one_task() {
-  std::function<void()> task;
-  {
-    std::scoped_lock lock(mutex_);
-    if (tasks_.empty()) return false;
-    task = std::move(tasks_.front());
-    tasks_.pop();
-  }
-  run_task_instrumented(task, /*is_help_drain=*/true);
-  {
-    std::scoped_lock lock(mutex_);
-    if (--in_flight_ == 0) all_done_.notify_all();
-  }
-  return true;
-}
-
-void ThreadPool::wait_idle() {
-  for (;;) {
-    if (run_one_task()) continue;
-    std::unique_lock lock(mutex_);
-    if (in_flight_ == 0) return;
-    // Queue empty but tasks still running elsewhere: sleep until they
-    // finish or submit new work we can help with.
-    all_done_.wait(lock, [this] { return in_flight_ == 0 || !tasks_.empty(); });
-    if (in_flight_ == 0) return;
-  }
 }
 
 std::size_t ThreadPool::default_thread_count() {
@@ -114,11 +81,7 @@ void ThreadPool::worker_loop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    run_task_instrumented(task, /*is_help_drain=*/false);
-    {
-      std::scoped_lock lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
+    run_task_instrumented(task);
   }
 }
 

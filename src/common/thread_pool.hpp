@@ -14,9 +14,9 @@
 /// threads, so progress is guaranteed at any thread count, including
 /// one. It never runs another caller's task, so a pool task that calls
 /// `parallel_for` (a daemon request) never finds an unrelated task, with
-/// its locks, running inside it. (`wait_idle` instead helps drain the
-/// whole queue (`run_one_task`) and waits for ALL tasks — including the
-/// caller's own, so only call it from threads outside the pool.)
+/// its locks, running inside it. Destroying the pool runs every queued
+/// task before the workers exit, so ending a pool's scope waits for all
+/// of its work.
 
 #include <condition_variable>
 #include <cstddef>
@@ -41,6 +41,7 @@ class ThreadPool {
   /// std::invalid_argument otherwise, before starting any. The default
   /// uses hardware concurrency.
   explicit ThreadPool(std::size_t threads = default_thread_count());
+  /// Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -50,15 +51,6 @@ class ThreadPool {
 
   /// Enqueue a task; tasks must not throw (violations terminate).
   void submit(std::function<void()> task);
-
-  /// Pop and run one queued task on the calling thread; false when the
-  /// queue was empty. This is how blocked waiters help instead of
-  /// deadlocking when every worker is itself waiting on nested work.
-  bool run_one_task();
-
-  /// Block until every submitted task has finished, helping drain the
-  /// queue while waiting (safe to call from inside a pool task).
-  void wait_idle();
 
   /// hardware_concurrency, clamped to [1, kMaxThreads].
   static std::size_t default_thread_count();
@@ -73,8 +65,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 

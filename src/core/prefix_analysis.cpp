@@ -1,6 +1,7 @@
 #include "core/prefix_analysis.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "common/error.hpp"
@@ -22,6 +23,8 @@ PrefixAnalysis analyze_prefixes(std::span<const gbl::Index> idx,
 
   std::map<std::uint32_t, PrefixBucket> buckets;
   for (std::size_t i = 0; i < idx.size(); ++i) {
+    // A NaN would break the descending sort's strict weak order below.
+    OBSCORR_REQUIRE(std::isfinite(val[i]), "analyze_prefixes: packet counts must be finite");
     const std::uint32_t bits = shift == 32 ? 0 : idx[i] >> shift;
     PrefixBucket& b = buckets[bits];
     b.prefix_bits = bits;

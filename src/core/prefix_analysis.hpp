@@ -33,7 +33,8 @@ struct PrefixAnalysis {
 };
 
 /// Aggregate per-source packet counts (`A·1`) into /length prefixes.
-/// Works identically on raw and CryptoPAN-anonymized ids.
+/// Works identically on raw and CryptoPAN-anonymized ids. A count that is
+/// not finite throws std::invalid_argument.
 PrefixAnalysis analyze_prefixes(const gbl::SparseVec& source_packets, int length);
 
 /// Span overload for the archive query path: consumes the reduction

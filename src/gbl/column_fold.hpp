@@ -12,8 +12,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "gbl/coo.hpp"
 #include "gbl/types.hpp"
@@ -23,15 +23,13 @@ namespace obscorr::gbl {
 /// Call `visit(column, sum, count)` once per non-empty column of the
 /// entry arrays `col`/`val`, in ascending column order: `sum` folds the
 /// column's values left to right from its first, `count` is its entry
-/// count. The keys live in a frame of the calling thread's scratch arena.
+/// count.
 template <typename Visit>
 void fold_columns(std::span<const Index> col, std::span<const Value> val, Visit&& visit) {
   const std::size_t n = col.size();
   OBSCORR_REQUIRE(val.size() == n, "fold_columns: column and value arrays differ in length");
   OBSCORR_REQUIRE(n <= (std::size_t{1} << 32), "fold_columns: positions must fit in 32 bits");
-  mem::Arena& arena = mem::scratch_arena();
-  const mem::Arena::Frame frame(arena);
-  const std::span<std::uint64_t> keys = arena.alloc_span<std::uint64_t>(n);
+  std::vector<std::uint64_t> keys(n);
   for (std::size_t k = 0; k < n; ++k) keys[k] = pack_key(col[k], static_cast<Index>(k));
   sort_packed_keys(keys);
   constexpr std::uint64_t kPosition = 0xFFFFFFFFu;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/arena.hpp"
 #include "gbl/kernels.hpp"
 
 namespace obscorr::gbl {
@@ -31,10 +30,8 @@ void sort_packed_keys(std::span<std::uint64_t> keys) {
   // Serial LSD radix sort (kernels::radix_sort_u64): six 11-bit digit
   // passes with a scatter buffer, all six histograms built in one
   // initial sweep, and passes whose digit is constant across the range
-  // skipped — ~5-8x a comparison sort on random packet keys. Scratch
-  // lives in a frame of the calling thread's arena, so the sort of every
-  // sealed block reuses the same warm pages.
-  kernels::radix_sort_u64(keys.data(), keys.size(), mem::scratch_arena());
+  // skipped — ~5-8x a comparison sort on random packet keys.
+  kernels::radix_sort_u64(keys.data(), keys.size());
 }
 
 }  // namespace obscorr::gbl

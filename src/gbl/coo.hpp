@@ -19,9 +19,8 @@ std::vector<Tuple> sort_and_combine(std::vector<Tuple> tuples);
 
 /// Sort packed `(row << 32) | col` keys ascending, in place. The batched
 /// ingest path sorts these 8-byte keys instead of 16-byte tuples: half
-/// the bytes moved and a branch-free comparison. Radix scratch comes from
-/// the calling thread's recycled arena (`mem::scratch_arena()`), never
-/// from malloc. Accepts any contiguous key buffer.
+/// the bytes moved and a branch-free comparison. Accepts any contiguous
+/// key buffer.
 void sort_packed_keys(std::span<std::uint64_t> keys);
 
 /// Pack a (row, col) cell into the ingest key order. Sorting packed keys

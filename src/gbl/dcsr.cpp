@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "gbl/coo.hpp"
 #include "gbl/kernels.hpp"
@@ -239,15 +239,11 @@ DcsrMatrix DcsrMatrix::ewise_add(const DcsrMatrix& a, const DcsrMatrix& b, Threa
   // with fewer than three workers the single-pass serial merge wins.
   if (pool.thread_count() <= 2 || a.nnz() + b.nnz() < (1u << 14)) return ewise_add(a, b);
 
-  // Pass 0 (serial, cheap): union-merge the row-id lists. The merged-row
-  // table and the per-row counts are call-scoped scratch — they live in
-  // an arena frame on this thread (all taken before the parallel_for, so
-  // help-drain re-entry nests its own frames safely).
-  mem::Arena& arena = mem::scratch_arena();
-  const mem::Arena::Frame frame(arena);
-  MergedRow* const rows = arena.alloc_span<MergedRow>(a.row_ids_.size() + b.row_ids_.size()).data();
-  const std::size_t nrows = merge_row_ids(a.row_ids_, b.row_ids_, rows);
-  std::uint64_t* const counts = arena.alloc_span<std::uint64_t>(nrows).data();
+  // Pass 0 (serial, cheap): union-merge the row-id lists into the
+  // merged-row table.
+  std::vector<MergedRow> rows(a.row_ids_.size() + b.row_ids_.size());
+  const std::size_t nrows = merge_row_ids(a.row_ids_, b.row_ids_, rows.data());
+  std::vector<std::uint64_t> counts(nrows);
 
   auto a_cols = [&](std::uint32_t r) {
     return std::span<const Index>(a.col_.data() + a.row_ptr_[r], a.row_ptr_[r + 1] - a.row_ptr_[r]);

@@ -1,12 +1,12 @@
 #include "gbl/kernels.hpp"
 
 #include <algorithm>
-
-#include "common/arena.hpp"
+#include <memory>
+#include <vector>
 
 namespace obscorr::gbl::kernels {
 
-void radix_sort_u64(std::uint64_t* keys, std::size_t n, mem::Arena& arena) {
+void radix_sort_u64(std::uint64_t* keys, std::size_t n) {
   constexpr int kBits = 11;
   constexpr int kPasses = 6;  // 6 * 11 = 66 bits >= 64
   constexpr std::size_t kBuckets = std::size_t{1} << kBits;
@@ -18,10 +18,10 @@ void radix_sort_u64(std::uint64_t* keys, std::size_t n, mem::Arena& arena) {
   // lines of the store.
   constexpr std::size_t kPrefetchDist = 16;
   if (n < 2) return;  // the constant-digit probe below reads src[0]
-  const mem::Arena::Frame frame(arena);
-  std::uint64_t* const scratch = arena.alloc_span<std::uint64_t>(n).data();
-  std::size_t* const hist = arena.alloc_span<std::size_t>(kPasses * kBuckets).data();
-  std::fill_n(hist, kPasses * kBuckets, std::size_t{0});
+  // Every pass writes all n scatter slots before reading any, so the
+  // buffer starts uninitialized.
+  const auto scratch = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+  std::vector<std::size_t> hist(kPasses * kBuckets, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t k = keys[i];
     for (int p = 0; p < kPasses; ++p) {
@@ -29,9 +29,9 @@ void radix_sort_u64(std::uint64_t* keys, std::size_t n, mem::Arena& arena) {
     }
   }
   std::uint64_t* src = keys;
-  std::uint64_t* dst = scratch;
+  std::uint64_t* dst = scratch.get();
   for (int p = 0; p < kPasses; ++p) {
-    std::size_t* h = hist + static_cast<std::size_t>(p) * kBuckets;
+    std::size_t* h = hist.data() + static_cast<std::size_t>(p) * kBuckets;
     const int shift = p * kBits;
     if (h[(src[0] >> shift) & kMask] == n) continue;  // constant digit
     std::size_t offset = 0;

@@ -16,19 +16,13 @@
 
 #include "gbl/types.hpp"
 
-namespace obscorr::mem {
-class Arena;
-}  // namespace obscorr::mem
-
 namespace obscorr::gbl::kernels {
 
 /// Serial LSD radix sort of u64 keys: six 11-bit digit passes with a
 /// scatter buffer; all six histograms are built in one initial sweep and
 /// constant-digit passes are skipped. The scatter buffer and histograms
-/// live in a frame of `arena` for the duration of the call — callers
-/// share one recycled arena (usually `mem::scratch_arena()`) instead of
-/// round-tripping malloc per block.
-void radix_sort_u64(std::uint64_t* keys, std::size_t n, mem::Arena& arena);
+/// are allocated per call.
+void radix_sort_u64(std::uint64_t* keys, std::size_t n);
 
 /// Merge-add two sorted unique column runs into `out_col`/`out_val`
 /// (shared columns sum `av[i] + bv[j]`). Returns the entries written

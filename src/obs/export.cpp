@@ -131,18 +131,27 @@ void write_metrics_prometheus(std::ostream& os) {
 }
 
 bool write_metrics_file(const std::string& path, std::string_view format) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
+  const auto write_to = [format](const std::string& target) {
+    std::ofstream os(target, std::ios::trunc);
     if (!os.is_open()) return false;
     if (format == "prom") {
       write_metrics_prometheus(os);
     } else {
       write_metrics_json(os);
     }
-  }
+    os.close();
+    return !os.fail();
+  };
+  namespace fs = std::filesystem;
   std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
+  const fs::file_type type = fs::symlink_status(path, ec).type();
+  if (type != fs::file_type::not_found && type != fs::file_type::regular) return write_to(path);
+  const std::string tmp = path + ".tmp";
+  if (!write_to(tmp)) {
+    fs::remove(tmp, ec);
+    return false;
+  }
+  fs::rename(tmp, path, ec);
   return !ec;
 }
 

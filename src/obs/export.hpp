@@ -37,9 +37,12 @@ void write_metrics_json(std::ostream& os);
 /// `# EOF` per the OpenMetrics framing rules.
 void write_metrics_prometheus(std::ostream& os);
 
-/// Replace `path` atomically (tmp + rename) with the metrics in `format`
-/// ("prom" text, else JSON); false when it cannot be written. The CLI's
-/// exit export and the daemon's periodic snapshots both write here.
+/// Write the metrics in `format` ("prom" text, else JSON) to `path`;
+/// false when any byte cannot be written. An absent path or a regular
+/// file is replaced atomically (tmp + rename), and a failed write leaves
+/// it untouched. Anything else (a symlink, a device) is written in place,
+/// so the node itself survives. The CLI's exit export and the daemon's
+/// periodic snapshots both write here.
 bool write_metrics_file(const std::string& path, std::string_view format);
 
 /// Human-readable summary (for `--timing` on stderr): span aggregates

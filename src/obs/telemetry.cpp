@@ -8,6 +8,10 @@
 
 #include "obs/span.hpp"
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#endif
+
 namespace obscorr::obs {
 
 namespace detail {
@@ -36,8 +40,6 @@ constexpr const char* kCanonicalCounters[] = {
     "cache.evictions",
     "cache.hits",
     "cache.misses",
-    "mem.arena_bytes",
-    "mem.arena_resets",
     "netgen.packets_emitted",
     "netgen.rng_streams",
     "netgen.shards_generated",
@@ -61,13 +63,11 @@ constexpr const char* kCanonicalCounters[] = {
     "telescope.merge_ns",
     "telescope.valid_packets",
     "threadpool.busy_ns",
-    "threadpool.help_drains",
     "threadpool.tasks_executed",
 };
 
 constexpr const char* kCanonicalGauges[] = {
     "cache.bytes",
-    "mem.arena_high_water",
     "mem.peak_rss",
     "svc.connections_high_water",
     "svc.watchers_high_water",
@@ -223,6 +223,20 @@ std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                         std::chrono::steady_clock::now() - epoch)
                                         .count());
+}
+
+std::size_t peak_rss_bytes() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct rusage usage{};
+  if (::getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+#if defined(__APPLE__)
+  return static_cast<std::size_t>(usage.ru_maxrss);
+#else
+  return static_cast<std::size_t>(usage.ru_maxrss) * 1024;
+#endif
+#else
+  return 0;
+#endif
 }
 
 }  // namespace obscorr::obs

@@ -26,6 +26,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -143,5 +144,9 @@ class ScopedNsCounter {
 
 /// Nanoseconds since the process telemetry epoch (steady clock).
 std::uint64_t now_ns();
+
+/// Peak resident set size of the process in bytes (getrusage); 0 when
+/// the platform doesn't report it. Recorded as the `mem.peak_rss` gauge.
+std::size_t peak_rss_bytes();
 
 }  // namespace obscorr::obs

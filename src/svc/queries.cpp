@@ -7,7 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/arena.hpp"
 #include "common/ipv4.hpp"
 #include "obs/export.hpp"
 #include "obs/span.hpp"
@@ -386,7 +385,7 @@ JsonValue QueryEngine::q_stats() {
 }
 
 JsonValue QueryEngine::q_metrics(const JsonValue& params) {
-  obs::gauge("mem.peak_rss").record_max(static_cast<std::uint64_t>(mem::peak_rss_bytes()));
+  obs::gauge("mem.peak_rss").record_max(static_cast<std::uint64_t>(obs::peak_rss_bytes()));
   const JsonValue* format = params.find("format");
   const std::string name = format != nullptr ? format->as_string() : "json";
   if (name != "json" && name != "prom") {

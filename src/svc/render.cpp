@@ -1,7 +1,6 @@
 #include "svc/render.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -71,21 +70,6 @@ void render_study(const core::StudyData& study, std::ostream& out) {
   }
 }
 
-namespace {
-
-/// A contact count as a lookup prints it: digit-grouped and truncated
-/// when it fits a u64, as every count the honeyfarm records does. A
-/// crafted month can hold any double (an archived array is checked for
-/// structure, not values), so a negative, NaN or too large value prints
-/// in its shortest round-trip form instead of through an undefined cast.
-std::string contacts_text(double v) {
-  if (v >= 0.0 && v < 0x1p64) return fmt_count(static_cast<std::uint64_t>(v));
-  char buf[32];
-  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-}
-
-}  // namespace
-
 void render_lookup(const honeyfarm::Database& db, const std::string& ip, std::ostream& out) {
   out << "database: " << fmt_count(db.distinct_sources()) << " distinct sources over "
       << db.month_count() << " months\n";
@@ -99,7 +83,7 @@ void render_lookup(const honeyfarm::Database& db, const std::string& ip, std::os
       << profile->first_seen->to_string() << " .. " << profile->last_seen->to_string()
       << "), classification=" << profile->classification
       << (profile->intent.empty() ? "" : ", intent=" + profile->intent)
-      << ", peak contacts=" << contacts_text(profile->peak_contacts)
+      << ", peak contacts=" << fmt_count_double(profile->peak_contacts)
       << '\n';
 }
 

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/interrupt.hpp"
 #include "obs/export.hpp"
@@ -524,7 +523,7 @@ struct Server::Impl {
 
   void write_metrics_snapshot() {
     if (cfg.metrics_out.empty()) return;
-    obs::gauge("mem.peak_rss").record_max(static_cast<std::uint64_t>(mem::peak_rss_bytes()));
+    obs::gauge("mem.peak_rss").record_max(static_cast<std::uint64_t>(obs::peak_rss_bytes()));
     // A failed write is ignored: snapshotting must never kill the daemon.
     (void)obs::write_metrics_file(cfg.metrics_out, cfg.metrics_format);
   }

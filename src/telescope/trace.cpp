@@ -44,14 +44,16 @@ void TraceWriter::write(std::span<const Packet> packets) {
   count_ += packets.size();
 }
 
-void TraceWriter::close() {
-  if (impl_->closed) return;
-  impl_->closed = true;
-  // Back-patch the packet count. No exceptions here: close() also runs
-  // from the destructor, where throwing would terminate.
-  impl_->os.seekp(sizeof kMagic, std::ios::beg);
-  impl_->os.write(reinterpret_cast<const char*>(&count_), sizeof count_);
-  impl_->os.flush();
+bool TraceWriter::close() {
+  if (!impl_->closed) {
+    impl_->closed = true;
+    // Back-patch the packet count. No exceptions here: close() also runs
+    // from the destructor, where throwing would terminate.
+    impl_->os.seekp(sizeof kMagic, std::ios::beg);
+    impl_->os.write(reinterpret_cast<const char*>(&count_), sizeof count_);
+    impl_->os.close();
+  }
+  return !impl_->os.fail();
 }
 
 std::uint64_t replay_trace(const std::string& path, const PacketBatchSink& sink) {
@@ -90,7 +92,7 @@ std::uint64_t record_trace(const std::string& path,
                            const std::function<void(const PacketBatchSink&)>& producer) {
   TraceWriter writer(path);
   producer([&](std::span<const Packet> batch) { writer.write(batch); });
-  writer.close();
+  OBSCORR_REQUIRE(writer.close(), "record_trace: cannot write " + path);
   return writer.count();
 }
 

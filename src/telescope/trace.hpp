@@ -41,7 +41,8 @@ class TraceWriter {
   std::uint64_t count() const { return count_; }
 
   /// Finalize the header; further writes are invalid. Idempotent.
-  void close();
+  /// False when a byte did not reach the file (a full disk).
+  bool close();
 
  private:
   struct Impl;
@@ -55,7 +56,9 @@ class TraceWriter {
 std::uint64_t replay_trace(const std::string& path, const PacketBatchSink& sink);
 
 /// Convenience: record exactly the packets `producer` hands to the sink
-/// it is given (e.g. one generated window). Returns the number written.
+/// it is given (e.g. one generated window). Returns the number written;
+/// throws std::invalid_argument naming `path` when the file cannot be
+/// written in full.
 std::uint64_t record_trace(const std::string& path,
                            const std::function<void(const PacketBatchSink&)>& producer);
 

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "../core/correlation_oracle.hpp"
@@ -33,16 +36,26 @@ namespace {
 
 const std::string kGolden = std::string(OBSCORR_TEST_DATA_DIR) + "/golden_study";
 
-/// A force-compressed copy of the golden archive, made once.
+/// A force-compressed copy of the golden archive, made once per process
+/// and removed at exit. ctest runs each case as its own process, possibly
+/// at the same time, so the directory name carries the process id: a
+/// shared one would be rewritten under another process's reads.
 const std::string& compacted_golden() {
-  static const std::string dir = [] {
-    const std::string d = ::testing::TempDir() + "/analysis_load_compacted";
-    std::filesystem::remove_all(d);
-    std::filesystem::copy(kGolden, d);
-    (void)compact_archive(d, {.compress_all = true});
-    return d;
-  }();
-  return dir;
+  struct Copy {
+    std::string dir =
+        ::testing::TempDir() + "/analysis_load_compacted." + std::to_string(::getpid());
+    Copy() {
+      std::filesystem::remove_all(dir);
+      std::filesystem::copy(kGolden, dir);
+      (void)compact_archive(dir, {.compress_all = true});
+    }
+    ~Copy() {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  };
+  static const Copy copy;
+  return copy.dir;
 }
 
 /// Restores the default page-cache budget when the test ends.
@@ -97,13 +110,16 @@ TEST(ParallelLoadTest, EntriesMatchTheSerialReadsAtEveryPoolSize) {
 
 TEST(ParallelLoadTest, LoadsInsideAPoolTask) {
   // The daemon's `report` loads from a pool task on its own pool: the
-  // load's parallel_for helps drain the queue instead of waiting on it.
+  // load's parallel_for runs its own unstarted chunks on the waiting
+  // task and sleeps only on chunks other workers already run, so it
+  // finishes on a one-worker pool too.
   const StudyReader reader(compacted_golden());
   for (const std::size_t threads : {1u, 2u}) {
-    ThreadPool pool(threads);
     std::optional<core::StudyData> loaded;
-    pool.submit([&] { loaded = reader.analysis_study(pool); });
-    pool.wait_idle();
+    {
+      ThreadPool pool(threads);
+      pool.submit([&] { loaded = reader.analysis_study(pool); });
+    }  // the destructor runs the task before it joins
     ASSERT_TRUE(loaded.has_value());
     expect_same_study(*loaded, reader, "in a task, " + std::to_string(threads) + " threads");
   }

@@ -24,18 +24,14 @@ TEST(ThreadPoolTest, ReportsThreadCount) {
 }
 
 TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 1000; ++i) {
+      pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }  // the destructor runs every queued task before it joins
   EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
@@ -120,50 +116,6 @@ TEST(ParallelForTest, MoreThreadsThanElements) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, RunOneTaskDrainsQueueFromCaller) {
-  // Park the single worker on a blocker (confirmed via `entered`), then
-  // queue tasks only the caller can pop; a final wait_idle reaps the
-  // blocker.
-  ThreadPool pool(1);
-  std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    entered.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!entered.load()) std::this_thread::yield();
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 5; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
-  }
-  int popped = 0;
-  while (pool.run_one_task()) ++popped;
-  EXPECT_EQ(popped, 5);
-  EXPECT_EQ(ran.load(), 5);
-  EXPECT_FALSE(pool.run_one_task());  // queue empty now
-  release.store(true);
-  pool.wait_idle();
-}
-
-TEST(ThreadPoolTest, WaitIdleHelpsDrainTheQueue) {
-  // The blocker only finishes once all 8 queued tasks have run — but one
-  // of the pool's two threads (worker or, after helping, the caller) is
-  // stuck inside it, so wait_idle can only return if the thread that
-  // did NOT take the blocker drains the queue. A sleeping wait here
-  // would deadlock; helping makes it terminate regardless of which
-  // thread ends up holding which task.
-  ThreadPool pool(1);
-  std::atomic<int> ran{0};
-  pool.submit([&] {
-    while (ran.load() < 8) std::this_thread::yield();
-  });
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 8);
-}
-
 TEST_P(ParallelForTest, NestedParallelForDoesNotDeadlock) {
   ThreadPool pool(GetParam());
   std::vector<std::atomic<int>> hits(64 * 64);
@@ -180,16 +132,17 @@ TEST_P(ParallelForTest, NestedParallelForDoesNotDeadlock) {
 }
 
 TEST_P(ParallelForTest, ParallelForInsideSubmittedTasksDoesNotDeadlock) {
-  ThreadPool pool(GetParam());
   std::atomic<long long> total{0};
-  for (int t = 0; t < 16; ++t) {
-    pool.submit([&pool, &total] {
-      parallel_for(pool, 0, std::size_t{100}, [&](std::size_t b, std::size_t e) {
-        total.fetch_add(static_cast<long long>(e - b));
+  {
+    ThreadPool pool(GetParam());
+    for (int t = 0; t < 16; ++t) {
+      pool.submit([&pool, &total] {
+        parallel_for(pool, 0, std::size_t{100}, [&](std::size_t b, std::size_t e) {
+          total.fetch_add(static_cast<long long>(e - b));
+        });
       });
-    });
-  }
-  pool.wait_idle();
+    }
+  }  // the destructor runs every queued task before it joins
   EXPECT_EQ(total.load(), 16 * 100);
 }
 
@@ -267,43 +220,42 @@ TEST(ParallelForTest, WaitingCallerRunsOnlyItsOwnChunks) {
   // queues behind U. A must run that chunk itself and return without
   // running U: a daemon request that fans out on the pool must never find
   // another request, with its locks and its render, running inside it.
-  ThreadPool pool(2);
   std::mutex m;
   std::condition_variable cv;
   bool hold_released = false;
   bool holding = false;
-  pool.submit([&] {
-    std::unique_lock lock(m);
-    holding = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return hold_released; });
-  });
-  {
-    std::unique_lock lock(m);
-    cv.wait(lock, [&] { return holding; });
-  }
   std::atomic<bool> unrelated_ran{false};
   std::atomic<bool> unrelated_ran_inside{true};
   std::atomic<int> covered{0};
   bool caller_done = false;
-  pool.submit([&] {
-    pool.submit([&] { unrelated_ran.store(true); });
-    parallel_for(pool, 0, std::size_t{100}, [&](std::size_t b, std::size_t e) {
-      covered.fetch_add(static_cast<int>(e - b));
-    });
-    unrelated_ran_inside.store(unrelated_ran.load());
-    std::scoped_lock lock(m);
-    caller_done = true;
-    cv.notify_all();
-  });
   {
+    ThreadPool pool(2);
+    pool.submit([&] {
+      std::unique_lock lock(m);
+      holding = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return hold_released; });
+    });
+    {
+      std::unique_lock lock(m);
+      cv.wait(lock, [&] { return holding; });
+    }
+    pool.submit([&] {
+      pool.submit([&] { unrelated_ran.store(true); });
+      parallel_for(pool, 0, std::size_t{100}, [&](std::size_t b, std::size_t e) {
+        covered.fetch_add(static_cast<int>(e - b));
+      });
+      unrelated_ran_inside.store(unrelated_ran.load());
+      std::scoped_lock lock(m);
+      caller_done = true;
+      cv.notify_all();
+    });
     std::unique_lock lock(m);
     const bool done = cv.wait_for(lock, std::chrono::seconds(30), [&] { return caller_done; });
     hold_released = true;
     cv.notify_all();
     ASSERT_TRUE(done);
-  }
-  pool.wait_idle();
+  }  // the destructor runs U before it joins
   EXPECT_EQ(covered.load(), 100);
   EXPECT_FALSE(unrelated_ran_inside.load());
   EXPECT_TRUE(unrelated_ran.load());

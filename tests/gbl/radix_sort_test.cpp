@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/prng.hpp"
 
 namespace obscorr::gbl::kernels {
@@ -30,8 +29,7 @@ TEST(RadixSortTest, MatchesStdSortAcrossSizesAndKeyWidths) {
     for (const int bits : {16, 33, 64}) {
       std::vector<std::uint64_t> sorted = random_keys(rng, n, bits);
       std::vector<std::uint64_t> expect = sorted;
-      mem::Arena arena;
-      radix_sort_u64(sorted.data(), sorted.size(), arena);
+      radix_sort_u64(sorted.data(), sorted.size());
       std::sort(expect.begin(), expect.end());
       EXPECT_EQ(sorted, expect) << "n=" << n << " bits=" << bits;
     }

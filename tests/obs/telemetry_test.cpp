@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -104,6 +109,14 @@ TEST_F(TelemetryTest, ResetZerosCountersAndDropsSpans) {
   EXPECT_EQ(counter("test.reset").value(), 0u);
   EXPECT_TRUE(span_events().empty());
   EXPECT_EQ(dropped_span_events(), 0u);
+}
+
+TEST_F(TelemetryTest, PeakRssIsReportedOnSupportedPlatforms) {
+#if defined(__linux__) || defined(__APPLE__)
+  EXPECT_GT(peak_rss_bytes(), 0u);
+#else
+  SUCCEED();
+#endif
 }
 
 TEST_F(TelemetryTest, ScopedNsCounterIsNoOpWhenDisabled) {
@@ -259,8 +272,6 @@ TEST_F(TelemetryExportTest, MetricsJsonSchemaAndCanonicalCatalogue) {
       "cache.evictions",
       "cache.hits",
       "cache.misses",
-      "mem.arena_bytes",
-      "mem.arena_resets",
       "netgen.packets_emitted",
       "netgen.rng_streams",
       "netgen.shards_generated",
@@ -284,13 +295,11 @@ TEST_F(TelemetryExportTest, MetricsJsonSchemaAndCanonicalCatalogue) {
       "telescope.merge_ns",
       "telescope.valid_packets",
       "threadpool.busy_ns",
-      "threadpool.help_drains",
       "threadpool.tasks_executed",
   };
   EXPECT_EQ(canonical_counter_names(), expected_counters);
   const std::vector<std::string> expected_gauges = {
       "cache.bytes",
-      "mem.arena_high_water",
       "mem.peak_rss",
       "svc.connections_high_water",
       "svc.watchers_high_water",
@@ -394,6 +403,29 @@ TEST_F(TelemetryExportTest, TimingSummaryListsSpansAndNonZeroCounters) {
   EXPECT_NE(text.find("test.summary_span: 1"), std::string::npos);
   // Zero-valued canonical counters stay out of the human summary.
   EXPECT_EQ(text.find("archive.bytes_read"), std::string::npos);
+}
+
+TEST_F(TelemetryExportTest, FailedMetricsWriteKeepsTheLastDocument) {
+  // A daemon snapshot whose write fails (here its tmp file is a symlink
+  // to the full device) must leave the last good document in place.
+  std::error_code ec;
+  if (!std::filesystem::is_character_file("/dev/full", ec)) {
+    GTEST_SKIP() << "/dev/full is not a character device";
+  }
+  const std::string path = ::testing::TempDir() + "/metrics_keep." + std::to_string(::getpid());
+  std::ofstream(path) << "last good\n";
+  std::filesystem::remove(path + ".tmp", ec);
+  std::filesystem::create_symlink("/dev/full", path + ".tmp");
+  EXPECT_FALSE(write_metrics_file(path, "json"));
+  // Read `path` only while it is the regular file: renaming the tmp
+  // symlink over it would leave the endless full device behind it.
+  ASSERT_TRUE(std::filesystem::is_regular_file(std::filesystem::symlink_status(path)));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), "last good\n");
+  EXPECT_FALSE(std::filesystem::exists(std::filesystem::symlink_status(path + ".tmp")));
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -129,7 +129,8 @@ TEST(LogHistogramTest, QuantileIsMonotoneAndBinAccurate) {
     EXPECT_GE(est, prev) << q;
     prev = est;
     // Within one binary-log bin of the exact sample quantile.
-    const double exact = values[static_cast<std::size_t>(q * (values.size() - 1))];
+    const double last = static_cast<double>(values.size() - 1);
+    const double exact = values[static_cast<std::size_t>(q * last)];
     EXPECT_GE(est * 2.0, exact) << q;
     EXPECT_LE(est, exact * 2.0 + 1.0) << q;
   }

@@ -23,8 +23,10 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -1227,6 +1229,162 @@ TEST(CliToolTest, LookupPrintsContactsOutsideTheCountRangeOnBothFronts) {
   }
   engine.reset();
   std::filesystem::remove_all(dir);
+}
+
+TEST(CliToolTest, PrefixesAndQuantitiesPrintCraftedMatrixValues) {
+  // MatrixView::from_bytes checks a file's layout, not its values: a
+  // crafted matrix can hold any double. A NaN would break `prefixes`'
+  // ranking, so it is an error there; `quantities` prints the NaN sum.
+  // Other counts print through the one formatter for a count held in a
+  // double, never through an undefined cast to u64.
+  const std::string nan_file = temp("cli_crafted_nan.gbl");
+  const std::string odd_file = temp("cli_crafted_values.gbl");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  archive::write_matrix_file(
+      nan_file, gbl::DcsrMatrix::from_tuples({{0x01000000, 1, 1.0}, {0x02000000, 1, nan}}));
+  archive::write_matrix_file(odd_file, gbl::DcsrMatrix::from_tuples({{0x01000000, 1, -7.0},
+                                                                     {0x02000000, 1, 1e20},
+                                                                     {0x03000000, 1, 1234567.9}}));
+  {
+    std::ostringstream out, err;
+    EXPECT_EQ(run({"prefixes", "--matrix", nan_file, "--length", "8"}, out, err), 2);
+    EXPECT_EQ(out.str(), "");
+    EXPECT_EQ(err.str(), "error: analyze_prefixes: packet counts must be finite\n");
+  }
+  {
+    std::ostringstream out, err;
+    ASSERT_EQ(run({"quantities", "--matrix", nan_file}, out, err), 0) << err.str();
+    std::istringstream lines(out.str());
+    std::string line;
+    while (std::getline(lines, line) && line.rfind("valid packets", 0) != 0) {
+    }
+    ASSERT_EQ(line.rfind("valid packets", 0), 0u) << out.str();
+    std::istringstream cells(line);
+    std::string cell, value;
+    while (cells >> cell) value = cell;
+    EXPECT_EQ(value, "nan") << line;
+  }
+  std::ostringstream out, err;
+  ASSERT_EQ(run({"prefixes", "--matrix", odd_file, "--length", "8"}, out, err), 0) << err.str();
+  const std::string text = out.str();
+  const std::size_t huge = text.find(" 1e+20\n");
+  const std::size_t grouped = text.find(" 1,234,567\n");
+  const std::size_t negative = text.find(" -7\n");
+  ASSERT_NE(huge, std::string::npos) << text;
+  ASSERT_NE(grouped, std::string::npos) << text;
+  ASSERT_NE(negative, std::string::npos) << text;
+  EXPECT_LT(huge, grouped) << text;
+  EXPECT_LT(grouped, negative) << text;
+  std::remove(nan_file.c_str());
+  std::remove(odd_file.c_str());
+}
+
+/// Whether /dev/full is the character device every write to fails with
+/// ENOSPC: the full disk the write-failure tests point symlinks at.
+bool have_full_device() {
+  std::error_code ec;
+  return std::filesystem::is_character_file("/dev/full", ec);
+}
+
+/// A fresh, empty directory under the test temp directory.
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = temp(name + "." + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(CliToolTest, OutputFilesThatCannotBeWrittenAreErrors) {
+  // Each output goes through a symlink to /dev/full. The command must
+  // exit 2 with an error naming the path, never print its `wrote` line,
+  // and leave the symlink in place.
+  if (!have_full_device()) GTEST_SKIP() << "/dev/full is not a character device";
+  const std::string golden = OBSCORR_TEST_DATA_DIR "/golden_study";
+  const std::string dir = fresh_dir("cli_full_outputs");
+  const std::string full = dir + "/full";
+  std::filesystem::create_symlink("/dev/full", full);
+  const auto expect_write_error = [](const std::vector<std::string>& args,
+                                     const std::string& path, const std::string& message) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run(args, out, err), 2) << args[0] << '\n' << err.str();
+    EXPECT_NE(err.str().find("error: " + message + "\n"), std::string::npos) << err.str();
+    std::istringstream lines(err.str());
+    for (std::string line; std::getline(lines, line);) {
+      EXPECT_FALSE(line.rfind("wrote ", 0) == 0 && line.find(path) != std::string::npos) << line;
+    }
+    EXPECT_TRUE(std::filesystem::is_symlink(path)) << path;
+  };
+  expect_write_error({"generate", "--out", full, "--log2-nv", "10"}, full,
+                     "record_trace: cannot write " + full);
+  expect_write_error({"correlate", "--from", golden, "--json", full}, full,
+                     "correlate: cannot write " + full);
+  expect_write_error({"study", "--from", golden, "--trace-out", full}, full,
+                     "telemetry: cannot write trace to " + full);
+
+  // `report`: the first CSV, then REPORT.md after every CSV was written.
+  for (const char* name : {"table1_inventory.csv", "REPORT.md"}) {
+    const std::string out_dir = dir + "/report_" + name;
+    std::filesystem::create_directories(out_dir);
+    const std::string target = out_dir + "/" + name;
+    std::filesystem::create_symlink("/dev/full", target);
+    expect_write_error({"report", "--from", golden, "--out", out_dir}, target,
+                       "report: cannot write " + target);
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir + "/report_REPORT.md/fig7_fig8_fit_parameters.csv"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CliToolTest, MetricsOutWritesThroughSymlinksAndKeepsThem) {
+  // tmp + rename replaces only an absent path or a regular file; any
+  // other target is written in place, so a symlink (or the device node
+  // behind it) is never replaced by a regular file.
+  const std::string golden = OBSCORR_TEST_DATA_DIR "/golden_study";
+  const std::string dir = fresh_dir("cli_metrics_links");
+  const std::string doc = dir + "/metrics.json";
+  const std::string link = dir + "/link.json";
+  std::ofstream(doc) << "old\n";
+  std::filesystem::create_symlink(doc, link);
+  {
+    std::ostringstream out, err;
+    ASSERT_EQ(run({"study", "--from", golden, "--metrics-out", link}, out, err), 0) << err.str();
+    EXPECT_NE(err.str().find("wrote metrics to " + link), std::string::npos) << err.str();
+  }
+  EXPECT_TRUE(std::filesystem::is_symlink(link));
+  EXPECT_FALSE(std::filesystem::exists(link + ".tmp"));
+  std::ifstream in(doc);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("\"schema\": \"obscorr.metrics.v1\""), std::string::npos)
+      << text.str();
+
+  if (!have_full_device()) GTEST_SKIP() << "/dev/full is not a character device";
+  const std::string full = dir + "/full";
+  std::filesystem::create_symlink("/dev/full", full);
+  std::ostringstream out, err;
+  EXPECT_EQ(run({"study", "--from", golden, "--metrics-out", full}, out, err), 2);
+  EXPECT_NE(err.str().find("error: telemetry: cannot write metrics to " + full + "\n"),
+            std::string::npos)
+      << err.str();
+  EXPECT_EQ(err.str().find("wrote metrics"), std::string::npos) << err.str();
+  EXPECT_TRUE(std::filesystem::is_symlink(full));
+  EXPECT_FALSE(std::filesystem::exists(full + ".tmp"));
+  std::filesystem::remove_all(dir);
+}
+
+/// A stream buffer whose every write fails, as stdout on a full disk.
+class FailingBuf : public std::streambuf {
+ protected:
+  int_type overflow(int_type) override { return traits_type::eof(); }
+  std::streamsize xsputn(const char*, std::streamsize) override { return 0; }
+};
+
+TEST(CliToolTest, StdoutThatCannotBeWrittenIsAnError) {
+  FailingBuf failing;
+  std::ostream out(&failing);
+  std::ostringstream err;
+  EXPECT_EQ(run({"study", "--from", OBSCORR_TEST_DATA_DIR "/golden_study"}, out, err), 2);
+  EXPECT_NE(err.str().find("error: cannot write standard output\n"), std::string::npos)
+      << err.str();
 }
 
 TEST(CliToolTest, CliAndDaemonRejectInvalidQueriesIdentically) {

@@ -15,7 +15,6 @@
 #include "archive/matrix_file.hpp"
 #include "archive/page_cache.hpp"
 #include "archive/study_archive.hpp"
-#include "common/arena.hpp"
 #include "common/cli.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -56,18 +55,29 @@ struct Telemetry {
   bool active() const { return timing || metrics_out.has_value() || trace_out.has_value(); }
 };
 
+/// Write `path` through `fill`. A file that cannot be opened, or a byte
+/// that did not reach it (a full disk), throws `message`, so no `wrote`
+/// line follows a failed write.
+template <typename Fill>
+void write_file(const std::string& path, const std::string& message, const Fill& fill) {
+  std::ofstream os(path, std::ios::trunc);
+  OBSCORR_REQUIRE(os.is_open(), message);
+  fill(os);
+  os.close();
+  OBSCORR_REQUIRE(!os.fail(), message);
+}
+
 /// Disarm telemetry and write the requested exports. Runs once per
 /// command, after the result data is already on `out`.
 void export_telemetry(const Telemetry& t, std::ostream& err) {
   if (!t.active()) return;
   // The exported document always carries the process peak RSS; the
   // daemon additionally refreshes it on every periodic snapshot.
-  obs::gauge("mem.peak_rss").record_max(static_cast<std::uint64_t>(mem::peak_rss_bytes()));
+  obs::gauge("mem.peak_rss").record_max(static_cast<std::uint64_t>(obs::peak_rss_bytes()));
   obs::set_level(obs::Level::kOff);
   if (t.trace_out.has_value()) {
-    std::ofstream os(*t.trace_out, std::ios::trunc);
-    OBSCORR_REQUIRE(os.is_open(), "telemetry: cannot write trace to " + *t.trace_out);
-    obs::write_chrome_trace(os);
+    write_file(*t.trace_out, "telemetry: cannot write trace to " + *t.trace_out,
+               [](std::ostream& os) { obs::write_chrome_trace(os); });
     err << "wrote Chrome trace to " << *t.trace_out
         << " (open in chrome://tracing or ui.perfetto.dev)\n";
   }
@@ -78,9 +88,7 @@ void export_telemetry(const Telemetry& t, std::ostream& err) {
   }
   if (t.timing) {
     err << "aes: " << (simd::use_aes() ? "aes-ni" : "byte-wise") << '\n';
-    err << "peak rss: " << mem::peak_rss_bytes() / (1024 * 1024) << " MiB"
-        << ", arena high-water: "
-        << obs::gauge("mem.arena_high_water").value() / 1024 << " KiB\n";
+    err << "peak rss: " << obs::peak_rss_bytes() / (1024 * 1024) << " MiB\n";
     obs::write_timing_summary(err);
   }
 }
@@ -144,7 +152,7 @@ int cmd_capture(const Invocation& in, std::ostream& /*out*/, std::ostream& err) 
   const gbl::DcsrMatrix matrix = scope.finish_window();
   archive::write_matrix_file(*matrix_path, matrix);
   err << "replayed " << fmt_count(replayed) << " packets, captured "
-      << fmt_count(static_cast<std::uint64_t>(matrix.reduce_sum())) << " valid ("
+      << fmt_count_double(matrix.reduce_sum()) << " valid ("
       << fmt_count(scope.discarded_packets()) << " discarded), archived "
       << fmt_count(matrix.nnz()) << " matrix entries to " << *matrix_path << '\n'
       << "telescope state: " << fmt_count(scope.dictionary_entries())
@@ -160,7 +168,7 @@ int cmd_quantities(const Invocation& in, std::ostream& out, std::ostream& /*err*
   const gbl::AggregateQuantities q = gbl::aggregate_quantities(archive::read_matrix_file(*path));
   TextTable table("Table II network quantities of " + *path);
   table.set_header({"quantity", "value"});
-  table.add_row({"valid packets", fmt_count(static_cast<std::uint64_t>(q.valid_packets))});
+  table.add_row({"valid packets", fmt_count_double(q.valid_packets)});
   table.add_row({"unique links", fmt_count(q.unique_links)});
   table.add_row({"max link packets", fmt_double(q.max_link_packets, 0)});
   table.add_row({"unique sources", fmt_count(q.unique_sources)});
@@ -288,9 +296,8 @@ int cmd_report(const Invocation& in, std::ostream& /*out*/, std::ostream& err) {
 
   const auto csv = [&](const TextTable& table, const std::string& name) {
     const std::string path = *dir + "/" + name + ".csv";
-    std::ofstream os(path);
-    OBSCORR_REQUIRE(os.is_open(), "report: cannot write " + path);
-    table.print_csv(os);
+    write_file(path, "report: cannot write " + path,
+               [&](std::ostream& os) { table.print_csv(os); });
     err << "wrote " << path << '\n';
   };
 
@@ -360,16 +367,16 @@ int cmd_report(const Invocation& in, std::ostream& /*out*/, std::ostream& err) {
 
   // REPORT.md: the headline summary.
   const std::string report_path = *dir + "/REPORT.md";
-  std::ofstream report(report_path);
-  OBSCORR_REQUIRE(report.is_open(), "report: cannot write " + report_path);
-  report << "# obscorr reproduction report\n\n"
-         << "- window: N_V = 2^" << study.scenario.population.log2_nv
-         << " packets (paper: 2^30), seed " << study.scenario.population.seed
-         << "\n- snapshots: " << study.snapshots.size() << ", honeyfarm months: "
-         << study.months.size() << "\n- CSV series: table1_inventory, "
-         << "fig3_degree_distribution, fig4_peak_correlation, fig5_fig6_temporal_curves, "
-         << "fig7_fig8_fit_parameters\n\n"
-         << "See EXPERIMENTS.md in the repository root for paper-vs-measured analysis.\n";
+  write_file(report_path, "report: cannot write " + report_path, [&](std::ostream& report) {
+    report << "# obscorr reproduction report\n\n"
+           << "- window: N_V = 2^" << study.scenario.population.log2_nv
+           << " packets (paper: 2^30), seed " << study.scenario.population.seed
+           << "\n- snapshots: " << study.snapshots.size() << ", honeyfarm months: "
+           << study.months.size() << "\n- CSV series: table1_inventory, "
+           << "fig3_degree_distribution, fig4_peak_correlation, fig5_fig6_temporal_curves, "
+           << "fig7_fig8_fit_parameters\n\n"
+           << "See EXPERIMENTS.md in the repository root for paper-vs-measured analysis.\n";
+  });
   err << "wrote " << report_path << '\n';
   return 0;
 }
@@ -400,7 +407,7 @@ int cmd_prefixes(const Invocation& in, std::ostream& out, std::ostream& /*err*/)
   for (std::size_t i = 0; i < analysis.buckets.size() && i < 15; ++i) {
     const auto& b = analysis.buckets[i];
     table.add_row({std::to_string(i + 1), std::to_string(b.prefix_bits), fmt_count(b.sources),
-                   fmt_count(static_cast<std::uint64_t>(b.packets))});
+                   fmt_count_double(b.packets)});
   }
   table.print(out);
   out << "prefixes: " << fmt_count(analysis.buckets.size())
@@ -439,11 +446,11 @@ int cmd_correlate(const Invocation& in, std::ostream& out, std::ostream& err) {
   }
 
   if (json_path.has_value()) {
-    std::ofstream os(*json_path, std::ios::trunc);
-    OBSCORR_REQUIRE(os.is_open(), "correlate: cannot write " + *json_path);
-    os << svc::dump_json(
-              svc::correlate_json(ranked, query.method, frame.baseline, frame.highlight))
-       << '\n';
+    write_file(*json_path, "correlate: cannot write " + *json_path, [&](std::ostream& os) {
+      os << svc::dump_json(
+                svc::correlate_json(ranked, query.method, frame.baseline, frame.highlight))
+         << '\n';
+    });
     err << "wrote ranked correlations to " << *json_path << '\n';
   }
   return 0;
@@ -798,7 +805,10 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
     return 2;
   }
   try {
-    return drive(*cmd, {args.begin() + (compact ? 2 : 1), args.end()}, out, err);
+    const int code = drive(*cmd, {args.begin() + (compact ? 2 : 1), args.end()}, out, err);
+    // A result that never reached stdout (a full disk) is a failure.
+    OBSCORR_REQUIRE(out.flush(), "cannot write standard output");
+    return code;
   } catch (const std::invalid_argument& e) {
     obs::set_level(obs::Level::kOff);  // a failed command must not leave tracing armed
     err << "error: " << e.what() << '\n';

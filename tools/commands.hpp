@@ -24,7 +24,7 @@ namespace obscorr::tools {
 
 /// Dispatch `args` (subcommand first) writing result data to `out` and
 /// diagnostics to `err`. Returns a process exit code (0 success, 2
-/// usage error).
+/// usage error or an output, `out` included, that cannot be written).
 int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
 
 /// Single-stream convenience (tests, embedding): diagnostics interleave
