@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/telemetry.hpp"
+
 namespace obscorr::analysis {
 
 std::string window_event_json(const archive::LiveWindowMeta& meta) {
@@ -33,9 +35,16 @@ std::vector<AnomalyEvent> Monitor::observe_window(std::uint64_t window,
                                                   const WindowSample& sample,
                                                   std::span<const double> degrees) {
   std::vector<AnomalyEvent> events = bank_.observe(window, metric_row(sample), degrees);
+  log_error_.clear();
   if (!events.empty() && !cfg_.event_log_path.empty()) {
     std::ofstream log(cfg_.event_log_path, std::ios::app);
     for (const AnomalyEvent& e : events) log << event_json(e) << '\n';
+    log.close();
+    if (log.fail()) {
+      log_error_ = "monitor: cannot append anomaly events to " + cfg_.event_log_path;
+      static obs::Counter& errors = obs::counter("analysis.event_log_errors");
+      if (obs::counters_enabled()) errors.add(1);
+    }
   }
   return events;
 }

@@ -51,15 +51,23 @@ class Monitor {
 
   /// Observe one live window: runs the detectors over its sample and
   /// degree values, appends any events to the sidecar log. Returns the
-  /// events.
+  /// events, also when the append did not reach the log in full: that
+  /// failure counts in `analysis.event_log_errors` and is named by
+  /// `log_error()`.
   std::vector<AnomalyEvent> observe_window(std::uint64_t window, const WindowSample& sample,
                                            std::span<const double> degrees);
+
+  /// Why the last `observe_window` lost its events' append ("monitor:
+  /// cannot append anomaly events to PATH"); empty when it logged them or
+  /// had none to log.
+  const std::string& log_error() const { return log_error_; }
 
   const DetectorBank& detectors() const { return bank_; }
 
  private:
   MonitorConfig cfg_;
   DetectorBank bank_;
+  std::string log_error_;
 };
 
 }  // namespace obscorr::analysis

@@ -1,9 +1,7 @@
 #include "archive/study_archive.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <exception>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -594,10 +592,16 @@ honeyfarm::MonthlyObservation StudyReader::month(std::size_t m) const {
 
 honeyfarm::MonthView StudyReader::month_view(std::size_t m) const {
   OBSCORR_REQUIRE(m < month_count(), "archive: month index out of range");
-  PayloadView p = reader_.payload(month_entry(m));
+  const std::string name = month_entry(m);
+  PayloadView p = reader_.payload(name);
   PayloadReader r(p.bytes);
   const YearMonth month = decode_month_header(r).month;
-  return {month, d4m::AssocView::from_bytes(p.bytes.subspan(r.position()), std::move(p.page))};
+  try {
+    return {month,
+            d4m::AssocView::from_ip_bytes(p.bytes.subspan(r.position()), std::move(p.page))};
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("archive: entry " + name + ": " + e.what());
+  }
 }
 
 std::vector<honeyfarm::MonthlyObservation> StudyReader::months() const {
@@ -645,20 +649,7 @@ core::StudyData StudyReader::analysis_study(ThreadPool& pool) const {
   // them one at a time; each lands in its own slot (two entries fill
   // disjoint members of one snapshot). A failed entry does not stop the
   // others, and the first failure in read order is the one rethrown.
-  std::vector<std::exception_ptr> errors(entries);
-  std::atomic<std::size_t> next{0};
-  parallel_for(pool, 0, pool.thread_count(), [&](std::size_t, std::size_t) {
-    for (std::size_t e = next++; e < entries; e = next++) {
-      try {
-        load(e);
-      } catch (...) {
-        errors[e] = std::current_exception();
-      }
-    }
-  });
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  parallel_claim(pool, entries, load);
   return study;
 }
 

@@ -153,11 +153,15 @@ class StudyReader {
   honeyfarm::MonthlyObservation month(std::size_t m) const;
   std::vector<honeyfarm::MonthlyObservation> months() const;
 
-  /// Month m's label and a validated view of its catalog: over the
-  /// mapped log for a raw entry, over a decoded cache page for a
-  /// compressed one (the view shares ownership of the page). No key is
-  /// copied. A raw entry's view reads this reader's mapping, so the
-  /// reader must outlive it.
+  /// Month m's label and a validated, address-keyed view of its catalog
+  /// (`d4m::AssocView::from_ip_bytes`, which ranks the row keys as it
+  /// checks them): over the mapped log for a raw entry, over a decoded
+  /// cache page for a compressed one (the view shares ownership of the
+  /// page). No key is copied. A catalog the view rejects, a row key that
+  /// is not a canonical dotted quad among them, throws
+  /// std::invalid_argument naming the entry. A raw entry's view reads
+  /// this reader's mapping, so the reader must outlive it. Safe to call
+  /// concurrently.
   honeyfarm::MonthView month_view(std::size_t m) const;
   core::StudyData study() const;
 

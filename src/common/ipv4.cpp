@@ -1,19 +1,23 @@
 #include "common/ipv4.hpp"
 
 #include <charconv>
+#include <cstddef>
 
 #include "common/error.hpp"
 
 namespace obscorr {
 
 std::string Ipv4::to_string() const {
-  std::string out;
-  out.reserve(15);
+  char text[15];  // "255.255.255.255"
+  std::size_t len = 0;
   for (int i = 0; i < 4; ++i) {
-    if (i) out.push_back('.');
-    out += std::to_string(static_cast<unsigned>(octet(i)));
+    const unsigned value = octet(i);
+    if (i) text[len++] = '.';
+    if (value >= 100) text[len++] = static_cast<char>('0' + value / 100);
+    if (value >= 10) text[len++] = static_cast<char>('0' + value / 10 % 10);
+    text[len++] = static_cast<char>('0' + value % 10);
   }
-  return out;
+  return std::string(text, len);
 }
 
 std::optional<Ipv4> Ipv4::parse(std::string_view text) {

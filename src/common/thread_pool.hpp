@@ -18,8 +18,11 @@
 /// task before the workers exit, so ending a pool's scope waits for all
 /// of its work.
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -120,6 +123,30 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end, const Bo
 template <typename Body>
 void parallel_for(std::size_t begin, std::size_t end, const Body& body) {
   parallel_for(ThreadPool::global(), begin, end, body);
+}
+
+/// Run `task(i)` for every i in [0, count) on `pool`, the caller and the
+/// workers claiming indices one at a time from one cursor: for tasks
+/// whose costs differ too much for a static split. Every task runs to its
+/// end; then the exception of the lowest index that threw is rethrown —
+/// the one a serial loop would have raised first. Safe inside a pool
+/// task, as `parallel_for` is.
+template <typename Task>
+void parallel_claim(ThreadPool& pool, std::size_t count, const Task& task) {
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
+  parallel_for(pool, 0, std::min(pool.thread_count(), count), [&](std::size_t, std::size_t) {
+    for (std::size_t i = next++; i < count; i = next++) {
+      try {
+        task(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace obscorr

@@ -1,11 +1,12 @@
 #include "d4m/assoc.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 
 #include "common/error.hpp"
+#include "d4m/gbl_bridge.hpp"
 
 namespace obscorr::d4m {
 
@@ -14,20 +15,36 @@ AssocArray::AssocArray() { row_ptr_.push_back(0); }
 namespace {
 
 /// The canonical-form checks of `from_csr`, `read_binary` (both through
-/// `validate`) and `AssocView::from_bytes`: strictly increasing row and
+/// `validate`) and the `AssocView` factories: strictly increasing row and
 /// column keys, offsets covering [0, nnz] with no empty row, column
 /// indices in range and strictly increasing within each row, and every
 /// column key referenced. `row_ptr(r)` and `col_idx(k)` read the arrays,
-/// which hold rows + 1 and nnz elements. Throws std::invalid_argument
-/// with messages prefixed by `who`.
+/// which hold rows + 1 and nnz elements. When `ranks` is given, every row
+/// key must also be a canonical dotted quad, and the row order is checked
+/// on the keys' ranks (`parse_rank`, whose order is the keys' order) as
+/// they are stored into `ranks`. Throws std::invalid_argument with
+/// messages prefixed by `who`.
 template <typename RowKeys, typename ColKeys, typename RowPtr, typename ColIdx>
 void check_canonical(std::string_view who, const RowKeys& row_keys, const ColKeys& col_keys,
-                     std::uint64_t nnz, RowPtr row_ptr, ColIdx col_idx) {
+                     std::uint64_t nnz, RowPtr row_ptr, ColIdx col_idx,
+                     std::vector<std::uint32_t>* ranks = nullptr) {
   const auto fail = [who](std::string_view what) {
     return std::string(who) + ": " + std::string(what);
   };
-  for (std::size_t i = 1; i < row_keys.size(); ++i) {
-    OBSCORR_REQUIRE(row_keys[i - 1] < row_keys[i], fail("row keys must be strictly increasing"));
+  if (ranks != nullptr) {
+    ranks->resize(row_keys.size());
+    for (std::size_t i = 0; i < row_keys.size(); ++i) {
+      const std::optional<std::uint32_t> rank = parse_rank(row_keys[i]);
+      OBSCORR_REQUIRE(rank.has_value(), fail("row key is not a canonical dotted quad"));
+      OBSCORR_REQUIRE(i == 0 || (*ranks)[i - 1] < *rank,
+                      fail("row keys must be strictly increasing"));
+      (*ranks)[i] = *rank;
+    }
+  } else {
+    for (std::size_t i = 1; i < row_keys.size(); ++i) {
+      OBSCORR_REQUIRE(row_keys[i - 1] < row_keys[i],
+                      fail("row keys must be strictly increasing"));
+    }
   }
   for (std::size_t i = 1; i < col_keys.size(); ++i) {
     OBSCORR_REQUIRE(col_keys[i - 1] < col_keys[i], fail("col keys must be strictly increasing"));
@@ -236,8 +253,8 @@ void AssocArray::validate(std::string_view who) const {
       [this](std::size_t k) { return col_idx_[k]; });
 }
 
-AssocView AssocView::from_bytes(std::span<const std::byte> bytes,
-                                std::shared_ptr<const void> owner) {
+AssocView AssocView::view(std::span<const std::byte> bytes, std::shared_ptr<const void> owner,
+                          bool ip_keyed) {
   Sections<std::string_view> s = parse<std::string_view>(bytes);
   AssocView v;
   v.row_keys_ = std::move(s.row_keys);
@@ -249,9 +266,19 @@ AssocView AssocView::from_bytes(std::span<const std::byte> bytes,
   check_canonical(
       "read_binary", v.row_keys_, v.col_keys_, v.nnz_,
       [&v](std::size_t r) { return v.row_ptr(r); },
-      [&v](std::size_t k) { return v.col_idx(k); });
+      [&v](std::size_t k) { return v.col_idx(k); }, ip_keyed ? &v.row_ranks_ : nullptr);
   v.owner_ = std::move(owner);
   return v;
+}
+
+AssocView AssocView::from_bytes(std::span<const std::byte> bytes,
+                                std::shared_ptr<const void> owner) {
+  return view(bytes, std::move(owner), false);
+}
+
+AssocView AssocView::from_ip_bytes(std::span<const std::byte> bytes,
+                                   std::shared_ptr<const void> owner) {
+  return view(bytes, std::move(owner), true);
 }
 
 std::uint64_t AssocView::row_ptr(std::size_t r) const { return load<std::uint64_t>(row_ptr_, r); }
@@ -260,11 +287,9 @@ std::uint32_t AssocView::col_idx(std::size_t k) const { return load<std::uint32_
 
 double AssocView::val(std::size_t k) const { return load<double>(val_, k); }
 
-std::vector<std::pair<std::string_view, double>> AssocView::row(std::string_view key) const {
+std::vector<std::pair<std::string_view, double>> AssocView::row(std::size_t r) const {
+  OBSCORR_REQUIRE(r < row_keys_.size(), "AssocView: row index out of range");
   std::vector<std::pair<std::string_view, double>> entries;
-  const auto it = std::lower_bound(row_keys_.begin(), row_keys_.end(), key);
-  if (it == row_keys_.end() || *it != key) return entries;
-  const auto r = static_cast<std::size_t>(it - row_keys_.begin());
   const auto begin = static_cast<std::size_t>(row_ptr(r));
   const auto end = static_cast<std::size_t>(row_ptr(r + 1));
   entries.reserve(end - begin);

@@ -90,7 +90,8 @@ class AssocArray {
 /// Read-only view of one serialized AssocArray, the associative-array
 /// counterpart of gbl::MatrixView: `lookup` over an archived month reads
 /// the rows it needs from the entry's bytes instead of copying every key
-/// onto the heap. Row and column keys are string_views into the bytes;
+/// onto the heap, and finds them by rank key when the view is keyed by
+/// addresses. Row and column keys are string_views into the bytes;
 /// the CSR arrays follow the variable-length keys, so they are unaligned
 /// and read with memcpy loads. A view that constructs has passed every
 /// check `read_binary` runs, so it is safe to query.
@@ -107,23 +108,39 @@ class AssocView {
   static AssocView from_bytes(std::span<const std::byte> bytes,
                               std::shared_ptr<const void> owner = {});
 
+  /// As `from_bytes`, for an array keyed by addresses: every row key must
+  /// also be a canonical dotted quad (`parse_rank`, d4m/gbl_bridge.hpp),
+  /// else std::invalid_argument ("read_binary: row key is not a
+  /// canonical dotted quad"). The view holds the rows' rank keys, computed
+  /// in the pass that checks the row order.
+  static AssocView from_ip_bytes(std::span<const std::byte> bytes,
+                                 std::shared_ptr<const void> owner = {});
+
   std::size_t nnz() const { return nnz_; }
 
   /// Sorted unique row / column key sets, viewing the serialized bytes.
   std::span<const std::string_view> row_keys() const { return row_keys_; }
   std::span<const std::string_view> col_keys() const { return col_keys_; }
 
-  /// The (column key, value) entries of one row in column-key order;
-  /// empty when the row is absent.
-  std::vector<std::pair<std::string_view, double>> row(std::string_view key) const;
+  /// The rows' rank keys, strictly increasing: one per row of a view
+  /// made by `from_ip_bytes`, none for `from_bytes`.
+  std::span<const std::uint32_t> row_ranks() const { return row_ranks_; }
+
+  /// The (column key, value) entries of row r (r < row_keys().size()) in
+  /// column-key order.
+  std::vector<std::pair<std::string_view, double>> row(std::size_t r) const;
 
  private:
+  static AssocView view(std::span<const std::byte> bytes, std::shared_ptr<const void> owner,
+                        bool ip_keyed);
+
   std::uint64_t row_ptr(std::size_t r) const;
   std::uint32_t col_idx(std::size_t k) const;
   double val(std::size_t k) const;
 
   std::vector<std::string_view> row_keys_;
   std::vector<std::string_view> col_keys_;
+  std::vector<std::uint32_t> row_ranks_;
   const std::byte* row_ptr_ = nullptr;  ///< u64[rows + 1], unaligned
   const std::byte* col_idx_ = nullptr;  ///< u32[nnz], unaligned
   const std::byte* val_ = nullptr;      ///< f64[nnz], unaligned

@@ -1,6 +1,7 @@
 #include "d4m/gbl_bridge.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -8,29 +9,58 @@
 
 namespace obscorr::d4m {
 
-IpKey text_key(Ipv4 ip) {
-  char text[16] = {};  // "255.255.255.255" is 15 bytes, so at least one NUL
-  std::size_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    const unsigned octet = ip.octet(i);
-    if (i) text[len++] = '.';
-    if (octet >= 100) text[len++] = static_cast<char>('0' + octet / 100);
-    if (octet >= 10) text[len++] = static_cast<char>('0' + octet / 10 % 10);
-    text[len++] = static_cast<char>('0' + octet % 10);
+namespace {
+
+/// kRankOctet[r]: the octet whose decimal text has rank r among "0" …
+/// "255" in byte order. The loops enumerate the texts in that order: each
+/// text before its extensions by one more digit, those by increasing
+/// digit. kOctetRank inverts it.
+constexpr std::array<std::uint8_t, 256> kRankOctet = [] {
+  std::array<std::uint8_t, 256> octet{};
+  std::size_t rank = 0;
+  for (unsigned a = 0; a <= 9; ++a) {
+    octet[rank++] = static_cast<std::uint8_t>(a);
+    if (a == 0) continue;  // no leading zeros
+    for (unsigned b = 0; b <= 9; ++b) {
+      octet[rank++] = static_cast<std::uint8_t>(10 * a + b);
+      for (unsigned c = 0; c <= 9 && 100 * a + 10 * b + c <= 255; ++c) {
+        octet[rank++] = static_cast<std::uint8_t>(100 * a + 10 * b + c);
+      }
+    }
   }
-  IpKey key{};
-  for (std::size_t b = 0; b < sizeof text; ++b) {
-    key[b / 8] = key[b / 8] << 8 | static_cast<unsigned char>(text[b]);
+  return octet;
+}();
+
+constexpr std::array<std::uint8_t, 256> kOctetRank = [] {
+  std::array<std::uint8_t, 256> rank{};
+  for (std::size_t r = 0; r < kRankOctet.size(); ++r) {
+    rank[kRankOctet[r]] = static_cast<std::uint8_t>(r);
   }
-  return key;
+  return rank;
+}();
+
+static_assert(kRankOctet[0] == 0 && kRankOctet[1] == 1 && kRankOctet[2] == 10 &&
+              kRankOctet[3] == 100 && kRankOctet[255] == 99);
+
+}  // namespace
+
+std::uint32_t ip_rank(Ipv4 ip) {
+  std::uint32_t rank = 0;
+  for (int i = 0; i < 4; ++i) rank = rank << 8 | kOctetRank[ip.octet(i)];
+  return rank;
 }
 
-std::string key_text(const IpKey& key) {
-  char text[16];
-  for (std::size_t b = 0; b < sizeof text; ++b) {
-    text[b] = static_cast<char>(key[b / 8] >> (56 - 8 * (b % 8)));
-  }
-  return std::string(text, std::find(text, text + sizeof text, '\0'));
+Ipv4 rank_ip(std::uint32_t rank) {
+  return Ipv4(kRankOctet[rank >> 24], kRankOctet[rank >> 16 & 0xFF], kRankOctet[rank >> 8 & 0xFF],
+              kRankOctet[rank & 0xFF]);
+}
+
+std::optional<std::uint32_t> parse_rank(std::string_view text) {
+  // Ipv4::parse accepts exactly the canonical texts: four decimal octets
+  // in 0-255 without leading zeros, sign or spaces, three dots between.
+  const std::optional<Ipv4> ip = Ipv4::parse(text);
+  if (!ip) return std::nullopt;
+  return ip_rank(*ip);
 }
 
 AssocArray from_addresses(std::span<const std::uint32_t> addresses,
@@ -38,9 +68,9 @@ AssocArray from_addresses(std::span<const std::uint32_t> addresses,
   OBSCORR_REQUIRE(addresses.size() == values.size(),
                   "from_addresses: address/value arrays must have equal length");
   if (addresses.empty()) return AssocArray{};
-  std::vector<std::pair<IpKey, double>> rows(addresses.size());
+  std::vector<std::pair<std::uint32_t, double>> rows(addresses.size());
   for (std::size_t i = 0; i < addresses.size(); ++i) {
-    rows[i] = {text_key(Ipv4(addresses[i])), values[i]};
+    rows[i] = {ip_rank(Ipv4(addresses[i])), values[i]};
   }
   std::sort(rows.begin(), rows.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -48,9 +78,9 @@ AssocArray from_addresses(std::span<const std::uint32_t> addresses,
   std::vector<std::uint64_t> row_ptr(rows.size() + 1);
   std::vector<double> val(rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r) {
+    row_keys[r] = rank_ip(rows[r].first).to_string();
     OBSCORR_REQUIRE(r == 0 || rows[r - 1].first != rows[r].first,
-                    "from_addresses: repeated address " + key_text(rows[r].first));
-    row_keys[r] = key_text(rows[r].first);
+                    "from_addresses: repeated address " + row_keys[r]);
     row_ptr[r + 1] = r + 1;
     val[r] = rows[r].second;
   }

@@ -46,11 +46,11 @@ constexpr std::uint8_t kUnknown = column("classification|unknown");
 constexpr std::uint8_t kContacts = column("contacts");
 constexpr std::uint8_t kNoFacet = 0xFF;
 
-/// One catalogued source: its row key (`d4m::text_key`, whose integer
-/// order is the row keys' std::string order) and the cells it adds to
-/// its row.
+/// One catalogued source: its row key's rank (`d4m::ip_rank`, whose
+/// integer order is the row keys' std::string order) and the cells it
+/// adds to its row.
 struct Sighting {
-  d4m::IpKey key;
+  std::uint32_t rank;
   std::uint8_t classification;
   std::uint8_t intent;    ///< kNoFacet for ephemerals
   std::uint8_t protocol;  ///< kNoFacet for ephemerals
@@ -62,14 +62,14 @@ struct Sighting {
 /// up (D4M's plus accumulation).
 d4m::AssocArray catalogue(std::vector<Sighting> sightings) {
   std::sort(sightings.begin(), sightings.end(),
-            [](const Sighting& a, const Sighting& b) { return a.key < b.key; });
+            [](const Sighting& a, const Sighting& b) { return a.rank < b.rank; });
   std::vector<std::string> row_keys;
   std::vector<std::uint64_t> row_ptr{0};
   std::vector<std::uint32_t> col_idx;
   std::vector<double> val;
   std::array<bool, kColumns.size()> used{};
   for (std::size_t s = 0; s < sightings.size();) {
-    const d4m::IpKey& key = sightings[s].key;
+    const std::uint32_t rank = sightings[s].rank;
     std::array<double, kColumns.size()> cells{};
     std::array<bool, kColumns.size()> stored{};
     const auto add = [&](std::uint8_t c, double v) {
@@ -77,13 +77,13 @@ d4m::AssocArray catalogue(std::vector<Sighting> sightings) {
       cells[c] = stored[c] ? cells[c] + v : v;
       stored[c] = true;
     };
-    for (; s < sightings.size() && sightings[s].key == key; ++s) {
+    for (; s < sightings.size() && sightings[s].rank == rank; ++s) {
       add(sightings[s].classification, 1.0);
       add(sightings[s].intent, 1.0);
       add(sightings[s].protocol, 1.0);
       add(kContacts, sightings[s].contacts);
     }
-    row_keys.push_back(d4m::key_text(key));
+    row_keys.push_back(d4m::rank_ip(rank).to_string());
     for (std::uint32_t c = 0; c < kColumns.size(); ++c) {
       if (!stored[c]) continue;
       col_idx.push_back(c);
@@ -145,7 +145,7 @@ MonthlyObservation Honeyfarm::observe_month(const netgen::GreyNoiseMonthSpec& sp
     // month, so counts scale with the source's rate.
     const std::uint64_t contacts = 1 + rng.poisson(std::min(degree, 1e6) * 0.25);
 
-    sightings.push_back({d4m::text_key(population_.source(i).ip), cls, intent, proto,
+    sightings.push_back({d4m::ip_rank(population_.source(i).ip), cls, intent, proto,
                          static_cast<double>(contacts)});
     ++obs.population_sources;
   }
@@ -162,7 +162,7 @@ MonthlyObservation Honeyfarm::observe_month(const netgen::GreyNoiseMonthSpec& sp
     if (top == 0 || top == 10 || top == 77 || top == 127 || top >= 224) continue;
     const Ipv4 ip(candidate);
     if (population_.owns_ip(ip)) continue;
-    sightings.push_back({d4m::text_key(ip), kUnknown, kNoFacet, kNoFacet, 1.0});
+    sightings.push_back({d4m::ip_rank(ip), kUnknown, kNoFacet, kNoFacet, 1.0});
     ++made;
   }
   obs.ephemeral_sources = made;

@@ -1,6 +1,7 @@
 #include "netgen/population.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_set>
 
@@ -94,19 +95,20 @@ Population::Population(const PopulationConfig& config) : config_(config) {
   // population valid for any darkspace choice in [1,126]). Botnet block
   // members get contiguous addresses inside one /24.
   Rng ip_rng(config.seed, /*stream=*/0x1b);
-  std::unordered_set<std::uint32_t> used;
-  used.reserve(config.population * 2);
+  ip_slots_.assign(std::bit_ceil(2 * config.population), 0);
+  ip_mask_ = ip_slots_.size() - 1;
   const auto top_ok = [](std::uint32_t candidate) {
     const std::uint32_t top = candidate >> 24;
     return top != 0 && top != 10 && top != 77 && top != 127 && top < 224;
   };
   // Block bases first so members can claim contiguous runs. At this
-  // point `used` holds only members of previously placed blocks, every
-  // base is /24-aligned, and members stay inside their base's /24 — so a
-  // candidate clashes exactly when some earlier block drew the *same*
-  // base. One probe of the claimed bases replaces the member-by-member
-  // scan (whose cost grew with the block size) and accepts/rejects the
-  // identical candidate sequence, so every drawn IP is unchanged.
+  // point the address set holds only members of previously placed
+  // blocks, every base is /24-aligned, and members stay inside their
+  // base's /24 — so a candidate clashes exactly when some earlier block
+  // drew the *same* base. One probe of the claimed bases replaces the
+  // member-by-member scan (whose cost grew with the block size) and
+  // accepts/rejects the identical candidate sequence, so every drawn IP
+  // is unchanged.
   std::vector<std::uint32_t> block_base(block_count_);
   std::unordered_set<std::uint32_t> claimed_bases;
   claimed_bases.reserve(block_count_ * 2);
@@ -115,9 +117,10 @@ Population::Population(const PopulationConfig& config) : config_(config) {
       const std::uint32_t base = ip_rng.next_u32() & ~0xFFu;
       if (!top_ok(base)) continue;
       if (!claimed_bases.insert(base).second) continue;
-      // Members still enter `used` so the singles draw below avoids them.
+      // Members still enter the address set so the singles draw below
+      // avoids them.
       for (std::size_t j = 0; j < config.botnet_block_size; ++j) {
-        used.insert(base + static_cast<std::uint32_t>(j));
+        insert_ip(base + static_cast<std::uint32_t>(j));
       }
       block_base[b] = base;
       break;
@@ -133,7 +136,7 @@ Population::Population(const PopulationConfig& config) : config_(config) {
     for (;;) {
       const std::uint32_t candidate = ip_rng.next_u32();
       if (!top_ok(candidate)) continue;  // reserved/legit/darkspace
-      if (used.insert(candidate).second) {
+      if (insert_ip(candidate)) {
         sources_[r].ip = Ipv4(candidate);
         break;
       }
@@ -150,14 +153,27 @@ Population::Population(const PopulationConfig& config) : config_(config) {
     active_weight_ += sources_[r].weight * stationary_activity(r);
   }
   OBSCORR_INVARIANT(active_weight_ > 0.0);
+}
 
-  sorted_ips_.reserve(sources_.size());
-  for (const SourceRecord& s : sources_) sorted_ips_.push_back(s.ip.value());
-  std::sort(sorted_ips_.begin(), sorted_ips_.end());
+std::size_t Population::ip_slot(std::uint32_t ip) const {
+  // Fibonacci multiplicative hash of the address over the table size.
+  return static_cast<std::size_t>((ip * std::uint64_t{0x9E3779B97F4A7C15}) >> 32) & ip_mask_;
+}
+
+bool Population::insert_ip(std::uint32_t ip) {
+  std::size_t i = ip_slot(ip);
+  for (; ip_slots_[i] != 0; i = (i + 1) & ip_mask_) {
+    if (ip_slots_[i] == ip) return false;
+  }
+  ip_slots_[i] = ip;
+  return true;
 }
 
 bool Population::owns_ip(Ipv4 ip) const {
-  return std::binary_search(sorted_ips_.begin(), sorted_ips_.end(), ip.value());
+  for (std::size_t i = ip_slot(ip.value()); ip_slots_[i] != 0; i = (i + 1) & ip_mask_) {
+    if (ip_slots_[i] == ip.value()) return true;
+  }
+  return false;
 }
 
 double Population::expected_window_degree(std::size_t i) const {

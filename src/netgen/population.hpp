@@ -143,12 +143,19 @@ class Population {
 
  private:
   void ensure_months(int month) const;
+  std::size_t ip_slot(std::uint32_t ip) const;
+  /// Add `ip` to the address set; false when it is already there.
+  bool insert_ip(std::uint32_t ip);
 
   PopulationConfig config_;
   std::vector<SourceRecord> sources_;
   double total_weight_ = 0.0;
   double active_weight_ = 0.0;
-  std::vector<std::uint32_t> sorted_ips_;
+  // The sources' addresses as an open-addressing set, sized once at
+  // construction to at most half full and probed linearly from a
+  // Fibonacci hash; 0 marks an empty slot, as no source lies in 0.0.0.0/8.
+  std::vector<std::uint32_t> ip_slots_;
+  std::size_t ip_mask_ = 0;  // ip_slots_.size() - 1 (power of two)
   std::vector<int> block_of_;   // -1 for independent sources
   std::size_t block_count_ = 0;
   // activity_[m][i] for months simulated so far (mutable lazy cache);

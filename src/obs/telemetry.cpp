@@ -26,6 +26,7 @@ namespace {
 /// the point.
 constexpr const char* kCanonicalCounters[] = {
     "analysis.anomalies",
+    "analysis.event_log_errors",
     "analysis.windows_observed",
     "analysis.windows_sampled",
     "archive.bytes_read",

@@ -303,10 +303,14 @@ std::string QueryEngine::cached(const std::string& key,
 }
 
 const honeyfarm::Database& QueryEngine::database() {
-  std::call_once(db_once_, [&] {
+  // A mutex rather than std::call_once: a build that throws (a corrupt
+  // month) must leave the next lookup free to try again, which
+  // call_once under ThreadSanitizer does not.
+  const std::lock_guard lk(db_mu_);
+  if (!db_) {
     db_ = std::make_unique<honeyfarm::Database>(
-        reader_.month_count(), [this](std::size_t m) { return reader_.month_view(m); });
-  });
+        reader_.month_count(), [this](std::size_t m) { return reader_.month_view(m); }, pool_);
+  }
   return *db_;
 }
 

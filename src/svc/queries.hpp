@@ -167,8 +167,9 @@ class QueryEngine {
   std::string cached(const std::string& key, const std::function<void(std::ostream&)>& print);
 
   /// Lazily built honeyfarm database over views of the completed
-  /// campaign's months (immutable under live ingest); built once, first
-  /// use. Raw months are viewed in reader_'s mapping, which refresh()
+  /// campaign's months (immutable under live ingest); built by the first
+  /// lookup, as `pool_` tasks, and again by the next one when a build
+  /// throws. Raw months are viewed in reader_'s mapping, which refresh()
   /// never unmaps and which outlives db_.
   const honeyfarm::Database& database();
 
@@ -182,7 +183,7 @@ class QueryEngine {
   std::unordered_map<std::string, std::shared_future<std::string>> cache_;
   std::mutex latency_mu_;
   std::map<std::string, stats::LogHistogram> latency_us_;  // by query type
-  std::once_flag db_once_;
+  std::mutex db_mu_;  // guards db_: built by the first lookup that succeeds
   std::unique_ptr<honeyfarm::Database> db_;
 };
 

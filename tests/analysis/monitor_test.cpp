@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "archive/live_archive.hpp"
@@ -17,6 +18,7 @@
 #include "common/thread_pool.hpp"
 #include "gbl/dcsr.hpp"
 #include "netgen/scenario.hpp"
+#include "obs/telemetry.hpp"
 
 namespace obscorr::analysis {
 namespace {
@@ -112,6 +114,44 @@ TEST(MonitorTest, ObserveWindowAppendsSidecarEvents) {
     EXPECT_EQ(lines[i].front(), '{');
     EXPECT_EQ(lines[i].back(), '}');
   }
+}
+
+TEST(MonitorTest, FailedSidecarAppendIsCountedAndNamed) {
+  // The sidecar is a symlink to /dev/full: every append fails at flush.
+  std::error_code ec;
+  if (!std::filesystem::is_character_file("/dev/full", ec)) {
+    GTEST_SKIP() << "/dev/full is not a character device";
+  }
+  const std::string dir = temp_dir("monitor_sidecar_full");
+  std::filesystem::create_directories(dir);
+  MonitorConfig cfg;
+  cfg.event_log_path = dir + "/anomalies.ndjson";
+  std::filesystem::create_symlink("/dev/full", cfg.event_log_path);
+  Monitor monitor(cfg);
+  obs::reset();
+  obs::set_level(obs::Level::kCounters);
+
+  WindowSample flat;
+  flat.q.valid_packets = 1000.0;
+  flat.q.unique_sources = 40;
+  const std::vector<double> degrees(40, 4.0);
+  for (std::uint64_t w = 0; w < 8; ++w) {
+    EXPECT_TRUE(monitor.observe_window(w, flat, degrees).empty()) << w;
+    EXPECT_EQ(monitor.log_error(), "") << w;  // nothing to append
+  }
+  WindowSample surge = flat;
+  surge.q.valid_packets = 9000.0;
+  EXPECT_FALSE(monitor.observe_window(8, surge, degrees).empty());
+  EXPECT_EQ(monitor.log_error(),
+            "monitor: cannot append anomaly events to " + cfg.event_log_path);
+  EXPECT_EQ(obs::counter("analysis.event_log_errors").value(), 1u);
+  // Each observation reports its own append.
+  const std::vector<AnomalyEvent> after = monitor.observe_window(9, flat, degrees);
+  EXPECT_EQ(monitor.log_error().empty(), after.empty());
+  obs::set_level(obs::Level::kOff);
+  obs::reset();
+  EXPECT_TRUE(std::filesystem::is_symlink(cfg.event_log_path));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MonitorTest, WindowEventJsonShape) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "assoc_oracle.hpp"
+#include "d4m/gbl_bridge.hpp"
 
 namespace obscorr::d4m {
 namespace {
@@ -259,7 +261,8 @@ TEST(AssocKernelTest, RandomArraysMatchTripleFormulation) {
     for (const std::string& key : a.row_keys()) {
       for (const char letter_after : alphabet) {
         const std::string longer = key + letter_after;
-        EXPECT_EQ(v.row(longer).empty(), !oracle::has_row(a, longer)) << "trial " << trial;
+        EXPECT_EQ(std::ranges::binary_search(v.row_keys(), longer), oracle::has_row(a, longer))
+            << "trial " << trial;
       }
     }
   }
@@ -272,14 +275,19 @@ TEST(AssocKernelTest, RowListsEntriesInColumnOrder) {
   const std::string encoded = bytes(kSample);
   const auto view_of = [](const std::string& b) { return AssocView::from_bytes(as_span(b)); };
   const AssocView sample = view_of(encoded);
-  EXPECT_EQ(sample.row("1.2.3.4"),
+  EXPECT_EQ(sample.row(0),
             (Entries{{"classification|malicious", 1.0}, {"contacts", 17.0}, {"intent|scan", 1.0}}));
-  EXPECT_EQ(sample.row("5.6.7.8"), (Entries{{"classification|benign", 1.0}, {"contacts", 2.0}}));
-  EXPECT_TRUE(sample.row("1.2.3").empty());
-  EXPECT_TRUE(sample.row("1.2.3.40").empty());
-  EXPECT_TRUE(AssocView{}.row("").empty());
+  EXPECT_EQ(sample.row(1), (Entries{{"classification|benign", 1.0}, {"contacts", 2.0}}));
+  EXPECT_THROW((void)sample.row(2), std::invalid_argument);
+  EXPECT_THROW((void)AssocView{}.row(0), std::invalid_argument);
   const std::string keyed_bytes = bytes(build({{"", "", 1.0}, {"", "c", 2.0}}));
-  EXPECT_EQ(view_of(keyed_bytes).row(""), (Entries{{"", 1.0}, {"c", 2.0}}));
+  EXPECT_EQ(view_of(keyed_bytes).row(0), (Entries{{"", 1.0}, {"c", 2.0}}));
+  // Only an address-keyed view ranks its rows.
+  EXPECT_TRUE(sample.row_ranks().empty());
+  const AssocView by_rank = AssocView::from_ip_bytes(as_span(encoded));
+  EXPECT_EQ(std::vector<std::uint32_t>(by_rank.row_ranks().begin(), by_rank.row_ranks().end()),
+            (std::vector<std::uint32_t>{ip_rank(Ipv4(1, 2, 3, 4)), ip_rank(Ipv4(5, 6, 7, 8))}));
+  EXPECT_EQ(by_rank.row(1), sample.row(1));
 }
 
 // --- from_csr -------------------------------------------------------------

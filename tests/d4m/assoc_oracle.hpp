@@ -102,9 +102,9 @@ inline std::vector<Triple> triples(const AssocArray& a) {
 
 inline std::vector<Triple> triples(const AssocView& v) {
   std::vector<Triple> out;
-  for (const std::string_view row : v.row_keys()) {
-    for (const auto& [col, val] : v.row(row)) {
-      out.push_back({std::string(row), std::string(col), val});
+  for (std::size_t r = 0; r < v.row_keys().size(); ++r) {
+    for (const auto& [col, val] : v.row(r)) {
+      out.push_back({std::string(v.row_keys()[r]), std::string(col), val});
     }
   }
   return out;

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -20,6 +21,7 @@
 
 #include "archive/study_archive.hpp"
 #include "assoc_oracle.hpp"
+#include "d4m/gbl_bridge.hpp"
 
 #ifndef OBSCORR_TEST_DATA_DIR
 #error "OBSCORR_TEST_DATA_DIR must point at tests/data"
@@ -76,7 +78,7 @@ const AssocArray kSmall =
   }
   const auto row_ptr = a.row_ptr();
   for (std::size_t r = 0; r < a.row_keys().size(); ++r) {
-    const auto entries = v.row(a.row_keys()[r]);
+    const auto entries = v.row(r);
     const auto begin = static_cast<std::size_t>(row_ptr[r]);
     if (entries.size() != row_ptr[r + 1] - begin) {
       return ::testing::AssertionFailure() << "row " << a.row_keys()[r] << ": entry counts differ";
@@ -104,11 +106,33 @@ TEST(AssocViewTest, ViewsWhatReadBinaryReads) {
   const std::string bytes = serialized(kSmall);
   const AssocView v = AssocView::from_bytes(as_span(bytes));
   expect_view_matches(v, kSmall);
-  EXPECT_TRUE(v.row("gamma").empty());
-  EXPECT_TRUE(v.row("alph").empty());
+  EXPECT_TRUE(std::ranges::equal(v.row_keys(), std::vector<std::string_view>{"alpha", "beta"}));
   expect_view_matches(AssocView::from_bytes(as_span(serialized(AssocArray()))), AssocArray());
+  expect_view_matches(AssocView::from_ip_bytes(as_span(serialized(AssocArray()))), AssocArray());
   expect_view_matches(AssocView(), AssocArray());
-  EXPECT_TRUE(AssocView().row("").empty());
+  EXPECT_TRUE(AssocView().row_keys().empty());
+}
+
+TEST(AssocViewTest, IpKeyedViewRanksCanonicalKeysAndRejectsTheRest) {
+  const AssocArray a = oracle::build({{"1.10.0.0", "contacts", 1.0},
+                                      {"1.2.0.0", "contacts", 2.0},
+                                      {"255.0.0.1", "intent|scan", 1.0}});
+  const std::string bytes = serialized(a);
+  const AssocView v = AssocView::from_ip_bytes(as_span(bytes));
+  expect_view_matches(v, a);
+  ASSERT_EQ(v.row_ranks().size(), 3u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(v.row_ranks()[r], *parse_rank(v.row_keys()[r])) << v.row_keys()[r];
+  }
+  // Keys that from_bytes accepts, in string order, but that no address
+  // prints: each is refused by the address-keyed view alone.
+  for (const char* key : {"1.2.3.04", "1.2.3", "alpha", ""}) {
+    const std::string other = serialized(oracle::build({{key, "contacts", 1.0}}));
+    EXPECT_EQ(view_error(other), "") << key;
+    EXPECT_EQ(error_of([&] { (void)AssocView::from_ip_bytes(as_span(other)); }),
+              "read_binary: row key is not a canonical dotted quad")
+        << key;
+  }
 }
 
 TEST(AssocViewTest, OwnerKeepsTheBytesAlive) {
@@ -203,27 +227,59 @@ std::string golden_month() {
   return serialized(reader.month(2).sources);
 }
 
+/// Whether every row key of `a` is a canonical dotted quad.
+bool canonical_rows(const AssocArray& a) {
+  return std::ranges::all_of(a.row_keys(),
+                             [](const std::string& key) { return parse_rank(key).has_value(); });
+}
+
 TEST(AssocViewTest, GoldenMonthSurvivesEverySingleByteFlip) {
+  // Both views of each flipped month: the plain view accepts exactly what
+  // read_binary accepts and reads the same array; the address-keyed view
+  // the database reads also refuses a non-canonical row key, and reads
+  // the same array with the keys' ranks whenever it accepts.
   const std::string good = golden_month();
   ASSERT_GT(good.size(), 1000u);
   ASSERT_TRUE(
       same_array(AssocView::from_bytes(as_span(good)), AssocArray::read_binary(as_span(good))));
+  ASSERT_TRUE(same_array(AssocView::from_ip_bytes(as_span(good)),
+                         AssocArray::read_binary(as_span(good))));
   std::size_t accepted = 0;
+  std::size_t refused_as_keys = 0;
   std::string bad = good;
   for (std::size_t i = 0; i < good.size(); ++i) {
     bad[i] = static_cast<char>(good[i] ^ 0x5A);
+    std::optional<AssocView> by_rank;
+    const std::string ip_error =
+        error_of([&] { by_rank = AssocView::from_ip_bytes(as_span(bad)); });
     try {
       const AssocView v = AssocView::from_bytes(as_span(bad));
-      ASSERT_TRUE(same_array(v, AssocArray::read_binary(as_span(bad)))) << "flip at " << i;
+      const AssocArray read = AssocArray::read_binary(as_span(bad));
+      ASSERT_TRUE(same_array(v, read)) << "flip at " << i;
       ++accepted;
+      if (by_rank) {
+        ASSERT_TRUE(same_array(*by_rank, read)) << "flip at " << i;
+        ASSERT_TRUE(canonical_rows(read)) << "flip at " << i;
+        for (std::size_t r = 0; r < read.row_keys().size(); ++r) {
+          ASSERT_EQ(by_rank->row_ranks()[r], parse_rank(read.row_keys()[r])) << "flip at " << i;
+        }
+      } else {
+        ASSERT_EQ(ip_error, "read_binary: row key is not a canonical dotted quad")
+            << "flip at " << i;
+        ASSERT_FALSE(canonical_rows(read)) << "flip at " << i;
+        ++refused_as_keys;
+      }
     } catch (const std::invalid_argument& e) {
       ASSERT_TRUE(std::string_view(e.what()).starts_with("read_binary: ")) << e.what();
+      ASSERT_TRUE(ip_error.starts_with("read_binary: ")) << "flip at " << i;
     }
     bad[i] = good[i];
   }
-  // Flipped values stay valid arrays; flipped keys and offsets do not.
+  // Flipped values stay valid arrays; flipped keys and offsets do not,
+  // and some flipped keys keep their order but stop being addresses.
   EXPECT_GT(accepted, 0u);
   EXPECT_LT(accepted, good.size());
+  EXPECT_GT(refused_as_keys, 0u);
 }
 
 TEST(AssocViewTest, GoldenMonthRejectsEveryTruncation) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -76,14 +78,16 @@ TEST(GblBridgeTest, StringOrderDiffersFromNumericOrder) {
   EXPECT_EQ(bytes(a), bytes(reference(idx, val, "c")));
 }
 
-/// `text_key(x) < text_key(y)` exactly when `x`'s dotted quad sorts
-/// before `y`'s, and the key decodes to that dotted quad.
-void expect_key_matches_text(Ipv4 x, Ipv4 y) {
-  EXPECT_EQ(key_text(text_key(x)), x.to_string());
-  EXPECT_EQ(key_text(text_key(y)), y.to_string());
-  EXPECT_EQ(text_key(x) < text_key(y), x.to_string() < y.to_string())
+/// `ip_rank(x) < ip_rank(y)` exactly when `x`'s dotted quad sorts
+/// before `y`'s, and each rank maps back to its address and parses from
+/// its dotted quad.
+void expect_rank_matches_text(Ipv4 x, Ipv4 y) {
+  EXPECT_EQ(rank_ip(ip_rank(x)).to_string(), x.to_string());
+  EXPECT_EQ(rank_ip(ip_rank(y)).to_string(), y.to_string());
+  EXPECT_EQ(parse_rank(x.to_string()), ip_rank(x)) << x.to_string();
+  EXPECT_EQ(ip_rank(x) < ip_rank(y), x.to_string() < y.to_string())
       << x.to_string() << " vs " << y.to_string();
-  EXPECT_EQ(text_key(x) == text_key(y), x == y) << x.to_string() << " vs " << y.to_string();
+  EXPECT_EQ(ip_rank(x) == ip_rank(y), x == y) << x.to_string() << " vs " << y.to_string();
 }
 
 TEST(TextKeyTest, OrderAndTextMatchTheDottedQuadOnEdgeCases) {
@@ -93,30 +97,60 @@ TEST(TextKeyTest, OrderAndTextMatchTheDottedQuadOnEdgeCases) {
       {Ipv4(1, 10, 0, 0), Ipv4(1, 2, 0, 0)},
       {Ipv4(9, 0, 0, 1), Ipv4(10, 0, 0, 2)},
       {Ipv4(1, 2, 3, 4), Ipv4(1, 2, 3, 4)},
+      {Ipv4(99, 0, 0, 0), Ipv4(255, 0, 0, 0)},
+      {Ipv4(1, 0, 0, 0), Ipv4(100, 0, 0, 0)},
   };
   for (const auto& [x, y] : pairs) {
-    expect_key_matches_text(x, y);
-    expect_key_matches_text(y, x);
+    expect_rank_matches_text(x, y);
+    expect_rank_matches_text(y, x);
   }
-  EXPECT_EQ(key_text(text_key(Ipv4(255, 255, 255, 255))), "255.255.255.255");
-  EXPECT_EQ(key_text(text_key(Ipv4(0, 0, 0, 0))), "0.0.0.0");
+  EXPECT_EQ(rank_ip(ip_rank(Ipv4(255, 255, 255, 255))).to_string(), "255.255.255.255");
+  EXPECT_EQ(rank_ip(ip_rank(Ipv4(0, 0, 0, 0))).to_string(), "0.0.0.0");
+  // "0" ranks first and "99" last among the octet texts.
+  EXPECT_EQ(ip_rank(Ipv4(0, 0, 0, 0)), 0u);
+  EXPECT_EQ(ip_rank(Ipv4(99, 99, 99, 99)), 0xFFFFFFFFu);
 }
 
 TEST(TextKeyTest, OrderAndTextMatchTheDottedQuadOnRandomAddresses) {
   Rng rng(20261018);
   std::vector<Ipv4> ips;
   for (int i = 0; i < 100000; ++i) ips.emplace_back(rng.next_u32());
-  for (std::size_t i = 1; i < ips.size(); ++i) expect_key_matches_text(ips[i - 1], ips[i]);
+  for (std::size_t i = 1; i < ips.size(); ++i) expect_rank_matches_text(ips[i - 1], ips[i]);
 
   std::vector<std::string> by_text;
   for (const Ipv4 ip : ips) by_text.push_back(ip.to_string());
   std::sort(by_text.begin(), by_text.end());
-  std::vector<IpKey> keys;
-  for (const Ipv4 ip : ips) keys.push_back(text_key(ip));
-  std::sort(keys.begin(), keys.end());
-  std::vector<std::string> by_key;
-  for (const IpKey& key : keys) by_key.push_back(key_text(key));
-  EXPECT_EQ(by_key, by_text);
+  std::vector<std::uint32_t> ranks;
+  for (const Ipv4 ip : ips) ranks.push_back(ip_rank(ip));
+  std::sort(ranks.begin(), ranks.end());
+  std::vector<std::string> by_rank;
+  for (const std::uint32_t rank : ranks) by_rank.push_back(rank_ip(rank).to_string());
+  EXPECT_EQ(by_rank, by_text);
+}
+
+TEST(TextKeyTest, EveryOctetRanksAsItsText) {
+  // The rank is a bijection on u32 whose order is the text order.
+  std::vector<std::string> texts;
+  for (unsigned octet = 0; octet < 256; ++octet) texts.push_back(std::to_string(octet));
+  std::sort(texts.begin(), texts.end());
+  for (std::size_t r = 0; r < texts.size(); ++r) {
+    const auto octet = static_cast<std::uint8_t>(std::stoi(texts[r]));
+    EXPECT_EQ(ip_rank(Ipv4(octet, 0, 0, 0)), r << 24) << texts[r];
+    EXPECT_EQ(ip_rank(Ipv4(0, 0, 0, octet)), r) << texts[r];
+    EXPECT_EQ(rank_ip(static_cast<std::uint32_t>(r)), Ipv4(0, 0, 0, octet)) << texts[r];
+  }
+}
+
+TEST(TextKeyTest, ParserAcceptsOnlyCanonicalDottedQuads) {
+  for (const char* text : {"1.2.3.04", "01.2.3.4", "256.1.1.1", "1.2.3", "1.2.3.4.", "1..2.3", "",
+                           " 1.2.3.4", "1.2.3.4 ", "+1.2.3.4", "-1.2.3.4", "1.2.3.4/32",
+                           "1.2.3.00", "0x1.2.3.4", "1.2.3.4\n", "1.2.3.2555"}) {
+    EXPECT_FALSE(parse_rank(text).has_value()) << '"' << text << '"';
+  }
+  EXPECT_FALSE(parse_rank(std::string_view("1.2.3.4\0", 8)).has_value());
+  EXPECT_EQ(parse_rank("0.0.0.0"), 0u);
+  EXPECT_EQ(parse_rank("255.255.255.255"), ip_rank(Ipv4(255, 255, 255, 255)));
+  EXPECT_EQ(parse_rank("1.2.3.4"), ip_rank(Ipv4(1, 2, 3, 4)));
 }
 
 TEST(FromAddressesTest, MatchesFromTriplesOnShuffledInput) {

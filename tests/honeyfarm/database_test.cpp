@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "fold_oracle.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -149,6 +152,36 @@ TEST_F(DatabaseTest, EphemeralSourcesAppearOnce) {
 
 TEST_F(DatabaseTest, LookupMatchesSelectColsPrefixScan) {
   expect_matches_oracle(*db_, *months_, {"203.0.113.99", ""});
+}
+
+TEST_F(DatabaseTest, PoolSizeDoesNotChangeTheAnswers) {
+  const auto keys = oracle_->months_seen().row_keys();
+  const auto expect_same_answers = [&](const Database& db) {
+    EXPECT_EQ(db.distinct_sources(), db_->distinct_sources());
+    for (std::size_t i = 0; i < keys.size(); i += 7) {
+      expect_same_profile(db.lookup(keys[i]), db_->lookup(keys[i]), keys[i]);
+    }
+  };
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool pool(threads);
+    expect_same_answers(Database(*months_, pool));
+    // A build from inside the pool's own tasks, as a daemon request's.
+    parallel_for(pool, 0, 2, [&](std::size_t, std::size_t) {
+      expect_same_answers(Database(*months_, pool));
+    });
+  }
+}
+
+TEST_F(DatabaseTest, NonCanonicalQueriesFindNothing) {
+  const std::string& real = oracle_->months_seen().row_keys().front();
+  ASSERT_TRUE(db_->lookup(real).has_value());
+  // Other spellings of a catalogued address, and texts no address has.
+  for (const std::string& probe :
+       {std::string(), std::string("10.0.0."), "0" + real, real + " ", " " + real, "+" + real,
+        real + ".", real.substr(0, real.rfind('.')), std::string("203.0.113.7")}) {
+    EXPECT_FALSE(db_->lookup(probe).has_value()) << '"' << probe << '"';
+  }
 }
 
 /// A month from hand-written exploded-schema triples.
@@ -310,6 +343,43 @@ TEST(DatabaseSpanTest, OneSpanPerBuild) {
   }
   obs::reset();
   EXPECT_EQ(details, std::vector<std::string>{"3"});
+}
+
+TEST(DatabaseValidationTest, RethrowsTheFirstFailedMonth) {
+  const auto month = [](std::size_t m) -> MonthView {
+    if (m == 2 || m == 4) throw std::invalid_argument("month " + std::to_string(m));
+    return MonthView{YearMonth(2020, 2).plus_months(static_cast<int>(m)), d4m::AssocView()};
+  };
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    try {
+      const Database db(6, month, pool);
+      ADD_FAILURE() << "failed months were accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "month 2") << "threads " << threads;
+    }
+  }
+}
+
+TEST(DatabaseValidationTest, RejectsMonthsNotKeyedByCanonicalAddresses) {
+  std::vector<MonthlyObservation> months;
+  months.push_back(synthetic_month(0, {{"10.0.0.1", "contacts", 1.0}}));
+  months.push_back(synthetic_month(1, {{"1.2.3.04", "contacts", 1.0}, {"10.0.0.1", "c", 1.0}}));
+  try {
+    const Database db(months);
+    ADD_FAILURE() << "a month with a non-canonical row key was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "read_binary: row key is not a canonical dotted quad");
+  }
+  // A view that is not keyed by address carries no ranks to search.
+  std::string plain;
+  months[0].sources.write_binary(plain);
+  const auto bytes = std::as_bytes(std::span<const char>(plain.data(), plain.size()));
+  EXPECT_THROW(Database(1,
+                        [&](std::size_t) {
+                          return MonthView{months[0].month, d4m::AssocView::from_bytes(bytes)};
+                        }),
+               std::invalid_argument);
 }
 
 TEST(DatabaseValidationTest, RejectsEmptyAndGappyMonths) {

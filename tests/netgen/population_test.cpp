@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
+
+#include "common/prng.hpp"
 
 namespace obscorr::netgen {
 namespace {
@@ -63,6 +67,26 @@ TEST(PopulationTest, OwnsIpMatchesMembership) {
   }
   EXPECT_FALSE(pop.owns_ip(Ipv4(10, 1, 2, 3)));
   EXPECT_FALSE(pop.owns_ip(Ipv4(77, 1, 2, 3)));
+}
+
+TEST(PopulationTest, OwnsIpAgreesWithTheSortedAddressesEverywhere) {
+  // Every member, each member's neighbours and random draws, with a
+  // botnet tail whose /24 runs put consecutive addresses in the set.
+  PopulationConfig c = small_config(9);
+  c.botnet_fraction = 0.25;
+  const Population pop(c);
+  std::set<std::uint32_t> members;
+  for (std::size_t i = 0; i < pop.size(); ++i) members.insert(pop.source(i).ip.value());
+  ASSERT_EQ(members.size(), pop.size());
+  std::vector<std::uint32_t> probes{0u, 1u, 0xFFFFFFFFu};
+  for (const std::uint32_t ip : members) {
+    probes.insert(probes.end(), {ip, ip - 1, ip + 1, ip ^ 0x80000000u});
+  }
+  Rng rng(11);
+  for (int i = 0; i < 100000; ++i) probes.push_back(rng.next_u32());
+  for (const std::uint32_t ip : probes) {
+    ASSERT_EQ(pop.owns_ip(Ipv4(ip)), members.contains(ip)) << Ipv4(ip).to_string();
+  }
 }
 
 TEST(PopulationTest, DeterministicPerSeed) {

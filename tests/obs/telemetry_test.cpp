@@ -258,6 +258,7 @@ TEST_F(TelemetryExportTest, MetricsJsonSchemaAndCanonicalCatalogue) {
   // The canonical catalogue, pinned. A rename lands here on purpose.
   const std::vector<std::string> expected_counters = {
       "analysis.anomalies",
+      "analysis.event_log_errors",
       "analysis.windows_observed",
       "analysis.windows_sampled",
       "archive.bytes_read",

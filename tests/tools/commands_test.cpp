@@ -1231,6 +1231,33 @@ TEST(CliToolTest, LookupPrintsContactsOutsideTheCountRangeOnBothFronts) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CliToolTest, LookupFromAMonthWithANonCanonicalKeyIsCleanError) {
+  // A month's checksums can hold over a row key no address prints: the
+  // database's address-keyed views refuse it, on both fronts, and the
+  // message names the entry.
+  core::StudyData study = archive::read_study(OBSCORR_TEST_DATA_DIR "/golden_study");
+  d4m::AssocArray& month = study.months[3].sources;
+  month = d4m::oracle::ewise_add(month, d4m::oracle::build({{"1.2.3.04", "contacts", 1.0}}));
+  const std::string dir = temp("cli_noncanonical_key." + std::to_string(::getpid()));
+  archive::write_study(study, dir);
+  ThreadPool pool(2);
+  std::optional<svc::QueryEngine> engine(std::in_place, dir, pool);
+  const std::string message =
+      "archive: entry month/3: read_binary: row key is not a canonical dotted quad";
+  for (const std::string threads : {"1", "4"}) {
+    const FrontResult r = run_both({{"lookup", "--ip", "108.252.185.5", "--threads", threads},
+                                    R"({"query":"lookup","params":{"ip":"108.252.185.5"}})"},
+                                   dir, *engine);
+    EXPECT_EQ(r.rc, 2) << threads;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+    EXPECT_EQ(r.err, "error: " + message + "\n") << threads;
+    ASSERT_FALSE(r.response.find("ok")->as_bool());
+    EXPECT_EQ(r.response.find("error")->find("message")->as_string(), message);
+  }
+  engine.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CliToolTest, PrefixesAndQuantitiesPrintCraftedMatrixValues) {
   // MatrixView::from_bytes checks a file's layout, not its values: a
   // crafted matrix can hold any double. A NaN would break `prefixes`'

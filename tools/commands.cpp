@@ -261,11 +261,12 @@ int cmd_lookup(const Invocation& in, std::ostream& out, std::ostream& /*err*/) {
     // The database views raw months in the reader's mapping, so the
     // reader outlives it.
     const archive::StudyReader reader(*from);
-    svc::render_lookup(honeyfarm::Database(reader.month_count(),
-                                           [&reader](std::size_t m) {
-                                             return reader.month_view(m);
-                                           }),
-                       ip, out);
+    ThreadPool pool(in.threads);
+    svc::render_lookup(
+        honeyfarm::Database(
+            reader.month_count(), [&reader](std::size_t m) { return reader.month_view(m); },
+            pool),
+        ip, out);
     return 0;
   }
   const auto scenario = in.scenario();
@@ -278,7 +279,7 @@ int cmd_lookup(const Invocation& in, std::ostream& out, std::ostream& /*err*/) {
   parallel_for(pool, 0, months.size(), [&](std::size_t b, std::size_t e) {
     for (std::size_t m = b; m < e; ++m) months[m] = core::run_month(scenario, population, m);
   });
-  svc::render_lookup(honeyfarm::Database(std::move(months)), ip, out);
+  svc::render_lookup(honeyfarm::Database(std::move(months), pool), ip, out);
   return 0;
 }
 
@@ -595,9 +596,10 @@ int cmd_serve(const Invocation& in, std::ostream& /*out*/, std::ostream& err) {
         << "monitor: primed over " << monitor.detectors().observed() << " windows ("
         << primed.size() << " historical anomalies)\n";
     err.flush();
-    icfg.on_publish = [&server, &monitor](const svc::PublishedWindow& pw) {
+    icfg.on_publish = [&server, &monitor, &err](const svc::PublishedWindow& pw) {
       const auto events =
           monitor.observe_window(pw.meta.window, pw.sample, pw.sources.values());
+      if (!monitor.log_error().empty()) err << "error: " << monitor.log_error() << '\n';
       // Window heartbeat first, then its anomalies: a watcher always
       // learns about an anomaly within the window that produced it.
       server.publish_event(analysis::window_event_json(pw.meta));

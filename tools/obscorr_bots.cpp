@@ -21,7 +21,8 @@
 ///
 /// Exit status: 0 when every request sent was answered `ok`; 1 when one
 /// was not, or when no client sent a request at all (no daemon listens);
-/// 2 on a usage error.
+/// 2 on a usage error, or when the JSON does not reach --out FILE (or
+/// stdout) in full.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -299,12 +300,17 @@ int run(const std::vector<std::string>& args) {
 
   const std::string text = obscorr::svc::dump_json(doc);
   if (!opt.out_path.empty()) {
+    // A file that cannot be opened, or a byte that did not reach it (a
+    // full disk), is an error: no `wrote` line follows a failed write.
     std::ofstream os(opt.out_path, std::ios::trunc);
     OBSCORR_REQUIRE(os.is_open(), "obscorr-bots: cannot write " + opt.out_path);
     os << text << '\n';
+    os.close();
+    OBSCORR_REQUIRE(!os.fail(), "obscorr-bots: cannot write " + opt.out_path);
     std::cerr << "wrote " << opt.out_path << '\n';
   } else {
     std::cout << text << '\n';
+    OBSCORR_REQUIRE(std::cout.flush(), "obscorr-bots: cannot write standard output");
   }
   // The harness succeeds when the daemon answered: shed connections are
   // expected under deliberate overload, hard errors are not, and a run
