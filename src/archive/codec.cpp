@@ -34,6 +34,16 @@ constexpr std::array<std::int8_t, 256> make_charset_index() {
 }
 constexpr std::array<std::int8_t, 256> kCharsetIndex = make_charset_index();
 
+/// The two suffix characters a packed byte stands for, low nibble first.
+constexpr std::array<std::array<char, 2>, 256> make_pair_chars() {
+  std::array<std::array<char, 2>, 256> pairs{};
+  for (std::size_t b = 0; b < pairs.size(); ++b) {
+    pairs[b] = {kPackCharset[b & 0x0F], kPackCharset[b >> 4]};
+  }
+  return pairs;
+}
+constexpr std::array<std::array<char, 2>, 256> kPairChars = make_pair_chars();
+
 std::uint32_t zigzag32(std::int32_t v) {
   return (static_cast<std::uint32_t>(v) << 1) ^ static_cast<std::uint32_t>(v >> 31);
 }
@@ -338,22 +348,12 @@ void decode_raw(std::span<const std::byte> enc, std::uint64_t raw_len,
   out.insert(out.end(), enc.begin(), enc.end());
 }
 
-/// Rebuild a u32 sequence from its zigzag-encoded wrapping deltas:
-/// out[i] = out[i-1] + unzigzag(zz[i]) (out[-1] = 0), arithmetic mod 2^32.
-void unzigzag_prefix_u32(std::span<const std::uint32_t> zz, std::uint32_t* out) {
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < zz.size(); ++i) {
-    const std::uint32_t z = zz[i];
-    acc += (z >> 1) ^ (~(z & 1) + 1);
-    out[i] = acc;
-  }
-}
-
 /// Unpack `count` values of `width` bits (LSB-first within the packed
-/// stream) into doubles. Values are exact unsigned integers < 2^width,
-/// width in [1, 51]. `packed` must hold ceil(count*width/8) bytes.
+/// stream) as doubles into `out`, 8 bytes each, which need not be
+/// aligned. Values are exact unsigned integers < 2^width, width in
+/// [1, 51]. `packed` must hold ceil(count*width/8) bytes.
 void unpack_f64(std::span<const std::byte> packed, unsigned width, std::size_t count,
-                double* out) {
+                std::byte* out) {
   const std::uint64_t mask = (1ULL << width) - 1;
   std::size_t bit = 0;
   for (std::size_t i = 0; i < count; ++i, bit += width) {
@@ -362,46 +362,54 @@ void unpack_f64(std::span<const std::byte> packed, unsigned width, std::size_t c
     // the window is loaded short so the read never leaves the span.
     std::uint64_t window = 0;
     std::memcpy(&window, packed.data() + byte, std::min<std::size_t>(8, packed.size() - byte));
-    out[i] = static_cast<double>((window >> (bit & 7)) & mask);
+    const auto value = static_cast<double>((window >> (bit & 7)) & mask);
+    std::memcpy(out + i * sizeof value, &value, sizeof value);
   }
 }
+
+// The delta decoders rebuild each lane from its zigzag-encoded wrapping
+// delta, out[i] = out[i-1] + unzigzag(zz[i]) (out[-1] = 0), straight into
+// `out`. Every varint takes at least one byte, so a block declaring more
+// lanes than it has encoded bytes is rejected before `out` grows.
 
 void decode_delta_u32(std::span<const std::byte> enc, std::uint64_t raw_len,
                       std::vector<std::byte>& out) {
   OBSCORR_REQUIRE(raw_len % sizeof(std::uint32_t) == 0,
                   "archive: delta-u32 block size not a lane multiple");
-  const std::size_t count = static_cast<std::size_t>(raw_len / sizeof(std::uint32_t));
-  std::vector<std::uint32_t> zz(count);
+  const std::uint64_t count = raw_len / sizeof(std::uint32_t);
+  OBSCORR_REQUIRE(count <= enc.size(),
+                  "archive: delta-u32 block declares more lanes than it has bytes");
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(raw_len));
+  std::byte* const lanes = out.data() + at;
   std::size_t pos = 0;
+  std::uint32_t acc = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t v = get_varint(enc, pos);
-    OBSCORR_REQUIRE(v <= 0xFFFFFFFFULL, "archive: delta-u32 varint exceeds 32 bits");
-    zz[i] = static_cast<std::uint32_t>(v);
+    const std::uint64_t z = get_varint(enc, pos);
+    OBSCORR_REQUIRE(z <= 0xFFFFFFFFULL, "archive: delta-u32 varint exceeds 32 bits");
+    acc += static_cast<std::uint32_t>(unzigzag64(z));
+    std::memcpy(lanes + i * sizeof acc, &acc, sizeof acc);
   }
   OBSCORR_REQUIRE(pos == enc.size(), "archive: trailing bytes in delta-u32 block");
-  std::vector<std::uint32_t> values(count);
-  unzigzag_prefix_u32(zz, values.data());
-  const std::size_t at = out.size();
-  out.resize(at + raw_len);
-  std::memcpy(out.data() + at, values.data(), raw_len);
 }
 
 void decode_delta_u64(std::span<const std::byte> enc, std::uint64_t raw_len,
                       std::vector<std::byte>& out) {
   OBSCORR_REQUIRE(raw_len % sizeof(std::uint64_t) == 0,
                   "archive: delta-u64 block size not a lane multiple");
-  const std::size_t count = static_cast<std::size_t>(raw_len / sizeof(std::uint64_t));
-  std::vector<std::uint64_t> values(count);
+  const std::uint64_t count = raw_len / sizeof(std::uint64_t);
+  OBSCORR_REQUIRE(count <= enc.size(),
+                  "archive: delta-u64 block declares more lanes than it has bytes");
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(raw_len));
+  std::byte* const lanes = out.data() + at;
   std::size_t pos = 0;
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < count; ++i) {
     acc += unzigzag64(get_varint(enc, pos));
-    values[i] = acc;
+    std::memcpy(lanes + i * sizeof acc, &acc, sizeof acc);
   }
   OBSCORR_REQUIRE(pos == enc.size(), "archive: trailing bytes in delta-u64 block");
-  const std::size_t at = out.size();
-  out.resize(at + raw_len);
-  std::memcpy(out.data() + at, values.data(), raw_len);
 }
 
 void decode_pack_f64(std::span<const std::byte> enc, std::uint64_t raw_len,
@@ -414,55 +422,59 @@ void decode_pack_f64(std::span<const std::byte> enc, std::uint64_t raw_len,
   const std::size_t count = static_cast<std::size_t>(raw_len / sizeof(double));
   OBSCORR_REQUIRE(enc.size() - 1 == (count * width + 7) / 8,
                   "archive: bitpack block length mismatch");
-  std::vector<double> values(count);
-  unpack_f64(enc.subspan(1), width, count, values.data());
   const std::size_t at = out.size();
-  out.resize(at + raw_len);
-  std::memcpy(out.data() + at, values.data(), raw_len);
+  out.resize(at + static_cast<std::size_t>(raw_len));
+  unpack_f64(enc.subspan(1), width, count, out.data() + at);
 }
 
+/// Each key is rebuilt in place in `out`: its length, then its shared
+/// prefix copied from the previous key's bytes (already in `out`), then
+/// its suffix; a packed suffix expands a byte at a time through
+/// kPairChars.
 void decode_front_str(std::span<const std::byte> enc, std::uint64_t raw_len, bool packed,
                       std::vector<std::byte>& out) {
   const std::size_t at = out.size();
   std::size_t pos = 0;
   const std::uint64_t count = get_varint(enc, pos);
   OBSCORR_REQUIRE(count <= kMaxKeyCount, "archive: implausible front-coded key count");
-  const auto put = [&out](const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::byte*>(data);
-    out.insert(out.end(), p, p + n);
-  };
-  put(&count, sizeof count);
-  std::string prev;
-  std::string key;
+  out.resize(at + sizeof count);
+  std::memcpy(out.data() + at, &count, sizeof count);
+  std::size_t prev_at = 0;  // the previous key's bytes, as an offset into `out`
+  std::size_t prev_len = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t shared = get_varint(enc, pos);
     const std::uint64_t suffix_len = get_varint(enc, pos);
-    OBSCORR_REQUIRE(shared <= prev.size(), "archive: front-coded shared length exceeds key");
+    OBSCORR_REQUIRE(shared <= prev_len, "archive: front-coded shared length exceeds key");
     OBSCORR_REQUIRE(suffix_len <= kMaxKeyLen, "archive: implausible front-coded key length");
-    key.assign(prev, 0, static_cast<std::size_t>(shared));
-    if (packed) {
-      const std::size_t nibble_bytes = (static_cast<std::size_t>(suffix_len) + 1) / 2;
-      OBSCORR_REQUIRE(enc.size() - pos >= nibble_bytes,
-                      "archive: truncated front-coded suffix");
-      for (std::uint64_t c = 0; c < suffix_len; ++c) {
-        const auto pair = static_cast<std::uint8_t>(enc[pos + c / 2]);
-        key.push_back(kPackCharset[(c % 2 == 0 ? pair : pair >> 4) & 0x0F]);
-      }
-      pos += nibble_bytes;
-    } else {
-      OBSCORR_REQUIRE(enc.size() - pos >= suffix_len,
-                      "archive: truncated front-coded suffix");
-      key.append(reinterpret_cast<const char*>(enc.data()) + pos,
-                 static_cast<std::size_t>(suffix_len));
-      pos += static_cast<std::size_t>(suffix_len);
-    }
-    const auto len = static_cast<std::uint32_t>(key.size());
-    OBSCORR_REQUIRE(sizeof len + key.size() <= raw_len &&
-                        out.size() - at <= raw_len - sizeof len - key.size(),
+    const auto suffix_bytes =
+        static_cast<std::size_t>(packed ? (suffix_len + 1) / 2 : suffix_len);
+    OBSCORR_REQUIRE(enc.size() - pos >= suffix_bytes, "archive: truncated front-coded suffix");
+    const auto key_len = static_cast<std::size_t>(shared + suffix_len);
+    const auto len = static_cast<std::uint32_t>(key_len);
+    OBSCORR_REQUIRE(sizeof len + key_len <= raw_len &&
+                        out.size() - at <= raw_len - sizeof len - key_len,
                     "archive: front-coded block overruns its declared size");
-    put(&len, sizeof len);
-    put(key.data(), key.size());
-    std::swap(prev, key);
+    const std::size_t key_at = out.size() + sizeof len;
+    out.resize(key_at + key_len);
+    std::byte* key = out.data() + key_at;
+    std::memcpy(key - sizeof len, &len, sizeof len);
+    std::memcpy(key, out.data() + prev_at, static_cast<std::size_t>(shared));
+    std::byte* suffix = key + shared;
+    const std::byte* src = enc.data() + pos;
+    if (packed) {
+      for (std::size_t c = 0; c < suffix_len / 2; ++c) {
+        std::memcpy(suffix + 2 * c, kPairChars[static_cast<std::uint8_t>(src[c])].data(), 2);
+      }
+      if (suffix_len % 2 == 1) {
+        suffix[suffix_len - 1] = static_cast<std::byte>(
+            kPackCharset[static_cast<std::uint8_t>(src[suffix_len / 2]) & 0x0F]);
+      }
+    } else {
+      std::memcpy(suffix, src, suffix_bytes);
+    }
+    pos += suffix_bytes;
+    prev_at = key_at;
+    prev_len = key_len;
   }
   OBSCORR_REQUIRE(pos == enc.size(), "archive: trailing bytes in front-coded block");
   OBSCORR_REQUIRE(out.size() - at == raw_len,
@@ -481,9 +493,15 @@ std::optional<std::uint64_t> decoded_size(std::span<const std::byte> stored) {
   return raw_size;
 }
 
+bool has_layout(std::string_view name) {
+  return ends_with(name, "/matrix") || ends_with(name, "/sources") ||
+         ends_with(name, "/assoc") || name.substr(0, 6) == "month/";
+}
+
 std::optional<std::string> compress_entry(std::string_view name,
                                           std::span<const std::byte> payload) {
-  if (payload.size() < 64) return std::nullopt;  // framing overhead dominates
+  // Below 64 bytes the framing overhead dominates.
+  if (payload.size() < 64 || !has_layout(name)) return std::nullopt;
   std::vector<Block> blocks;
   try {
     if (ends_with(name, "/matrix")) {
@@ -492,13 +510,11 @@ std::optional<std::string> compress_entry(std::string_view name,
       sources_sections(payload, blocks);
     } else if (ends_with(name, "/assoc")) {
       assoc_sections(payload, 0, blocks);
-    } else if (name.substr(0, 6) == "month/") {
-      // Fixed 24-byte month header, then the assoc array's own binary.
+    } else {
+      // A month: fixed 24-byte header, then the assoc array's own binary.
       OBSCORR_REQUIRE(payload.size() >= 24, "codec: truncated month header");
       add_raw(blocks, payload.first(24));
       assoc_sections(payload, 24, blocks);
-    } else {
-      return std::nullopt;
     }
   } catch (const std::invalid_argument&) {
     return std::nullopt;  // unknown shape: keep the raw frame

@@ -48,6 +48,12 @@ enum : std::uint8_t {
 };
 inline constexpr std::uint8_t kMaxBlockTag = kBlockFrontStrPack;
 
+/// True when entries named `name` are of a kind `compress_entry` has a
+/// section layout for: matrices ("…/matrix"), source reductions
+/// ("…/sources"), assoc arrays ("…/assoc") and months ("month/<m>").
+/// Every other entry is stored raw.
+bool has_layout(std::string_view name);
+
 /// Compress entry `name`'s payload, choosing a codec per section of the
 /// entry's own format. Returns nullopt when the payload is not a known
 /// compressible entry kind, fails to parse, or does not shrink — the

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/thread_pool.hpp"
+
 namespace obscorr::archive {
 
 struct CompactOptions {
@@ -51,6 +53,15 @@ struct CompactStats {
 /// compressed copy through without a decode cycle, and entries the
 /// codec cannot shrink stay raw. Decoded bytes are preserved exactly:
 /// every read path is byte-identical before and after.
-CompactStats compact_archive(const std::string& dir, const CompactOptions& opts = {});
+///
+/// The entries to compress are encoded as `pool` tasks, the largest
+/// stored entry claimed first, each under an `archive.encode` span. The
+/// calling thread then appends every entry in catalogue order, so the
+/// new log and manifest are the same bytes at every pool size. The
+/// encoded entries are held in memory until they are appended, and the
+/// next-generation log is created only once every encode has finished.
+/// Safe inside a `pool` task.
+CompactStats compact_archive(const std::string& dir, const CompactOptions& opts = {},
+                             ThreadPool& pool = ThreadPool::global());
 
 }  // namespace obscorr::archive

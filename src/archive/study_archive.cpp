@@ -646,10 +646,22 @@ core::StudyData StudyReader::analysis_study(ThreadPool& pool) const {
     snap.source_packets = source_packets(k);
   };
   // Entries differ in size by an order of magnitude, so workers claim
-  // them one at a time; each lands in its own slot (two entries fill
-  // disjoint members of one snapshot). A failed entry does not stop the
-  // others, and the first failure in read order is the one rethrown.
-  parallel_claim(pool, entries, load);
+  // them one at a time, the largest stored entry first; each lands in
+  // its own slot (two entries fill disjoint members of one snapshot). A
+  // failed entry does not stop the others, and the first failure in read
+  // order is the one rethrown.
+  const auto stored = [&](const std::string& name) -> std::uint64_t {
+    return reader_.stored_payload(name).size();
+  };
+  std::vector<std::uint64_t> costs(entries);
+  for (std::size_t k = 0; k < snapshot_count(); ++k) {
+    costs[2 * k] = stored(snapshot_entry(k, "meta")) + stored(snapshot_entry(k, "sources"));
+    costs[2 * k + 1] = stored(snapshot_entry(k, "assoc"));
+  }
+  for (std::size_t m = 0; m < month_count(); ++m) {
+    costs[snapshot_entries + m] = stored(month_entry(m));
+  }
+  parallel_claim(pool, costs, load);
   return study;
 }
 

@@ -171,9 +171,10 @@ class StudyReader {
   /// and those two omissions are most of the query path's speedup over
   /// recompute. The months and each snapshot's metadata-and-reduction
   /// and assoc array are decoded as entries that `pool`'s workers claim
-  /// one at a time, under one `study.load` span. Every entry runs to its
-  /// end; then the exception of the first failed entry in read order
-  /// (snapshots, then months) is rethrown. Safe inside a `pool` task.
+  /// one at a time, largest stored entry first, under one `study.load`
+  /// span. Every entry runs to its end; then the exception of the first
+  /// failed entry in read order (snapshots, then months) is rethrown.
+  /// Safe inside a `pool` task.
   core::StudyData analysis_study(ThreadPool& pool = ThreadPool::global()) const;
 
   /// Re-read the manifest and absorb live windows published since open

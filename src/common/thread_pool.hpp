@@ -22,10 +22,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <numeric>
 #include <queue>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -125,28 +128,43 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body) {
   parallel_for(ThreadPool::global(), begin, end, body);
 }
 
-/// Run `task(i)` for every i in [0, count) on `pool`, the caller and the
-/// workers claiming indices one at a time from one cursor: for tasks
-/// whose costs differ too much for a static split. Every task runs to its
+/// Run `task(i)` for every i in [0, costs.size()) on `pool`, the caller
+/// and the workers claiming indices one at a time from one cursor: for
+/// tasks whose costs differ too much for a static split. Indices are
+/// claimed in descending cost, ties in index order, so the largest task
+/// starts first instead of ending the loop alone. Every task runs to its
 /// end; then the exception of the lowest index that threw is rethrown —
-/// the one a serial loop would have raised first. Safe inside a pool
-/// task, as `parallel_for` is.
+/// the one a serial loop over the indices would have raised first,
+/// whatever order they were claimed in. Safe inside a pool task, as
+/// `parallel_for` is.
 template <typename Task>
-void parallel_claim(ThreadPool& pool, std::size_t count, const Task& task) {
+void parallel_claim(ThreadPool& pool, std::span<const std::uint64_t> costs, const Task& task) {
+  const std::size_t count = costs.size();
+  std::vector<std::size_t> order(count);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return costs[a] > costs[b]; });
   std::vector<std::exception_ptr> errors(count);
   std::atomic<std::size_t> next{0};
   parallel_for(pool, 0, std::min(pool.thread_count(), count), [&](std::size_t, std::size_t) {
-    for (std::size_t i = next++; i < count; i = next++) {
+    for (std::size_t k = next++; k < count; k = next++) {
       try {
-        task(i);
+        task(order[k]);
       } catch (...) {
-        errors[i] = std::current_exception();
+        errors[order[k]] = std::current_exception();
       }
     }
   });
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
+}
+
+/// `parallel_claim` over [0, count) with every index at the same cost:
+/// indices are claimed in index order.
+template <typename Task>
+void parallel_claim(ThreadPool& pool, std::size_t count, const Task& task) {
+  parallel_claim(pool, std::vector<std::uint64_t>(count), task);
 }
 
 }  // namespace obscorr

@@ -2,13 +2,15 @@
 /// golden archive (the encoder's structure parsers against real payloads),
 /// hostile-container rejection (truncation, tag out of range, declared
 /// size mismatch, CRC mismatch, trailing bytes), a full single-byte-flip
-/// sweep over a compressed container, and the bit-unpack and delta
-/// decoders on hand-built blocks.
+/// sweep over a compressed container, and the bit-unpack, delta and
+/// front-coded decoders on hand-built blocks, delta blocks that declare
+/// more lanes than they have bytes among them.
 
 #include "archive/codec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -16,16 +18,33 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "archive/checksum.hpp"
 #include "archive/reader.hpp"
+#include "obs/telemetry.hpp"
 
 namespace obscorr::archive::codec {
 namespace {
 
 #ifndef OBSCORR_TEST_DATA_DIR
 #error "OBSCORR_TEST_DATA_DIR must point at tests/data"
+#endif
+
+/// Sanitizer runtimes keep shadow and quarantine memory of their own, so
+/// footprint checks run only in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
 #endif
 
 std::span<const std::byte> as_bytes(const std::string& s) {
@@ -278,6 +297,110 @@ TEST(CodecTest, DeltaU32BlocksDecodeWrappingDeltas) {
     const std::vector<std::byte> got =
         decompress_payload(as_bytes(one_block_container(kBlockDeltaU32, raw, enc)));
     ASSERT_EQ(got, to_bytes(as_bytes(raw))) << "n " << n;
+  }
+}
+
+/// The message `decompress_payload` throws on `container`, or "decoded".
+std::string decode_error(const std::string& container) {
+  try {
+    (void)decompress_payload(as_bytes(container));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "decoded";
+}
+
+/// A delta block declaring 2^33 raw bytes over 0 or 1 encoded bytes: each
+/// varint takes at least one byte, so the lane count is refused before
+/// the decoder allocates anything, instead of after it has zero-filled
+/// gigabytes.
+TEST(CodecTest, DeltaBlocksWithMoreLanesThanBytesAreRefusedBeforeAllocating) {
+  const std::uint64_t raw_len = 1ULL << 33;
+  const std::size_t peak_before = obs::peak_rss_bytes();
+  for (const auto& [tag, message] :
+       {std::pair{kBlockDeltaU32, "archive: delta-u32 block declares more lanes than it has bytes"},
+        std::pair{kBlockDeltaU64,
+                  "archive: delta-u64 block declares more lanes than it has bytes"}}) {
+    for (const std::string& enc : {std::string(), std::string(1, '\x02')}) {
+      std::string container(kContainerMagic);
+      const std::uint32_t raw_crc = 0;
+      const std::uint32_t blocks = 1;
+      container.append(reinterpret_cast<const char*>(&raw_len), sizeof raw_len);
+      container.append(reinterpret_cast<const char*>(&raw_crc), sizeof raw_crc);
+      container.append(reinterpret_cast<const char*>(&blocks), sizeof blocks);
+      container.push_back(static_cast<char>(tag));
+      append_varint(container, raw_len);
+      append_varint(container, enc.size());
+      container += enc;
+      EXPECT_EQ(decode_error(container), message)
+          << "tag " << static_cast<int>(tag) << ", " << enc.size() << " encoded bytes";
+    }
+  }
+  if (!kSanitized) {
+    EXPECT_LT(obs::peak_rss_bytes() - peak_before, std::size_t{64} << 20);
+  }
+}
+
+/// A hand-built front-coded block over `keys`: the count, then per key
+/// the length it shares with its predecessor, its suffix length and the
+/// suffix, as raw bytes or nibble-packed over the archive charset.
+std::string front_code(const std::vector<std::string>& keys, bool packed) {
+  constexpr std::string_view charset = "0123456789.|:-_/";
+  std::string enc;
+  append_varint(enc, keys.size());
+  std::string_view prev;
+  for (const std::string& key : keys) {
+    std::size_t shared = 0;
+    while (shared < std::min(prev.size(), key.size()) && prev[shared] == key[shared]) ++shared;
+    const std::string_view suffix = std::string_view(key).substr(shared);
+    append_varint(enc, shared);
+    append_varint(enc, suffix.size());
+    if (!packed) {
+      enc += suffix;
+    } else {
+      for (std::size_t c = 0; c < suffix.size(); c += 2) {
+        std::size_t pair = charset.find(suffix[c]);
+        if (c + 1 < suffix.size()) pair |= charset.find(suffix[c + 1]) << 4;
+        enc.push_back(static_cast<char>(pair));
+      }
+    }
+    prev = key;
+  }
+  return enc;
+}
+
+/// The key region the front-coded block stands for: the u64 count, then
+/// per key its u32 length and bytes.
+std::string key_region(const std::vector<std::string>& keys) {
+  std::string raw;
+  const std::uint64_t count = keys.size();
+  raw.append(reinterpret_cast<const char*>(&count), sizeof count);
+  for (const std::string& key : keys) {
+    const auto len = static_cast<std::uint32_t>(key.size());
+    raw.append(reinterpret_cast<const char*>(&len), sizeof len);
+    raw += key;
+  }
+  return raw;
+}
+
+/// Keys rebuilt in place: empty keys, repeats (all shared, no suffix),
+/// keys that extend or cut their predecessor, and suffixes of odd and
+/// even length, packed and unpacked.
+TEST(CodecTest, FrontCodedBlocksRebuildEveryKeyInPlace) {
+  const std::vector<std::string> quads = {"",           "",        "1",        "1.2",
+                                          "1.2.3.4",    "1.2.3.45", "1.2.3.45", "10.0.0.1",
+                                          "10.0.0.100", "2",       "2/3:4-5_6|7", "255.255.255.255"};
+  const std::vector<std::string> labels = {"",      "alpha", "alphabet", "alphanumeric", "b",
+                                           "b\xff", "beta",  "beta",     std::string(300, 'z')};
+  for (const auto& [tag, keys] : {std::pair{kBlockFrontStrPack, quads},
+                                  std::pair{kBlockFrontStr, quads},
+                                  std::pair{kBlockFrontStr, labels}}) {
+    const std::string raw = key_region(keys);
+    const std::string enc = front_code(keys, tag == kBlockFrontStrPack);
+    const std::vector<std::byte> got =
+        decompress_payload(as_bytes(one_block_container(tag, raw, enc)));
+    EXPECT_EQ(got, to_bytes(as_bytes(raw)))
+        << "tag " << static_cast<int>(tag) << ", " << keys.size() << " keys";
   }
 }
 

@@ -15,11 +15,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "archive/checksum.hpp"
@@ -194,6 +196,64 @@ TEST(CompactTest, KeepRecentLeavesHotWindowsRawAndReadsMatch) {
     EXPECT_EQ(post.window_matrix(w).nnz(), window_matrix(w).nnz()) << "window " << w;
   }
   EXPECT_TRUE(post.source_packets(0) == want_snapshot);
+}
+
+/// Compact a fresh copy of `src` on a pool of `threads` (from inside one
+/// of its tasks when `in_task`) and return the bytes of the log and the
+/// manifest it published.
+std::vector<std::vector<char>> compact_copy(const std::string& src, const std::string& name,
+                                            const CompactOptions& opts, std::size_t threads,
+                                            bool in_task) {
+  const std::string dir = temp_dir(name);
+  fs::copy(src, dir, fs::copy_options::recursive);
+  std::exception_ptr error;
+  {
+    ThreadPool pool(threads);
+    if (in_task) {
+      pool.submit([&] {
+        try {
+          compact_archive(dir, opts, pool);
+        } catch (...) {
+          error = std::current_exception();
+        }
+      });
+    } else {
+      compact_archive(dir, opts, pool);
+    }
+  }  // the destructor runs the submitted task before it joins
+  if (error) std::rethrow_exception(error);
+  const std::uint32_t generation = ArchiveReader(dir).generation();
+  EXPECT_EQ(generation, 1u) << name;
+  std::vector<std::vector<char>> files = {slurp(dir + "/" + log_file_name(generation)),
+                                          slurp(dir + "/" + kManifestName)};
+  fs::remove_all(dir);
+  return files;
+}
+
+/// Entries are encoded as pool tasks but appended in catalogue order, so
+/// the log and the manifest are the same bytes at every pool size, and
+/// when the compaction itself runs inside a task of its pool: the golden
+/// archive forced whole, and a live archive whose newest two windows
+/// stay raw.
+TEST(CompactTest, EveryPoolSizeWritesTheSameLogAndManifest) {
+  const std::string live = temp_dir("compact_pools_live");
+  {
+    ThreadPool pool(2);
+    archive_study(netgen::Scenario::paper(/*log2_nv=*/10, /*seed=*/7), live, pool);
+  }
+  append_windows(live, 0, 6);
+  const std::string golden = std::string(OBSCORR_TEST_DATA_DIR) + "/golden_study";
+  for (const auto& [src, opts] : {std::pair{golden, CompactOptions{.compress_all = true}},
+                                  std::pair{live, CompactOptions{.keep_recent = 2}}}) {
+    const auto want = compact_copy(src, "compact_pools_1", opts, 1, false);
+    for (const std::size_t threads : {2u, 4u}) {
+      EXPECT_EQ(compact_copy(src, "compact_pools_n", opts, threads, false), want)
+          << src << " on " << threads << " threads";
+    }
+    EXPECT_EQ(compact_copy(src, "compact_pools_task", opts, 2, true), want)
+        << src << " inside a pool task";
+  }
+  fs::remove_all(live);
 }
 
 /// Satellite regression: a reader that was open across a compaction must

@@ -6,9 +6,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -43,6 +45,105 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
     }
   }
   EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ThreadPoolTest, ParallelClaimRunsEveryIndexExactlyOnce) {
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    for (const std::size_t count : {0u, 1u, 3u, 100u}) {
+      std::vector<std::atomic<int>> hits(count);
+      parallel_claim(pool, count, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << threads << " threads, index " << i << " of " << count;
+      }
+      std::vector<std::uint64_t> costs(count);
+      for (std::size_t i = 0; i < count; ++i) costs[i] = (i * 7919) % 13;
+      std::vector<std::atomic<int>> cost_hits(count);
+      parallel_claim(pool, costs, [&](std::size_t i) { cost_hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(cost_hits[i].load(), 1) << threads << " threads, costed index " << i;
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelClaimRethrowsTheLowestIndexAfterEveryIndexRan) {
+  // Indices 3 and 7 of 20 throw on four workers, index 7 first: the
+  // caller must still receive index 3's exception, and only once every
+  // index has run to its end.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(20);
+  std::atomic<bool> seven_threw{false};
+  try {
+    parallel_claim(pool, hits.size(), [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      if (i == 3) {
+        for (int spin = 0; spin < 5000 && !seven_threw.load(); ++spin) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        throw std::runtime_error("index 3");
+      }
+      if (i == 7) {
+        seven_threw.store(true);
+        throw std::logic_error("index 7");
+      }
+    });
+    ADD_FAILURE() << "no exception reached the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 3");
+  }
+  EXPECT_TRUE(seven_threw.load());
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ThreadPoolTest, ParallelClaimIsSafeInsideAPoolTask) {
+  std::atomic<long long> total{0};
+  {
+    ThreadPool pool(2);
+    for (int t = 0; t < 16; ++t) {
+      pool.submit([&pool, &total] {
+        const std::vector<std::uint64_t> costs = {4, 1, 9, 9, 0, 2, 7, 3};
+        parallel_claim(pool, costs, [&](std::size_t i) {
+          total.fetch_add(static_cast<long long>(costs[i]));
+        });
+        parallel_claim(pool, std::size_t{10}, [&](std::size_t) { total.fetch_add(1); });
+      });
+    }
+  }  // the destructor runs every queued task before it joins
+  EXPECT_EQ(total.load(), 16 * (35 + 10));
+}
+
+TEST(ThreadPoolTest, ParallelClaimTakesTheLargestCostFirstTiesByIndex) {
+  ThreadPool pool(1);
+  const std::vector<std::uint64_t> costs = {5, 9, 1, 9, 0, 5, 7};
+  std::vector<std::size_t> order;
+  parallel_claim(pool, costs, [&](std::size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{1, 3, 6, 0, 5, 2, 4}));
+  // The count form is the same loop with every cost equal: index order.
+  order.clear();
+  parallel_claim(pool, std::size_t{5}, [&](std::size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPoolTest, ParallelClaimRethrowsByIndexNotByClaimPosition) {
+  // Index 2 is claimed first and index 1 last; both throw. A serial loop
+  // over the indices raises index 1's exception first, so that is the
+  // one the caller receives, at every pool size.
+  const std::vector<std::uint64_t> costs = {5, 1, 9};
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(costs.size());
+    try {
+      parallel_claim(pool, costs, [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        if (i != 0) throw std::runtime_error("index " + std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception reached the caller at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 1") << threads << " threads";
+    }
+    for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
 }
 
 class ParallelForTest : public ::testing::TestWithParam<std::size_t> {};

@@ -595,6 +595,31 @@ TEST(CliToolTest, ArchiveCompactShrinksAndQueriesStayByteIdentical) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CliToolTest, ArchiveCompactTimingShowsOneEncodePerCompressedEntry) {
+  // Compaction encodes on the --threads pool, one `archive.encode` span
+  // per entry it compresses, under one `archive.compact` and one
+  // `archive.open`.
+  const std::string dir = temp("cli_compact_timing." + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::copy(OBSCORR_TEST_DATA_DIR "/golden_study", dir);
+  std::ostringstream out, err;
+  ASSERT_EQ(run({"archive", "compact", "--dir", dir, "--all", "--stats", "--timing", "--threads",
+                 "4"},
+                out, err),
+            0);
+  const std::string stats = out.str();
+  const std::size_t open = stats.find(" (");
+  const std::size_t close = stats.find(" compressed)");
+  ASSERT_TRUE(open != std::string::npos && close != std::string::npos) << stats;
+  const std::string compressed = stats.substr(open + 2, close - open - 2);
+  EXPECT_EQ(compressed, "30") << stats;
+  EXPECT_NE(err.str().find("  archive.encode: " + compressed + ", "), std::string::npos)
+      << err.str();
+  EXPECT_NE(err.str().find("  archive.compact: 1, "), std::string::npos) << err.str();
+  EXPECT_NE(err.str().find("  archive.open: 1, "), std::string::npos) << err.str();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CliToolTest, ArchiveCompactUsageErrors) {
   std::ostringstream no_dir;
   EXPECT_EQ(run({"archive", "compact"}, no_dir), 2);

@@ -492,7 +492,8 @@ int cmd_archive_compact(const Invocation& in, std::ostream& out, std::ostream& e
   opts.keep_recent = static_cast<std::size_t>(keep);
   opts.compress_all = in.cli.has("all");
 
-  const archive::CompactStats stats = archive::compact_archive(*dir, opts);
+  ThreadPool pool(in.threads);
+  const archive::CompactStats stats = archive::compact_archive(*dir, opts, pool);
   if (in.cli.has("stats")) {
     out << "entries: " << fmt_count(stats.entries_total) << " ("
         << fmt_count(stats.entries_compressed) << " compressed)\n"
